@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Two-plaquette 2D flux-string decay on 19 qubits (Krylov + Trotter)."""
+"""Two-plaquette 2D flux-string decay on 19 qubits (exact in the Gauss-law
+sector, plus Trotter)."""
 import sys
 from pathlib import Path
 

@@ -5,11 +5,16 @@ Commands::
 
     lgt run <config.json>        time evolution -> CSV curves + metadata JSON
     lgt resources <config.json>  resource tables -> CSV
-    lgt qasm <config.json> --step  one Trotter-step circuit -> OpenQASM + counts
+    lgt qasm <config.json>       one Trotter-step circuit -> OpenQASM + counts
 
 Exit codes: 0 ok, 2 config error, 3 resource limit. Model couplings are
 interpreted in lattice units (the Hamiltonian is built with spacing 1; the
 nominal physical spacing is carried as metadata in `model.a`).
+
+A run starts from a basis state with G_x = 0 at every site (anything else
+is a config error). The exact curve evolves in that Gauss-law sector, as
+enumerated by ``gauss_filter``; the Trotter curves evolve the full
+statevector, so their weight may leave the sector.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,11 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from lgt.dynamics import (
-    KRYLOV_LIMIT,
+    GAUSS_TOL,
+    MAX_QUBITS,
     ExactEvolver,
     StateVector,
     config_probabilities,
+    decode_basis,
     gauss_filter,
+    gauss_law,
     loschmidt,
     standard_observables,
     top_configs,
@@ -258,14 +265,15 @@ def lattice_units(params: ModelParams) -> ModelParams:
 
 
 def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
-    if lay.n_total > KRYLOV_LIMIT:
+    if lay.n_total > MAX_QUBITS:
         raise ResourceLimitError(
-            f"{lay.n_total} qubits exceeds the simulable limit ({KRYLOV_LIMIT})")
+            f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
     return assemble(lay, lattice_units(sc.params), sc.mapping)
 
 
 def initial_state(label, lay: RegisterLayout, mapping, params) -> StateVector:
-    """Computational basis state for a named or explicit configuration."""
+    """Computational basis state for a named or explicit configuration; it
+    must satisfy Gauss's law (G_x = 0) at every site."""
     n_sp = lay.n_spinor
     if label == "bare_vacuum":
         occupations = ([0] * (n_sp // 2) + [1] * (n_sp - n_sp // 2)) * lay.spec.n_sites
@@ -300,6 +308,13 @@ def initial_state(label, lay: RegisterLayout, mapping, params) -> StateVector:
             raise ConfigError(f"$.initial_state.link_fluxes[{li}]", str(exc)) from exc
         offset = lay.n_fermionic + li * lay.qubits_per_link
         index |= local << (lay.n_total - offset - lay.qubits_per_link)
+    g = gauss_law(lay, *decode_basis(lay, mapping, params.theta_along, [index]))[0]
+    bad = np.flatnonzero(np.abs(g) > GAUSS_TOL)
+    if bad.size:
+        site = list(lay.spec.sites())[bad[0]]
+        raise ConfigError("$.initial_state",
+                          f"violates Gauss's law at site {list(site)} "
+                          f"(G_x = {g[bad[0]] * params.e:g})")
     return StateVector.basis_state(lay.n_total, index)
 
 
@@ -310,19 +325,10 @@ def _format(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _curve_rows(states, s0, observables):
-    rows = []
-    for t, st in states:
-        rows.append((t, loschmidt(s0, st),
-                     observables[0].expectation(st), st))
-    return rows
-
-
-def _write_curve(path: Path, rows, lay, mapping, params, label_columns):
+def _write_curve(path: Path, rows, label_columns):
     lines = ["t,loschmidt,total_particle_number"
              + "".join(f",p[{label}]" for label in label_columns) + ",p[other]"]
-    for t, g, n_part, st in rows:
-        probs = config_probabilities(st, lay, mapping, params)
+    for t, g, n_part, probs in rows:
         listed = sum(probs.get(label, 0.0) for label in label_columns)
         other = max(0.0, sum(probs.values()) - listed)
         cells = [_format(t), _format(g), _format(n_part)]
@@ -341,31 +347,35 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     params = lattice_units(sc.params)
     s0 = initial_state(sc.initial, lay, mapping, params)
     obs = standard_observables(lay, mapping, params)
+    n_configs, sector = gauss_filter(lay, mapping, params)
+
+    def readout(t, st):
+        return (t, loschmidt(s0, st), obs[0].expectation(st),
+                config_probabilities(st, lay, mapping, params))
 
     evo = sc.evolution
     t_max = evo["t_max"]
     curves: dict[str, list] = {}
     if evo["method"] in ("exact", "both"):
-        ev = ExactEvolver(h.total)
+        ev = ExactEvolver(h.total, sector)
         sample = evo["sample_dt"]
-        n_samples = int(round(t_max / sample))
-        states = [(0.0, s0)]
+        rows = [readout(0.0, s0)]
         st = s0
-        for k in range(1, n_samples + 1):
+        for k in range(1, int(round(t_max / sample)) + 1):
             st = ev.evolve(st, sample)
-            states.append((k * sample, st))
-        curves["exact"] = _curve_rows(states, s0, obs)
+            rows.append(readout(k * sample, st))
+        curves["exact"] = rows
     if evo["method"] in ("trotter", "both"):
         for dt in evo["dt"]:
             plan = trotter_plan(h, dt, int(round(t_max / dt)), evo["ordering"])
-            states = [(t, st.copy()) for t, st in trotter_states(s0, plan)]
-            curves[f"trotter_dt{dt:g}"] = _curve_rows(states, s0, obs)
+            curves[f"trotter_dt{dt:g}"] = [readout(t, st) for t, st
+                                           in trotter_states(s0, plan)]
 
     # stable label columns: ranked by peak probability across all curves
     peak: dict[str, float] = {}
     for rows in curves.values():
-        for *_, st in rows:
-            for label, p in config_probabilities(st, lay, mapping, params).items():
+        for *_, probs in rows:
+            for label, p in probs.items():
                 peak[label] = max(peak.get(label, 0.0), p)
     label_columns = [label for label, _ in
                      sorted(peak.items(), key=lambda kv: (-kv[1], kv[0]))[:12]]
@@ -373,13 +383,9 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     written = []
     for name, rows in curves.items():
         path = out / f"{sc.output_prefix}_{name}.csv"
-        _write_curve(path, rows, lay, mapping, params, label_columns)
+        _write_curve(path, rows, label_columns)
         written.append(path)
 
-    n_configs, invariant = (None, None)
-    if lay.n_total <= 20:
-        total_cfg, inv = gauss_filter(lay, mapping, params)
-        n_configs, invariant = total_cfg, len(inv)
     meta = {
         "scenario": sc.scenario,
         "lattice": {"d": sc.spec.d, "extents": list(sc.spec.extents),
@@ -393,17 +399,15 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "spin": sc.spin,
         "evolution": evo,
         "ordering": evo["ordering"],
-        "seed": None,
         "n_qubits": lay.n_total,
         "n_pauli_strings": h.n_terms,
         "n_cnot_per_trotter_step": cnot_per_trotter_step(h.total),
         "n_configurations": n_configs,
-        "n_gauge_invariant": invariant,
+        "n_gauge_invariant": len(sector),
         "trotter_error_reporting": {
             "absolute": "curve differences against the exact column",
             "relative_floor": 1e-3,
         },
-        "workers": os.environ.get("LGT_WORKERS", "1"),
     }
     meta_path = out / f"{sc.output_prefix}_meta.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -503,8 +507,6 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the JSON config")
         p.add_argument("--out", default="out", help="output directory")
         if name == "qasm":
-            p.add_argument("--step", action="store_true",
-                           help="emit a single Trotter step (default behavior)")
             p.add_argument("--dt", type=float, default=None,
                            help="step size override")
     args = parser.parse_args(argv)

@@ -1,28 +1,39 @@
 """Statevector simulation: Pauli-exponential kernels, Trotter and exact
-evolution, physical observables, and configuration readout.
+evolution, the basis decoder, physical observables, configuration readout
+and the Gauss-law filter.
 
 Basis convention: qubit 0 is the most significant bit of the computational
 basis index (matching ``lgt.pauli.to_matrix``). Pauli actions are applied
 matrix-free; index permutations and Z-parity sign vectors are cached per
 (n, mask) so repeated Trotter steps touch each amplitude only a few times.
+
+``decode_basis`` is the one map from basis indices to fermion occupations
+and link fluxes; observables, configuration labels and the Gauss-law
+filter all read it. Exact evolution runs on a span of basis states, all
+2^n by default or the G_x = 0 sector that ``gauss_filter`` returns, which
+the quantum-link Hamiltonian leaves invariant; it applies scipy's
+``expm_multiply`` to H restricted to that span.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from lgt.gauge import check_spin, flux_state_index
+from lgt.gauge import check_spin
 from lgt.hamiltonian import HamiltonianTerms
-from lgt.lattice import RegisterLayout
+from lgt.lattice import Link, RegisterLayout
 from lgt.matter import FermionMapping
-from lgt.pauli import ORACLE_LIMIT, PauliOperator, PauliString, to_matrix
+from lgt.pauli import PauliOperator, PauliString, _index_mask
 
-DENSE_LIMIT = 10     # auto-switch point: eigh cost grows steeply past this
-MAX_DENSE = 13       # hard cap for an explicitly requested dense path
-KRYLOV_LIMIT = 24    # iterative exponential-apply path
+MAX_QUBITS = 24      # statevector simulation limit
+LEAK_TOL = 1e-12     # allowed |<out|H|in>| per unit of sum |coeff| across a span
+GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
+GAUSS_BLOCK = 1 << 16  # basis indices the Gauss filter decodes at a time
 
 
 @dataclass
@@ -75,11 +86,6 @@ def _indices(n: int) -> np.ndarray:
     return arr
 
 
-def _index_mask(mask: int, n: int) -> int:
-    """Qubit mask (bit i = qubit i) to index mask (qubit 0 = MSB)."""
-    return int(format(mask, f"0{n}b")[::-1], 2) if mask else 0
-
-
 def _perm(n: int, xm: int) -> np.ndarray:
     key = (n, xm)
     perm = _PERM_CACHE.get(key)
@@ -89,13 +95,17 @@ def _perm(n: int, xm: int) -> np.ndarray:
     return perm
 
 
+def _parity_signs(masked: np.ndarray) -> np.ndarray:
+    """(-1)^parity of each entry as a float vector."""
+    return np.where(np.bitwise_count(masked) & 1, -1.0, 1.0)
+
+
 def _signs(n: int, zm: int) -> np.ndarray:
-    """(-1)^parity(index & zm) as a float vector."""
+    """(-1)^parity(index & zm) over all 2^n indices."""
     key = (n, zm)
     signs = _SIGN_CACHE.get(key)
     if signs is None:
-        par = (np.bitwise_count(_indices(n) & zm) & 1).astype(bool)
-        signs = np.where(par, -1.0, 1.0)
+        signs = _parity_signs(_indices(n) & zm)
         _SIGN_CACHE[key] = signs
     return signs
 
@@ -138,33 +148,62 @@ def apply_pauli_exp(state: StateVector, p: PauliString, theta: float) -> StateVe
 
 
 class OperatorAction:
-    """Matrix-free H|psi> with strings grouped by their index-flip mask."""
+    """Matrix-free H|psi> on the span of sorted basis indices (all 2^n by
+    default), with strings grouped by their index-flip mask.
 
-    def __init__(self, op: PauliOperator):
+    Amplitude arrays hold one entry per basis index, in basis order. Raises
+    ValueError if H maps a state of the span out of it.
+    """
+
+    def __init__(self, op: PauliOperator, basis: np.ndarray | None = None):
         self.n = op.n_qubits
-        n = self.n
-        groups: dict[int, np.ndarray] = {}
+        self.basis = (_indices(self.n) if basis is None
+                      else np.asarray(basis, dtype=np.int64))
+        dim = len(self.basis)
+        # the diagonal group always exists, so the action is never empty
+        diags: dict[int, np.ndarray] = {0: np.zeros(dim, dtype=complex)}
         for t in op.terms:
             xm, zm, ypow = _string_masks(t)
-            diag = groups.get(xm)
+            diag = diags.get(xm)
             if diag is None:
-                diag = np.zeros(1 << n, dtype=complex)
-                groups[xm] = diag
-            diag += (t.coeff * ypow) * _signs(n, zm)
-        self.groups = sorted(groups.items())
+                diag = diags[xm] = np.zeros(dim, dtype=complex)
+            diag += (t.coeff * ypow) * _parity_signs(self.basis & zm)
+        leak_tol = LEAK_TOL * max(1.0, sum(abs(t.coeff) for t in op.terms))
+        # diag[j] is <j ^ xm| H |j>; src[i] is the position of basis[i] ^ xm
+        self.groups: list[tuple[np.ndarray | None, np.ndarray]] = []
+        for xm, diag in sorted(diags.items()):
+            src = None
+            if xm:
+                target = self.basis ^ xm
+                pos = np.minimum(np.searchsorted(self.basis, target), dim - 1)
+                outside = self.basis[pos] != target
+                if np.abs(diag[outside]).max(initial=0.0) > leak_tol:
+                    raise ValueError("operator maps the basis span out of itself")
+                diag[outside] = 0.0
+                src = np.where(outside, np.arange(dim), pos)
+            self.groups.append((src, diag))
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
         out = np.zeros_like(amps)
-        for xm, diag in self.groups:
+        for src, diag in self.groups:
             tmp = diag * amps
-            if xm:
-                out += tmp[_perm(self.n, xm)]
-            else:
-                out += tmp
+            out += tmp if src is None else tmp[src]
         return out
 
     def expectation(self, state: StateVector) -> float:
-        return float(np.vdot(state.amps, self(state.amps)).real)
+        amps = state.amps[self.basis]
+        return float(np.vdot(amps, self(amps)).real)
+
+    def matrix(self):
+        """The action as a scipy CSR matrix on the span (imports scipy)."""
+        from scipy.sparse import csr_matrix
+
+        rows = np.arange(len(self.basis))
+        cols = [rows if src is None else src for src, _ in self.groups]
+        vals = [diag[c] for (_, diag), c in zip(self.groups, cols)]
+        return csr_matrix((np.concatenate(vals),
+                           (np.tile(rows, len(cols)), np.concatenate(cols))),
+                          shape=(len(rows), len(rows)))
 
 
 # -- Trotter -------------------------------------------------------------
@@ -228,113 +267,72 @@ def trotter_states(state0: StateVector, plan: TrotterPlan):
 
 
 class ExactEvolver:
-    """e^{-iHt} via dense eigendecomposition or Lanczos exponential-apply."""
+    """e^{-iHt} on the span of sorted basis indices (all 2^n by default),
+    by scipy's ``expm_multiply`` on H restricted to that span.
 
-    def __init__(self, h: PauliOperator, method: str = "auto",
-                 dense_limit: int = DENSE_LIMIT, tol: float = 1e-10):
+    Raises ValueError if H maps the span out of itself, or if a state has
+    weight outside it.
+    """
+
+    def __init__(self, h: PauliOperator, basis: np.ndarray | None = None):
         self.n = h.n_qubits
-        self.tol = tol
-        if method == "auto":
-            method = "dense" if self.n <= dense_limit else "krylov"
-        if method == "dense" and self.n > MAX_DENSE:
-            raise ValueError(f"dense evolution limited to {MAX_DENSE} qubits")
-        if method == "krylov" and self.n > KRYLOV_LIMIT:
-            raise ValueError(f"evolution limited to {KRYLOV_LIMIT} qubits")
-        self.method = method
-        if method == "dense":
-            m = to_matrix(h)
-            self._evals, self._evecs = np.linalg.eigh(m)
-            self._action = None
-        elif method == "krylov":
-            self._action = OperatorAction(h)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"evolution limited to {MAX_QUBITS} qubits")
+        self._action = OperatorAction(h, basis)
+        self._matrix = None  # built on the first evolve, so scipy loads late
 
-    def evolve(self, state: StateVector, t: float) -> StateVector:
+    def _restrict(self, state: StateVector) -> np.ndarray:
+        """The state's amplitudes on the basis."""
         if state.n_qubits != self.n:
             raise ValueError("state size mismatch")
+        amps = state.amps[self._action.basis]
+        if state.norm ** 2 - np.vdot(amps, amps).real > 1e-12:
+            raise ValueError("state has weight outside the evolution basis")
+        return amps
+
+    def evolve(self, state: StateVector, t: float) -> StateVector:
+        amps = self._restrict(state)
         if t == 0.0:
             return state.copy()
-        if self.method == "dense":
-            phases = np.exp(-1j * self._evals * t)
-            coeffs = self._evecs.conj().T @ state.amps
-            return StateVector(self.n, self._evecs @ (phases * coeffs))
-        return StateVector(self.n, _krylov_expm(self._action, state.amps,
-                                                t, self.tol))
+        from scipy.sparse.linalg import expm_multiply
+
+        if self._matrix is None:
+            self._matrix = self._action.matrix()
+        out = np.zeros_like(state.amps)
+        out[self._action.basis] = expm_multiply(-1j * t * self._matrix, amps)
+        return StateVector(self.n, out)
 
     def energy(self, state: StateVector) -> float:
-        if self.method == "dense":
-            coeffs = self._evecs.conj().T @ state.amps
-            return float(np.sum(self._evals * np.abs(coeffs) ** 2))
+        self._restrict(state)
         return self._action.expectation(state)
 
 
-def _lanczos(action, v: np.ndarray, m: int):
-    """Lanczos tridiagonalization with full reorthogonalization."""
-    dim = v.shape[0]
-    m = min(m, dim)
-    vs = np.zeros((m + 1, dim), dtype=complex)
-    alphas = np.zeros(m)
-    betas = np.zeros(m + 1)
-    beta0 = np.linalg.norm(v)
-    vs[0] = v / beta0
-    k = 0
-    for k in range(m):
-        w = action(vs[k])
-        alphas[k] = np.vdot(vs[k], w).real
-        w = w - alphas[k] * vs[k]
-        if k:
-            w = w - betas[k] * vs[k - 1]
-        # full reorthogonalization; the subspaces here are small
-        w = w - vs[:k + 1].T @ (vs[:k + 1].conj() @ w)
-        beta = np.linalg.norm(w)
-        betas[k + 1] = beta
-        if beta < 1e-14:
-            return vs[:k + 1], alphas[:k + 1], betas[1:k + 1], beta0, True
-        vs[k + 1] = w / beta
-    return vs[:m], alphas[:m], betas[1:m], beta0, False
+# -- basis decoding, observables and configuration readout -----------------
 
 
-def _krylov_expm(action, v: np.ndarray, t: float, tol: float,
-                 m: int = 40) -> np.ndarray:
-    """exp(-i t H) v by adaptive Lanczos substepping (Saad error estimate)."""
-    from scipy.linalg import expm
-
-    remaining = float(t)
-    sign = 1.0 if t >= 0 else -1.0
-    remaining = abs(remaining)
-    out = v
-    dt = remaining
-    while remaining > 1e-15:
-        dt = min(dt, remaining)
-        vs, alphas, betas, beta0, exactspan = _lanczos(action, out, m)
-        k = len(alphas)
-        tri = np.diag(alphas).astype(complex)
-        if k > 1:
-            tri += np.diag(betas[:k - 1], 1) + np.diag(betas[:k - 1], -1)
-        while True:
-            u = expm(-1j * sign * dt * tri)[:, 0]
-            if exactspan:
-                break
-            # residual estimate: weight leaking out of the Krylov space
-            h_next = betas[k - 1] if k - 1 < len(betas) else 0.0
-            err = abs(h_next * u[-1]) * abs(dt)
-            if err < tol or dt < 1e-12:
-                break
-            dt /= 2
-        out = (vs.T @ u) * beta0
-        remaining -= dt
-        dt *= 2
-    return out
-
-
-# -- observables and configuration readout --------------------------------
-
-
-def _qubit_bits(n: int, qubits: list[int]) -> np.ndarray:
-    """(len(idx), len(qubits)) bit table for the given qubits."""
-    idx = _indices(n)
-    return np.stack([(idx >> (n - 1 - q)) & 1 for q in qubits], axis=1)
+def decode_basis(layout: RegisterLayout, mapping: FermionMapping,
+                 theta_along, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation table (len(indices), n_modes) of 0/1 and physical flux
+    table (len(indices), n_links) in units of e, NaN where a link register
+    holds no flux state of the window, for an array of basis indices."""
+    n = layout.n_total
+    idx = np.asarray(indices, dtype=np.int64)
+    masks = mapping.occupation_masks()
+    occ = np.empty((len(idx), len(masks)), dtype=np.int8)
+    for j, mask in enumerate(masks):
+        occ[:, j] = np.bitwise_count(idx & _index_mask(mask, n)) & 1
+    d_s = check_spin(layout.spin)
+    qpl = layout.qubits_per_link
+    flux = np.empty((len(idx), len(layout.links)))
+    for li, link in enumerate(layout.links):
+        reg = (idx >> (layout.n_gauge - (li + 1) * qpl)) & ((1 << qpl) - 1)
+        if layout.encoding == "log":
+            m, ok = layout.spin - reg, reg < d_s
+        else:
+            # one-hot qubit b marks m = b - S reading the register left to right
+            m, ok = (qpl - np.frexp(reg)[1]) - layout.spin, np.bitwise_count(reg) == 1
+        flux[:, li] = np.where(ok, m + theta_along(link.direction), np.nan)
+    return occ, flux
 
 
 @dataclass(frozen=True)
@@ -346,49 +344,11 @@ class DiagonalObservable:
         return float(np.dot(state.probabilities(), self.values))
 
 
-def mode_occupations(layout: RegisterLayout, mapping: FermionMapping) -> np.ndarray:
-    """(2^n, n_modes) occupation table of the encoded basis states."""
-    n = layout.n_total
-    idx = _indices(n)
-    cols = []
-    for mask in mapping.occupation_masks():
-        im = _index_mask(mask, n)
-        cols.append((np.bitwise_count(idx & im) & 1).astype(np.int8))
-    return np.stack(cols, axis=1)
-
-
-def link_flux_table(layout: RegisterLayout, theta_along) -> np.ndarray:
-    """(2^n, n_links) physical flux per link; NaN on out-of-window states."""
-    n = layout.n_total
-    d_s = check_spin(layout.spin)
-    qpl = layout.qubits_per_link
-    idx = _indices(n)
-    cols = []
-    for li, link in enumerate(layout.links):
-        off = layout.n_fermionic + li * qpl
-        val = np.zeros(len(idx), dtype=np.int64)
-        for b in range(qpl):
-            val = (val << 1) | ((idx >> (n - 1 - off - b)) & 1)
-        theta = theta_along(link.direction)
-        if layout.encoding == "log":
-            flux = np.where(val < d_s, layout.spin - val + theta, np.nan)
-        else:
-            hot = np.zeros(len(idx), dtype=np.int64)
-            count = np.zeros(len(idx), dtype=np.int64)
-            for b in range(qpl):
-                bit = (idx >> (n - 1 - off - b)) & 1
-                count += bit
-                hot = np.where(bit == 1, b, hot)
-            # one-hot qubit b marks m = b - S reading the register left to right
-            flux = np.where(count == 1, hot - layout.spin + theta, np.nan)
-        cols.append(flux)
-    return np.stack(cols, axis=1) if cols else np.zeros((len(idx), 0))
-
-
 def standard_observables(layout: RegisterLayout, mapping: FermionMapping,
                          params) -> list[DiagonalObservable]:
     """Total particle number, per-site charge, per-link flux (all diagonal)."""
-    occ = mode_occupations(layout, mapping)
+    occ, flux = decode_basis(layout, mapping, params.theta_along,
+                             _indices(layout.n_total))
     n_sp = layout.n_spinor
     obs = []
     total_n = np.zeros(occ.shape[0])
@@ -401,7 +361,6 @@ def standard_observables(layout: RegisterLayout, mapping: FermionMapping,
         charge = params.e * (block.sum(axis=1) - n_sp / 2.0)
         obs.append(DiagonalObservable(f"charge_site{s}", charge))
     obs.insert(0, DiagonalObservable("total_particle_number", total_n))
-    flux = link_flux_table(layout, params.theta_along)
     for li in range(flux.shape[1]):
         obs.append(DiagonalObservable(f"flux_link{li}",
                                       np.nan_to_num(flux[:, li] * params.e)))
@@ -412,41 +371,30 @@ SITE_CHARS = {(0, 1): "o", (1, 1): "p", (0, 0): "a", (1, 0): "b"}
 
 
 def basis_config_label(layout: RegisterLayout, mapping: FermionMapping,
-                       theta_along, index: int) -> str:
-    """Physical label of one computational basis state, e.g. 'pao|1;0;0'.
+                       theta_along, index):
+    """Physical label of a computational basis state, e.g. 'pao|1;0;0';
+    one string for an int index, an array of strings for an index array.
 
     Site letters: o vacuum, p particle, a antiparticle, b pair; the flux list
     is semicolon-separated (CSV-safe) in link order, x marking out-of-window
     link states.
     """
-    n = layout.n_total
-    occ_row = []
-    for mask in mapping.occupation_masks():
-        im = _index_mask(mask, n)
-        occ_row.append((index & im).bit_count() & 1)
+    occ, flux = decode_basis(layout, mapping, theta_along, np.atleast_1d(index))
     n_sp = layout.n_spinor
-    sites = []
-    for s in range(layout.spec.n_sites):
-        block = tuple(occ_row[s * n_sp:(s + 1) * n_sp])
-        sites.append(SITE_CHARS.get(block, "{" + "".join(map(str, block)) + "}"))
-    d_s = check_spin(layout.spin)
-    qpl = layout.qubits_per_link
-    fluxes = []
-    for li, link in enumerate(layout.links):
-        off = layout.n_fermionic + li * qpl
-        val = 0
-        for b in range(qpl):
-            val = (val << 1) | ((index >> (n - 1 - off - b)) & 1)
-        theta = theta_along(link.direction)
-        if layout.encoding == "log":
-            fluxes.append(_flux_str(layout.spin - val + theta) if val < d_s else "x")
-        else:
-            bits = [(index >> (n - 1 - off - b)) & 1 for b in range(qpl)]
-            if sum(bits) == 1:
-                fluxes.append(_flux_str(bits.index(1) - layout.spin + theta))
-            else:
-                fluxes.append("x")
-    return "".join(sites) + "|" + ";".join(fluxes)
+    letters = np.array([SITE_CHARS.get(bits, "{" + "".join(map(str, bits)) + "}")
+                        for bits in itertools.product((0, 1), repeat=n_sp)])
+    weights = 1 << np.arange(n_sp - 1, -1, -1)
+    parts = [letters[occ[:, s * n_sp:(s + 1) * n_sp] @ weights]
+             for s in range(layout.spec.n_sites)]
+    parts.append("|")
+    for li in range(flux.shape[1]):
+        if li:
+            parts.append(";")
+        values, inverse = np.unique(flux[:, li], return_inverse=True)
+        names = ["x" if np.isnan(v) else _flux_str(v) for v in values]
+        parts.append(np.array(names)[inverse])
+    labels = functools.reduce(np.strings.add, parts)
+    return labels if np.ndim(index) else str(labels[0])
 
 
 def _flux_str(value: float) -> str:
@@ -460,10 +408,11 @@ def config_probabilities(state: StateVector, layout: RegisterLayout,
                          threshold: float = 1e-12) -> dict[str, float]:
     """Probabilities grouped by lattice configuration label."""
     probs = state.probabilities()
+    index = np.flatnonzero(probs > threshold)
+    labels = basis_config_label(layout, mapping, params.theta_along, index)
     out: dict[str, float] = {}
-    for index in np.nonzero(probs > threshold)[0]:
-        label = basis_config_label(layout, mapping, params.theta_along, int(index))
-        out[label] = out.get(label, 0.0) + float(probs[index])
+    for label, p in zip(labels.tolist(), probs[index].tolist()):
+        out[label] = out.get(label, 0.0) + p
     return dict(sorted(out.items(), key=lambda kv: -kv[1]))
 
 
@@ -480,54 +429,38 @@ def top_configs(config_probs: dict[str, float], k: int = 12) -> list[tuple[str, 
 # -- Gauss-law filtering ---------------------------------------------------
 
 
-def gauss_filter(layout: RegisterLayout, mapping: FermionMapping, params
-                 ) -> tuple[int, list[int]]:
-    """Enumerate physical configurations and keep those with G_x = 0 at
-    every site; returns (total configuration count, invariant basis indices)."""
-    import itertools
-
+def gauss_law(layout: RegisterLayout, occ: np.ndarray, flux: np.ndarray
+              ) -> np.ndarray:
+    """G_x / e per decoded row and site: the site charge plus the incoming
+    minus the outgoing flux (NaN where a link is outside its window)."""
     spec = layout.spec
-    if layout.n_total > KRYLOV_LIMIT:
-        raise ValueError("configuration enumeration limited to small systems")
-    d_s = check_spin(layout.spin)
     n_sp = layout.n_spinor
-    sites = list(spec.sites())
-    links = list(layout.links)
-    link_pos = {link: i for i, link in enumerate(links)}
+    position = {link: i for i, link in enumerate(layout.links)}
+    g = np.empty((len(occ), spec.n_sites))
+    for s, site in enumerate(spec.sites()):
+        col = occ[:, s * n_sp:(s + 1) * n_sp].sum(axis=1) - n_sp / 2.0
+        for k in range(spec.d):
+            for base, sign in ((spec.shift(site, k, -1), 1.0), (site, -1.0)):
+                link = spec.link_or_flux(base, k)
+                col = col + sign * (flux[:, position[link]]
+                                    if isinstance(link, Link) else link)
+        g[:, s] = col
+    return g
 
-    site_occs = list(itertools.product((0, 1), repeat=n_sp))
-    total = 0
-    kept = []
-    for link_ms in itertools.product(range(d_s), repeat=len(links)):
-        flux = [layout.spin - l + params.theta_along(links[i].direction)
-                for i, l in enumerate(link_ms)]
 
-        def flux_at(base, k):
-            head_in = spec.boundary == "periodic" or spec.contains(spec.shift(base, k))
-            base_in = spec.contains(spec.wrap(base) if spec.boundary == "periodic" else base)
-            if base_in and head_in:
-                return flux[link_pos[spec.normalize_link(base, k)]]
-            static = spec.static_flux(base, k)
-            return static if static is not None else 0.0
-
-        for occ_choice in itertools.product(site_occs, repeat=len(sites)):
-            total += 1
-            ok = True
-            for si, site in enumerate(sites):
-                g = sum(occ_choice[si]) - n_sp / 2.0
-                for k in range(spec.d):
-                    g += flux_at(spec.shift(site, k, -1), k) - flux_at(site, k)
-                if abs(g) > 1e-9:
-                    ok = False
-                    break
-            if ok:
-                occs = [b for site_occ in occ_choice for b in site_occ]
-                index = mapping.encode_occupations(occs) << (layout.n_total
-                                                             - mapping.n_modes)
-                for i, l in enumerate(link_ms):
-                    m_val = layout.spin - l
-                    local = flux_state_index(layout.spin, layout.encoding, m_val)
-                    off = layout.n_fermionic + i * layout.qubits_per_link
-                    index |= local << (layout.n_total - off - layout.qubits_per_link)
-                kept.append(index)
-    return total, sorted(kept)
+def gauss_filter(layout: RegisterLayout, mapping: FermionMapping, params
+                 ) -> tuple[int, np.ndarray]:
+    """Count the physical configurations (every link register inside its
+    flux window) and keep those with G_x = 0 at every site; returns (total
+    configuration count, sorted invariant basis indices)."""
+    n = layout.n_total
+    if n > MAX_QUBITS:
+        raise ValueError(f"configuration enumeration limited to {MAX_QUBITS} qubits")
+    total, kept = 0, []
+    for start in range(0, 1 << n, GAUSS_BLOCK):
+        idx = np.arange(start, min(start + GAUSS_BLOCK, 1 << n), dtype=np.int64)
+        occ, flux = decode_basis(layout, mapping, params.theta_along, idx)
+        total += int(np.count_nonzero(~np.isnan(flux).any(axis=1)))
+        g = gauss_law(layout, occ, flux)
+        kept.append(idx[(np.abs(g) <= GAUSS_TOL).all(axis=1)])
+    return total, np.concatenate(kept)

@@ -279,24 +279,18 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
     n = layout.n_total
     e = params.e
 
-    def flux_term(base: Site, k: int, sign: float, acc: _Acc) -> None:
-        head_ok = spec.boundary == "periodic" or spec.contains(spec.shift(base, k))
-        base_in = spec.contains(spec.wrap(base) if spec.boundary == "periodic" else base)
-        if base_in and head_ok:
-            link = spec.normalize_link(base, k)
-            acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link)),
-                             scale=sign * e)
-            return
-        flux = spec.static_flux(base, k)
-        if flux is not None:
-            acc.add_string(0, 0, sign * e * flux)
-
     g_ops = []
     for site in spec.sites():
         acc = _Acc(n)
         for k in range(spec.d):
-            flux_term(spec.shift(site, k, -1), k, +1.0, acc)  # incoming
-            flux_term(site, k, -1.0, acc)                     # outgoing
+            # incoming, then outgoing flux
+            for base, sign in ((spec.shift(site, k, -1), 1.0), (site, -1.0)):
+                link = spec.link_or_flux(base, k)
+                if isinstance(link, Link):
+                    acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link)),
+                                     scale=sign * e)
+                else:
+                    acc.add_string(0, 0, sign * e * link)
         acc.add_operator(site_psidagpsi(layout, mapping, site, charge_basis),
                          scale=e)
         acc.add_string(0, 0, -e * layout.n_spinor / 2.0)

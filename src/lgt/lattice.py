@@ -168,6 +168,17 @@ class LatticeSpec:
                 return sl.flux
         return None
 
+    def link_or_flux(self, base: Site, direction: int) -> Link | float:
+        """The dynamical link with tail ``base`` along ``direction``, or else
+        the fixed flux there: a static link's value, 0.0 where no link is.
+        This is the boundary rule of Gauss's law at every site."""
+        head_in = self.boundary == "periodic" or self.contains(self.shift(base, direction))
+        base_in = self.contains(self.wrap(base) if self.boundary == "periodic" else base)
+        if base_in and head_in:
+            return self.normalize_link(base, direction)
+        static = self.static_flux(base, direction)
+        return static if static is not None else 0.0
+
 
 class LatticeCensus(NamedTuple):
     sites: list[Site]

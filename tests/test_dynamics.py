@@ -14,6 +14,7 @@ from lgt.dynamics import (
     apply_pauli_string,
     basis_config_label,
     config_probabilities,
+    decode_basis,
     gauss_filter,
     loschmidt,
     standard_observables,
@@ -22,6 +23,7 @@ from lgt.dynamics import (
     trotter_states,
     trotter_step,
 )
+from lgt.gauge import flux_state_index
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, StaticLink, layout
 from lgt.matter import fermion_mapping
@@ -125,28 +127,54 @@ class TestExactEvolution:
         rng = np.random.default_rng(31)
         h = random_hermitian_sum(rng, 4, 10)
         st = random_state(rng, 4)
-        out = ExactEvolver(h, method="dense").evolve(st, 0.0)
+        out = ExactEvolver(h).evolve(st, 0.0)
         assert np.array_equal(out.amps, st.amps)
 
     def test_diagonal_h_per_amplitude_phases(self):
         h = PauliOperator.from_terms(2, [PauliString.from_label("ZI", 0.5),
                                          PauliString.from_label("IZ", -0.25)])
         st = StateVector(2, np.ones(4, dtype=complex) / 2)
-        out = ExactEvolver(h, method="dense").evolve(st, 1.0)
+        out = ExactEvolver(h).evolve(st, 1.0)
         energies = np.array([0.25, 0.75, -0.75, -0.25])
         assert np.max(np.abs(out.amps - st.amps * np.exp(-1j * energies))) < 1e-13
 
-    def test_krylov_matches_dense_12q(self):
+    def test_matches_expm_8q(self):
         rng = np.random.default_rng(37)
-        h = random_hermitian_sum(rng, 12, 25)
-        st = random_state(rng, 12)
-        d = ExactEvolver(h, method="dense").evolve(st, 0.9)
-        k = ExactEvolver(h, method="krylov").evolve(st, 0.9)
-        assert np.max(np.abs(d.amps - k.amps)) < 1e-9
+        h = random_hermitian_sum(rng, 8, 25)
+        st = random_state(rng, 8)
+        ref = expm(-1j * 0.9 * to_matrix(h)) @ st.amps
+        out = ExactEvolver(h).evolve(st, 0.9)
+        assert np.max(np.abs(out.amps - ref)) < 1e-12
+
+    def test_gauss_sector_matches_expm(self, string_system):
+        lay, params, h, s0 = string_system
+        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        ref = expm(-1j * 0.7 * to_matrix(h.total)) @ s0.amps
+        out = ExactEvolver(h.total, sector).evolve(s0, 0.7)
+        assert np.max(np.abs(out.amps - ref)) < 1e-11
+        assert not out.amps[np.setdiff1d(np.arange(1 << 10), sector)].any()
+
+    def test_rejects_basis_h_leaves(self, vacuum_system):
+        _, _, h, s0 = vacuum_system
+        vacuum = int(np.argmax(s0.probabilities()))
+        with pytest.raises(ValueError, match="out of itself"):
+            ExactEvolver(h.total, [vacuum])
+
+    def test_rejects_state_outside_basis(self, string_system):
+        lay, params, h, s0 = string_system
+        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        ev = ExactEvolver(h.total, sector)
+        outside = next(i for i in range(1 << 10) if i not in sector)
+        mixed = StateVector(10, (s0.amps + StateVector.basis_state(10, outside).amps)
+                            / math.sqrt(2))
+        with pytest.raises(ValueError, match="outside"):
+            ev.evolve(mixed, 0.1)
+        with pytest.raises(ValueError, match="outside"):
+            ev.energy(mixed)
 
     def test_energy_conserved(self, string_system):
         _, _, h, s0 = string_system
-        ev = ExactEvolver(h.total, method="krylov")
+        ev = ExactEvolver(h.total)
         e0 = ev.energy(s0)
         st = s0
         for _ in range(10):
@@ -155,9 +183,9 @@ class TestExactEvolution:
         assert abs(st.norm - 1.0) < 1e-10
 
     def test_size_guards(self):
-        h = PauliOperator.from_label("Z" * 14)
-        with pytest.raises(ValueError):
-            ExactEvolver(h, method="dense")
+        h = PauliOperator.from_label("Z" * 25)
+        with pytest.raises(ValueError, match="24 qubits"):
+            ExactEvolver(h)
 
 
 class TestLoschmidt:
@@ -172,7 +200,7 @@ class TestLoschmidt:
 
     def test_vacuum_decay_value(self, vacuum_system):
         _, _, h, s0 = vacuum_system
-        st = ExactEvolver(h.total, method="krylov").evolve(s0, 0.4)
+        st = ExactEvolver(h.total).evolve(s0, 0.4)
         assert abs(loschmidt(s0, st) - 0.825) < 0.005
 
 
@@ -184,7 +212,7 @@ class TestTrotter:
         st = s0.copy()
         trotter_step(st, plan)
         trotter_step(st, plan)
-        ref = ExactEvolver(diag, method="krylov").evolve(s0, 1.4)
+        ref = ExactEvolver(diag).evolve(s0, 1.4)
         assert np.max(np.abs(st.amps - ref.amps)) < 1e-12
 
     def test_single_term_reduces_to_pauli_exp(self):
@@ -206,7 +234,7 @@ class TestTrotter:
 
     def test_first_order_convergence(self, vacuum_system):
         _, _, h, s0 = vacuum_system
-        ev = ExactEvolver(h.total, method="krylov")
+        ev = ExactEvolver(h.total)
         ts = np.arange(0.2, 2.001, 0.2)
         exact, st = [], s0
         for _ in ts:
@@ -280,14 +308,14 @@ class TestConfigReadout:
 
     def test_probabilities_sum_to_one(self, vacuum_system):
         lay, params, h, s0 = vacuum_system
-        st = ExactEvolver(h.total, method="krylov").evolve(s0, 0.4)
+        st = ExactEvolver(h.total).evolve(s0, 0.4)
         probs = config_probabilities(st, lay, mapping=fermion_mapping("jw", 6),
                                      params=params)
         assert abs(sum(probs.values()) - 1.0) < 1e-10
 
     def test_vacuum_decay_decomposition(self, vacuum_system):
         lay, params, h, s0 = vacuum_system
-        st = ExactEvolver(h.total, method="krylov").evolve(s0, 0.4)
+        st = ExactEvolver(h.total).evolve(s0, 0.4)
         probs = config_probabilities(st, lay, fermion_mapping("jw", 6), params)
         assert abs(probs["ooo|0;0;0"] - 0.825) < 0.005
         six = ["pao|1;0;0", "apo|-1;0;0", "opa|0;1;0",
@@ -310,6 +338,25 @@ class TestConfigReadout:
         label = basis_config_label(lay, mapping, params.theta_along, index)
         assert label.split("|")[1].split(";")[0] == "x"
 
+    def test_linear_encoding_decode(self):
+        lay = layout(LatticeSpec(1, (2,), "open"), 2, "linear", 1.0)
+        mapping = fermion_mapping("jw", 4)
+
+        def theta(k):
+            return 0.25
+
+        pa = mapping.encode_occupations([1, 1, 0, 0]) << 3
+        indices = [pa | flux_state_index(1.0, "linear", m) for m in (-1, 0, 1)]
+        occ, flux = decode_basis(lay, mapping, theta, indices)
+        assert occ.tolist() == [[1, 1, 0, 0]] * 3
+        assert flux[:, 0].tolist() == [-0.75, 0.25, 1.25]
+        labels = basis_config_label(lay, mapping, theta, indices)
+        assert labels.tolist() == ["pa|-0.75", "pa|0.25", "pa|1.25"]
+        # a one-hot register with no or several hot qubits holds no flux state
+        for reg in (0b000, 0b011, 0b111):
+            assert np.isnan(decode_basis(lay, mapping, theta, [pa | reg])[1]).all()
+            assert basis_config_label(lay, mapping, theta, pa | reg) == "pa|x"
+
 
 class TestGaussFilter:
     def test_vacuum_decay_48_of_1728(self, vacuum_system):
@@ -324,6 +371,20 @@ class TestGaussFilter:
         assert (total, len(inv)) == (576, 14)
         assert int(np.argmax(s0.probabilities())) in inv
 
+    def test_linear_encoding_same_sector(self, vacuum_system):
+        _, params, _, _ = vacuum_system
+        lay = layout(LatticeSpec(1, (3,), "periodic"), 2, "linear", 1.0)
+        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        assert (total, len(inv)) == (1728, 48)
+
+    def test_double_plaquette_528_of_524288(self):
+        spec = LatticeSpec(2, (3, 2), "open",
+                           (StaticLink((-1, 0), 0, 1.0), StaticLink((2, 0), 0, 1.0)))
+        lay = layout(spec, 2, "log", 0.5)
+        params = ModelParams(m=0.4, e=2.0, theta=(0.5, 0.5), lam=20.0)
+        total, inv = gauss_filter(lay, fermion_mapping("jw", 12), params)
+        assert (total, len(inv)) == (524288, 528)
+
     def test_single_site_zero_charge(self):
         lay = layout(LatticeSpec(1, (1,), "open"), 2, "log", 0.5)
         total, inv = gauss_filter(lay, fermion_mapping("jw", 2),
@@ -336,7 +397,7 @@ class TestGaussFilter:
         lay, params, _, s0 = string_system
         h0 = assemble(lay, ModelParams(m=0.4, r=1.0, a=1.0, e=2.0, lam=0.0), "jw")
         _, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
-        ev = ExactEvolver(h0.total, method="krylov")
+        ev = ExactEvolver(h0.total)
         st = s0
         for _ in range(5):
             st = ev.evolve(st, 0.4)
