@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, PauliString
+from lgt.pauli import PauliString
 
-GATE_NAMES = ("h", "s", "sdg", "rz", "rx", "cx")
+GATE_NAMES = ("h", "s", "sdg", "rz", "cx")
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class Gate:
             raise ValueError(f"unknown gate {self.name!r}")
         if self.name == "cx" and len(self.qubits) != 2:
             raise ValueError("cx needs control and target")
-        if self.name in ("rz", "rx") and (self.param is None
-                                          or not math.isfinite(self.param)):
-            raise ValueError(f"{self.name} needs a finite angle")
+        if self.name == "rz" and (self.param is None
+                                  or not math.isfinite(self.param)):
+            raise ValueError("rz needs a finite angle")
 
 
 @dataclass
@@ -132,9 +132,6 @@ def _gate_matrix(g: Gate) -> np.ndarray:
         return _SDG
     if g.name == "rz":
         return np.diag([np.exp(-0.5j * g.param), np.exp(0.5j * g.param)])
-    if g.name == "rx":
-        c, s = math.cos(g.param / 2), math.sin(g.param / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]])
     raise ValueError(g.name)
 
 
@@ -175,15 +172,15 @@ def export_qasm(circ: Circuit) -> str:
     for g in circ.gates:
         if g.name == "cx":
             lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.name in ("rz", "rx"):
-            lines.append(f"{g.name}({g.param!r}) q[{g.qubits[0]}];")
+        elif g.name == "rz":
+            lines.append(f"rz({g.param!r}) q[{g.qubits[0]}];")
         else:
             lines.append(f"{g.name} q[{g.qubits[0]}];")
     return "\n".join(lines) + "\n"
 
 
 _QASM_GATE = re.compile(
-    r"^(?P<name>h|s|sdg|rz|rx|cx)\s*(?:\((?P<param>[^)]+)\))?\s+"
+    r"^(?P<name>h|s|sdg|rz|cx)\s*(?:\((?P<param>[^)]+)\))?\s+"
     r"q\[(?P<a>\d+)\]\s*(?:,\s*q\[(?P<b>\d+)\])?;$")
 
 

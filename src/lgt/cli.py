@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from lgt.dynamics import (
     GAUSS_TOL,
     MAX_QUBITS,
+    ORDERINGS,
     ExactEvolver,
     StateVector,
     config_probabilities,
@@ -39,7 +40,6 @@ from lgt.dynamics import (
     gauss_law,
     loschmidt,
     standard_observables,
-    top_configs,
     trotter_plan,
     trotter_states,
 )
@@ -180,12 +180,27 @@ def _require(cfg: dict, key: str, types, path: str):
     return val
 
 
+def _finite(val, path: str) -> float:
+    if type(val) not in (int, float) or not math.isfinite(val):
+        raise ConfigError(path, f"expected a finite number, got {val!r}")
+    return float(val)
+
+
+def _n_steps(t_max: float, dt: float) -> int:
+    """Steps of dt that fit in t_max, forgiving a float ratio like 1.0/0.01."""
+    return math.floor(t_max / dt * (1 + 1e-9))
+
+
 def validate_config(cfg: dict) -> ScenarioConfig:
     scenario = cfg.get("scenario", "custom")
     known = set(PRESETS) | {"custom"}
     if scenario not in known:
         raise ConfigError("$.scenario", f"unknown scenario {scenario!r}")
     prefix = cfg.get("output", {}).get("prefix", scenario)
+    # a bare file-name stem, so every output stays inside --out
+    if (not isinstance(prefix, str) or prefix in (".", "..")
+            or Path(prefix).name != prefix):
+        raise ConfigError("$.output.prefix", f"not a file-name stem: {prefix!r}")
     if scenario == "resource_report":
         return ScenarioConfig(scenario, cfg, None, None, "jw",
                               cfg.get("gauge_encoding", "log"), 0.5, None,
@@ -202,26 +217,28 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         spath = f"$.lattice.static_links[{i}]"
         statics.append(StaticLink(tuple(_require(sl, "site", list, spath)),
                                   _require(sl, "dir", int, spath),
-                                  float(_require(sl, "flux", (int, float), spath))))
+                                  _finite(_require(sl, "flux", (int, float), spath),
+                                          f"{spath}.flux")))
     try:
         spec = LatticeSpec(d, tuple(extents), boundary, tuple(statics))
     except ValueError as exc:
         raise ConfigError("$.lattice", str(exc)) from exc
 
     model = _require(cfg, "model", dict, "$")
-    theta = tuple(float(x) for x in cfg.get("theta", []))
-    lam = float(model.get("lambda_gauss", -1.0))
-    params = ModelParams(
-        m=float(_require(model, "m", (int, float), "$.model")),
-        r=float(model.get("r", 1.0)),
-        a=float(model.get("a", 1.0)),
-        e=float(model.get("e", 1.0)),
-        theta=theta,
-        lam=lam if lam >= 0 else 0.0,
-    )
-    if lam < 0:
-        params = ModelParams(params.m, params.r, params.a, params.e, theta,
-                             default_lambda(params))
+    _require(model, "m", (int, float), "$.model")
+    c = {key: _finite(model.get(key, default), f"$.model.{key}")
+         for key, default in (("m", 0), ("r", 1.0), ("a", 1.0), ("e", 1.0),
+                              ("lambda_gauss", -1.0))}
+    for key in ("a", "e"):
+        if c[key] <= 0:
+            raise ConfigError(f"$.model.{key}", "must be positive")
+    theta = cfg.get("theta", [])
+    if not isinstance(theta, list):
+        raise ConfigError("$.theta", "expected a list of angles")
+    params = ModelParams(c["m"], c["r"], c["a"], c["e"],
+                         tuple(_finite(x, "$.theta") for x in theta))
+    lam = c["lambda_gauss"]
+    params = replace(params, lam=lam if lam >= 0 else default_lambda(params))
 
     mapping = cfg.get("mapping", "jw")
     if mapping not in MAPPING_NAMES:
@@ -236,18 +253,24 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         raise ConfigError("$.spin", str(exc)) from exc
 
     evo = cfg.get("evolution", {})
-    dts = [float(x) for x in evo.get("dt", [0.05])]
-    if any(dt <= 0 for dt in dts):
-        raise ConfigError("$.evolution.dt", "time steps must be positive")
+    dts = [_finite(x, "$.evolution.dt") for x in evo.get("dt", [0.05])]
     evolution = {
         "method": evo.get("method", "both"),
         "dt": dts,
-        "t_max": float(evo.get("t_max", 1.0)),
-        "sample_dt": float(evo.get("sample_dt", max(dts))),
+        "t_max": _finite(evo.get("t_max", 1.0), "$.evolution.t_max"),
+        "sample_dt": _finite(evo.get("sample_dt", max(dts, default=1.0)),
+                             "$.evolution.sample_dt"),
         "ordering": evo.get("ordering", "canonical"),
     }
-    if evolution["method"] not in ("exact", "trotter", "both"):
-        raise ConfigError("$.evolution.method", "one of exact|trotter|both")
+    for key, ok, rule in (
+            ("dt", dts and min(dts) > 0, "a list of positive time steps"),
+            ("t_max", evolution["t_max"] >= 0, ">= 0"),
+            ("sample_dt", evolution["sample_dt"] > 0, "> 0"),
+            ("method", evolution["method"] in ("exact", "trotter", "both"),
+             "one of exact|trotter|both"),
+            ("ordering", evolution["ordering"] in ORDERINGS, f"one of {ORDERINGS}")):
+        if not ok:
+            raise ConfigError(f"$.evolution.{key}", f"must be {rule}")
 
     initial = cfg.get("initial_state", "bare_vacuum")
     return ScenarioConfig(scenario, cfg, spec, params, mapping, encoding,
@@ -361,13 +384,13 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         sample = evo["sample_dt"]
         rows = [readout(0.0, s0)]
         st = s0
-        for k in range(1, int(round(t_max / sample)) + 1):
+        for k in range(1, _n_steps(t_max, sample) + 1):
             st = ev.evolve(st, sample)
             rows.append(readout(k * sample, st))
         curves["exact"] = rows
     if evo["method"] in ("trotter", "both"):
         for dt in evo["dt"]:
-            plan = trotter_plan(h, dt, int(round(t_max / dt)), evo["ordering"])
+            plan = trotter_plan(h, dt, _n_steps(t_max, dt), evo["ordering"])
             curves[f"trotter_dt{dt:g}"] = [readout(t, st) for t, st
                                            in trotter_states(s0, plan)]
 

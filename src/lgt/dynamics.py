@@ -3,9 +3,12 @@ evolution, the basis decoder, physical observables, configuration readout
 and the Gauss-law filter.
 
 Basis convention: qubit 0 is the most significant bit of the computational
-basis index (matching ``lgt.pauli.to_matrix``). Pauli actions are applied
-matrix-free; index permutations and Z-parity sign vectors are cached per
-(n, mask) so repeated Trotter steps touch each amplitude only a few times.
+basis index (matching ``lgt.pauli.to_matrix``), so in the (2,)*n view of the
+amplitudes qubit q is axis q. exp(-i theta P) works on that view with no
+index arrays: the X/Y axes of P become reversed slices (views), and the
+Z/Y parity is a broadcast tensor of 2^|Z/Y axes| entries with cos/sin
+folded in. A diagonal P is one in-place multiply. A Trotter plan builds
+these factors once per string; nothing is cached at module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes; observables, configuration labels and the Gauss-law
@@ -65,49 +68,7 @@ def loschmidt(state0: StateVector, state_t: StateVector) -> float:
     return float(abs(np.vdot(state0.amps, state_t.amps)) ** 2)
 
 
-# -- cached mask kernels -------------------------------------------------
-
-_PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_ARANGE_CACHE: dict[int, np.ndarray] = {}
-
-
-def clear_kernel_caches() -> None:
-    _PERM_CACHE.clear()
-    _SIGN_CACHE.clear()
-    _ARANGE_CACHE.clear()
-
-
-def _indices(n: int) -> np.ndarray:
-    arr = _ARANGE_CACHE.get(n)
-    if arr is None:
-        arr = np.arange(1 << n, dtype=np.int64)
-        _ARANGE_CACHE[n] = arr
-    return arr
-
-
-def _perm(n: int, xm: int) -> np.ndarray:
-    key = (n, xm)
-    perm = _PERM_CACHE.get(key)
-    if perm is None:
-        perm = _indices(n) ^ xm
-        _PERM_CACHE[key] = perm
-    return perm
-
-
-def _parity_signs(masked: np.ndarray) -> np.ndarray:
-    """(-1)^parity of each entry as a float vector."""
-    return np.where(np.bitwise_count(masked) & 1, -1.0, 1.0)
-
-
-def _signs(n: int, zm: int) -> np.ndarray:
-    """(-1)^parity(index & zm) over all 2^n indices."""
-    key = (n, zm)
-    signs = _SIGN_CACHE.get(key)
-    if signs is None:
-        signs = _parity_signs(_indices(n) & zm)
-        _SIGN_CACHE[key] = signs
-    return signs
+# -- Pauli-exponential kernel ----------------------------------------------
 
 
 def _string_masks(p: PauliString) -> tuple[int, int, complex]:
@@ -117,33 +78,55 @@ def _string_masks(p: PauliString) -> tuple[int, int, complex]:
             (1j) ** ((p.x & p.z).bit_count() % 4))
 
 
-def apply_pauli_string(state: StateVector, p: PauliString) -> np.ndarray:
-    """Amplitudes of coeff * P |state| without materializing a matrix."""
-    n = state.n_qubits
-    xm, zm, ypow = _string_masks(p)
-    out = state.amps * _signs(n, zm) if zm else state.amps.copy()
-    if xm:
-        out = out[_perm(n, xm)]
-    if ypow != 1 or p.coeff != 1:
-        out *= p.coeff * ypow
-    return out
+def _parity_signs(masked: np.ndarray) -> np.ndarray:
+    """(-1)^parity of each entry as a float vector."""
+    return np.where(np.bitwise_count(masked) & 1, -1.0, 1.0)
+
+
+def _exp_factors(p: PauliString, theta: float):
+    """(flip, cos theta, factor) applying exp(-i theta P) to the (2,)*n
+    amplitude tensor, where qubit q is axis q; the coefficient is ignored.
+
+    ``flip`` reverses the X/Y axes (None for a diagonal P). ``factor``
+    broadcasts: length 2 on the Z/Y axes, 1 elsewhere. It is exp(-i theta
+    signs) for a diagonal P and i sin(theta) i^|Y| signs, read at the
+    flipped index, otherwise; signs is (-1)^parity over the Z/Y axes.
+    """
+    z_bits = [(p.z >> q) & 1 for q in range(p.n)]
+    signs = functools.reduce(np.multiply.outer, [(1.0, -1.0)] * sum(z_bits),
+                             np.ones(()))
+    signs = signs.reshape([1 + b for b in z_bits])
+    if p.x == 0:
+        return None, 1.0, np.exp(-1j * theta * signs)
+    flip = tuple(slice(None, None, -1) if (p.x >> q) & 1 else slice(None)
+                 for q in range(p.n))
+    ypow = (1j) ** ((p.x & p.z).bit_count() % 4)
+    return flip, math.cos(theta), (1j * math.sin(theta) * ypow) * signs[flip]
+
+
+def _apply_exp(psi: np.ndarray, flip, cos: float, factor: np.ndarray) -> None:
+    """psi <- exp(-i theta P) psi in place, with the factors of
+    ``_exp_factors``: cos(theta) psi - i sin(theta) P psi, where
+    (P psi)[k] = i^|Y| signs[k ^ flip] psi[k ^ flip]."""
+    if flip is None:
+        psi *= factor
+        return
+    moved = factor * psi[flip]
+    psi *= cos
+    psi -= moved
+
+
+def _tensor(state: StateVector, n_qubits: int) -> np.ndarray:
+    """The state's amplitudes as a writable (2,)*n view."""
+    if state.n_qubits != n_qubits:
+        raise ValueError("state size mismatch")
+    state.amps = np.ascontiguousarray(state.amps, dtype=complex)
+    return state.amps.reshape((2,) * n_qubits)
 
 
 def apply_pauli_exp(state: StateVector, p: PauliString, theta: float) -> StateVector:
     """state <- exp(-i theta P_axes) state, in place; coefficient ignored."""
-    n = state.n_qubits
-    xm, zm, ypow = _string_masks(p)
-    if xm == 0 and zm == 0:
-        state.amps *= np.exp(-1j * theta)
-        return state
-    if xm == 0:
-        signs = _signs(n, zm)
-        state.amps *= np.where(signs > 0, np.exp(-1j * theta), np.exp(1j * theta))
-        return state
-    # exp(-i t P) = cos(t) I - i sin(t) P, with P^2 = I
-    moved = state.amps * _signs(n, zm) if zm else state.amps
-    moved = moved[_perm(n, xm)]
-    state.amps = math.cos(theta) * state.amps - (1j * math.sin(theta) * ypow) * moved
+    _apply_exp(_tensor(state, p.n), *_exp_factors(p, theta))
     return state
 
 
@@ -157,8 +140,8 @@ class OperatorAction:
 
     def __init__(self, op: PauliOperator, basis: np.ndarray | None = None):
         self.n = op.n_qubits
-        self.basis = (_indices(self.n) if basis is None
-                      else np.asarray(basis, dtype=np.int64))
+        self.basis = np.asarray(np.arange(1 << self.n) if basis is None
+                                else basis, dtype=np.int64)
         dim = len(self.basis)
         # the diagonal group always exists, so the action is never empty
         diags: dict[int, np.ndarray] = {0: np.zeros(dim, dtype=complex)}
@@ -219,9 +202,10 @@ class TrotterPlan:
     n_steps: int
     ordering: str = "canonical"
 
-    @property
-    def total_time(self) -> float:
-        return self.dt * self.n_steps
+    @functools.cached_property
+    def factors(self) -> tuple:
+        """Per-string ``_exp_factors``, built once per plan."""
+        return tuple(_exp_factors(t, t.coeff.real * self.dt) for t in self.strings)
 
 
 def trotter_plan(h: HamiltonianTerms | PauliOperator, dt: float, n_steps: int,
@@ -249,8 +233,9 @@ def trotter_plan(h: HamiltonianTerms | PauliOperator, dt: float, n_steps: int,
 
 
 def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
-    for t in plan.strings:
-        apply_pauli_exp(state, t, t.coeff.real * plan.dt)
+    psi = _tensor(state, plan.n_qubits)
+    for factors in plan.factors:
+        _apply_exp(psi, *factors)
     return state
 
 
@@ -348,7 +333,7 @@ def standard_observables(layout: RegisterLayout, mapping: FermionMapping,
                          params) -> list[DiagonalObservable]:
     """Total particle number, per-site charge, per-link flux (all diagonal)."""
     occ, flux = decode_basis(layout, mapping, params.theta_along,
-                             _indices(layout.n_total))
+                             np.arange(1 << layout.n_total))
     n_sp = layout.n_spinor
     obs = []
     total_n = np.zeros(occ.shape[0])

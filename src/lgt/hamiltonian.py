@@ -17,9 +17,7 @@ are calibrated that way); ``lgt.pauli.drop_identity`` strips them on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from lgt.gauge import EncodedLink, qlm_link
 from lgt.lattice import Link, RegisterLayout, Site
@@ -27,10 +25,8 @@ from lgt.matter import FermionMapping, clifford_rep, fermion_mapping, gamma_mix
 from lgt.pauli import (
     DROP_TOL,
     PauliOperator,
-    PauliString,
     _phase_exponent,
     _I_POWERS,
-    simplify,
 )
 
 

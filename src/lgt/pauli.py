@@ -15,7 +15,6 @@ of i); matrices enter only through the small-system oracle pair
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -24,15 +23,7 @@ import numpy as np
 DROP_TOL = 1e-12
 ORACLE_LIMIT = 12  # max qubit count for dense-matrix conversions
 
-_AXIS_CHARS = "IXYZ"
 _AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-_SINGLE_QUBIT = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:

@@ -165,6 +165,12 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate("rz", (0,))
 
+    def test_rx_is_not_a_gate(self):
+        with pytest.raises(ValueError, match="unknown gate"):
+            Gate("rx", (0,), 0.1)
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_qasm("qreg q[1];\nrx(0.1) q[0];")
+
     def test_qubit_range_checked(self):
         circ = Circuit(2)
         with pytest.raises(ValueError):

@@ -74,3 +74,75 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def run_cli(tmp_path, cfg: dict) -> int:
+    return main(["run", str(write_config(tmp_path, cfg)), "--out",
+                 str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("evolution, field", [
+    ({"sample_dt": 0}, "sample_dt"),
+    ({"sample_dt": -0.1}, "sample_dt"),
+    ({"t_max": -1.0}, "t_max"),
+    ({"dt": [float("nan")]}, "dt"),
+    ({"dt": [0.1, float("inf")]}, "dt"),
+    ({"t_max": float("inf")}, "t_max"),
+    ({"sample_dt": float("nan")}, "sample_dt"),
+    ({"ordering": "bogus"}, "ordering"),
+])
+def test_bad_evolution_is_config_error(tmp_path, capsys, monkeypatch, evolution, field):
+    def no_assembly(*args):
+        raise AssertionError("Hamiltonian assembled")
+
+    monkeypatch.setattr("lgt.cli.assemble", no_assembly)
+    assert run_cli(tmp_path, {"scenario": "string_breaking_1d",
+                              "evolution": evolution}) == 2
+    assert f"at $.evolution.{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"model": {"m": float("nan")}}, "$.model.m"),
+    ({"model": {"r": float("inf")}}, "$.model.r"),
+    ({"model": {"a": float("nan")}}, "$.model.a"),
+    ({"model": {"e": float("-inf")}}, "$.model.e"),
+    ({"model": {"lambda_gauss": float("nan")}}, "$.model.lambda_gauss"),
+    ({"model": {"e": 0}}, "$.model.e"),
+    ({"model": {"a": 0}}, "$.model.a"),
+    ({"model": {"a": -0.5}}, "$.model.a"),
+    ({"theta": [float("nan")]}, "$.theta"),
+    ({"lattice": {"static_links": [{"site": [-1], "dir": 0, "flux": 1.0},
+                                   {"site": [2], "dir": 0,
+                                    "flux": float("nan")}]}},
+     "$.lattice.static_links[1].flux"),
+])
+def test_bad_model_is_config_error(tmp_path, override, path):
+    config = write_config(tmp_path, {"scenario": "string_breaking_1d"} | override)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(load_config(config))
+    assert exc.value.path == path
+
+
+def test_zero_charge_2d_exits_2(tmp_path, capsys):
+    assert run_cli(tmp_path, {"scenario": "double_plaquette_2d",
+                              "model": {"e": 0}}) == 2
+    assert "at $.model.e:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix", ["../escaped", "sub/name", ".", ".."])
+def test_prefix_cannot_leave_out_dir(tmp_path, capsys, prefix):
+    config = write_config(tmp_path, {"scenario": "string_breaking_1d",
+                                     "output": {"prefix": prefix}})
+    assert main(["run", str(config), "--out", str(tmp_path / "out" / "run")]) == 2
+    assert "at $.output.prefix:" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [config]
+
+
+def test_curves_stop_at_t_max(tmp_path):
+    assert run_cli(tmp_path, {"scenario": "string_breaking_1d",
+                              "evolution": {"dt": [0.3], "t_max": 0.5,
+                                            "sample_dt": 0.3}}) == 0
+    for name in ("trotter_dt0.3", "exact"):
+        text = (tmp_path / "out" / f"string_breaking_1d_{name}.csv").read_text()
+        times = [float(line.split(",")[0]) for line in text.splitlines()[1:]]
+        assert times == pytest.approx([0.0, 0.3])

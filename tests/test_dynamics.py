@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import lgt.dynamics
 from lgt.dynamics import (
     ExactEvolver,
     OperatorAction,
     StateVector,
     apply_pauli_exp,
-    apply_pauli_string,
     basis_config_label,
     config_probabilities,
     decode_basis,
@@ -27,7 +27,7 @@ from lgt.gauge import flux_state_index
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, StaticLink, layout
 from lgt.matter import fermion_mapping
-from lgt.pauli import PauliOperator, PauliString, to_matrix
+from lgt.pauli import PauliOperator, PauliString, string_action, to_matrix
 
 
 def random_state(rng, n):
@@ -97,13 +97,10 @@ class TestPauliExp:
             apply_pauli_exp(st, PauliString.from_label(label), rng.normal())
         assert abs(st.norm - 1.0) < 1e-12
 
-    def test_apply_string_matches_matrix(self):
-        rng = np.random.default_rng(5)
-        st = random_state(rng, 3)
-        p = PauliString.from_label("XZY", 1.5 - 0.5j)
-        got = apply_pauli_string(st, p)
-        ref = to_matrix(PauliOperator.from_terms(3, [p])) @ st.amps
-        assert np.max(np.abs(got - ref)) < 1e-13
+    def test_rejects_size_mismatch(self):
+        st = StateVector.basis_state(3, 0)
+        with pytest.raises(ValueError, match="size mismatch"):
+            apply_pauli_exp(st, PauliString.from_label("XZ"), 0.1)
 
 
 class TestOperatorAction:
@@ -259,6 +256,39 @@ class TestTrotter:
         trotter_step(a, canonical)
         trotter_step(b, rev)
         assert not np.allclose(a.amps, b.amps)  # ordering matters at finite dt
+
+    def test_step_matches_string_action_reference(self, vacuum_system):
+        _, _, h, _ = vacuum_system
+        plan = trotter_plan(h, 0.07, 1)
+        st = random_state(np.random.default_rng(41), 12)
+        ref = st.amps.copy()
+        idx = np.arange(1 << 12)
+        for t in plan.strings:
+            flip, phases = string_action(t)
+            theta = t.coeff.real * plan.dt
+            moved = (phases * ref)[idx ^ flip]
+            ref = math.cos(theta) * ref - 1j * math.sin(theta) * moved
+        trotter_step(st, plan)
+        assert np.max(np.abs(st.amps - ref)) <= 1e-13
+
+    def test_steps_leave_module_state_unchanged(self):
+        def sizes():
+            return {name: (val.cache_info().currsize if hasattr(val, "cache_info")
+                           else np.size(val) if isinstance(val, np.ndarray)
+                           else len(val))
+                    for name, val in vars(lgt.dynamics).items()
+                    if hasattr(val, "cache_info")
+                    or isinstance(val, (dict, list, set, tuple, np.ndarray))}
+
+        before = sizes()
+        rng = np.random.default_rng(43)
+        h = random_hermitian_sum(rng, 11, 20)
+        st = random_state(rng, 11)
+        plan = trotter_plan(h, 0.1, 2)
+        for _, st in trotter_states(st, plan):
+            pass
+        apply_pauli_exp(st, PauliString.from_label("XYZ" + "I" * 8), 0.3)
+        assert sizes() == before
 
     def test_rejects_nonhermitian(self):
         h = PauliOperator.from_terms(1, [PauliString.from_label("X", 1j)])
