@@ -166,7 +166,7 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("$", "top level must be a JSON object")
     scenario = cfg.get("scenario", "custom")
-    if scenario in PRESETS:
+    if isinstance(scenario, str) and scenario in PRESETS:
         cfg = _merge(PRESETS[scenario] | {"scenario": scenario}, cfg)
     return cfg
 
@@ -180,8 +180,16 @@ def _require(cfg: dict, key: str, types, path: str):
     return val
 
 
+def _optional(cfg: dict, key: str, types, path: str, default):
+    return _require(cfg, key, types, path) if key in cfg else default
+
+
 def _finite(val, path: str) -> float:
-    if type(val) not in (int, float) or not math.isfinite(val):
+    try:
+        ok = type(val) in (int, float) and math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(path, f"expected a finite number, got {val!r}")
     return float(val)
 
@@ -194,11 +202,11 @@ def _n_steps(t_max: float, dt: float) -> int:
 def validate_config(cfg: dict) -> ScenarioConfig:
     scenario = cfg.get("scenario", "custom")
     known = set(PRESETS) | {"custom"}
-    if scenario not in known:
+    if not isinstance(scenario, str) or scenario not in known:
         raise ConfigError("$.scenario", f"unknown scenario {scenario!r}")
-    prefix = cfg.get("output", {}).get("prefix", scenario)
+    prefix = _optional(cfg, "output", dict, "$", {}).get("prefix", scenario)
     # a bare file-name stem, so every output stays inside --out
-    if (not isinstance(prefix, str) or prefix in (".", "..")
+    if (not isinstance(prefix, str) or prefix in (".", "..") or "\0" in prefix
             or Path(prefix).name != prefix):
         raise ConfigError("$.output.prefix", f"not a file-name stem: {prefix!r}")
     if scenario == "resource_report":
@@ -209,14 +217,21 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     lat = _require(cfg, "lattice", dict, "$")
     d = _require(lat, "d", int, "$.lattice")
     extents = _require(lat, "extents", list, "$.lattice")
-    if len(extents) != d:
-        raise ConfigError("$.lattice.extents", f"need {d} extents")
+    if len(extents) != d or not all(type(e) is int for e in extents):
+        raise ConfigError("$.lattice.extents", f"need {d} integer extents")
     boundary = _require(lat, "boundary", str, "$.lattice")
     statics = []
-    for i, sl in enumerate(lat.get("static_links", [])):
+    for i, sl in enumerate(_optional(lat, "static_links", list, "$.lattice", [])):
         spath = f"$.lattice.static_links[{i}]"
-        statics.append(StaticLink(tuple(_require(sl, "site", list, spath)),
-                                  _require(sl, "dir", int, spath),
+        if not isinstance(sl, dict):
+            raise ConfigError(spath, "expected an object")
+        site = _require(sl, "site", list, spath)
+        if len(site) != d or not all(type(c) is int for c in site):
+            raise ConfigError(f"{spath}.site", f"need {d} integer coordinates")
+        direction = _require(sl, "dir", int, spath)
+        if not 0 <= direction < d:
+            raise ConfigError(f"{spath}.dir", f"must be in [0, {d})")
+        statics.append(StaticLink(tuple(site), direction,
                                   _finite(_require(sl, "flux", (int, float), spath),
                                           f"{spath}.flux")))
     try:
@@ -246,14 +261,15 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     encoding = cfg.get("gauge_encoding", "log")
     if encoding not in ("log", "linear"):
         raise ConfigError("$.gauge_encoding", "one of ('log', 'linear') required")
-    spin = float(_require(cfg, "spin", (int, float), "$"))
+    spin = _finite(_require(cfg, "spin", (int, float), "$"), "$.spin")
     try:
         check_spin(spin)
     except ValueError as exc:
         raise ConfigError("$.spin", str(exc)) from exc
 
-    evo = cfg.get("evolution", {})
-    dts = [_finite(x, "$.evolution.dt") for x in evo.get("dt", [0.05])]
+    evo = _optional(cfg, "evolution", dict, "$", {})
+    dts = [_finite(x, "$.evolution.dt")
+           for x in _optional(evo, "dt", list, "$.evolution", [0.05])]
     evolution = {
         "method": evo.get("method", "both"),
         "dt": dts,
@@ -303,19 +319,25 @@ def initial_state(label, lay: RegisterLayout, mapping, params) -> StateVector:
         fluxes = [0.0] * len(lay.links)
     elif isinstance(label, dict):
         sites = label.get("sites")
-        if sites is None or len(sites) != lay.spec.n_sites:
+        if not isinstance(sites, list) or len(sites) != lay.spec.n_sites:
             raise ConfigError("$.initial_state.sites",
                               f"need {lay.spec.n_sites} site labels")
         occupations = []
-        for s in sites:
+        for i, s in enumerate(sites):
             if isinstance(s, str):
                 if n_sp != 2 or s not in SITE_PATTERNS:
                     raise ConfigError("$.initial_state.sites",
                                       f"unknown site label {s!r}")
                 occupations.extend(SITE_PATTERNS[s])
+            elif (isinstance(s, list) and len(s) == n_sp
+                  and all(type(b) is int and b in (0, 1) for b in s)):
+                occupations.extend(s)
             else:
-                occupations.extend(int(b) for b in s)
-        fluxes = [float(x) for x in label.get("link_fluxes", [])]
+                raise ConfigError(f"$.initial_state.sites[{i}]",
+                                  f"need a site label or {n_sp} occupations of 0 or 1")
+        fluxes = _optional(label, "link_fluxes", list, "$.initial_state", [])
+        fluxes = [_finite(x, f"$.initial_state.link_fluxes[{i}]")
+                  for i, x in enumerate(fluxes)]
         if len(fluxes) != len(lay.links):
             raise ConfigError("$.initial_state.link_fluxes",
                               f"need {len(lay.links)} flux values")

@@ -10,6 +10,10 @@ the label convention used throughout)::
 Products, tensor products and commutators are exact (phases tracked as powers
 of i); matrices enter only through the small-system oracle pair
 ``to_matrix`` / ``decompose_matrix``.
+
+Every ``PauliOperator`` keeps its terms in one canonical order: by the packed
+axis word of the string, 2 bits per qubit with qubit 0 most significant and
+the axis codes I < X < Y < Z. This is the lexicographic order of the labels.
 """
 
 from __future__ import annotations
@@ -108,18 +112,27 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return a * b
 
 
-def _order_key(n: int, x: int, z: int) -> int:
-    """Packed axis word (2 bits per qubit, qubit 0 most significant).
+def _order_table() -> np.ndarray:
+    """``_ORDER[z_byte, (x^z)_byte]``: the eight axis codes ``2 z + (x^z)``
+    (I=0, X=1, Y=2, Z=3) of a mask byte, 2 bits each, with the byte's lowest
+    qubit most significant, as a big-endian uint16 like the sort keys."""
+    b = np.arange(256, dtype=np.uint16)
+    word = np.zeros((256, 256), dtype=np.uint16)
+    for j in range(8):
+        code = 2 * ((b[:, None] >> j) & 1) + ((b[None, :] >> j) & 1)
+        word |= code << (14 - 2 * j)
+    return word.astype(">u2")
 
-    Axis codes are ordered I < X < Y < Z so the induced order matches
-    lexicographic order on the label string.
-    """
-    if n == 0:
-        return 0
-    # per qubit the code is (z_bit, (x^z)_bit): I=00, X=01, Y=10, Z=11
-    bz = format(z, f"0{n}b")[::-1]
-    bxz = format(x ^ z, f"0{n}b")[::-1]
-    return 2 * int("0".join(bz), 2) + int("0".join(bxz), 2)
+
+_ORDER = _order_table()
+# Rows keyed per pass: bounds the intp index temporaries of the table lookup.
+_ORDER_BLOCK = 4096
+
+
+def _mask_bytes(masks: Iterable[int], nbytes: int) -> np.ndarray:
+    """Little-endian bytes of each mask, one row per mask (byte b = qubits 8b..8b+7)."""
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
 
 
 class ClassifyCounts(NamedTuple):
@@ -133,7 +146,9 @@ class PauliOperator:
     """Simplified weighted sum of Pauli strings in a canonical total order.
 
     Instances are immutable; every constructor merges duplicate axis
-    sequences, drops coefficients below the tolerance and sorts terms.
+    sequences, drops coefficients below the tolerance and sorts terms by
+    their packed axis word (qubit 0 most significant, I < X < Y < Z), which
+    is the lexicographic order of the labels.
     """
 
     n_qubits: int
@@ -155,9 +170,19 @@ class PauliOperator:
     @classmethod
     def _from_dict(cls, n: int, acc: dict[tuple[int, int], complex],
                    tol: float = DROP_TOL) -> "PauliOperator":
-        kept = [(x, z, c) for (x, z), c in acc.items() if abs(c) >= tol]
-        kept.sort(key=lambda t: _order_key(n, t[0], t[1]))
-        return cls(n, tuple(PauliString(n, x, z, c) for x, z, c in kept))
+        strings = [PauliString(n, x, z, c) for (x, z), c in acc.items()
+                   if abs(c) >= tol]
+        # Sort key: the packed axis words of each term, compared as bytes;
+        # zero qubits still get one (all-I) byte, as NumPy has no 0-byte rows.
+        nbytes = (n + 7) // 8 or 1
+        keys = np.empty((len(strings), nbytes), dtype=">u2")
+        for lo in range(0, len(strings), _ORDER_BLOCK):
+            block = strings[lo:lo + _ORDER_BLOCK]
+            keys[lo:lo + len(block)] = _ORDER[
+                _mask_bytes((t.z for t in block), nbytes),
+                _mask_bytes((t.x ^ t.z for t in block), nbytes)]
+        order = np.argsort(keys.view(f"S{2 * nbytes}").ravel())
+        return cls(n, tuple(map(strings.__getitem__, order)))
 
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliOperator":

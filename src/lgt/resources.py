@@ -30,7 +30,7 @@ ENUMERATION_LIMIT = 2_000_000  # plaquette four-fold products handled exactly
 
 def cnot_per_trotter_step(op: PauliOperator) -> int:
     """2 sum_P (support(P) - 1); identity strings cost nothing."""
-    return 2 * sum(t.support - 1 for t in op.terms if t.support > 0)
+    return 2 * sum(s - 1 for t in op.terms if (s := (t.x | t.z).bit_count()))
 
 
 def support_histogram(op: PauliOperator) -> dict[int, int]:

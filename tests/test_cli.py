@@ -1,5 +1,6 @@
 """Command line: initial-state validation, shipped configs, import cost."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgt
 from lgt.cli import (
     PRESETS,
     ConfigError,
+    ScenarioConfig,
     build_layout,
     initial_state,
     lattice_units,
@@ -129,7 +133,7 @@ def test_zero_charge_2d_exits_2(tmp_path, capsys):
     assert "at $.model.e:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prefix", ["../escaped", "sub/name", ".", ".."])
+@pytest.mark.parametrize("prefix", ["../escaped", "sub/name", ".", "..", "nul\0byte"])
 def test_prefix_cannot_leave_out_dir(tmp_path, capsys, prefix):
     config = write_config(tmp_path, {"scenario": "string_breaking_1d",
                                      "output": {"prefix": prefix}})
@@ -146,3 +150,53 @@ def test_curves_stop_at_t_max(tmp_path):
         text = (tmp_path / "out" / f"string_breaking_1d_{name}.csv").read_text()
         times = [float(line.split(",")[0]) for line in text.splitlines()[1:]]
         assert times == pytest.approx([0.0, 0.3])
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"evolution": {"dt": 0.1}}, "$.evolution.dt"),
+    ({"evolution": [1]}, "$.evolution"),
+    ({"output": "name"}, "$.output"),
+    ({"initial_state": {"link_fluxes": ["a", 1]}}, "$.initial_state.link_fluxes[0]"),
+    ({"initial_state": {"sites": [[0, "x"], "o", "o"]}}, "$.initial_state.sites[0]"),
+    ({"initial_state": {"sites": ["o", [0, 2], "o"]}}, "$.initial_state.sites[1]"),
+    ({"initial_state": {"sites": ["o", "o", [0, 1, 1]]}}, "$.initial_state.sites[2]"),
+    ({"lattice": {"static_links": [{"site": ["q"], "dir": 0, "flux": 1.0}]}},
+     "$.lattice.static_links[0].site"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, override, path):
+    assert run_cli(tmp_path, {"scenario": "string_breaking_1d"} | override) == 2
+    assert f"at {path}:" in capsys.readouterr().err
+
+
+def node_paths(value, path=()):
+    """Paths to every value nested in a JSON document, itself excluded."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.data())
+def test_validate_config_fuzz(name, data):
+    cfg = copy.deepcopy(PRESETS[name]) | {"scenario": name}
+    paths = list(node_paths(cfg))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, last = data.draw(st.sampled_from(paths))
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(JSON_VALUES)
+        paths = list(node_paths(cfg))
+    try:
+        assert isinstance(validate_config(cfg), ScenarioConfig)
+    except ConfigError:
+        pass

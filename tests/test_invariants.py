@@ -1,0 +1,100 @@
+"""Property tests of the assembled Hamiltonian over random couplings:
+hermiticity, the Gauss-law sector, [H, G_x] = 0 and Trotter norm."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lgt.cli import PRESETS, build_layout, lattice_units, validate_config
+from lgt.dynamics import (
+    ORDERINGS,
+    OperatorAction,
+    StateVector,
+    gauss_filter,
+    trotter_plan,
+    trotter_states,
+)
+from lgt.hamiltonian import ModelParams, assemble, build_gauss
+from lgt.matter import MAPPING_NAMES, fermion_mapping
+from lgt.pauli import commutator, is_hermitian
+
+SCENARIOS = ("vacuum_decay", "string_breaking_1d", "double_plaquette_2d")
+
+
+class Systems:
+    """Layout, mapping and G_x = 0 sector per (scenario, mapping), built once.
+
+    The sector depends on theta, so theta stays at the preset's value.
+    """
+
+    def __init__(self):
+        self._built = {}
+
+    def get(self, name: str, mapping_name: str):
+        key = (name, mapping_name)
+        if key not in self._built:
+            sc = validate_config(PRESETS[name] | {"scenario": name})
+            lay = build_layout(sc)
+            mapping = fermion_mapping(mapping_name, lay.n_fermionic)
+            params = lattice_units(sc.params)
+            _, sector = gauss_filter(lay, mapping, params)
+            self._built[key] = lay, mapping, params.theta, sector
+        return self._built[key]
+
+
+@pytest.fixture(scope="module")
+def systems():
+    return Systems()
+
+
+couplings = st.fixed_dictionaries({
+    "m": st.floats(-2.0, 2.0),
+    "r": st.floats(0.0, 2.0),
+    "e": st.floats(0.1, 3.0),
+    "lam": st.floats(0.0, 30.0),
+})
+
+
+def hamiltonian(lay, mapping_name, theta, c):
+    params = ModelParams(c["m"], c["r"], 1.0, c["e"], theta, c["lam"])
+    return params, assemble(lay, params, mapping_name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SCENARIOS), st.sampled_from(MAPPING_NAMES), couplings)
+def test_hermitian_and_keeps_gauss_sector(systems, name, mapping_name, c):
+    lay, _, theta, sector = systems.get(name, mapping_name)
+    _, h = hamiltonian(lay, mapping_name, theta, c)
+    assert is_hermitian(h.total)
+    OperatorAction(h.total, basis=sector)  # raises if H leaves the sector
+
+
+# At S=1/2 in the log encoding every link state is physical, so G_x
+# commutes with H on the whole register; at S=1 only on the physical
+# link states, where the check would need a projection.
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(MAPPING_NAMES), couplings)
+def test_gauss_law_commutes_at_spin_half(systems, mapping_name, c):
+    lay, mapping, theta, _ = systems.get("double_plaquette_2d", mapping_name)
+    params, h = hamiltonian(lay, mapping_name, theta, c)
+    g_ops, _ = build_gauss(lay, params, mapping, charge_basis="mapping")
+    for g in g_ops:
+        assert commutator(h.total, g).is_zero()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SCENARIOS[:2]), st.sampled_from(MAPPING_NAMES), couplings,
+       st.floats(1e-3, 0.5), st.integers(1, 3), st.sampled_from(ORDERINGS),
+       st.integers(0, 2**32 - 1))
+def test_trotter_steps_keep_norm(systems, name, mapping_name, c, dt, n_steps,
+                                 ordering, seed):
+    lay, _, theta, _ = systems.get(name, mapping_name)
+    _, h = hamiltonian(lay, mapping_name, theta, c)
+    rng = np.random.default_rng(seed)
+    dim = 1 << lay.n_total
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    start = StateVector(lay.n_total, amps / np.linalg.norm(amps))
+    plan = trotter_plan(h, dt, n_steps, ordering)
+    for _, st_t in trotter_states(start, plan):
+        assert abs(st_t.norm - 1.0) < 1e-12

@@ -1,12 +1,16 @@
 """Tests for the Pauli-string algebra and its dense-matrix oracle."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgt.cli import build_layout, lattice_units, load_config, validate_config
+from lgt.hamiltonian import assemble
 from lgt.pauli import (
     PauliOperator,
     PauliString,
@@ -26,6 +30,9 @@ from lgt.pauli import (
 )
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def op(label, coeff=1.0):
     return PauliOperator.from_label(label, coeff)
 
@@ -37,6 +44,16 @@ def rand_strings(rng, n, k):
         c = complex(rng.normal(), rng.normal())
         out.append(PauliString.from_label(label, c))
     return out
+
+
+def sparse_strings(rng, n, k):
+    """k random strings on n qubits; about half are mostly I, so that whole
+    bytes of the sort key are zero."""
+    p_identity = rng.choice([0.25, 0.95], size=(k, 1))
+    codes = np.where(rng.random((k, n)) < p_identity, 0, rng.integers(1, 4, (k, n)))
+    return [PauliString.from_label("".join("IXYZ"[c] for c in row),
+                                   complex(*rng.normal(size=2)))
+            for row in codes]
 
 
 class TestMultiply:
@@ -105,6 +122,47 @@ class TestSimplify:
         o = PauliOperator.from_terms(3, rand_strings(rng, 3, 40))
         labels = [t.label for t in o.terms]
         assert labels == sorted(labels)
+
+
+class TestCanonicalOrder:
+    # widths around the 8-qubit bytes of the sort key; 5000 terms span
+    # more than one key block
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130])
+    @pytest.mark.parametrize("k", [0, 1, 300, 5000])
+    def test_terms_in_label_order(self, n, k):
+        strings = sparse_strings(np.random.default_rng(1009 * n + k), n, k)
+        o = PauliOperator.from_terms(n, strings)
+        labels = [t.label for t in o.terms]
+        assert labels == sorted(labels)  # ASCII order is I < X < Y < Z
+        masks = [(t.x, t.z) for t in o.terms]
+        assert len(set(masks)) == len(masks)
+        assert set(masks) == {(s.x, s.z) for s in strings}
+
+    # SHA-256 prefixes of the assembled total, term by term (masks and
+    # coefficient bits in canonical order), fixed before the key sort
+    # replaced the string-formatting one
+    @pytest.mark.parametrize("config, n_terms, digest", [
+        ("vacuum_decay.json", 466, "58570ba8613a226e"),
+        ("double_plaquette_2d.json", 192, "59949a792fee4bb9"),
+        ("string_breaking_1d_light.json", 305, "f7cf78e5521daef5"),
+        ({"lattice": {"d": 2, "extents": [3, 3], "boundary": "open"},
+          "model": {"m": 0.4, "e": 2.0}, "spin": 1.0}, 64178, "ad478c34b4243755"),
+    ], ids=["vacuum_decay", "double_plaquette_2d", "string_breaking_1d_light",
+            "custom_3x3_open_s1"])
+    def test_assembled_terms_match_golden_digest(self, tmp_path, config,
+                                                 n_terms, digest):
+        if isinstance(config, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+        else:
+            path = CONFIGS / config
+        sc = validate_config(load_config(path))
+        total = assemble(build_layout(sc), lattice_units(sc.params), sc.mapping).total
+        h = hashlib.sha256()
+        for t in total.terms:
+            c = t.coeff
+            h.update(f"{t.x:x},{t.z:x},{c.real.hex()},{c.imag.hex()};".encode())
+        assert (total.n_terms, h.hexdigest()[:16]) == (n_terms, digest)
 
 
 class TestMatrixOracle:
