@@ -43,7 +43,7 @@ from lgt.dynamics import (
     trotter_plan,
     trotter_states,
 )
-from lgt.gauge import check_spin, flux_state_index
+from lgt.gauge import check_spin, flux_state_index, is_perfectly_representable
 from lgt.hamiltonian import HamiltonianTerms, ModelParams, assemble, default_lambda
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink, layout, spinor_components
 from lgt.matter import MAPPING_NAMES, fermion_mapping
@@ -194,6 +194,45 @@ def _finite(val, path: str) -> float:
     return float(val)
 
 
+def _spin(val, path: str) -> float:
+    spin = _finite(val, path)
+    try:
+        check_spin(spin)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    return spin
+
+
+def _spins(spins: list, path: str) -> list[float]:
+    return [_spin(s, f"{path}[{i}]") for i, s in enumerate(spins)]
+
+
+def _resource_report(cfg: dict) -> dict:
+    """The config with its report spins and qubit tables checked."""
+    if cfg.get("gauge_encoding", "log") != "log":
+        raise ConfigError("$.gauge_encoding", "the report tables are for 'log' only")
+    preset = PRESETS["resource_report"]
+    spins = _spins(_optional(cfg, "spins", list, "$", preset["spins"]), "$.spins")
+    for i, spin in enumerate(spins):
+        # beyond d_S = 16 the per-link table uses closed forms, which hold
+        # only for d_S a power of two
+        if check_spin(spin) > 16 and not is_perfectly_representable(spin):
+            raise ConfigError(f"$.spins[{i}]",
+                              f"above S = 7.5 need 2S+1 a power of two, got {spin:g}")
+    tables = _optional(cfg, "qubit_tables", dict, "$", preset["qubit_tables"])
+    out = {"spins": _spins(_require(tables, "spins", list, "$.qubit_tables"),
+                           "$.qubit_tables.spins")}
+    for key, d in (("2d", 2), ("3d", 3)):
+        lattices = _require(tables, key, list, "$.qubit_tables")
+        for i, ext in enumerate(lattices):
+            if (not isinstance(ext, list) or len(ext) != d
+                    or not all(type(e) is int and e >= 1 for e in ext)):
+                raise ConfigError(f"$.qubit_tables.{key}[{i}]",
+                                  f"need {d} positive integer extents")
+        out[key] = lattices
+    return cfg | {"spins": spins, "qubit_tables": out}
+
+
 def _n_steps(t_max: float, dt: float) -> int:
     """Steps of dt that fit in t_max, forgiving a float ratio like 1.0/0.01."""
     return math.floor(t_max / dt * (1 + 1e-9))
@@ -210,9 +249,8 @@ def validate_config(cfg: dict) -> ScenarioConfig:
             or Path(prefix).name != prefix):
         raise ConfigError("$.output.prefix", f"not a file-name stem: {prefix!r}")
     if scenario == "resource_report":
-        return ScenarioConfig(scenario, cfg, None, None, "jw",
-                              cfg.get("gauge_encoding", "log"), 0.5, None,
-                              {}, prefix)
+        return ScenarioConfig(scenario, _resource_report(cfg), None, None, "jw",
+                              "log", 0.5, None, {}, prefix)
 
     lat = _require(cfg, "lattice", dict, "$")
     d = _require(lat, "d", int, "$.lattice")
@@ -242,8 +280,7 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     model = _require(cfg, "model", dict, "$")
     _require(model, "m", (int, float), "$.model")
     c = {key: _finite(model.get(key, default), f"$.model.{key}")
-         for key, default in (("m", 0), ("r", 1.0), ("a", 1.0), ("e", 1.0),
-                              ("lambda_gauss", -1.0))}
+         for key, default in (("m", 0), ("r", 1.0), ("a", 1.0), ("e", 1.0))}
     for key in ("a", "e"):
         if c[key] <= 0:
             raise ConfigError(f"$.model.{key}", "must be positive")
@@ -252,8 +289,13 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         raise ConfigError("$.theta", "expected a list of angles")
     params = ModelParams(c["m"], c["r"], c["a"], c["e"],
                          tuple(_finite(x, "$.theta") for x in theta))
-    lam = c["lambda_gauss"]
-    params = replace(params, lam=lam if lam >= 0 else default_lambda(params))
+    if "lambda_gauss" in model:
+        lam = _finite(model["lambda_gauss"], "$.model.lambda_gauss")
+        if lam < 0:
+            raise ConfigError("$.model.lambda_gauss", "must be >= 0")
+    else:
+        lam = default_lambda(params)
+    params = replace(params, lam=lam)
 
     mapping = cfg.get("mapping", "jw")
     if mapping not in MAPPING_NAMES:
@@ -261,11 +303,7 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     encoding = cfg.get("gauge_encoding", "log")
     if encoding not in ("log", "linear"):
         raise ConfigError("$.gauge_encoding", "one of ('log', 'linear') required")
-    spin = _finite(_require(cfg, "spin", (int, float), "$"), "$.spin")
-    try:
-        check_spin(spin)
-    except ValueError as exc:
-        raise ConfigError("$.spin", str(exc)) from exc
+    spin = _spin(_require(cfg, "spin", (int, float), "$"), "$.spin")
 
     evo = _optional(cfg, "evolution", dict, "$", {})
     dts = [_finite(x, "$.evolution.dt")
@@ -490,11 +528,9 @@ def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if sc.scenario == "resource_report":
-        cfg = sc.raw
-        spins = cfg.get("spins", PRESETS["resource_report"]["spins"])
-        tables = cfg.get("qubit_tables", PRESETS["resource_report"]["qubit_tables"])
+        tables = sc.raw["qubit_tables"]
         files = {
-            f"{sc.output_prefix}_per_link.csv": _per_link_csv(spins),
+            f"{sc.output_prefix}_per_link.csv": _per_link_csv(sc.raw["spins"]),
             f"{sc.output_prefix}_qubits_2d.csv":
                 _qubit_csv(tables["2d"], tables["spins"]),
             f"{sc.output_prefix}_qubits_3d.csv":
@@ -519,6 +555,8 @@ def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
 def run_qasm(sc: ScenarioConfig, out_dir: str | Path, dt: float | None) -> list[Path]:
     from lgt.circuits import export_qasm, synth_trotter_step
 
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ConfigError("--dt", f"must be a finite time step > 0, got {dt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lay = build_layout(sc)

@@ -302,7 +302,7 @@ def decode_basis(layout: RegisterLayout, mapping: FermionMapping,
     holds no flux state of the window, for an array of basis indices."""
     n = layout.n_total
     idx = np.asarray(indices, dtype=np.int64)
-    masks = mapping.occupation_masks()
+    masks = mapping.occ
     occ = np.empty((len(idx), len(masks)), dtype=np.int8)
     for j, mask in enumerate(masks):
         occ[:, j] = np.bitwise_count(idx & _index_mask(mask, n)) & 1
@@ -399,16 +399,6 @@ def config_probabilities(state: StateVector, layout: RegisterLayout,
     for label, p in zip(labels.tolist(), probs[index].tolist()):
         out[label] = out.get(label, 0.0) + p
     return dict(sorted(out.items(), key=lambda kv: -kv[1]))
-
-
-def top_configs(config_probs: dict[str, float], k: int = 12) -> list[tuple[str, float]]:
-    """Highest-probability labels; everything past the k-th aggregates to 'other'."""
-    items = list(config_probs.items())
-    head = items[:k]
-    rest = sum(p for _, p in items[k:])
-    if rest > 0:
-        head.append(("other", rest))
-    return head
 
 
 # -- Gauss-law filtering ---------------------------------------------------

@@ -26,7 +26,6 @@ from lgt.pauli import (
     DROP_TOL,
     PauliOperator,
     PauliString,
-    classify,
     decompose_matrix,
 )
 
@@ -261,8 +260,3 @@ def spin_pauli_counts(spin: float, encoding: str) -> SpinPauliCounts:
         encode_log(spin, mats.sz).n_terms,
         (sx_enc + 1j * sy_enc).n_terms,
     )
-
-
-def u_classify(spin: float, encoding: str):
-    """(n_real, n_imag, n_mixed) of the encoded link operator U."""
-    return classify(qlm_link(spin, encoding).u)

@@ -10,6 +10,9 @@ Conventions fixed here (and exercised by the counting tests):
 * plaquette: -(1/4 e^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.);
 * Gauss: G_x = e [ sum_k (flux_in - flux_out) + (psidag psi - n_spinor/2) ],
   so the half-filled bare vacuum is annihilated; H_gauss = sum_x G_x^2.
+  psidag psi is the sum of the mapping's number operators, which is the
+  occupation under jw, parity and bk alike (under parity and bk a mode's
+  occupation is the parity of several qubits, not one qubit's Z).
 
 Identity-axes strings are kept in the assembled total (the resource counts
 are calibrated that way); ``lgt.pauli.drop_identity`` strips them on demand.
@@ -121,50 +124,13 @@ def _encoded_links(layout: RegisterLayout, params: ModelParams) -> dict[Link, En
 
 
 def site_psidagpsi(layout: RegisterLayout, mapping: FermionMapping,
-                   site: Site, basis: str = "mapping") -> PauliOperator:
-    """Total occupation of a site's spinor components.
-
-    basis="mapping" uses the mapped number operators; basis="occupation"
-    writes (I - Z)/2 per mode qubit directly, which coincides with the
-    mapped form under Jordan-Wigner and is how the diagonal charge reads
-    off computational basis states.
-    """
+                   site: Site) -> PauliOperator:
+    """Total occupation of a site's spinor components: the sum of the
+    mapped number operators, so it reads the same under every mapping."""
     n = layout.n_total
     acc = _Acc(n)
     for alpha in range(layout.n_spinor):
-        mode = layout.fermionic_mode(site, alpha)
-        if basis == "occupation":
-            acc.add_string(0, 0, 0.5)
-            acc.add_string(0, 1 << mode, -0.5)
-        elif basis == "mapping":
-            acc.add_operator(mapping.number(mode).embed(n))
-        else:
-            raise ValueError(f"unknown charge basis {basis!r}")
-    return acc.to_operator()
-
-
-def site_charge_op(layout: RegisterLayout, mapping: FermionMapping,
-                   site: Site, e: float) -> PauliOperator:
-    """q_x = e (psidag psi - n_spinor/2); vacuum and pair sites carry zero."""
-    n = layout.n_total
-    shift = PauliOperator.identity(n, -layout.n_spinor / 2.0)
-    return e * (site_psidagpsi(layout, mapping, site) + shift)
-
-
-def site_particle_number_op(layout: RegisterLayout, mapping: FermionMapping,
-                            site: Site, rep) -> PauliOperator:
-    """n_x = psi-bar psi + n_spinor/2 in {0, 1, 2} per site for two components."""
-    n = layout.n_total
-    acc = _Acc(n)
-    g0 = rep.gammas[0]
-    for alpha in range(layout.n_spinor):
-        for beta in range(layout.n_spinor):
-            if g0[alpha, beta] == 0:
-                continue
-            i = layout.fermionic_mode(site, alpha)
-            j = layout.fermionic_mode(site, beta)
-            acc.add_operator(mapping.bilinear(i, j, g0[alpha, beta]))
-    acc.add_string(0, 0, layout.n_spinor / 2.0)
+        acc.add_operator(mapping.number(layout.fermionic_mode(site, alpha)).embed(n))
     return acc.to_operator()
 
 
@@ -263,12 +229,11 @@ def build_plaquette(layout: RegisterLayout, params: ModelParams,
 def build_gauss(layout: RegisterLayout, params: ModelParams,
                 mapping: FermionMapping,
                 links: dict[Link, EncodedLink] | None = None,
-                charge_basis: str = "occupation",
                 ) -> tuple[tuple[PauliOperator, ...], PauliOperator]:
     """Per-site Gauss operators G_x and the regulator sum_x G_x^2.
 
-    The charge enters in the occupation picture by default (single-Z per
-    mode qubit); identical to the mapped form under Jordan-Wigner.
+    The charge is built from the mapping's number operators a^dag a, so
+    G_x vanishes on the same physical states under jw, parity and bk.
     """
     spec = layout.spec
     links = links if links is not None else _encoded_links(layout, params)
@@ -287,8 +252,7 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
                                      scale=sign * e)
                 else:
                     acc.add_string(0, 0, sign * e * link)
-        acc.add_operator(site_psidagpsi(layout, mapping, site, charge_basis),
-                         scale=e)
+        acc.add_operator(site_psidagpsi(layout, mapping, site), scale=e)
         acc.add_string(0, 0, -e * layout.n_spinor / 2.0)
         g_ops.append(acc.to_operator())
 
@@ -299,8 +263,7 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
 
 
 def assemble(layout: RegisterLayout, params: ModelParams,
-             mapping_name: str = "jw",
-             gauss_charge_basis: str = "occupation") -> HamiltonianTerms:
+             mapping_name: str = "jw") -> HamiltonianTerms:
     """Build all Hamiltonian terms and the simplified total."""
     mapping = fermion_mapping(mapping_name, layout.n_fermionic)
     links = _encoded_links(layout, params)
@@ -308,8 +271,7 @@ def assemble(layout: RegisterLayout, params: ModelParams,
     hopp = build_hopp_wilson(layout, params, mapping, links)
     elec = build_electric(layout, params, links)
     plaq = build_plaquette(layout, params, links)
-    g_ops, gauss = build_gauss(layout, params, mapping, links,
-                               charge_basis=gauss_charge_basis)
+    g_ops, gauss = build_gauss(layout, params, mapping, links)
     acc = _Acc(layout.n_total)
     for op in (mass, hopp, elec, plaq):
         acc.add_operator(op)

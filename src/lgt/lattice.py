@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
+from lgt.gauge import check_spin
+
 Site = tuple[int, ...]
 
 
@@ -205,7 +207,7 @@ def spinor_components(d: int) -> int:
 
 
 def gauge_qubits_per_link(encoding: str, spin: float) -> int:
-    d_s = int(round(2 * spin + 1))
+    d_s = check_spin(spin)
     if encoding == "log":
         return max(1, math.ceil(math.log2(d_s)))
     if encoding == "linear":

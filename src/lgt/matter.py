@@ -143,10 +143,6 @@ class FermionMapping:
                 index |= 1 << (n - 1 - q)
         return index
 
-    def occupation_masks(self) -> list[int]:
-        """Per-mode qubit masks whose joint parity gives n_j (diagonal readout)."""
-        return list(self.occ)
-
     def _check_mode(self, j: int) -> None:
         if not 0 <= j < self.n_modes:
             raise ValueError(f"mode {j} out of range for N={self.n_modes}")
@@ -171,10 +167,6 @@ def fermion_mapping(name: str, n_modes: int) -> FermionMapping:
             row ^= a_inv[k]
         prefix.append(int(sum(1 << i for i in range(n_modes) if row[i])))
     return FermionMapping(name, n_modes, flip, occ, tuple(prefix))
-
-
-def map_bilinear(mapping: FermionMapping, i: int, j: int, c: complex = 1.0) -> PauliOperator:
-    return mapping.bilinear(i, j, c)
 
 
 @dataclass(frozen=True)

@@ -103,15 +103,6 @@ class PauliString(NamedTuple):
         )
 
 
-def support(p: PauliString) -> int:
-    return p.support
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two Pauli strings with the accumulated phase."""
-    return a * b
-
-
 def _order_table() -> np.ndarray:
     """``_ORDER[z_byte, (x^z)_byte]``: the eight axis codes ``2 z + (x^z)``
     (I=0, X=1, Y=2, Z=3) of a mask byte, 2 bits each, with the byte's lowest

@@ -1,6 +1,7 @@
 """Command line: initial-state validation, shipped configs, import cost."""
 
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from lgt.cli import (
     main,
     validate_config,
 )
+from lgt.hamiltonian import default_lambda
 from lgt.matter import fermion_mapping
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -119,12 +121,24 @@ def test_bad_evolution_is_config_error(tmp_path, capsys, monkeypatch, evolution,
                                    {"site": [2], "dir": 0,
                                     "flux": float("nan")}]}},
      "$.lattice.static_links[1].flux"),
+    ({"model": {"lambda_gauss": -5}}, "$.model.lambda_gauss"),
+    ({"model": {"lambda_gauss": -1.0}}, "$.model.lambda_gauss"),
 ])
 def test_bad_model_is_config_error(tmp_path, override, path):
     config = write_config(tmp_path, {"scenario": "string_breaking_1d"} | override)
     with pytest.raises(ConfigError) as exc:
         validate_config(load_config(config))
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize("lam", [None, 0, 3])
+def test_lambda_gauss_default_only_when_missing(lam):
+    cfg = copy.deepcopy(PRESETS["vacuum_decay"]) | {"scenario": "vacuum_decay"}
+    del cfg["model"]["lambda_gauss"]
+    if lam is not None:
+        cfg["model"]["lambda_gauss"] = lam
+    params = validate_config(cfg).params
+    assert params.lam == (default_lambda(params) if lam is None else lam)
 
 
 def test_zero_charge_2d_exits_2(tmp_path, capsys):
@@ -166,6 +180,59 @@ def test_curves_stop_at_t_max(tmp_path):
 def test_malformed_config_exits_2(tmp_path, capsys, override, path):
     assert run_cli(tmp_path, {"scenario": "string_breaking_1d"} | override) == 2
     assert f"at {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"spins": ["a"]}, "$.spins[0]"),
+    ({"spins": [0.7]}, "$.spins[0]"),
+    ({"spins": [0.5, True]}, "$.spins[1]"),
+    ({"spins": [9.0]}, "$.spins[0]"),
+    ({"spins": 0.5}, "$.spins"),
+    ({"qubit_tables": [1]}, "$.qubit_tables"),
+    ({"qubit_tables": {"spins": [0.3]}}, "$.qubit_tables.spins[0]"),
+    ({"qubit_tables": {"spins": [0]}}, "$.qubit_tables.spins[0]"),
+    ({"qubit_tables": {"2d": [[2, 3], [4]]}}, "$.qubit_tables.2d[1]"),
+    ({"qubit_tables": {"2d": [[2, 0]]}}, "$.qubit_tables.2d[0]"),
+    ({"qubit_tables": {"3d": [[2, 2, 2.5]]}}, "$.qubit_tables.3d[0]"),
+    ({"qubit_tables": {"3d": [7]}}, "$.qubit_tables.3d[0]"),
+    ({"qubit_tables": {"2d": [[2, 3, 4]]}}, "$.qubit_tables.2d[0]"),
+    ({"gauge_encoding": "linear"}, "$.gauge_encoding"),
+])
+def test_bad_resource_report_exits_2(tmp_path, capsys, override, path):
+    config = write_config(tmp_path, {"scenario": "resource_report"} | override)
+    assert main(["resources", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"at {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0"])
+def test_bad_qasm_dt_exits_2(tmp_path, capsys, dt):
+    config = write_config(tmp_path, {"scenario": "string_breaking_1d"})
+    assert main(["qasm", str(config), "--out", str(tmp_path / "out"),
+                 "--dt", dt]) == 2
+    assert "at --dt:" in capsys.readouterr().err
+
+
+def exact_curve(tmp_path, mapping: str) -> list[dict[str, float]]:
+    out = tmp_path / mapping
+    config = write_config(tmp_path, {
+        "scenario": "vacuum_decay", "mapping": mapping,
+        "evolution": {"method": "exact", "t_max": 0.5},
+        "output": {"prefix": "run"}})
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    with open(out / "run_exact.csv", newline="") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("mapping", ["parity", "bk"])
+def test_exact_curve_same_for_every_mapping(tmp_path, mapping):
+    # label columns of equal peak probability may swap places, so the
+    # columns are compared by name
+    jw, other = exact_curve(tmp_path, "jw"), exact_curve(tmp_path, mapping)
+    assert len(other) == len(jw) == 6
+    for a, b in zip(jw, other):
+        assert a.keys() == b.keys()
+        assert max(abs(a[k] - b[k]) for k in a) <= 1e-9
 
 
 def node_paths(value, path=()):

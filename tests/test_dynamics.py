@@ -18,7 +18,6 @@ from lgt.dynamics import (
     gauss_filter,
     loschmidt,
     standard_observables,
-    top_configs,
     trotter_plan,
     trotter_states,
     trotter_step,
@@ -328,6 +327,22 @@ class TestObservables:
         assert abs(obs["charge_site0"] - params.e) < 1e-12
         assert abs(obs["charge_site1"] + params.e) < 1e-12
 
+    @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
+    @pytest.mark.parametrize("occupations, number, charge", [
+        ((0, 1), 0, 0), ((1, 1), 1, 1), ((0, 0), 1, -1), ((1, 0), 2, 0),
+    ], ids=["vac", "part", "anti", "pair"])
+    def test_site_labels_on_basis_states(self, mapping_name, occupations,
+                                         number, charge):
+        # single site, no links: two mode qubits only
+        lay = layout(LatticeSpec(1, (1,), "open"), 2, "log", 0.5)
+        mapping = fermion_mapping(mapping_name, 2)
+        params = ModelParams(m=0.5, e=1.5)
+        st = StateVector.basis_state(2, mapping.encode_occupations(occupations))
+        obs = {o.name: o.expectation(st)
+               for o in standard_observables(lay, mapping, params)}
+        assert obs["total_particle_number"] == number
+        assert obs["charge_site0"] == charge * params.e
+
 
 class TestConfigReadout:
     def test_basis_state_label(self, vacuum_system):
@@ -352,12 +367,6 @@ class TestConfigReadout:
                "oap|0;-1;0", "poa|0;0;-1", "aop|0;0;1"]
         for label in six:
             assert abs(probs[label] - 0.027) < 0.003
-
-    def test_other_aggregation(self):
-        probs = {f"label{i}": 2.0 ** -(i + 1) for i in range(16)}
-        head = top_configs(probs, k=3)
-        assert head[-1][0] == "other"
-        assert abs(sum(p for _, p in head) - sum(probs.values())) < 1e-15
 
     def test_unphysical_link_label(self, vacuum_system):
         lay, params, *_ = vacuum_system

@@ -14,7 +14,6 @@ from lgt.gauge import (
     qlm_link,
     spin_matrices,
     spin_pauli_counts,
-    u_classify,
 )
 from lgt.pauli import classify, commutator, to_matrix
 
@@ -174,7 +173,7 @@ class TestQlmLink:
         mixed = {t.label for t in link.u.terms
                  if abs(t.coeff.real) > 1e-12 and abs(t.coeff.imag) > 1e-12}
         assert mixed == {"II", "IZ", "ZI", "ZZ"}
-        assert u_classify(1.0, "log") == (4, 4, 4)
+        assert classify(link.u) == (4, 4, 4)
 
     def test_flux_state_index(self):
         # S=1 logarithmic: |m=1> -> 0, |m=0> -> 1, |m=-1> -> 2
@@ -194,8 +193,8 @@ class TestAppendixCounts:
     @pytest.mark.parametrize("spin", sorted(TABLE))
     def test_hopping_e_columns(self, spin):
         hop, eop, esq = self.TABLE[spin]
-        c = u_classify(spin, "log")
         link = qlm_link(spin, "log")
+        c = classify(link.u)
         assert 2 * (c.n_real + c.n_imag + 2 * c.n_mixed) == hop
         assert link.e_op.n_terms == eop
         assert link.e_sq.n_terms == esq

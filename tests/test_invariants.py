@@ -68,6 +68,25 @@ def test_hermitian_and_keeps_gauss_sector(systems, name, mapping_name, c):
     _, h = hamiltonian(lay, mapping_name, theta, c)
     assert is_hermitian(h.total)
     OperatorAction(h.total, basis=sector)  # raises if H leaves the sector
+    # sum_x G_x^2 is positive semi-definite: a zero diagonal means G_x = 0
+    src, diag = OperatorAction(h.gauss, basis=sector).groups[0]
+    assert src is None and np.abs(diag).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name, size", [("vacuum_decay", 48),
+                                        ("string_breaking_1d", 14),
+                                        ("double_plaquette_2d", 528)])
+def test_sector_spectrum_same_for_every_mapping(systems, name, size):
+    sc = validate_config(PRESETS[name] | {"scenario": name})
+    spectra = {}
+    for mapping_name in MAPPING_NAMES:
+        lay, _, _, sector = systems.get(name, mapping_name)
+        assert len(sector) == size
+        h = assemble(lay, lattice_units(sc.params), mapping_name)
+        matrix = OperatorAction(h.total, basis=sector).matrix().toarray()
+        spectra[mapping_name] = np.linalg.eigvalsh(matrix)
+    for mapping_name in ("parity", "bk"):
+        assert np.abs(spectra[mapping_name] - spectra["jw"]).max() <= 1e-9
 
 
 # At S=1/2 in the log encoding every link state is physical, so G_x
@@ -78,7 +97,7 @@ def test_hermitian_and_keeps_gauss_sector(systems, name, mapping_name, c):
 def test_gauss_law_commutes_at_spin_half(systems, mapping_name, c):
     lay, mapping, theta, _ = systems.get("double_plaquette_2d", mapping_name)
     params, h = hamiltonian(lay, mapping_name, theta, c)
-    g_ops, _ = build_gauss(lay, params, mapping, charge_basis="mapping")
+    g_ops, _ = build_gauss(lay, params, mapping)
     for g in g_ops:
         assert commutator(h.total, g).is_zero()
 

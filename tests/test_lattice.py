@@ -109,3 +109,9 @@ def test_static_links_validation():
 def test_qubit_totals_large_without_enumeration():
     assert qubit_totals((100, 100, 100), "open", "log", 255.5) == \
         (30730000, 4000000, 26730000)
+
+
+@pytest.mark.parametrize("spin", [0, 0.3, -0.5])
+def test_qubit_totals_reject_invalid_spin(spin):
+    with pytest.raises(ValueError, match="half-integer"):
+        qubit_totals((2, 3), "open", "log", spin)

@@ -7,7 +7,6 @@ from lgt.matter import (
     clifford_rep,
     fermion_mapping,
     gamma_mix,
-    map_bilinear,
     mapped_anticommutator_check,
     max_bilinear_support,
 )
@@ -87,14 +86,14 @@ class TestMappings:
 
     def test_jw_standard_hopping(self):
         m = fermion_mapping("jw", 2)
-        hop = map_bilinear(m, 0, 1) + map_bilinear(m, 1, 0)
+        hop = m.bilinear(0, 1) + m.bilinear(1, 0)
         got = {t.label: t.coeff for t in hop.terms}
         assert set(got) == {"XX", "YY"}
         assert abs(got["XX"] - 0.5) < 1e-14 and abs(got["YY"] - 0.5) < 1e-14
 
     def test_jw_distant_bilinear_has_z_chain(self):
         m = fermion_mapping("jw", 4)
-        op = map_bilinear(m, 0, 3)
+        op = m.bilinear(0, 3)
         labels = sorted(t.label for t in op.terms)
         assert labels == ["XZZX", "XZZY", "YZZX", "YZZY"]
 
@@ -113,7 +112,7 @@ class TestMappings:
         ladders = dense_ladders(4)
         ref = perm @ (ladders[1].conj().T @ ladders[3]
                       + ladders[3].conj().T @ ladders[1]) @ perm.T
-        got = to_matrix(map_bilinear(m, 1, 3) + map_bilinear(m, 3, 1))
+        got = to_matrix(m.bilinear(1, 3) + m.bilinear(3, 1))
         assert np.max(np.abs(got - ref)) < 1e-12
 
     @pytest.mark.parametrize("name,n", [("jw", 3), ("parity", 4), ("bk", 5),
@@ -126,7 +125,7 @@ class TestMappings:
     def test_diagonal_bilinear_is_iz_only(self, name):
         m = fermion_mapping(name, 5)
         for j in range(5):
-            for t in map_bilinear(m, j, j).terms:
+            for t in m.bilinear(j, j).terms:
                 assert t.x == 0  # only I and Z axes
 
     def test_bk_support_advantage_at_64(self):
