@@ -284,6 +284,11 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     for key in ("a", "e"):
         if c[key] <= 0:
             raise ConfigError(f"$.model.{key}", "must be positive")
+    # H holds e^2/2 and -1/(4 e^2); e * e overflows to inf where e ** 2 raises
+    e_sq = c["e"] * c["e"]
+    if not (0 < e_sq < math.inf and math.isfinite(1 / (4 * e_sq))):
+        raise ConfigError("$.model.e", "e^2 and 1/(4 e^2) must be finite and "
+                                       f"> 0, got e = {c['e']!r}")
     theta = cfg.get("theta", [])
     if not isinstance(theta, list):
         raise ConfigError("$.theta", "expected a list of angles")
@@ -295,6 +300,9 @@ def validate_config(cfg: dict) -> ScenarioConfig:
             raise ConfigError("$.model.lambda_gauss", "must be >= 0")
     else:
         lam = default_lambda(params)
+        if not math.isfinite(lam):
+            raise ConfigError("$.model.lambda_gauss",
+                              "default 10*max(m, e^2/2) overflows")
     params = replace(params, lam=lam)
 
     mapping = cfg.get("mapping", "jw")
@@ -429,11 +437,11 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
     params = lattice_units(sc.params)
     s0 = initial_state(sc.initial, lay, mapping, params)
-    obs = standard_observables(lay, mapping, params)
     n_configs, sector = gauss_filter(lay, mapping, params)
 
     def readout(t, st):
-        return (t, loschmidt(s0, st), obs[0].expectation(st),
+        n_part = standard_observables(st, lay, mapping, params)["total_particle_number"]
+        return (t, loschmidt(s0, st), n_part,
                 config_probabilities(st, lay, mapping, params))
 
     evo = sc.evolution

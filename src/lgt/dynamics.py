@@ -12,10 +12,12 @@ these factors once per string; nothing is cached at module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes; observables, configuration labels and the Gauss-law
-filter all read it. Exact evolution runs on a span of basis states, all
-2^n by default or the G_x = 0 sector that ``gauss_filter`` returns, which
-the quantum-link Hamiltonian leaves invariant; it applies scipy's
-``expm_multiply`` to H restricted to that span.
+filter all read it. Observables and labels decode only the nonzero
+amplitudes of one state, never all 2^n indices. Exact evolution runs on a
+span of basis states, all 2^n by default or the G_x = 0 sector that
+``gauss_filter`` returns, which the quantum-link Hamiltonian leaves
+invariant; it applies scipy's ``expm_multiply`` to H restricted to that
+span.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from lgt.pauli import PauliOperator, PauliString, _index_mask
 MAX_QUBITS = 24      # statevector simulation limit
 LEAK_TOL = 1e-12     # allowed |<out|H|in>| per unit of sum |coeff| across a span
 GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
+READOUT_TOL = 1e-12  # configuration probabilities at or below this are not listed
 GAUSS_BLOCK = 1 << 16  # basis indices the Gauss filter decodes at a time
 
 
@@ -320,36 +323,30 @@ def decode_basis(layout: RegisterLayout, mapping: FermionMapping,
     return occ, flux
 
 
-@dataclass(frozen=True)
-class DiagonalObservable:
-    name: str
-    values: np.ndarray
-
-    def expectation(self, state: StateVector) -> float:
-        return float(np.dot(state.probabilities(), self.values))
-
-
-def standard_observables(layout: RegisterLayout, mapping: FermionMapping,
-                         params) -> list[DiagonalObservable]:
-    """Total particle number, per-site charge, per-link flux (all diagonal)."""
-    occ, flux = decode_basis(layout, mapping, params.theta_along,
-                             np.arange(1 << layout.n_total))
+def standard_observables(state: StateVector, layout: RegisterLayout,
+                         mapping: FermionMapping, params) -> dict[str, float]:
+    """Expectations of the diagonal observables in a state, read from its
+    nonzero amplitudes: ``total_particle_number``, then ``charge_site{s}``
+    per site and ``flux_link{l}`` per link (a link state outside the flux
+    window counts as zero flux)."""
+    probs = state.probabilities()
+    index = np.flatnonzero(probs > 0)
+    p = probs[index]
+    occ, flux = decode_basis(layout, mapping, params.theta_along, index)
+    # particle number and charge are linear in the occupations: reduce the
+    # support once to <n> per (site, spinor component); constants scale <1>
+    norm = p.sum()
     n_sp = layout.n_spinor
-    obs = []
-    total_n = np.zeros(occ.shape[0])
     half = n_sp // 2
-    for s in range(layout.spec.n_sites):
-        block = occ[:, s * n_sp:(s + 1) * n_sp]
-        # gamma^0 = diag(+1 ... +1, -1 ... -1) in all supported representations
-        nbar = block[:, :half].sum(axis=1) - block[:, half:].sum(axis=1) + half
-        total_n = total_n + nbar
-        charge = params.e * (block.sum(axis=1) - n_sp / 2.0)
-        obs.append(DiagonalObservable(f"charge_site{s}", charge))
-    obs.insert(0, DiagonalObservable("total_particle_number", total_n))
-    for li in range(flux.shape[1]):
-        obs.append(DiagonalObservable(f"flux_link{li}",
-                                      np.nan_to_num(flux[:, li] * params.e)))
-    return obs
+    n_mode = (p @ occ).reshape(layout.spec.n_sites, n_sp)
+    # gamma^0 = diag(+1 ... +1, -1 ... -1) in all supported representations
+    nbar = n_mode[:, :half].sum(axis=1) - n_mode[:, half:].sum(axis=1) + half * norm
+    charge = params.e * (n_mode.sum(axis=1) - n_sp / 2.0 * norm)
+    out = {"total_particle_number": float(nbar.sum())}
+    out.update((f"charge_site{s}", v) for s, v in enumerate(charge.tolist()))
+    out.update((f"flux_link{li}", v) for li, v
+               in enumerate((p @ np.nan_to_num(flux * params.e)).tolist()))
+    return out
 
 
 SITE_CHARS = {(0, 1): "o", (1, 1): "p", (0, 0): "a", (1, 0): "b"}
@@ -377,7 +374,7 @@ def basis_config_label(layout: RegisterLayout, mapping: FermionMapping,
             parts.append(";")
         values, inverse = np.unique(flux[:, li], return_inverse=True)
         names = ["x" if np.isnan(v) else _flux_str(v) for v in values]
-        parts.append(np.array(names)[inverse])
+        parts.append(np.array(names, dtype=str)[inverse])
     labels = functools.reduce(np.strings.add, parts)
     return labels if np.ndim(index) else str(labels[0])
 
@@ -389,11 +386,11 @@ def _flux_str(value: float) -> str:
 
 
 def config_probabilities(state: StateVector, layout: RegisterLayout,
-                         mapping: FermionMapping, params,
-                         threshold: float = 1e-12) -> dict[str, float]:
-    """Probabilities grouped by lattice configuration label."""
+                         mapping: FermionMapping, params) -> dict[str, float]:
+    """Probabilities above ``READOUT_TOL`` grouped by lattice configuration
+    label, largest first."""
     probs = state.probabilities()
-    index = np.flatnonzero(probs > threshold)
+    index = np.flatnonzero(probs > READOUT_TOL)
     labels = basis_config_label(layout, mapping, params.theta_along, index)
     out: dict[str, float] = {}
     for label, p in zip(labels.tolist(), probs[index].tolist()):
@@ -425,17 +422,17 @@ def gauss_law(layout: RegisterLayout, occ: np.ndarray, flux: np.ndarray
 
 def gauss_filter(layout: RegisterLayout, mapping: FermionMapping, params
                  ) -> tuple[int, np.ndarray]:
-    """Count the physical configurations (every link register inside its
-    flux window) and keep those with G_x = 0 at every site; returns (total
-    configuration count, sorted invariant basis indices)."""
+    """(physical configuration count, sorted basis indices with G_x = 0).
+
+    A physical configuration has each link register in its flux window, one
+    of d_S states under both encodings: 2^n_fermionic * d_S^n_links of them."""
     n = layout.n_total
     if n > MAX_QUBITS:
         raise ValueError(f"configuration enumeration limited to {MAX_QUBITS} qubits")
-    total, kept = 0, []
+    total = (1 << layout.n_fermionic) * check_spin(layout.spin) ** len(layout.links)
+    kept = []
     for start in range(0, 1 << n, GAUSS_BLOCK):
         idx = np.arange(start, min(start + GAUSS_BLOCK, 1 << n), dtype=np.int64)
-        occ, flux = decode_basis(layout, mapping, params.theta_along, idx)
-        total += int(np.count_nonzero(~np.isnan(flux).any(axis=1)))
-        g = gauss_law(layout, occ, flux)
+        g = gauss_law(layout, *decode_basis(layout, mapping, params.theta_along, idx))
         kept.append(idx[(np.abs(g) <= GAUSS_TOL).all(axis=1)])
     return total, np.concatenate(kept)

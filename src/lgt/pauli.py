@@ -181,13 +181,6 @@ class PauliOperator:
         return cls.from_terms(s.n, [s])
 
     @classmethod
-    def from_strings(cls, strings: Iterable[PauliString]) -> "PauliOperator":
-        strings = list(strings)
-        if not strings:
-            raise ValueError("cannot infer qubit count from empty iterable")
-        return cls.from_terms(strings[0].n, strings)
-
-    @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliOperator":
         return cls.from_terms(n, [PauliString(n, 0, 0, complex(coeff))])
 

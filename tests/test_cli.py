@@ -147,6 +147,31 @@ def test_zero_charge_2d_exits_2(tmp_path, capsys):
     assert "at $.model.e:" in capsys.readouterr().err
 
 
+def _no_lambda_gauss(preset: str, **model) -> dict:
+    """A preset as a custom config without ``lambda_gauss``, so the default
+    applies."""
+    cfg = copy.deepcopy(PRESETS[preset])
+    del cfg["model"]["lambda_gauss"]
+    cfg["model"].update(model)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, path", [
+    ({"scenario": "string_breaking_1d", "model": {"e": 1e200}}, "$.model.e"),
+    ({"scenario": "double_plaquette_2d", "model": {"e": 1e-200}}, "$.model.e"),
+    ({"scenario": "double_plaquette_2d", "model": {"e": 1e-160}}, "$.model.e"),
+    (_no_lambda_gauss("string_breaking_1d", m=1e308), "$.model.lambda_gauss"),
+], ids=["e_sq_overflows", "e_sq_underflows_2d", "inv_e_sq_overflows_2d",
+        "default_lambda_overflows"])
+def test_overflowing_coupling_exits_2(tmp_path, capsys, monkeypatch, cfg, path):
+    def no_assembly(*args):
+        raise AssertionError("Hamiltonian assembled")
+
+    monkeypatch.setattr("lgt.cli.assemble", no_assembly)
+    assert run_cli(tmp_path, cfg) == 2
+    assert f"at {path}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("prefix", ["../escaped", "sub/name", ".", "..", "nul\0byte"])
 def test_prefix_cannot_leave_out_dir(tmp_path, capsys, prefix):
     config = write_config(tmp_path, {"scenario": "string_breaking_1d",

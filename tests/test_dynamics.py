@@ -1,12 +1,20 @@
 """Statevector kernels, Trotter/exact evolution, observables, Gauss filter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import lgt.dynamics
+from lgt.cli import (
+    PRESETS,
+    build_layout,
+    initial_state,
+    lattice_units,
+    validate_config,
+)
 from lgt.dynamics import (
     ExactEvolver,
     OperatorAction,
@@ -299,8 +307,7 @@ class TestObservables:
     def test_bare_vacuum_all_zero(self, vacuum_system):
         lay, params, _, s0 = vacuum_system
         mapping = fermion_mapping("jw", 6)
-        obs = standard_observables(lay, mapping, params)
-        values = {o.name: o.expectation(s0) for o in obs}
+        values = standard_observables(s0, lay, mapping, params)
         assert abs(values["total_particle_number"]) < 1e-12
         for name, val in values.items():
             if name.startswith(("charge", "flux")):
@@ -309,8 +316,7 @@ class TestObservables:
     def test_flux_string_links(self, string_system):
         lay, params, _, s0 = string_system
         mapping = fermion_mapping("jw", 6)
-        obs = {o.name: o.expectation(s0)
-               for o in standard_observables(lay, mapping, params)}
+        obs = standard_observables(s0, lay, mapping, params)
         assert abs(obs["flux_link0"] - params.e) < 1e-12
         assert abs(obs["flux_link1"] - params.e) < 1e-12
 
@@ -321,8 +327,7 @@ class TestObservables:
         bits = [1, 1, 0, 0, 0, 1] + [0, 0, 0, 1, 0, 1]
         index = sum(b << (11 - q) for q, b in enumerate(bits))
         st = StateVector.basis_state(12, index)
-        obs = {o.name: o.expectation(st)
-               for o in standard_observables(lay, mapping, params)}
+        obs = standard_observables(st, lay, mapping, params)
         assert abs(obs["total_particle_number"] - 2.0) < 1e-12
         assert abs(obs["charge_site0"] - params.e) < 1e-12
         assert abs(obs["charge_site1"] + params.e) < 1e-12
@@ -338,10 +343,53 @@ class TestObservables:
         mapping = fermion_mapping(mapping_name, 2)
         params = ModelParams(m=0.5, e=1.5)
         st = StateVector.basis_state(2, mapping.encode_occupations(occupations))
-        obs = {o.name: o.expectation(st)
-               for o in standard_observables(lay, mapping, params)}
+        obs = standard_observables(st, lay, mapping, params)
         assert obs["total_particle_number"] == number
         assert obs["charge_site0"] == charge * params.e
+
+    @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
+    def test_support_readout_matches_full_tables(self, vacuum_system,
+                                                 mapping_name):
+        lay, params, _, _ = vacuum_system
+        mapping = fermion_mapping(mapping_name, 6)
+        # bare vacuum: every link register 01 holds flux 0
+        index = mapping.encode_occupations([0, 1] * 3) << 6 | 0b010101
+        plan = trotter_plan(assemble(lay, params, mapping_name), 0.1, 3)
+        *_, (_, st) = trotter_states(StateVector.basis_state(12, index), plan)
+        # reference: every basis index decoded, dotted with the probabilities
+        probs = st.probabilities()
+        occ, flux = decode_basis(lay, mapping, params.theta_along,
+                                 np.arange(1 << 12))
+        ref = {"total_particle_number":
+               probs @ (occ[:, 0::2] - occ[:, 1::2] + 1).sum(axis=1)}
+        for s in range(3):
+            ref[f"charge_site{s}"] = probs @ (
+                params.e * (occ[:, 2 * s] + occ[:, 2 * s + 1] - 1.0))
+        for li in range(3):
+            ref[f"flux_link{li}"] = probs @ np.nan_to_num(flux[:, li] * params.e)
+        obs = standard_observables(st, lay, mapping, params)
+        assert list(obs) == list(ref)
+        assert ref["total_particle_number"] > 1e-3
+        for name, val in ref.items():
+            assert abs(obs[name] - val) <= 1e-12, name
+
+    def test_double_plaquette_readout_memory(self):
+        cfg = PRESETS["double_plaquette_2d"] | {"scenario": "double_plaquette_2d"}
+        sc = validate_config(cfg)
+        lay = build_layout(sc)
+        mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
+        params = lattice_units(sc.params)
+        s0 = initial_state(sc.initial, lay, mapping, params)
+        assert s0.n_qubits == 19
+        tracemalloc.start()
+        try:
+            obs = standard_observables(s0, lay, mapping, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert obs["total_particle_number"] == 0.0
+        assert obs["flux_link0"] == obs["flux_link3"] == params.e
 
 
 class TestConfigReadout:
@@ -357,6 +405,16 @@ class TestConfigReadout:
         probs = config_probabilities(st, lay, mapping=fermion_mapping("jw", 6),
                                      params=params)
         assert abs(sum(probs.values()) - 1.0) < 1e-10
+
+    def test_empty_readout(self, vacuum_system):
+        lay, params, *_ = vacuum_system
+        mapping = fermion_mapping("jw", 6)
+        labels = basis_config_label(lay, mapping, params.theta_along,
+                                    np.array([], dtype=np.int64))
+        assert labels.shape == (0,) and labels.dtype.kind == "U"
+        # every probability is 1e-14, below the readout tolerance
+        st = StateVector(12, np.full(1 << 12, 1e-7, dtype=complex))
+        assert config_probabilities(st, lay, mapping, params) == {}
 
     def test_vacuum_decay_decomposition(self, vacuum_system):
         lay, params, h, s0 = vacuum_system
