@@ -9,7 +9,8 @@ Commands::
 
 Exit codes: 0 ok, 2 config error, 3 resource limit. Model couplings are
 interpreted in lattice units (the Hamiltonian is built with spacing 1; the
-nominal physical spacing is carried as metadata in `model.a`).
+nominal physical spacing `model.a` is validated and written to the metadata
+as `a_nominal`).
 
 A run starts from a basis state with G_x = 0 at every site (anything else
 is a config error). The exact curve evolves in that Gauss-law sector, as
@@ -66,6 +67,8 @@ class ConfigError(Exception):
 class ResourceLimitError(Exception):
     pass
 
+
+MAX_STEPS = 100_000  # longest curve (time steps) a run may ask for
 
 PRESETS: dict[str, dict] = {
     "vacuum_decay": {
@@ -234,8 +237,9 @@ def _resource_report(cfg: dict) -> dict:
 
 
 def _n_steps(t_max: float, dt: float) -> int:
-    """Steps of dt that fit in t_max, forgiving a float ratio like 1.0/0.01."""
-    return math.floor(t_max / dt * (1 + 1e-9))
+    """Steps of dt that fit in t_max, forgiving a float ratio like 1.0/0.01;
+    capped at MAX_STEPS + 1, so that a ratio of inf still counts."""
+    return math.floor(min(t_max / dt * (1 + 1e-9), MAX_STEPS + 1))
 
 
 def validate_config(cfg: dict) -> ScenarioConfig:
@@ -245,7 +249,7 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         raise ConfigError("$.scenario", f"unknown scenario {scenario!r}")
     prefix = _optional(cfg, "output", dict, "$", {}).get("prefix", scenario)
     # a bare file-name stem, so every output stays inside --out
-    if (not isinstance(prefix, str) or prefix in (".", "..") or "\0" in prefix
+    if (not isinstance(prefix, str) or prefix in ("", ".", "..") or "\0" in prefix
             or Path(prefix).name != prefix):
         raise ConfigError("$.output.prefix", f"not a file-name stem: {prefix!r}")
     if scenario == "resource_report":
@@ -292,7 +296,9 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     theta = cfg.get("theta", [])
     if not isinstance(theta, list):
         raise ConfigError("$.theta", "expected a list of angles")
-    params = ModelParams(c["m"], c["r"], c["a"], c["e"],
+    if len(theta) > d:
+        raise ConfigError("$.theta", f"at most one angle per direction ({d})")
+    params = ModelParams(c["m"], c["r"], c["e"],
                          tuple(_finite(x, "$.theta") for x in theta))
     if "lambda_gauss" in model:
         lam = _finite(model["lambda_gauss"], "$.model.lambda_gauss")
@@ -333,6 +339,19 @@ def validate_config(cfg: dict) -> ScenarioConfig:
             ("ordering", evolution["ordering"] in ORDERINGS, f"one of {ORDERINGS}")):
         if not ok:
             raise ConfigError(f"$.evolution.{key}", f"must be {rule}")
+    # each dt names its curve file, trotter_dt{dt:g}
+    names = [f"{dt:g}" for dt in dts]
+    if len(set(names)) < len(names):
+        raise ConfigError("$.evolution.dt", f"two steps share a curve name: {names}")
+    steps = []
+    if evolution["method"] != "trotter":
+        steps.append(("sample_dt", evolution["sample_dt"]))
+    if evolution["method"] != "exact":
+        steps += [("dt", dt) for dt in dts]
+    for key, step in steps:
+        if _n_steps(evolution["t_max"], step) > MAX_STEPS:
+            raise ConfigError(f"$.evolution.{key}",
+                              f"t_max / {step:g} is over {MAX_STEPS} steps")
 
     initial = cfg.get("initial_state", "bare_vacuum")
     return ScenarioConfig(scenario, cfg, spec, params, mapping, encoding,
@@ -343,17 +362,11 @@ def build_layout(sc: ScenarioConfig) -> RegisterLayout:
     return layout(sc.spec, spinor_components(sc.spec.d), sc.encoding, sc.spin)
 
 
-def lattice_units(params: ModelParams) -> ModelParams:
-    """Couplings are lattice-unit values; the Hamiltonian uses spacing 1."""
-    return ModelParams(params.m, params.r, 1.0, params.e, params.theta,
-                       params.lam)
-
-
 def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
     if lay.n_total > MAX_QUBITS:
         raise ResourceLimitError(
             f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
-    return assemble(lay, lattice_units(sc.params), sc.mapping)
+    return assemble(lay, sc.params, sc.mapping)
 
 
 def initial_state(label, lay: RegisterLayout, mapping, params) -> StateVector:
@@ -435,7 +448,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     lay = build_layout(sc)
     h = build_hamiltonian(sc, lay)
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
-    params = lattice_units(sc.params)
+    params = sc.params
     s0 = initial_state(sc.initial, lay, mapping, params)
     n_configs, sector = gauss_filter(lay, mapping, params)
 
@@ -482,7 +495,8 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "lattice": {"d": sc.spec.d, "extents": list(sc.spec.extents),
                     "boundary": sc.spec.boundary},
         "model": {"m": sc.params.m, "r": sc.params.r, "e": sc.params.e,
-                  "a_nominal": sc.params.a, "lambda_gauss": sc.params.lam,
+                  "a_nominal": float(sc.raw["model"].get("a", 1.0)),
+                  "lambda_gauss": sc.params.lam,
                   "theta": list(sc.params.theta)},
         "units": "lattice (Hamiltonian built with spacing 1)",
         "mapping": sc.mapping,
@@ -549,8 +563,7 @@ def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             path.write_text(text)
             written.append(path)
         return written
-    rows = scaling_table(sc.spec, [sc.spin], [sc.encoding],
-                         r=sc.params.r, params=lattice_units(sc.params))
+    rows = scaling_table(sc.spec, [sc.spin], [sc.encoding], params=sc.params)
     path = out / f"{sc.output_prefix}_resources.csv"
     path.write_text(rows_to_csv(rows))
     written.append(path)

@@ -22,12 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lgt.pauli import (
-    DROP_TOL,
-    PauliOperator,
-    PauliString,
-    decompose_matrix,
-)
+from lgt.pauli import PauliOperator, PauliString, decompose_matrix
 
 
 def check_spin(spin: float) -> int:
@@ -86,9 +81,9 @@ def embed_matrix(spin: float, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_log(spin: float, m: np.ndarray, tol: float = DROP_TOL) -> PauliOperator:
+def encode_log(spin: float, m: np.ndarray) -> PauliOperator:
     """Identity-padded embedding of a spin-space matrix, Pauli decomposed."""
-    return decompose_matrix(embed_matrix(spin, m), tol=tol)
+    return decompose_matrix(embed_matrix(spin, m))
 
 
 # -- linear (one-hot) encoding ------------------------------------------
@@ -108,7 +103,7 @@ def _one_hot_qubit(spin: float, m: float) -> int:
     return int(round(m + spin))
 
 
-def encode_lin(spin: float, which: str, tol: float = DROP_TOL) -> PauliOperator:
+def encode_lin(spin: float, which: str) -> PauliOperator:
     """One-hot encoded spin operator; ``which`` is one of x, y, z, plus."""
     d_s = check_spin(spin)
     n = d_s
@@ -122,7 +117,7 @@ def encode_lin(spin: float, which: str, tol: float = DROP_TOL) -> PauliOperator:
             # m * occupation number (I - Z)/2 of the marker qubit
             terms.append(PauliString(n, 0, 0, 0.5 * m))
             terms.append(PauliString(n, 0, 1 << q, -0.5 * m))
-        return PauliOperator.from_terms(n, terms, tol=tol)
+        return PauliOperator.from_terms(n, terms)
     if which in ("plus", "x", "y"):
         splus = PauliOperator.zero(n)
         two_s = d_s - 1

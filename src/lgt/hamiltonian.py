@@ -1,10 +1,11 @@
 """Lattice-QED Hamiltonian terms as Pauli operators over the full register.
 
-Conventions fixed here (and exercised by the counting tests):
+Couplings are in lattice units (spacing a = 1). Conventions fixed here (and
+exercised by the counting tests):
 
-* hopping/Wilson: (1/2a) sum_links psi-bar_x [i gamma^k + r] U_(x,k) psi_{x+k}
+* hopping/Wilson: (1/2) sum_links psi-bar_x [i gamma^k + r] U_(x,k) psi_{x+k}
   + h.c., with the spinor structure gamma_mix = gamma^0 (i gamma^k + r);
-* mass: (m + r d / a) sum_sites psi-bar psi;
+* mass: (m + r d) sum_sites psi-bar psi;
 * electric: (e^2/2) sum_links (Sz + theta_k)^2, static boundary links enter
   as classical constants;
 * plaquette: -(1/4 e^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.);
@@ -15,7 +16,7 @@ Conventions fixed here (and exercised by the counting tests):
   occupation is the parity of several qubits, not one qubit's Z).
 
 Identity-axes strings are kept in the assembled total (the resource counts
-are calibrated that way); ``lgt.pauli.drop_identity`` strips them on demand.
+are calibrated that way).
 """
 
 from __future__ import annotations
@@ -25,26 +26,18 @@ from dataclasses import dataclass
 from lgt.gauge import EncodedLink, qlm_link
 from lgt.lattice import Link, RegisterLayout, Site
 from lgt.matter import FermionMapping, clifford_rep, fermion_mapping, gamma_mix
-from lgt.pauli import (
-    DROP_TOL,
-    PauliOperator,
-    _phase_exponent,
-    _I_POWERS,
-)
+from lgt.pauli import PauliOperator, PauliSum
 
 
 @dataclass(frozen=True)
 class ModelParams:
     m: float
     r: float = 1.0
-    a: float = 1.0
     e: float = 1.0
     theta: tuple[float, ...] = ()
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("lattice spacing must be positive")
         if self.lam < 0:
             raise ValueError("Gauss penalty weight must be >= 0")
 
@@ -82,40 +75,6 @@ class HamiltonianTerms:
         return out
 
 
-class _Acc:
-    """Coefficient accumulator keyed by symplectic masks."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.data: dict[tuple[int, int], complex] = {}
-
-    def add_string(self, x: int, z: int, c: complex) -> None:
-        key = (x, z)
-        self.data[key] = self.data.get(key, 0.0) + c
-
-    def add_operator(self, op: PauliOperator, scale: complex = 1.0) -> None:
-        for t in op.terms:
-            self.add_string(t.x, t.z, scale * t.coeff)
-
-    def add_product(self, a: PauliOperator, b_terms, offset: int,
-                    scale: complex = 1.0) -> None:
-        """a (on the full register) times strings on a shifted subregister."""
-        for ta in a.terms:
-            for tb in b_terms:
-                xb, zb = tb.x << offset, tb.z << offset
-                k = _phase_exponent(ta.x, ta.z, xb, zb)
-                self.add_string(ta.x ^ xb, ta.z ^ zb,
-                                scale * ta.coeff * tb.coeff * _I_POWERS[k])
-
-    def hermitize(self) -> None:
-        """Replace the accumulated T by T + T^dag (keeps 2 Re of coefficients)."""
-        self.data = {k: 2 * v.real for k, v in self.data.items()
-                     if abs(v.real) > 0}
-
-    def to_operator(self, tol: float = DROP_TOL) -> PauliOperator:
-        return PauliOperator._from_dict(self.n, self.data, tol)
-
-
 def _encoded_links(layout: RegisterLayout, params: ModelParams) -> dict[Link, EncodedLink]:
     return {
         link: qlm_link(layout.spin, layout.encoding, params.theta_along(link.direction))
@@ -128,7 +87,7 @@ def site_psidagpsi(layout: RegisterLayout, mapping: FermionMapping,
     """Total occupation of a site's spinor components: the sum of the
     mapped number operators, so it reads the same under every mapping."""
     n = layout.n_total
-    acc = _Acc(n)
+    acc = PauliSum(n)
     for alpha in range(layout.n_spinor):
         acc.add_operator(mapping.number(layout.fermionic_mode(site, alpha)).embed(n))
     return acc.to_operator()
@@ -137,8 +96,8 @@ def site_psidagpsi(layout: RegisterLayout, mapping: FermionMapping,
 def build_mass(layout: RegisterLayout, params: ModelParams,
                mapping: FermionMapping) -> PauliOperator:
     rep = clifford_rep(layout.spec.d)
-    coeff = params.m + params.r * layout.spec.d / params.a
-    acc = _Acc(layout.n_total)
+    coeff = params.m + params.r * layout.spec.d
+    acc = PauliSum(layout.n_total)
     g0 = rep.gammas[0]
     for site in layout.spec.sites():
         for alpha in range(layout.n_spinor):
@@ -152,17 +111,10 @@ def build_mass(layout: RegisterLayout, params: ModelParams,
 
 
 def build_hopp_wilson(layout: RegisterLayout, params: ModelParams,
-                      mapping: FermionMapping,
-                      links: dict[Link, EncodedLink] | None = None) -> PauliOperator:
+                      mapping: FermionMapping) -> PauliOperator:
     rep = clifford_rep(layout.spec.d)
-    links = links if links is not None else _encoded_links(layout, params)
-    acc = _Acc(layout.n_total)
-    pref = 1.0 / (2.0 * params.a)
-    for link in layout.links:
-        try:
-            enc = links[link]
-        except KeyError:
-            raise KeyError(f"missing encoded link for {link}") from None
+    acc = PauliSum(layout.n_total)
+    for link, enc in _encoded_links(layout, params).items():
         head = layout.spec.neighbor(link.site, link.direction)
         gmix = gamma_mix(rep, link.direction + 1, params.r)
         offset = layout.gauge_offset(link)
@@ -174,40 +126,34 @@ def build_hopp_wilson(layout: RegisterLayout, params: ModelParams,
                 j = layout.fermionic_mode(head, beta)
                 ferm = mapping.bilinear(i, j).embed(layout.n_total)
                 acc.add_product(ferm, enc.u.terms, offset,
-                                scale=pref * gmix[alpha, beta])
+                                scale=0.5 * gmix[alpha, beta])
     acc.hermitize()
     return acc.to_operator()
 
 
-def build_electric(layout: RegisterLayout, params: ModelParams,
-                   links: dict[Link, EncodedLink] | None = None) -> PauliOperator:
-    links = links if links is not None else _encoded_links(layout, params)
-    acc = _Acc(layout.n_total)
+def build_electric(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
+    acc = PauliSum(layout.n_total)
     half_e2 = params.e ** 2 / 2.0
-    for link in layout.links:
-        acc.add_operator(links[link].e_sq.embed(layout.n_total, layout.gauge_offset(link)),
+    for link, enc in _encoded_links(layout, params).items():
+        acc.add_operator(enc.e_sq.embed(layout.n_total, layout.gauge_offset(link)),
                          scale=half_e2)
     for sl in layout.spec.static_links:
         acc.add_string(0, 0, half_e2 * sl.flux ** 2)
     return acc.to_operator()
 
 
-def build_plaquette(layout: RegisterLayout, params: ModelParams,
-                    links: dict[Link, EncodedLink] | None = None) -> PauliOperator:
+def build_plaquette(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
     spec = layout.spec
     if spec.d < 2:
         return PauliOperator.zero(layout.n_total)
-    links = links if links is not None else _encoded_links(layout, params)
-    acc = _Acc(layout.n_total)
+    links = _encoded_links(layout, params)
+    acc = PauliSum(layout.n_total)
     n = layout.n_total
 
-    def factor(site: Site, direction: int, dagger: bool) -> PauliOperator | None:
-        """U (or U^dag) of a plaquette edge; None for a static edge (U = 1)."""
+    def factor(site: Site, direction: int, dagger: bool) -> PauliOperator:
+        """U (or U^dag) of a plaquette edge; every edge is dynamical, as a
+        static link has only one end on the lattice."""
         link = spec.normalize_link(site, direction)
-        if link not in links:
-            if spec.static_flux(link.site, link.direction) is None:
-                raise KeyError(f"plaquette edge {link} is neither dynamical nor static")
-            return None
         enc = links[link]
         op = enc.u_dag if dagger else enc.u
         return op.embed(n, layout.gauge_offset(link))
@@ -219,8 +165,7 @@ def build_plaquette(layout: RegisterLayout, params: ModelParams,
         prod = PauliOperator.identity(n)
         for f in (factor(x, k, False), factor(xk, j, False),
                   factor(xj, k, True), factor(x, j, True)):
-            if f is not None:
-                prod = prod * f
+            prod = prod * f
         acc.add_operator(prod, scale=-1.0 / (4.0 * params.e ** 2))
     acc.hermitize()
     return acc.to_operator()
@@ -228,7 +173,6 @@ def build_plaquette(layout: RegisterLayout, params: ModelParams,
 
 def build_gauss(layout: RegisterLayout, params: ModelParams,
                 mapping: FermionMapping,
-                links: dict[Link, EncodedLink] | None = None,
                 ) -> tuple[tuple[PauliOperator, ...], PauliOperator]:
     """Per-site Gauss operators G_x and the regulator sum_x G_x^2.
 
@@ -236,13 +180,13 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
     G_x vanishes on the same physical states under jw, parity and bk.
     """
     spec = layout.spec
-    links = links if links is not None else _encoded_links(layout, params)
+    links = _encoded_links(layout, params)
     n = layout.n_total
     e = params.e
 
     g_ops = []
     for site in spec.sites():
-        acc = _Acc(n)
+        acc = PauliSum(n)
         for k in range(spec.d):
             # incoming, then outgoing flux
             for base, sign in ((spec.shift(site, k, -1), 1.0), (site, -1.0)):
@@ -256,7 +200,7 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
         acc.add_string(0, 0, -e * layout.n_spinor / 2.0)
         g_ops.append(acc.to_operator())
 
-    total = _Acc(n)
+    total = PauliSum(n)
     for g in g_ops:
         total.add_operator(g * g)
     return tuple(g_ops), total.to_operator()
@@ -266,13 +210,12 @@ def assemble(layout: RegisterLayout, params: ModelParams,
              mapping_name: str = "jw") -> HamiltonianTerms:
     """Build all Hamiltonian terms and the simplified total."""
     mapping = fermion_mapping(mapping_name, layout.n_fermionic)
-    links = _encoded_links(layout, params)
     mass = build_mass(layout, params, mapping)
-    hopp = build_hopp_wilson(layout, params, mapping, links)
-    elec = build_electric(layout, params, links)
-    plaq = build_plaquette(layout, params, links)
-    g_ops, gauss = build_gauss(layout, params, mapping, links)
-    acc = _Acc(layout.n_total)
+    hopp = build_hopp_wilson(layout, params, mapping)
+    elec = build_electric(layout, params)
+    plaq = build_plaquette(layout, params)
+    g_ops, gauss = build_gauss(layout, params, mapping)
+    acc = PauliSum(layout.n_total)
     for op in (mass, hopp, elec, plaq):
         acc.add_operator(op)
     if params.lam:

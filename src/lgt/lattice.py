@@ -4,7 +4,8 @@ Sites are integer d-tuples indexed row-major over the extents. A link is the
 pair (site, direction) normalized to the positive direction; the same link is
 reachable from the head site with the negated direction. Static boundary
 links (open boundary only) carry fixed classical flux values and never own
-qubits.
+qubits; each joins one lattice site to one site outside, and each
+(site, direction) is given at most once.
 """
 
 from __future__ import annotations
@@ -56,10 +57,19 @@ class LatticeSpec:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.static_links and self.boundary != "open":
             raise ValueError("static links require open boundary")
+        seen = set()
         for sl in self.static_links:
-            if self.contains(sl.site) and self.contains(self.shift(sl.site, sl.direction)):
+            tail_in = self.contains(sl.site)
+            head_in = self.contains(self.shift(sl.site, sl.direction))
+            if tail_in and head_in:
                 raise ValueError(
                     f"static link {sl} lies inside the dynamical region")
+            if not (tail_in or head_in):
+                raise ValueError(f"static link {sl} touches no lattice site")
+            key = (tuple(sl.site), sl.direction)
+            if key in seen:
+                raise ValueError(f"static link {sl} repeats an earlier (site, dir)")
+            seen.add(key)
 
     # -- geometry ------------------------------------------------------
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, PauliString, simplify
+from lgt.pauli import PauliOperator, PauliString
 
 MAPPING_NAMES = ("jw", "parity", "bk")
 
@@ -180,8 +180,7 @@ class AnticommutatorReport:
         return not self.violations
 
 
-def mapped_anticommutator_check(mapping: FermionMapping,
-                                tol: float = 1e-12) -> AnticommutatorReport:
+def mapped_anticommutator_check(mapping: FermionMapping) -> AnticommutatorReport:
     """Verify {a_i, a_j^dag} = delta_ij and {a_i, a_j} = 0 as Pauli operators."""
     n = mapping.n_modes
     lowers = [mapping.lowering(j) for j in range(n)]
@@ -189,11 +188,11 @@ def mapped_anticommutator_check(mapping: FermionMapping,
     violations = []
     for i in range(n):
         for j in range(n):
-            ac = simplify(lowers[i] * raises[j] + raises[j] * lowers[i], tol)
+            ac = lowers[i] * raises[j] + raises[j] * lowers[i]
             expect = PauliOperator.identity(n) if i == j else PauliOperator.zero(n)
             if (ac - expect).n_terms:
                 violations.append(f"{{a_{i}, adag_{j}}} != {int(i == j)}")
-            ac0 = simplify(lowers[i] * lowers[j] + lowers[j] * lowers[i], tol)
+            ac0 = lowers[i] * lowers[j] + lowers[j] * lowers[i]
             if ac0.n_terms:
                 violations.append(f"{{a_{i}, a_{j}}} != 0")
     return AnticommutatorReport(mapping.name, n, tuple(violations))

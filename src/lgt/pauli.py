@@ -7,9 +7,13 @@ the label convention used throughout)::
     (x_i, z_i) = (0, 0) -> I     (1, 0) -> X
                  (1, 1) -> Y     (0, 1) -> Z
 
-Products, tensor products and commutators are exact (phases tracked as powers
-of i); matrices enter only through the small-system oracle pair
-``to_matrix`` / ``decompose_matrix``.
+Products and commutators are exact (phases tracked as powers of i); matrices
+enter only through the small-system oracle pair ``to_matrix`` /
+``decompose_matrix``.
+
+``PauliSum`` is the one accumulator: every operator is built through it, so
+it alone merges, multiplies, hermitizes and sorts Pauli terms. It drops
+coefficients below ``DROP_TOL``, the one tolerance of the algebra.
 
 Every ``PauliOperator`` keeps its terms in one canonical order: by the packed
 axis word of the string, 2 bits per qubit with qubit 0 most significant and
@@ -18,7 +22,6 @@ the axis codes I < X < Y < Z. This is the lexicographic order of the labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -74,10 +77,6 @@ class PauliString(NamedTuple):
         """Number of non-identity axes."""
         return (self.x | self.z).bit_count()
 
-    @property
-    def is_identity_axes(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def with_coeff(self, coeff: complex) -> "PauliString":
         return PauliString(self.n, self.x, self.z, complex(coeff))
 
@@ -92,14 +91,6 @@ class PauliString(NamedTuple):
         return PauliString(
             self.n, self.x ^ other.x, self.z ^ other.z,
             self.coeff * other.coeff * _I_POWERS[k],
-        )
-
-    def tensor(self, other: "PauliString") -> "PauliString":
-        return PauliString(
-            self.n + other.n,
-            self.x | (other.x << self.n),
-            self.z | (other.z << self.n),
-            self.coeff * other.coeff,
         )
 
 
@@ -132,37 +123,48 @@ class ClassifyCounts(NamedTuple):
     n_mixed: int
 
 
-@dataclass(frozen=True)
-class PauliOperator:
-    """Simplified weighted sum of Pauli strings in a canonical total order.
+class PauliSum:
+    """Coefficient accumulator keyed by symplectic masks (x, z).
 
-    Instances are immutable; every constructor merges duplicate axis
-    sequences, drops coefficients below the tolerance and sorts terms by
-    their packed axis word (qubit 0 most significant, I < X < Y < Z), which
-    is the lexicographic order of the labels.
+    ``to_operator`` drops coefficients with |c| < ``DROP_TOL`` and sorts the
+    rest into the canonical order of ``PauliOperator``.
     """
 
-    n_qubits: int
-    terms: tuple[PauliString, ...]
+    def __init__(self, n: int):
+        self.n = n
+        self.data: dict[tuple[int, int], complex] = {}
 
-    # -- constructors -------------------------------------------------
+    def add_string(self, x: int, z: int, c: complex) -> None:
+        key = (x, z)
+        self.data[key] = self.data.get(key, 0.0) + c
 
-    @classmethod
-    def from_terms(cls, n: int, terms: Iterable[PauliString],
-                   tol: float = DROP_TOL) -> "PauliOperator":
-        acc: dict[tuple[int, int], complex] = {}
-        for t in terms:
-            if t.n != n:
-                raise ValueError(f"term on {t.n} qubits in {n}-qubit operator")
-            key = (t.x, t.z)
-            acc[key] = acc.get(key, 0.0) + t.coeff
-        return cls._from_dict(n, acc, tol)
+    def add_operator(self, op: "PauliOperator", scale: complex = 1.0) -> None:
+        for t in op.terms:
+            self.add_string(t.x, t.z, scale * t.coeff)
 
-    @classmethod
-    def _from_dict(cls, n: int, acc: dict[tuple[int, int], complex],
-                   tol: float = DROP_TOL) -> "PauliOperator":
-        strings = [PauliString(n, x, z, c) for (x, z), c in acc.items()
-                   if abs(c) >= tol]
+    def add_product(self, a: "PauliOperator", b_terms: Iterable[PauliString],
+                    offset: int = 0, scale: complex = 1.0) -> None:
+        """Add scale * a * b, with a on the full register and the strings of
+        b on the subregister that starts at qubit ``offset``."""
+        data = self.data
+        b = [(t.x << offset, t.z << offset, t.coeff) for t in b_terms]
+        for ta in a.terms:
+            xa, za = ta.x, ta.z
+            ca = scale * ta.coeff
+            for xb, zb, cb in b:
+                k = _phase_exponent(xa, za, xb, zb)
+                key = (xa ^ xb, za ^ zb)
+                data[key] = data.get(key, 0.0) + ca * cb * _I_POWERS[k]
+
+    def hermitize(self) -> None:
+        """Replace the accumulated T by T + T^dag (keeps 2 Re of coefficients)."""
+        self.data = {k: 2 * v.real for k, v in self.data.items()
+                     if abs(v.real) > 0}
+
+    def to_operator(self) -> "PauliOperator":
+        n = self.n
+        strings = [PauliString(n, x, z, c) for (x, z), c in self.data.items()
+                   if abs(c) >= DROP_TOL]
         # Sort key: the packed axis words of each term, compared as bytes;
         # zero qubits still get one (all-I) byte, as NumPy has no 0-byte rows.
         nbytes = (n + 7) // 8 or 1
@@ -173,7 +175,32 @@ class PauliOperator:
                 _mask_bytes((t.z for t in block), nbytes),
                 _mask_bytes((t.x ^ t.z for t in block), nbytes)]
         order = np.argsort(keys.view(f"S{2 * nbytes}").ravel())
-        return cls(n, tuple(map(strings.__getitem__, order)))
+        return PauliOperator(n, tuple(map(strings.__getitem__, order)))
+
+
+@dataclass(frozen=True)
+class PauliOperator:
+    """Simplified weighted sum of Pauli strings in a canonical total order.
+
+    Instances are immutable; every constructor builds through ``PauliSum``,
+    which merges duplicate axis sequences, drops coefficients below
+    ``DROP_TOL`` and sorts terms by their packed axis word (qubit 0 most
+    significant, I < X < Y < Z), the lexicographic order of the labels.
+    """
+
+    n_qubits: int
+    terms: tuple[PauliString, ...]
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_terms(cls, n: int, terms: Iterable[PauliString]) -> "PauliOperator":
+        acc = PauliSum(n)
+        for t in terms:
+            if t.n != n:
+                raise ValueError(f"term on {t.n} qubits in {n}-qubit operator")
+            acc.add_string(t.x, t.z, t.coeff)
+        return acc.to_operator()
 
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliOperator":
@@ -244,13 +271,9 @@ class PauliOperator:
             return self.scale(other)
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit-count mismatch in operator product")
-        acc: dict[tuple[int, int], complex] = {}
-        for a in self.terms:
-            for b in other.terms:
-                k = _phase_exponent(a.x, a.z, b.x, b.z)
-                key = (a.x ^ b.x, a.z ^ b.z)
-                acc[key] = acc.get(key, 0.0) + a.coeff * b.coeff * _I_POWERS[k]
-        return PauliOperator._from_dict(self.n_qubits, acc)
+        acc = PauliSum(self.n_qubits)
+        acc.add_product(self, other.terms)
+        return acc.to_operator()
 
     def dagger(self) -> "PauliOperator":
         return PauliOperator(self.n_qubits,
@@ -266,50 +289,26 @@ class PauliOperator:
                   for t in self.terms))
 
 
-def tensor(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Tensor product; a's qubits first, then b's."""
-    return PauliOperator.from_terms(
-        a.n_qubits + b.n_qubits,
-        [ta.tensor(tb) for ta in a.terms for tb in b.terms])
-
-
 def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return a * b - b * a
 
 
-def simplify(op: PauliOperator, tol: float = DROP_TOL) -> PauliOperator:
-    """Re-merge like terms and drop coefficients with |c| < tol."""
-    return PauliOperator.from_terms(op.n_qubits, op.terms, tol=tol)
-
-
-def classify(op: PauliOperator, tol: float = DROP_TOL) -> ClassifyCounts:
+def classify(op: PauliOperator) -> ClassifyCounts:
     """Partition term coefficients into purely real / purely imaginary / mixed."""
     n_real = n_imag = n_mixed = 0
     for t in op.terms:
         re, im = abs(t.coeff.real), abs(t.coeff.imag)
-        if im < tol:
+        if im < DROP_TOL:
             n_real += 1
-        elif re < tol:
+        elif re < DROP_TOL:
             n_imag += 1
         else:
             n_mixed += 1
     return ClassifyCounts(n_real, n_imag, n_mixed)
 
 
-def is_hermitian(op: PauliOperator, tol: float = DROP_TOL) -> bool:
-    return all(abs(t.coeff.imag) < tol for t in op.terms)
-
-
-def drop_identity(op: PauliOperator) -> tuple[PauliOperator, complex]:
-    """Remove the identity-axes term; returns (operator, dropped shift)."""
-    shift = 0.0
-    kept = []
-    for t in op.terms:
-        if t.is_identity_axes:
-            shift += t.coeff
-        else:
-            kept.append(t)
-    return PauliOperator(op.n_qubits, tuple(kept)), shift
+def is_hermitian(op: PauliOperator) -> bool:
+    return all(abs(t.coeff.imag) < DROP_TOL for t in op.terms)
 
 
 # -- dense-matrix oracle ----------------------------------------------
@@ -355,11 +354,11 @@ def to_matrix(op: PauliOperator) -> np.ndarray:
 
 
 def _block_decompose(m: np.ndarray, prefix_x: int, prefix_z: int, qubit: int,
-                     out: dict[tuple[int, int], complex]) -> None:
+                     out: PauliSum) -> None:
     if m.shape[0] == 1:
         c = m[0, 0]
         if c != 0:
-            out[(prefix_x, prefix_z)] = c
+            out.add_string(prefix_x, prefix_z, c)
         return
     h = m.shape[0] // 2
     a, b = m[:h, :h], m[:h, h:]
@@ -375,7 +374,7 @@ def _block_decompose(m: np.ndarray, prefix_x: int, prefix_z: int, qubit: int,
             _block_decompose(blk, prefix_x | x, prefix_z | z, qubit + 1, out)
 
 
-def decompose_matrix(m: np.ndarray, tol: float = DROP_TOL) -> PauliOperator:
+def decompose_matrix(m: np.ndarray) -> PauliOperator:
     """Pauli decomposition with Hilbert-Schmidt coefficients Tr(P m)/2^n."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -387,32 +386,7 @@ def decompose_matrix(m: np.ndarray, tol: float = DROP_TOL) -> PauliOperator:
     if n > ORACLE_LIMIT:
         raise ValueError(f"decompose_matrix limited to {ORACLE_LIMIT} qubits")
     # The recursion splits on the most significant index bit, which is qubit 0.
-    out: dict[tuple[int, int], complex] = {}
+    out = PauliSum(n)
     _block_decompose(m, 0, 0, 0, out)
-    return PauliOperator._from_dict(n, out, tol)
+    return out.to_operator()
 
-
-# -- serialization ----------------------------------------------------
-
-
-def operator_to_json(op: PauliOperator) -> str:
-    """JSON array of {"coeff": [re, im], "axes": "XIZY..."} with qubit 0 leftmost."""
-    payload = [
-        {"coeff": [t.coeff.real, t.coeff.imag], "axes": t.label}
-        for t in op.terms
-    ]
-    return json.dumps(payload)
-
-
-def operator_from_json(text: str, n_qubits: int | None = None) -> PauliOperator:
-    payload = json.loads(text)
-    if not payload and n_qubits is None:
-        raise ValueError("empty operator needs an explicit qubit count")
-    strings = [
-        PauliString.from_label(item["axes"],
-                               complex(item["coeff"][0], item["coeff"][1]))
-        for item in payload
-    ]
-    n = n_qubits if n_qubits is not None else strings[0].n
-    # bit-exact round trip: merging must not alter lone coefficients
-    return PauliOperator.from_terms(n, strings, tol=0.0)

@@ -188,22 +188,22 @@ CSV_HEADER = ("term,S,encoding,n_pauli_exact,n_pauli_formula,n_cnot,"
 
 
 def scaling_table(spec: LatticeSpec, spins, encodings=("log",),
-                  r: float = 1.0, params=None) -> list[ResourceRow]:
+                  params=None) -> list[ResourceRow]:
     """Per-term resource rows; exact columns filled by construction when feasible."""
     from lgt.hamiltonian import ModelParams, assemble
     from lgt.lattice import layout as make_layout
 
+    model = params or ModelParams(m=1.0)
     rows = []
     n_spinor = spinor_components(spec.d)
     for encoding in encodings:
         for spin in spins:
-            pred = predict_pauli_counts(spec, spin, encoding, r=r)
+            pred = predict_pauli_counts(spec, spin, encoding, r=model.r)
             ferm = spec.n_sites * n_spinor
             gauge = spec.n_links * gauge_qubits_per_link(encoding, spin)
             feasible = (pred.total <= ENUMERATION_LIMIT
                         and check_spin(spin) <= 1 << 6)
             if feasible:
-                model = params or ModelParams(m=1.0, r=r, a=1.0, e=1.0)
                 h = assemble(make_layout(spec, n_spinor, encoding, spin), model)
                 built = {"mass": h.mass, "hopping": h.hopp_wilson,
                          "electric": h.elec, "plaquette": h.plaq,

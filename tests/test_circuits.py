@@ -80,7 +80,7 @@ class TestSynthPauliExp:
 @pytest.fixture(scope="module")
 def small_h():
     lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
-    return assemble(lay, ModelParams(m=0.5, r=1.0, a=1.0, e=1.0, lam=2.0))
+    return assemble(lay, ModelParams(m=0.5, r=1.0, e=1.0, lam=2.0))
 
 
 class TestTrotterStepCircuit:
@@ -112,7 +112,7 @@ class TestTrotterStepCircuit:
         depths = []
         for ext in ((2, 2), (4, 4)):
             lay = layout(LatticeSpec(2, ext, "open"), 2, "log", 1.0)
-            h = assemble(lay, ModelParams(m=0.5, r=1.0, a=1.0, e=1.0))
+            h = assemble(lay, ModelParams(m=0.5, r=1.0, e=1.0))
             circ = Circuit(lay.n_total)
             for t in h.elec.terms:
                 circ.extend(synth_pauli_exp(t, 0.1))

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -19,7 +20,6 @@ from lgt.cli import (
     ScenarioConfig,
     build_layout,
     initial_state,
-    lattice_units,
     load_config,
     main,
     validate_config,
@@ -40,7 +40,7 @@ def scenario_state(path: Path):
     sc = validate_config(load_config(path))
     lay = build_layout(sc)
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
-    return initial_state(sc.initial, lay, mapping, lattice_units(sc.params))
+    return initial_state(sc.initial, lay, mapping, sc.params)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
@@ -96,6 +96,12 @@ def run_cli(tmp_path, cfg: dict) -> int:
     ({"t_max": float("inf")}, "t_max"),
     ({"sample_dt": float("nan")}, "sample_dt"),
     ({"ordering": "bogus"}, "ordering"),
+    # both curves would be written to trotter_dt0.1.csv
+    ({"dt": [0.1, 0.1]}, "dt"),
+    ({"dt": [0.1, 0.10000000001]}, "dt"),
+    # about 2e299 steps: rejected before the first one
+    ({"dt": [1e-300]}, "dt"),
+    ({"sample_dt": 1e-300}, "sample_dt"),
 ])
 def test_bad_evolution_is_config_error(tmp_path, capsys, monkeypatch, evolution, field):
     def no_assembly(*args):
@@ -123,6 +129,12 @@ def test_bad_evolution_is_config_error(tmp_path, capsys, monkeypatch, evolution,
      "$.lattice.static_links[1].flux"),
     ({"model": {"lambda_gauss": -5}}, "$.model.lambda_gauss"),
     ({"model": {"lambda_gauss": -1.0}}, "$.model.lambda_gauss"),
+    ({"theta": [0.0, 0.7]}, "$.theta"),
+    ({"lattice": {"static_links": [{"site": [-1], "dir": 0, "flux": 1.0},
+                                   {"site": [-1], "dir": 0, "flux": 0.0}]}},
+     "$.lattice"),
+    ({"lattice": {"static_links": [{"site": [7], "dir": 0, "flux": 1.0}]}},
+     "$.lattice"),
 ])
 def test_bad_model_is_config_error(tmp_path, override, path):
     config = write_config(tmp_path, {"scenario": "string_breaking_1d"} | override)
@@ -172,7 +184,8 @@ def test_overflowing_coupling_exits_2(tmp_path, capsys, monkeypatch, cfg, path):
     assert f"at {path}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prefix", ["../escaped", "sub/name", ".", "..", "nul\0byte"])
+@pytest.mark.parametrize("prefix", ["../escaped", "sub/name", ".", "..", "nul\0byte",
+                                    ""])
 def test_prefix_cannot_leave_out_dir(tmp_path, capsys, prefix):
     config = write_config(tmp_path, {"scenario": "string_breaking_1d",
                                      "output": {"prefix": prefix}})
@@ -236,6 +249,27 @@ def test_bad_qasm_dt_exits_2(tmp_path, capsys, dt):
     assert main(["qasm", str(config), "--out", str(tmp_path / "out"),
                  "--dt", dt]) == 2
     assert "at --dt:" in capsys.readouterr().err
+
+
+# SHA-256 of the paper's resource tables and of one Trotter-step circuit
+@pytest.mark.parametrize("command, config, digests", [
+    ("resources", "resource_report.json", {
+        "resource_report_per_link.csv":
+            "f666f17f22b06cab1b9a7bcbd6e43ab975ca400d04cf5c0d4af905abd4dd7873",
+        "resource_report_qubits_2d.csv":
+            "83abc3cd18db29d2639547690917666be5cdac712b9176a2f01421842b2cffd7",
+        "resource_report_qubits_3d.csv":
+            "f50095ee5f33a48f5a36b5eb8d752b10e8a7cabcd33ae9011abf837a6294a940"}),
+    ("qasm", "vacuum_decay.json", {
+        "vacuum_decay_trotter_step.qasm":
+            "d88419f0288835d919b49fe6d1fe9da57065e19aeec5fc27f6505f8e918f9432",
+        "vacuum_decay_gate_counts.json":
+            "9259a3dc02fe1b2968ceac27310b301089a97a594587cb3f101d0d80114ab66a"}),
+])
+def test_outputs_match_golden_digest(tmp_path, command, config, digests):
+    assert main([command, str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def exact_curve(tmp_path, mapping: str) -> list[dict[str, float]]:

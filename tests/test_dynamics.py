@@ -12,7 +12,6 @@ from lgt.cli import (
     PRESETS,
     build_layout,
     initial_state,
-    lattice_units,
     validate_config,
 )
 from lgt.dynamics import (
@@ -55,7 +54,7 @@ def random_hermitian_sum(rng, n, k):
 def vacuum_system():
     spec = LatticeSpec(1, (3,), "periodic")
     lay = layout(spec, 2, "log", 1.0)
-    params = ModelParams(m=0.5, r=1.0, a=1.0, e=math.sqrt(2), lam=10.0)
+    params = ModelParams(m=0.5, r=1.0, e=math.sqrt(2), lam=10.0)
     h = assemble(lay, params, "jw")
     bits = [0, 1] * 3 + [0, 1] * 3
     index = sum(b << (11 - q) for q, b in enumerate(bits))
@@ -67,7 +66,7 @@ def string_system():
     spec = LatticeSpec(1, (3,), "open",
                        (StaticLink((-1,), 0, 1.0), StaticLink((2,), 0, 1.0)))
     lay = layout(spec, 2, "log", 1.0)
-    params = ModelParams(m=0.4, r=1.0, a=1.0, e=2.0, lam=20.0)
+    params = ModelParams(m=0.4, r=1.0, e=2.0, lam=20.0)
     h = assemble(lay, params, "jw")
     bits = [0, 1] * 3 + [0, 0] * 2
     index = sum(b << (9 - q) for q, b in enumerate(bits))
@@ -378,7 +377,7 @@ class TestObservables:
         sc = validate_config(cfg)
         lay = build_layout(sc)
         mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
-        params = lattice_units(sc.params)
+        params = sc.params
         s0 = initial_state(sc.initial, lay, mapping, params)
         assert s0.n_qubits == 19
         tracemalloc.start()
@@ -492,7 +491,7 @@ class TestGaussFilter:
 
     def test_gauss_sector_conserved(self, string_system):
         lay, params, _, s0 = string_system
-        h0 = assemble(lay, ModelParams(m=0.4, r=1.0, a=1.0, e=2.0, lam=0.0), "jw")
+        h0 = assemble(lay, ModelParams(m=0.4, r=1.0, e=2.0, lam=0.0), "jw")
         _, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
         ev = ExactEvolver(h0.total)
         st = s0

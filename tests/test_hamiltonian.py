@@ -28,7 +28,7 @@ def cnot_count(op):
 def vacuum_decay():
     spec = LatticeSpec(1, (3,), "periodic")
     lay = layout(spec, 2, "log", 1.0)
-    params = ModelParams(m=0.5, r=1.0, a=0.5, e=math.sqrt(2), lam=10.0)
+    params = ModelParams(m=0.5, r=1.0, e=math.sqrt(2), lam=10.0)
     return lay, params, assemble(lay, params, "jw")
 
 
@@ -37,14 +37,14 @@ def string_breaking():
     spec = LatticeSpec(1, (3,), "open",
                        (StaticLink((-1,), 0, 1.0), StaticLink((2,), 0, 1.0)))
     lay = layout(spec, 2, "log", 1.0)
-    params = ModelParams(m=0.4, r=1.0, a=0.4, e=2.0, lam=20.0)
+    params = ModelParams(m=0.4, r=1.0, e=2.0, lam=20.0)
     return lay, params, assemble(lay, params, "jw")
 
 
 class TestMass:
     def test_single_site_two_z_strings(self):
         lay = layout(LatticeSpec(1, (1,), "open"), 2, "log", 0.5)
-        params = ModelParams(m=1.0, a=1.0)
+        params = ModelParams(m=1.0)
         op = build_mass(lay, params, fermion_mapping("jw", 2))
         assert op.n_terms == 2
         assert all(t.x == 0 and t.support == 1 for t in op.terms)
@@ -55,14 +55,14 @@ class TestMass:
 
     def test_mass_coefficient_cancellation(self):
         lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
-        params = ModelParams(m=-2.0, r=1.0, a=0.5)  # m = -r d / a
+        params = ModelParams(m=-1.0, r=1.0)  # m = -r d
         assert build_mass(lay, params, fermion_mapping("jw", 4)).is_zero()
 
 
 class TestHopping:
     def test_real_coefficients(self):
         lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
-        params = ModelParams(m=0.5, a=0.5)
+        params = ModelParams(m=0.5)
         op = build_hopp_wilson(lay, params, fermion_mapping("jw", 4))
         c = classify(op)
         assert c.n_imag == 0 and c.n_mixed == 0
@@ -72,7 +72,7 @@ class TestHopping:
         # 4 elements for the two-component Dirac representation
         for spin, per_element in ((1.0, 32), (1.5, 12)):
             lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", spin)
-            params = ModelParams(m=0.5, a=0.5)
+            params = ModelParams(m=0.5)
             op = build_hopp_wilson(lay, params, fermion_mapping("jw", 4))
             assert op.n_terms == 4 * per_element
 
@@ -86,7 +86,7 @@ class TestElectric:
     def test_spin_half_identity_only(self):
         lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
         op = build_electric(lay, ModelParams(m=0.5))
-        assert op.n_terms == 1 and op.terms[0].is_identity_axes
+        assert op.n_terms == 1 and (op.terms[0].x, op.terms[0].z) == (0, 0)
 
     def test_static_links_enter_as_constants(self, string_breaking):
         lay, params, h = string_breaking
@@ -106,7 +106,7 @@ class TestPlaquette:
         spec = LatticeSpec(2, (3, 2), "open",
                            (StaticLink((-1, 0), 0, 1.0), StaticLink((2, 0), 0, 1.0)))
         lay = layout(spec, 2, "log", 0.5)
-        params = ModelParams(m=0.4, a=0.4, e=2.0, theta=(0.5, 0.5))
+        params = ModelParams(m=0.4, e=2.0, theta=(0.5, 0.5))
         op = build_plaquette(lay, params)
         assert op.n_terms == 2 * 8  # two plaquettes, 8 strings each at S=1/2
         assert is_hermitian(op)
@@ -153,7 +153,7 @@ class TestCalibratedCounts:
 
     def test_lambda_zero_drops_gauss(self, vacuum_decay):
         lay, params, _ = vacuum_decay
-        h0 = assemble(lay, ModelParams(m=0.5, r=1.0, a=0.5, e=math.sqrt(2)), "jw")
+        h0 = assemble(lay, ModelParams(m=0.5, r=1.0, e=math.sqrt(2)), "jw")
         assert h0.n_terms == 400
 
     def test_string_breaking_305(self, string_breaking):
@@ -203,7 +203,7 @@ class TestInvariants:
         # 2-site variant of the vacuum-decay system stays within 10 qubits
         spec = LatticeSpec(1, (2,), "periodic")
         lay = layout(spec, 2, "log", 1.0)
-        h = assemble(lay, ModelParams(m=0.5, r=1.0, a=0.5, e=math.sqrt(2), lam=10.0))
+        h = assemble(lay, ModelParams(m=0.5, r=1.0, e=math.sqrt(2), lam=10.0))
         m = to_matrix(h.total)
         assert np.allclose(m, m.conj().T)
         evals = np.linalg.eigvalsh(m)

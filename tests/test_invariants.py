@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgt.cli import PRESETS, build_layout, lattice_units, validate_config
+from lgt.cli import PRESETS, build_layout, validate_config
 from lgt.dynamics import (
     ORDERINGS,
     OperatorAction,
@@ -37,7 +37,7 @@ class Systems:
             sc = validate_config(PRESETS[name] | {"scenario": name})
             lay = build_layout(sc)
             mapping = fermion_mapping(mapping_name, lay.n_fermionic)
-            params = lattice_units(sc.params)
+            params = sc.params
             _, sector = gauss_filter(lay, mapping, params)
             self._built[key] = lay, mapping, params.theta, sector
         return self._built[key]
@@ -57,7 +57,7 @@ couplings = st.fixed_dictionaries({
 
 
 def hamiltonian(lay, mapping_name, theta, c):
-    params = ModelParams(c["m"], c["r"], 1.0, c["e"], theta, c["lam"])
+    params = ModelParams(c["m"], c["r"], c["e"], theta, c["lam"])
     return params, assemble(lay, params, mapping_name)
 
 
@@ -82,7 +82,7 @@ def test_sector_spectrum_same_for_every_mapping(systems, name, size):
     for mapping_name in MAPPING_NAMES:
         lay, _, _, sector = systems.get(name, mapping_name)
         assert len(sector) == size
-        h = assemble(lay, lattice_units(sc.params), mapping_name)
+        h = assemble(lay, sc.params, mapping_name)
         matrix = OperatorAction(h.total, basis=sector).matrix().toarray()
         spectra[mapping_name] = np.linalg.eigvalsh(matrix)
     for mapping_name in ("parity", "bk"):

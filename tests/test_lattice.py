@@ -99,6 +99,13 @@ def test_static_links_validation():
                     (StaticLink((-1,), 0, 1.0),))
     with pytest.raises(ValueError):
         LatticeSpec(1, (3,), "open", (StaticLink((0,), 0, 1.0),))
+    # Gauss's law would read only the first flux, the energy would count both
+    with pytest.raises(ValueError, match="repeats"):
+        LatticeSpec(1, (3,), "open",
+                    (StaticLink((-1,), 0, 1.0), StaticLink((-1,), 0, 0.0)))
+    # neither end on the lattice: the link would only shift the energy
+    with pytest.raises(ValueError, match="touches no lattice site"):
+        LatticeSpec(1, (3,), "open", (StaticLink((7,), 0, 1.0),))
     spec = LatticeSpec(1, (3,), "open",
                        (StaticLink((-1,), 0, 1.0), StaticLink((2,), 0, 1.0)))
     assert spec.static_flux((-1,), 0) == 1.0

@@ -84,7 +84,7 @@ class TestPredictions:
     def test_exact_counts_match_predictions(self):
         spec = LatticeSpec(1, (3,), "periodic")
         lay = layout(spec, 2, "log", 1.0)
-        params = ModelParams(m=0.5, r=1.0, a=0.5, e=math.sqrt(2))
+        params = ModelParams(m=0.5, r=1.0, e=math.sqrt(2))
         mapping = fermion_mapping("jw", lay.n_fermionic)
         pred = predict_pauli_counts(spec, 1.0, "log")
         assert build_hopp_wilson(lay, params, mapping).n_terms == pred.hopping
