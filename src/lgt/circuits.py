@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lgt.pauli import PauliString
+from lgt.pauli import PauliString, _index_mask
 
 GATE_NAMES = ("h", "s", "sdg", "rz", "cx")
 
@@ -145,15 +145,12 @@ def circuit_unitary(circ: Circuit, max_qubits: int = 8) -> np.ndarray:
     idx = np.arange(dim)
     for g in circ.gates:
         if g.name == "cx":
-            ctrl, tgt = g.qubits
-            cbit = 1 << (n - 1 - ctrl)
-            tbit = 1 << (n - 1 - tgt)
+            cbit, tbit = (_index_mask(1 << q, n) for q in g.qubits)
             perm = np.where(idx & cbit, idx ^ tbit, idx)
             u = u[perm, :]
         else:
-            q = g.qubits[0]
             m = _gate_matrix(g)
-            bit = 1 << (n - 1 - q)
+            bit = _index_mask(1 << g.qubits[0], n)
             lo = idx[(idx & bit) == 0]
             hi = lo | bit
             rows_lo = m[0, 0] * u[lo, :] + m[0, 1] * u[hi, :]

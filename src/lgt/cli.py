@@ -46,13 +46,12 @@ from lgt.dynamics import (
 )
 from lgt.gauge import check_spin, flux_state_index, is_perfectly_representable
 from lgt.hamiltonian import HamiltonianTerms, ModelParams, assemble, default_lambda
-from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink, layout, spinor_components
+from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import MAPPING_NAMES, fermion_mapping
 from lgt.resources import (
     closed_form_link_counts,
     cnot_per_trotter_step,
     link_resource_counts,
-    qubit_report,
     rows_to_csv,
     scaling_table,
 )
@@ -69,6 +68,10 @@ class ResourceLimitError(Exception):
 
 
 MAX_STEPS = 100_000  # longest curve (time steps) a run may ask for
+# Largest sum |coeff| * t_max an exact curve may take. expm_multiply's step
+# count grows with ||H|| t, and its norm estimates of (H t)^p overflow to inf
+# long before a finite coupling does; shipped configs reach 4,905.
+MAX_EXACT_NORM_T = 1e7
 
 PRESETS: dict[str, dict] = {
     "vacuum_decay": {
@@ -359,7 +362,7 @@ def validate_config(cfg: dict) -> ScenarioConfig:
 
 
 def build_layout(sc: ScenarioConfig) -> RegisterLayout:
-    return layout(sc.spec, spinor_components(sc.spec.d), sc.encoding, sc.spin)
+    return RegisterLayout(sc.spec, sc.encoding, sc.spin)
 
 
 def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
@@ -403,15 +406,14 @@ def initial_state(label, lay: RegisterLayout, mapping, params) -> StateVector:
     else:
         raise ConfigError("$.initial_state", f"unsupported label {label!r}")
 
-    index = mapping.encode_occupations(occupations) << (lay.n_total - lay.n_fermionic)
+    index = mapping.encode_occupations(occupations) << lay.n_gauge
     for li, link in enumerate(lay.links):
         m_val = fluxes[li] - params.theta_along(link.direction)
         try:
             local = flux_state_index(lay.spin, lay.encoding, m_val)
         except ValueError as exc:
             raise ConfigError(f"$.initial_state.link_fluxes[{li}]", str(exc)) from exc
-        offset = lay.n_fermionic + li * lay.qubits_per_link
-        index |= local << (lay.n_total - offset - lay.qubits_per_link)
+        index |= local << lay.register_shift(li)
     g = gauss_law(lay, *decode_basis(lay, mapping, params.theta_along, [index]))[0]
     bad = np.flatnonzero(np.abs(g) > GAUSS_TOL)
     if bad.size:
@@ -447,6 +449,13 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     lay = build_layout(sc)
     h = build_hamiltonian(sc, lay)
+    evo = sc.evolution
+    t_max = evo["t_max"]
+    if evo["method"] != "trotter":
+        norm_t = sum(abs(t.coeff) for t in h.total.terms) * t_max
+        if not norm_t <= MAX_EXACT_NORM_T:  # also inf and nan
+            raise ConfigError("$.model", f"sum |coeff| * t_max = {norm_t:g} is over "
+                              f"{MAX_EXACT_NORM_T:g}, too large for the exact curve")
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
     params = sc.params
     s0 = initial_state(sc.initial, lay, mapping, params)
@@ -457,8 +466,6 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         return (t, loschmidt(s0, st), n_part,
                 config_probabilities(st, lay, mapping, params))
 
-    evo = sc.evolution
-    t_max = evo["t_max"]
     curves: dict[str, list] = {}
     if evo["method"] in ("exact", "both"):
         ev = ExactEvolver(h.total, sector)
@@ -538,10 +545,11 @@ def _qubit_csv(lattices, spins) -> str:
     lines = ["lattice,S,nqubits_total,nqubits_fermionic,nqubits_gauge"]
     for extents in lattices:
         for spin in spins:
-            rep = qubit_report(tuple(extents), "open", spin)
+            lay = RegisterLayout(LatticeSpec(len(extents), tuple(extents), "open"),
+                                 "log", spin)
             name = "x".join(str(e) for e in extents)
-            lines.append(f"{name},{spin:g},{rep.n_total},{rep.n_fermionic},"
-                         f"{rep.n_gauge}")
+            lines.append(f"{name},{spin:g},{lay.n_total},{lay.n_fermionic},"
+                         f"{lay.n_gauge}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,13 +2,13 @@
 evolution, the basis decoder, physical observables, configuration readout
 and the Gauss-law filter.
 
-Basis convention: qubit 0 is the most significant bit of the computational
-basis index (matching ``lgt.pauli.to_matrix``), so in the (2,)*n view of the
-amplitudes qubit q is axis q. exp(-i theta P) works on that view with no
-index arrays: the X/Y axes of P become reversed slices (views), and the
-Z/Y parity is a broadcast tensor of 2^|Z/Y axes| entries with cos/sin
-folded in. A diagonal P is one in-place multiply. A Trotter plan builds
-these factors once per string; nothing is cached at module level.
+Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``, so
+in the (2,)*n view of the amplitudes qubit q is axis q. exp(-i theta P)
+works on that view with no index arrays: the X/Y axes of P become
+reversed slices (views), and the Z/Y parity is a broadcast tensor of
+2^|Z/Y axes| entries with cos/sin folded in. A diagonal P is one in-place
+multiply. A Trotter plan builds these factors once per string; nothing is
+cached at module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes; observables, configuration labels and the Gauss-law
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lgt.gauge import check_spin
+from lgt.gauge import check_spin, register_flux
 from lgt.hamiltonian import HamiltonianTerms
 from lgt.lattice import Link, RegisterLayout
 from lgt.matter import FermionMapping
-from lgt.pauli import PauliOperator, PauliString, _index_mask
+from lgt.pauli import PauliOperator, PauliString, _index_mask, index_masks
 
 MAX_QUBITS = 24      # statevector simulation limit
 LEAK_TOL = 1e-12     # allowed |<out|H|in>| per unit of sum |coeff| across a span
@@ -74,13 +74,6 @@ def loschmidt(state0: StateVector, state_t: StateVector) -> float:
 # -- Pauli-exponential kernel ----------------------------------------------
 
 
-def _string_masks(p: PauliString) -> tuple[int, int, complex]:
-    """(index xmask, index zmask, i^|Y|) of a string's axes."""
-    n = p.n
-    return (_index_mask(p.x, n), _index_mask(p.z, n),
-            (1j) ** ((p.x & p.z).bit_count() % 4))
-
-
 def _parity_signs(masked: np.ndarray) -> np.ndarray:
     """(-1)^parity of each entry as a float vector."""
     return np.where(np.bitwise_count(masked) & 1, -1.0, 1.0)
@@ -103,7 +96,7 @@ def _exp_factors(p: PauliString, theta: float):
         return None, 1.0, np.exp(-1j * theta * signs)
     flip = tuple(slice(None, None, -1) if (p.x >> q) & 1 else slice(None)
                  for q in range(p.n))
-    ypow = (1j) ** ((p.x & p.z).bit_count() % 4)
+    ypow = index_masks(p)[2]
     return flip, math.cos(theta), (1j * math.sin(theta) * ypow) * signs[flip]
 
 
@@ -149,7 +142,7 @@ class OperatorAction:
         # the diagonal group always exists, so the action is never empty
         diags: dict[int, np.ndarray] = {0: np.zeros(dim, dtype=complex)}
         for t in op.terms:
-            xm, zm, ypow = _string_masks(t)
+            xm, zm, ypow = index_masks(t)
             diag = diags.get(xm)
             if diag is None:
                 diag = diags[xm] = np.zeros(dim, dtype=complex)
@@ -309,17 +302,12 @@ def decode_basis(layout: RegisterLayout, mapping: FermionMapping,
     occ = np.empty((len(idx), len(masks)), dtype=np.int8)
     for j, mask in enumerate(masks):
         occ[:, j] = np.bitwise_count(idx & _index_mask(mask, n)) & 1
-    d_s = check_spin(layout.spin)
-    qpl = layout.qubits_per_link
+    width = (1 << layout.qubits_per_link) - 1
     flux = np.empty((len(idx), len(layout.links)))
     for li, link in enumerate(layout.links):
-        reg = (idx >> (layout.n_gauge - (li + 1) * qpl)) & ((1 << qpl) - 1)
-        if layout.encoding == "log":
-            m, ok = layout.spin - reg, reg < d_s
-        else:
-            # one-hot qubit b marks m = b - S reading the register left to right
-            m, ok = (qpl - np.frexp(reg)[1]) - layout.spin, np.bitwise_count(reg) == 1
-        flux[:, li] = np.where(ok, m + theta_along(link.direction), np.nan)
+        reg = (idx >> layout.register_shift(li)) & width
+        flux[:, li] = (register_flux(layout.spin, layout.encoding, reg)
+                       + theta_along(link.direction))
     return occ, flux
 
 
@@ -407,14 +395,13 @@ def gauss_law(layout: RegisterLayout, occ: np.ndarray, flux: np.ndarray
     minus the outgoing flux (NaN where a link is outside its window)."""
     spec = layout.spec
     n_sp = layout.n_spinor
-    position = {link: i for i, link in enumerate(layout.links)}
     g = np.empty((len(occ), spec.n_sites))
     for s, site in enumerate(spec.sites()):
         col = occ[:, s * n_sp:(s + 1) * n_sp].sum(axis=1) - n_sp / 2.0
         for k in range(spec.d):
             for base, sign in ((spec.shift(site, k, -1), 1.0), (site, -1.0)):
                 link = spec.link_or_flux(base, k)
-                col = col + sign * (flux[:, position[link]]
+                col = col + sign * (flux[:, layout.link_index(link)]
                                     if isinstance(link, Link) else link)
         g[:, s] = col
     return g
@@ -429,7 +416,7 @@ def gauss_filter(layout: RegisterLayout, mapping: FermionMapping, params
     n = layout.n_total
     if n > MAX_QUBITS:
         raise ValueError(f"configuration enumeration limited to {MAX_QUBITS} qubits")
-    total = (1 << layout.n_fermionic) * check_spin(layout.spin) ** len(layout.links)
+    total = (1 << layout.n_fermionic) * check_spin(layout.spin) ** layout.spec.n_links
     kept = []
     for start in range(0, 1 << n, GAUSS_BLOCK):
         idx = np.arange(start, min(start + GAUSS_BLOCK, 1 << n), dtype=np.int64)

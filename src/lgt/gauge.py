@@ -3,11 +3,15 @@
 The gauge field on a link is truncated to a spin S system with d_S = 2S + 1
 flux states |m>, m = S .. -S. Two encodings are provided:
 
-* logarithmic: state |m> -> basis index S - m on ceil(log2 d_S) qubits
-  (most significant qubit first); operators are embedded with an identity
-  block on the unused states and Pauli-decomposed.
-* linear: one-hot on d_S qubits, |m> -> the qubit at position m + S counted
-  from the left; operators are built from sigma+- pairs.
+* logarithmic: |m> is the register value S - m on ceil(log2 d_S) qubits;
+  operators are embedded with an identity block on the unused states and
+  Pauli-decomposed.
+* linear: one-hot on d_S qubits, |m> marks qubit m + S of the register;
+  operators are built from sigma+- pairs.
+
+``flux_state_index`` and ``register_flux`` convert between a flux and its
+register value; ``lgt.lattice.RegisterLayout`` states where the register
+sits in the basis index.
 
 Encoded link operators are kept in units of the charge e: E = Sz + theta,
 U = S+ / sqrt(S(S+1)), with the spin matrices built by the highest-weight
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, PauliString, decompose_matrix
+from lgt.pauli import PauliOperator, PauliString, _index_mask, decompose_matrix
 
 
 def check_spin(spin: float) -> int:
@@ -62,12 +66,17 @@ def spin_matrices(spin: float) -> SpinMatrices:
     return SpinMatrices(spin, sx, sy, sz, splus)
 
 
-# -- logarithmic encoding ----------------------------------------------
-
-
-def log_qubits(spin: float) -> int:
+def link_qubits(spin: float, encoding: str) -> int:
+    """Qubits of one link register: ceil(log2 d_S) for "log", d_S for "linear"."""
     d_s = check_spin(spin)
-    return max(1, math.ceil(math.log2(d_s)))
+    if encoding == "log":
+        return (d_s - 1).bit_length()
+    if encoding == "linear":
+        return d_s
+    raise ValueError(f"unsupported encoding {encoding!r}")
+
+
+# -- logarithmic encoding ----------------------------------------------
 
 
 def embed_matrix(spin: float, m: np.ndarray) -> np.ndarray:
@@ -75,8 +84,7 @@ def embed_matrix(spin: float, m: np.ndarray) -> np.ndarray:
     d_s = check_spin(spin)
     if m.shape != (d_s, d_s):
         raise ValueError(f"expected a {d_s}x{d_s} matrix")
-    dim = 1 << log_qubits(spin)
-    out = np.eye(dim, dtype=complex)
+    out = np.eye(1 << link_qubits(spin, "log"), dtype=complex)
     out[:d_s, :d_s] = m
     return out
 
@@ -136,37 +144,11 @@ def encode_lin(spin: float, which: str) -> PauliOperator:
     raise ValueError(f"unknown spin operator {which!r}")
 
 
-def one_hot_isometry(spin: float) -> np.ndarray:
-    """Columns are the one-hot basis states in |m = S>, ..., |m = -S> order."""
-    d_s = check_spin(spin)
-    dim = 1 << d_s
-    v = np.zeros((dim, d_s))
-    for l in range(d_s):
-        q = _one_hot_qubit(spin, spin - l)
-        v[1 << (d_s - 1 - q), l] = 1.0  # qubit 0 is the index MSB
-    return v
-
-
-def log_isometry(spin: float) -> np.ndarray:
-    """Columns are the embedded flux states for the logarithmic encoding."""
-    d_s = check_spin(spin)
-    dim = 1 << log_qubits(spin)
-    v = np.zeros((dim, d_s))
-    for l in range(d_s):
-        v[l, l] = 1.0
-    return v
-
-
-def encoding_isometry(spin: float, encoding: str) -> np.ndarray:
-    if encoding == "log":
-        return log_isometry(spin)
-    if encoding == "linear":
-        return one_hot_isometry(spin)
-    raise ValueError(f"unsupported encoding {encoding!r}")
+# -- flux <-> register value ----------------------------------------------
 
 
 def flux_state_index(spin: float, encoding: str, m: float) -> int:
-    """Computational-basis index of the flux state |m> on a single link."""
+    """Register value of the flux state |m> on one link."""
     d_s = check_spin(spin)
     l = round(spin - m)
     if not 0 <= l < d_s or abs((spin - m) - l) > 1e-9:
@@ -174,9 +156,30 @@ def flux_state_index(spin: float, encoding: str, m: float) -> int:
     if encoding == "log":
         return l
     if encoding == "linear":
-        q = _one_hot_qubit(spin, m)
-        return 1 << (d_s - 1 - q)
+        return _index_mask(1 << _one_hot_qubit(spin, m), d_s)
     raise ValueError(f"unsupported encoding {encoding!r}")
+
+
+def register_flux(spin: float, encoding: str, reg: np.ndarray) -> np.ndarray:
+    """Flux m of each link-register value, NaN where the value holds no
+    flux state of the window: the inverse of ``flux_state_index``."""
+    d_s = check_spin(spin)
+    if encoding == "log":
+        return np.where(reg < d_s, spin - reg, np.nan)
+    if encoding == "linear":
+        # the one-hot value 2^l holds m = S - l, and frexp(2^l) gives l + 1
+        return np.where(np.bitwise_count(reg) == 1,
+                        spin + 1 - np.frexp(reg)[1], np.nan)
+    raise ValueError(f"unsupported encoding {encoding!r}")
+
+
+def encoding_isometry(spin: float, encoding: str) -> np.ndarray:
+    """Columns are the encoded flux states |m = S>, ..., |m = -S>."""
+    d_s = check_spin(spin)
+    v = np.zeros((1 << link_qubits(spin, encoding), d_s))
+    for l in range(d_s):
+        v[flux_state_index(spin, encoding, spin - l), l] = 1.0
+    return v
 
 
 # -- encoded links -------------------------------------------------------
@@ -199,10 +202,10 @@ class EncodedLink:
 @lru_cache(maxsize=None)
 def qlm_link(spin: float, encoding: str, theta: float = 0.0) -> EncodedLink:
     d_s = check_spin(spin)
+    n = link_qubits(spin, encoding)
     norm = 1.0 / math.sqrt(spin * (spin + 1))
     mats = spin_matrices(spin)
     if encoding == "log":
-        n = log_qubits(spin)
         sz_enc = encode_log(spin, mats.sz)
         # U is the sum of the separately padded Sx and Sy embeddings, so the
         # unused-state block carries (1 + i) and yields the mixed (a + ia) terms
@@ -212,15 +215,12 @@ def qlm_link(spin: float, encoding: str, theta: float = 0.0) -> EncodedLink:
         shifted = (mats.sz + theta * np.eye(d_s)) @ (mats.sz + theta * np.eye(d_s))
         e_sq = encode_log(spin, shifted)
         e_op = sz_enc + PauliOperator.identity(n, theta) if theta else sz_enc
-    elif encoding == "linear":
-        n = d_s
+    else:
         sz_enc = encode_lin(spin, "z")
         u = norm * encode_lin(spin, "plus")
         e_op = sz_enc + PauliOperator.identity(n, theta) if theta else sz_enc
         # algebra square reproduces the exact linear-encoding term counts
         e_sq = e_op * e_op
-    else:
-        raise ValueError(f"unsupported encoding {encoding!r}")
     return EncodedLink(spin, encoding, theta, n, e_op, u, u.dagger(), e_sq)
 
 

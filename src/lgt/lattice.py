@@ -10,11 +10,12 @@ qubits; each joins one lattice site to one site outside, and each
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from lgt.gauge import check_spin
+from lgt.gauge import link_qubits
 
 Site = tuple[int, ...]
 
@@ -102,14 +103,15 @@ class LatticeSpec:
         return math.prod(self.extents)
 
     @property
-    def n_links(self) -> int:
+    def links_per_direction(self) -> tuple[int, ...]:
+        """Dynamical link count along each direction."""
         if self.boundary == "periodic":
-            return self.d * self.n_sites
-        total = 0
-        for k in range(self.d):
-            per_dir = self.extents[k] - 1
-            total += per_dir * (self.n_sites // self.extents[k])
-        return total
+            return (self.n_sites,) * self.d
+        return tuple(self.n_sites // e * (e - 1) for e in self.extents)
+
+    @property
+    def n_links(self) -> int:
+        return sum(self.links_per_direction)
 
     @property
     def n_plaquettes(self) -> int:
@@ -216,32 +218,48 @@ def spinor_components(d: int) -> int:
     return 2 ** (d // 2) if d % 2 == 0 else 2 ** ((d + 1) // 2)
 
 
-def gauge_qubits_per_link(encoding: str, spin: float) -> int:
-    d_s = check_spin(spin)
-    if encoding == "log":
-        return max(1, math.ceil(math.log2(d_s)))
-    if encoding == "linear":
-        return d_s
-    raise ValueError(f"unsupported encoding {encoding!r}")
-
-
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit assignment: fermionic qubits site-major first, then gauge link-major."""
+    """The qubit register of a lattice and the basis-index map; every
+    module that turns qubits into basis-index bits follows this statement.
+
+    * Qubits: fermion modes first, site-major (mode = site index * n_spinor
+      + spinor component, the same qubit under every fermion mapping), then
+      one register of ``qubits_per_link`` qubits per dynamical link,
+      link-major in ``links`` order.
+    * Basis index: qubit 0 is its most significant bit, the kron(q0, q1,
+      ...) order; ``lgt.pauli._index_mask`` maps qubit masks to index bits.
+    * Link registers: a log register holds S - m, most significant qubit
+      first; a one-hot register marks m on its own qubit m + S
+      (``lgt.gauge.flux_state_index`` and ``lgt.gauge.register_flux``).
+      Register ``li`` holds the index bits from ``register_shift(li)`` up.
+
+    Raises ValueError for an invalid spin or an unsupported encoding. Links
+    are enumerated on first use, so counting qubits costs nothing.
+    """
 
     spec: LatticeSpec
-    n_spinor: int
     encoding: str
     spin: float
-    links: tuple[Link, ...] = field(default=())
 
     def __post_init__(self):
-        if not self.links:
-            object.__setattr__(self, "links", tuple(self.spec.links()))
+        link_qubits(self.spin, self.encoding)
+
+    @property
+    def n_spinor(self) -> int:
+        return spinor_components(self.spec.d)
 
     @property
     def qubits_per_link(self) -> int:
-        return gauge_qubits_per_link(self.encoding, self.spin)
+        return link_qubits(self.spin, self.encoding)
+
+    @functools.cached_property
+    def links(self) -> tuple[Link, ...]:
+        return tuple(self.spec.links())
+
+    @functools.cached_property
+    def _link_positions(self) -> dict[Link, int]:
+        return {link: i for i, link in enumerate(self.links)}
 
     @property
     def n_fermionic(self) -> int:
@@ -249,7 +267,7 @@ class RegisterLayout:
 
     @property
     def n_gauge(self) -> int:
-        return len(self.links) * self.qubits_per_link
+        return self.spec.n_links * self.qubits_per_link
 
     @property
     def n_total(self) -> int:
@@ -262,25 +280,14 @@ class RegisterLayout:
         return self.spec.site_index(site) * self.n_spinor + component
 
     def link_index(self, link: Link) -> int:
-        return self.links.index(link)
+        return self._link_positions[link]
 
     def gauge_offset(self, link: Link) -> int:
+        """First qubit of the link's register."""
         return self.n_fermionic + self.link_index(link) * self.qubits_per_link
 
-
-def layout(spec: LatticeSpec, n_spinor: int, encoding: str, spin: float) -> RegisterLayout:
-    expected = spinor_components(spec.d)
-    if n_spinor != expected:
-        raise ValueError(
-            f"n_spinor={n_spinor} inconsistent with d={spec.d} (expected {expected})")
-    return RegisterLayout(spec, n_spinor, encoding, spin)
-
-
-def qubit_totals(extents: tuple[int, ...], boundary: str, encoding: str,
-                 spin: float) -> tuple[int, int, int]:
-    """(total, fermionic, gauge) qubit counts without materializing the lattice."""
-    d = len(extents)
-    spec = LatticeSpec(d, tuple(extents), boundary)
-    n_f = spec.n_sites * spinor_components(d)
-    n_g = spec.n_links * gauge_qubits_per_link(encoding, spin)
-    return n_f + n_g, n_f, n_g
+    def register_shift(self, li: int) -> int:
+        """Basis-index bit of the last qubit of link register ``li``: the
+        register value is the index shifted right by this, masked to
+        ``qubits_per_link`` bits."""
+        return self.n_gauge - (li + 1) * self.qubits_per_link

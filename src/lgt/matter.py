@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, PauliString
+from lgt.pauli import PauliOperator, PauliString, PauliSum, _index_mask
 
 MAPPING_NAMES = ("jw", "parity", "bk")
 
@@ -107,10 +107,12 @@ class FermionMapping:
         """The encoded creation operator a_j^dag (two Pauli strings)."""
         self._check_mode(j)
         n = self.n_modes
-        xf = PauliString(n, self.flip[j], 0, 0.5)
-        zd = PauliString(n, 0, self.occ[j], 1.0)
-        zs = PauliString(n, 0, self.prefix[j], 1.0)
-        return PauliOperator.from_terms(n, [xf * zs, xf * zd * zs])
+        xf = PauliOperator.from_terms(n, [PauliString(n, self.flip[j], 0, 0.5)])
+        # (I + Z_D) Z_S = Z_S + Z_(D xor S): Z strings multiply without phase
+        acc = PauliSum(n)
+        acc.add_product(xf, [PauliString(n, 0, self.prefix[j], 1.0),
+                             PauliString(n, 0, self.occ[j] ^ self.prefix[j], 1.0)])
+        return acc.to_operator()
 
     def lowering(self, j: int) -> PauliOperator:
         return self.raising(j).dagger()
@@ -131,17 +133,13 @@ class FermionMapping:
         return c * (self.raising(i) * self.lowering(j))
 
     def encode_occupations(self, occupations) -> int:
-        """Computational-basis index of an occupation pattern (qubit 0 = MSB)."""
-        n = self.n_modes
+        """Basis index of an occupation pattern on the mode register alone
+        (index map: ``lgt.lattice.RegisterLayout``)."""
         bits = 0
         for j, occ in enumerate(occupations):
             if occ:
                 bits ^= self.flip[j]
-        index = 0
-        for q in range(n):
-            if (bits >> q) & 1:
-                index |= 1 << (n - 1 - q)
-        return index
+        return _index_mask(bits, self.n_modes)
 
     def _check_mode(self, j: int) -> None:
         if not 0 <= j < self.n_modes:

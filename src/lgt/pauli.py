@@ -84,15 +84,6 @@ class PauliString(NamedTuple):
         # Pauli strings are hermitian, only the coefficient conjugates.
         return PauliString(self.n, self.x, self.z, self.coeff.conjugate())
 
-    def __mul__(self, other: "PauliString") -> "PauliString":  # type: ignore[override]
-        if self.n != other.n:
-            raise ValueError(f"qubit-count mismatch: {self.n} vs {other.n}")
-        k = _phase_exponent(self.x, self.z, other.x, other.z)
-        return PauliString(
-            self.n, self.x ^ other.x, self.z ^ other.z,
-            self.coeff * other.coeff * _I_POWERS[k],
-        )
-
 
 def _order_table() -> np.ndarray:
     """``_ORDER[z_byte, (x^z)_byte]``: the eight axis codes ``2 z + (x^z)``
@@ -311,10 +302,10 @@ def is_hermitian(op: PauliOperator) -> bool:
     return all(abs(t.coeff.imag) < DROP_TOL for t in op.terms)
 
 
-# -- dense-matrix oracle ----------------------------------------------
+# -- basis-index action and the dense-matrix oracle --------------------
 #
-# Qubit 0 is the most significant bit of the computational-basis index,
-# matching kron(q0, q1, ..., q_{n-1}).
+# Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``;
+# ``_index_mask`` is the one place that reverses qubits into index bits.
 
 
 def _index_mask(mask: int, n: int) -> int:
@@ -324,18 +315,23 @@ def _index_mask(mask: int, n: int) -> int:
     return int(format(mask, f"0{n}b")[::-1], 2) if mask else 0
 
 
+def index_masks(p: PauliString) -> tuple[int, int, complex]:
+    """(index x-mask, index z-mask, i^|Y|) of a string's axes: the unit
+    string maps |j> to i^|Y| (-1)^parity(j & zmask) |j ^ xmask>."""
+    return (_index_mask(p.x, p.n), _index_mask(p.z, p.n),
+            (1j) ** ((p.x & p.z).bit_count() % 4))
+
+
 def string_action(p: PauliString) -> tuple[int, np.ndarray]:
     """Matrix-free action of the axes of ``p`` on basis indices.
 
     Returns (flip, phases) with P|j> = phases[j] |j ^ flip| for the unit
     coefficient string; the coefficient is not included.
     """
-    n = p.n
-    xm = _index_mask(p.x, n)
-    zm = _index_mask(p.z, n)
-    idx = np.arange(1 << n, dtype=np.int64)
+    xm, zm, ypow = index_masks(p)
+    idx = np.arange(1 << p.n, dtype=np.int64)
     par = np.bitwise_count(idx & zm) & 1
-    phases = (1j) ** ((p.x & p.z).bit_count() % 4) * np.where(par, -1.0, 1.0)
+    phases = ypow * np.where(par, -1.0, 1.0)
     return xm, phases.astype(complex)
 
 

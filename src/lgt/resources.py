@@ -17,11 +17,11 @@ import numpy as np
 from lgt.gauge import (
     check_spin,
     is_perfectly_representable,
-    log_qubits,
+    link_qubits,
     qlm_link,
     spin_pauli_counts,
 )
-from lgt.lattice import LatticeSpec, gauge_qubits_per_link, qubit_totals, spinor_components
+from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.matter import clifford_rep, gamma_mix
 from lgt.pauli import PauliOperator, classify
 
@@ -100,7 +100,7 @@ def closed_form_link_counts(spin: float) -> LinkCounts:
     if not is_perfectly_representable(spin):
         raise ValueError("closed forms cover perfectly representable spins only")
     d_s = check_spin(spin)
-    k = log_qubits(spin)
+    k = link_qubits(spin, "log")
     half = d_s * (k + 1) // 4
     return LinkCounts(spin, "log", half, half, 0,
                       2 * (2 * half),
@@ -134,41 +134,13 @@ def predict_pauli_counts(spec: LatticeSpec, spin: float, encoding: str,
     g0_nnz = int(np.count_nonzero(rep.gammas[0]))
     mass = spec.n_sites * g0_nnz
     hopping = 0
-    links_per_dir = _links_per_direction(spec)
-    for k in range(spec.d):
+    for k, n_k in enumerate(spec.links_per_direction):
         nnz = int(np.count_nonzero(np.abs(gamma_mix(rep, k + 1, r)) > 1e-12))
-        hopping += links_per_dir[k] * nnz * counts.hopping_factor
+        hopping += n_k * nnz * counts.hopping_factor
     n_e = spec.n_links
     electric = n_e * (counts.e_sq - 1) + 1 if n_e else 0
     plaquette = spec.n_plaquettes * counts.plaquette
     return PauliCountPrediction(mass, hopping, electric, plaquette)
-
-
-def _links_per_direction(spec: LatticeSpec) -> list[int]:
-    out = []
-    for k in range(spec.d):
-        if spec.boundary == "periodic":
-            out.append(spec.n_sites)
-        else:
-            out.append(spec.n_sites // spec.extents[k] * (spec.extents[k] - 1))
-    return out
-
-
-@dataclass(frozen=True)
-class QubitReport:
-    extents: tuple[int, ...]
-    boundary: str
-    spin: float
-    encoding: str
-    n_total: int
-    n_fermionic: int
-    n_gauge: int
-
-
-def qubit_report(extents, boundary: str, spin: float,
-                 encoding: str = "log") -> QubitReport:
-    total, ferm, gauge = qubit_totals(tuple(extents), boundary, encoding, spin)
-    return QubitReport(tuple(extents), boundary, spin, encoding, total, ferm, gauge)
 
 
 @dataclass(frozen=True)
@@ -191,20 +163,18 @@ def scaling_table(spec: LatticeSpec, spins, encodings=("log",),
                   params=None) -> list[ResourceRow]:
     """Per-term resource rows; exact columns filled by construction when feasible."""
     from lgt.hamiltonian import ModelParams, assemble
-    from lgt.lattice import layout as make_layout
 
     model = params or ModelParams(m=1.0)
     rows = []
-    n_spinor = spinor_components(spec.d)
     for encoding in encodings:
         for spin in spins:
+            lay = RegisterLayout(spec, encoding, spin)
             pred = predict_pauli_counts(spec, spin, encoding, r=model.r)
-            ferm = spec.n_sites * n_spinor
-            gauge = spec.n_links * gauge_qubits_per_link(encoding, spin)
+            ferm, gauge = lay.n_fermionic, lay.n_gauge
             feasible = (pred.total <= ENUMERATION_LIMIT
                         and check_spin(spin) <= 1 << 6)
             if feasible:
-                h = assemble(make_layout(spec, n_spinor, encoding, spin), model)
+                h = assemble(lay, model)
                 built = {"mass": h.mass, "hopping": h.hopp_wilson,
                          "electric": h.elec, "plaquette": h.plaq,
                          "total": h.total}

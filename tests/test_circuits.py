@@ -1,7 +1,5 @@
 """Circuit synthesis, gate counting, depth, and QASM round trips."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -17,7 +15,7 @@ from lgt.circuits import (
 )
 from lgt.dynamics import StateVector, apply_pauli_exp
 from lgt.hamiltonian import ModelParams, assemble
-from lgt.lattice import LatticeSpec, layout
+from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.pauli import PauliOperator, PauliString, to_matrix
 from lgt.resources import cnot_per_trotter_step
 
@@ -79,7 +77,7 @@ class TestSynthPauliExp:
 
 @pytest.fixture(scope="module")
 def small_h():
-    lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
+    lay = RegisterLayout(LatticeSpec(1, (2,), "open"), "log", 0.5)
     return assemble(lay, ModelParams(m=0.5, r=1.0, e=1.0, lam=2.0))
 
 
@@ -111,7 +109,7 @@ class TestTrotterStepCircuit:
     def test_electric_depth_size_independent(self):
         depths = []
         for ext in ((2, 2), (4, 4)):
-            lay = layout(LatticeSpec(2, ext, "open"), 2, "log", 1.0)
+            lay = RegisterLayout(LatticeSpec(2, ext, "open"), "log", 1.0)
             h = assemble(lay, ModelParams(m=0.5, r=1.0, e=1.0))
             circ = Circuit(lay.n_total)
             for t in h.elec.terms:

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import lgt
 from lgt.cli import (
+    MAX_EXACT_NORM_T,
     PRESETS,
     ConfigError,
     ScenarioConfig,
+    build_hamiltonian,
     build_layout,
     initial_state,
     load_config,
@@ -182,6 +184,28 @@ def test_overflowing_coupling_exits_2(tmp_path, capsys, monkeypatch, cfg, path):
     monkeypatch.setattr("lgt.cli.assemble", no_assembly)
     assert run_cli(tmp_path, cfg) == 2
     assert f"at {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    {"m": 1e300}, {"e": 1e100}, {"m": 1e308, "r": 1e308, "lambda_gauss": 1.0},
+], ids=["m", "e", "sum_overflows"])
+def test_huge_finite_coupling_exact_exits_2(tmp_path, capsys, monkeypatch, model):
+    def no_evolver(*args):
+        raise AssertionError("exact evolver built")
+
+    monkeypatch.setattr("lgt.cli.ExactEvolver", no_evolver)
+    assert run_cli(tmp_path, {"scenario": "string_breaking_1d", "model": model,
+                              "evolution": {"method": "exact"}}) == 2
+    assert "at $.model:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
+                                        if p.name != "resource_report.json"))
+def test_shipped_configs_within_exact_bound(name):
+    sc = validate_config(load_config(CONFIGS / name))
+    h = build_hamiltonian(sc, build_layout(sc))
+    assert sum(abs(t.coeff) for t in h.total.terms) * sc.evolution["t_max"] \
+        <= MAX_EXACT_NORM_T / 1000
 
 
 @pytest.mark.parametrize("prefix", ["../escaped", "sub/name", ".", "..", "nul\0byte",

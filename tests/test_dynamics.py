@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import lgt.dynamics
@@ -31,7 +33,7 @@ from lgt.dynamics import (
 )
 from lgt.gauge import flux_state_index
 from lgt.hamiltonian import ModelParams, assemble
-from lgt.lattice import LatticeSpec, StaticLink, layout
+from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
 from lgt.pauli import PauliOperator, PauliString, string_action, to_matrix
 
@@ -53,7 +55,7 @@ def random_hermitian_sum(rng, n, k):
 @pytest.fixture(scope="module")
 def vacuum_system():
     spec = LatticeSpec(1, (3,), "periodic")
-    lay = layout(spec, 2, "log", 1.0)
+    lay = RegisterLayout(spec, "log", 1.0)
     params = ModelParams(m=0.5, r=1.0, e=math.sqrt(2), lam=10.0)
     h = assemble(lay, params, "jw")
     bits = [0, 1] * 3 + [0, 1] * 3
@@ -65,7 +67,7 @@ def vacuum_system():
 def string_system():
     spec = LatticeSpec(1, (3,), "open",
                        (StaticLink((-1,), 0, 1.0), StaticLink((2,), 0, 1.0)))
-    lay = layout(spec, 2, "log", 1.0)
+    lay = RegisterLayout(spec, "log", 1.0)
     params = ModelParams(m=0.4, r=1.0, e=2.0, lam=20.0)
     h = assemble(lay, params, "jw")
     bits = [0, 1] * 3 + [0, 0] * 2
@@ -338,7 +340,7 @@ class TestObservables:
     def test_site_labels_on_basis_states(self, mapping_name, occupations,
                                          number, charge):
         # single site, no links: two mode qubits only
-        lay = layout(LatticeSpec(1, (1,), "open"), 2, "log", 0.5)
+        lay = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 0.5)
         mapping = fermion_mapping(mapping_name, 2)
         params = ModelParams(m=0.5, e=1.5)
         st = StateVector.basis_state(2, mapping.encode_occupations(occupations))
@@ -435,7 +437,7 @@ class TestConfigReadout:
         assert label.split("|")[1].split(";")[0] == "x"
 
     def test_linear_encoding_decode(self):
-        lay = layout(LatticeSpec(1, (2,), "open"), 2, "linear", 1.0)
+        lay = RegisterLayout(LatticeSpec(1, (2,), "open"), "linear", 1.0)
         mapping = fermion_mapping("jw", 4)
 
         def theta(k):
@@ -454,6 +456,49 @@ class TestConfigReadout:
             assert basis_config_label(lay, mapping, theta, pa | reg) == "pa|x"
 
 
+# small 1-D and 2-D lattices whose registers fit an int64 basis index
+REGISTER_LATTICES = [(1, (1,), "open"), (1, (2,), "open"), (1, (3,), "periodic"),
+                     (2, (2, 2), "open"), (2, (3, 2), "open"), (2, (2, 2), "periodic")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["jw", "parity", "bk"]), st.sampled_from(["log", "linear"]),
+       st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from(REGISTER_LATTICES),
+       st.data())
+def test_register_map_round_trip(mapping_name, encoding, spin, lattice, data):
+    lay = RegisterLayout(LatticeSpec(*lattice), encoding, spin)
+    mapping = fermion_mapping(mapping_name, lay.n_fermionic)
+    d_s, n_links = round(2 * spin + 1), len(lay.links)
+
+    def theta(k):
+        return 0.25 * (k + 1)
+
+    occupations = data.draw(st.lists(st.integers(0, 1), min_size=lay.n_fermionic,
+                                     max_size=lay.n_fermionic))
+    fluxes = [spin - l for l in data.draw(
+        st.lists(st.integers(0, d_s - 1), min_size=n_links, max_size=n_links))]
+    index = mapping.encode_occupations(occupations) << lay.n_gauge
+    for li, m in enumerate(fluxes):
+        index |= flux_state_index(spin, encoding, m) << lay.register_shift(li)
+    expect = [m + theta(link.direction) for m, link in zip(fluxes, lay.links)]
+    occ, flux = decode_basis(lay, mapping, theta, [index])
+    assert occ.tolist() == [occupations] and flux.tolist() == [expect]
+
+    # every register value that holds no flux state decodes to NaN, on its
+    # link alone
+    width = lay.qubits_per_link
+    window = {flux_state_index(spin, encoding, spin - l) for l in range(d_s)}
+    outside = [r for r in range(1 << width) if r not in window]
+    for li in range(n_links):
+        shift = lay.register_shift(li)
+        cleared = index & ~(((1 << width) - 1) << shift)
+        occ, flux = decode_basis(lay, mapping, theta,
+                                 [cleared | r << shift for r in outside])
+        assert (occ == occupations).all()
+        assert np.isnan(flux[:, li]).all()
+        assert (np.delete(flux, li, axis=1) == np.delete(expect, li)).all()
+
+
 class TestGaussFilter:
     def test_vacuum_decay_48_of_1728(self, vacuum_system):
         lay, params, _, s0 = vacuum_system
@@ -469,20 +514,20 @@ class TestGaussFilter:
 
     def test_linear_encoding_same_sector(self, vacuum_system):
         _, params, _, _ = vacuum_system
-        lay = layout(LatticeSpec(1, (3,), "periodic"), 2, "linear", 1.0)
+        lay = RegisterLayout(LatticeSpec(1, (3,), "periodic"), "linear", 1.0)
         total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
         assert (total, len(inv)) == (1728, 48)
 
     def test_double_plaquette_528_of_524288(self):
         spec = LatticeSpec(2, (3, 2), "open",
                            (StaticLink((-1, 0), 0, 1.0), StaticLink((2, 0), 0, 1.0)))
-        lay = layout(spec, 2, "log", 0.5)
+        lay = RegisterLayout(spec, "log", 0.5)
         params = ModelParams(m=0.4, e=2.0, theta=(0.5, 0.5), lam=20.0)
         total, inv = gauss_filter(lay, fermion_mapping("jw", 12), params)
         assert (total, len(inv)) == (524288, 528)
 
     def test_single_site_zero_charge(self):
-        lay = layout(LatticeSpec(1, (1,), "open"), 2, "log", 0.5)
+        lay = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 0.5)
         total, inv = gauss_filter(lay, fermion_mapping("jw", 2),
                                   ModelParams(m=1.0))
         assert total == 4

@@ -10,7 +10,7 @@ from lgt.gauge import (
     encoding_isometry,
     flux_state_index,
     is_perfectly_representable,
-    log_qubits,
+    link_qubits,
     qlm_link,
     spin_matrices,
     spin_pauli_counts,
@@ -202,7 +202,7 @@ class TestAppendixCounts:
     def test_perfect_log_sz_count(self):
         for spin in (0.5, 1.5, 3.5, 7.5):
             counts = spin_pauli_counts(spin, "log")
-            assert counts.sz == log_qubits(spin)
+            assert counts.sz == link_qubits(spin, "log")
 
     def test_lin_e_sq_counts(self):
         for spin in (1.0, 1.5, 2.0, 2.5):

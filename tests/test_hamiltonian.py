@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from lgt.gauge import qlm_link
 from lgt.hamiltonian import (
     ModelParams,
     assemble,
     build_electric,
-    build_gauss,
     build_hopp_wilson,
     build_mass,
     build_plaquette,
 )
-from lgt.lattice import LatticeSpec, StaticLink, layout
+from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
 from lgt.pauli import classify, is_hermitian, to_matrix
 
@@ -27,7 +25,7 @@ def cnot_count(op):
 @pytest.fixture(scope="module")
 def vacuum_decay():
     spec = LatticeSpec(1, (3,), "periodic")
-    lay = layout(spec, 2, "log", 1.0)
+    lay = RegisterLayout(spec, "log", 1.0)
     params = ModelParams(m=0.5, r=1.0, e=math.sqrt(2), lam=10.0)
     return lay, params, assemble(lay, params, "jw")
 
@@ -36,14 +34,14 @@ def vacuum_decay():
 def string_breaking():
     spec = LatticeSpec(1, (3,), "open",
                        (StaticLink((-1,), 0, 1.0), StaticLink((2,), 0, 1.0)))
-    lay = layout(spec, 2, "log", 1.0)
+    lay = RegisterLayout(spec, "log", 1.0)
     params = ModelParams(m=0.4, r=1.0, e=2.0, lam=20.0)
     return lay, params, assemble(lay, params, "jw")
 
 
 class TestMass:
     def test_single_site_two_z_strings(self):
-        lay = layout(LatticeSpec(1, (1,), "open"), 2, "log", 0.5)
+        lay = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 0.5)
         params = ModelParams(m=1.0)
         op = build_mass(lay, params, fermion_mapping("jw", 2))
         assert op.n_terms == 2
@@ -54,14 +52,14 @@ class TestMass:
         assert h.mass.n_terms == 6
 
     def test_mass_coefficient_cancellation(self):
-        lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
+        lay = RegisterLayout(LatticeSpec(1, (2,), "open"), "log", 0.5)
         params = ModelParams(m=-1.0, r=1.0)  # m = -r d
         assert build_mass(lay, params, fermion_mapping("jw", 4)).is_zero()
 
 
 class TestHopping:
     def test_real_coefficients(self):
-        lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
+        lay = RegisterLayout(LatticeSpec(1, (2,), "open"), "log", 0.5)
         params = ModelParams(m=0.5)
         op = build_hopp_wilson(lay, params, fermion_mapping("jw", 4))
         c = classify(op)
@@ -71,7 +69,7 @@ class TestHopping:
         # 2 (n_real + n_imag + 2 n_mix) per nonzero gamma_mix element,
         # 4 elements for the two-component Dirac representation
         for spin, per_element in ((1.0, 32), (1.5, 12)):
-            lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", spin)
+            lay = RegisterLayout(LatticeSpec(1, (2,), "open"), "log", spin)
             params = ModelParams(m=0.5)
             op = build_hopp_wilson(lay, params, fermion_mapping("jw", 4))
             assert op.n_terms == 4 * per_element
@@ -84,7 +82,7 @@ class TestElectric:
         assert h.elec.n_terms == 3 * 3 + 1
 
     def test_spin_half_identity_only(self):
-        lay = layout(LatticeSpec(1, (2,), "open"), 2, "log", 0.5)
+        lay = RegisterLayout(LatticeSpec(1, (2,), "open"), "log", 0.5)
         op = build_electric(lay, ModelParams(m=0.5))
         assert op.n_terms == 1 and (op.terms[0].x, op.terms[0].z) == (0, 0)
 
@@ -105,7 +103,7 @@ class TestPlaquette:
     def test_double_plaquette_count(self):
         spec = LatticeSpec(2, (3, 2), "open",
                            (StaticLink((-1, 0), 0, 1.0), StaticLink((2, 0), 0, 1.0)))
-        lay = layout(spec, 2, "log", 0.5)
+        lay = RegisterLayout(spec, "log", 0.5)
         params = ModelParams(m=0.4, e=2.0, theta=(0.5, 0.5))
         op = build_plaquette(lay, params)
         assert op.n_terms == 2 * 8  # two plaquettes, 8 strings each at S=1/2
@@ -113,7 +111,7 @@ class TestPlaquette:
 
     def test_plaquette_matrix_is_hermitian(self):
         spec = LatticeSpec(2, (2, 2), "open")
-        lay = layout(spec, 2, "log", 0.5)
+        lay = RegisterLayout(spec, "log", 0.5)
         op = build_plaquette(lay, ModelParams(m=0.4, e=2.0))
         m = to_matrix(op)
         assert np.allclose(m, m.conj().T)
@@ -162,24 +160,18 @@ class TestCalibratedCounts:
         assert cnot_count(h.total) == 1832
 
     def test_mass_only_edge_case(self):
-        lay = layout(LatticeSpec(1, (1,), "open"), 2, "log", 1.0)
+        lay = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 1.0)
         h = assemble(lay, ModelParams(m=1.0, lam=1.0))
         assert h.hopp_wilson.is_zero() and h.elec.is_zero() and h.plaq.is_zero()
         assert h.total.n_terms > 0
 
 
 def physical_mask(lay):
-    n = lay.n_total
     d_s = int(round(2 * lay.spin + 1))
-    qpl = lay.qubits_per_link
-    idx = np.arange(1 << n, dtype=np.int64)
+    idx = np.arange(1 << lay.n_total, dtype=np.int64)
     ok = np.ones(idx.shape, dtype=bool)
     for li in range(len(lay.links)):
-        off = lay.n_fermionic + li * qpl
-        val = np.zeros(idx.shape, dtype=np.int64)
-        for b in range(qpl):
-            val = (val << 1) | ((idx >> (n - 1 - off - b)) & 1)
-        ok &= val < d_s
+        ok &= (idx >> lay.register_shift(li)) % (1 << lay.qubits_per_link) < d_s
     return ok
 
 
@@ -202,7 +194,7 @@ class TestInvariants:
     def test_total_real_spectrum_small_variant(self):
         # 2-site variant of the vacuum-decay system stays within 10 qubits
         spec = LatticeSpec(1, (2,), "periodic")
-        lay = layout(spec, 2, "log", 1.0)
+        lay = RegisterLayout(spec, "log", 1.0)
         h = assemble(lay, ModelParams(m=0.5, r=1.0, e=math.sqrt(2), lam=10.0))
         m = to_matrix(h.total)
         assert np.allclose(m, m.conj().T)

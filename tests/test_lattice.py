@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from lgt.lattice import (
     LatticeSpec,
+    RegisterLayout,
     StaticLink,
     enumerate_lattice,
-    layout,
-    qubit_totals,
     spinor_components,
 )
 
@@ -59,29 +58,29 @@ def test_counts_match_enumeration_2d(nx, ny, boundary):
 
 def test_layout_2x3_spin1_log():
     spec = LatticeSpec(2, (2, 3), "open")
-    lay = layout(spec, 2, "log", 1.0)
+    lay = RegisterLayout(spec, "log", 1.0)
     assert (lay.n_total, lay.n_fermionic, lay.n_gauge) == (26, 12, 14)
 
 
 def test_layout_4x4_spin1_log():
     spec = LatticeSpec(2, (4, 4), "open")
-    lay = layout(spec, 2, "log", 1.0)
+    lay = RegisterLayout(spec, "log", 1.0)
     assert (lay.n_total, lay.n_fermionic, lay.n_gauge) == (80, 32, 48)
 
 
 def test_smallest_layout():
     spec = LatticeSpec(1, (2,), "open")  # 2 sites, 1 link
-    lay = layout(spec, 2, "log", 0.5)
+    lay = RegisterLayout(spec, "log", 0.5)
     assert lay.qubits_per_link == 1
     assert lay.n_total == 5
     # single site, no links
-    lone = layout(LatticeSpec(1, (1,), "open"), 2, "log", 0.5)
+    lone = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 0.5)
     assert (lone.n_fermionic, lone.n_gauge) == (2, 0)
 
 
 def test_fermionic_modes_site_major():
     spec = LatticeSpec(1, (3,), "periodic")
-    lay = layout(spec, 2, "log", 1.0)
+    lay = RegisterLayout(spec, "log", 1.0)
     assert lay.fermionic_mode((1,), 0) == 2
     assert lay.fermionic_mode((1,), 1) == 3
     assert lay.gauge_offset(spec.links()[0]) == 6
@@ -114,11 +113,29 @@ def test_static_links_validation():
 
 
 def test_qubit_totals_large_without_enumeration():
-    assert qubit_totals((100, 100, 100), "open", "log", 255.5) == \
+    lay = RegisterLayout(LatticeSpec(3, (100, 100, 100), "open"), "log", 255.5)
+    assert (lay.n_total, lay.n_fermionic, lay.n_gauge) == \
         (30730000, 4000000, 26730000)
+    assert lay.n_spinor == 4 and lay.qubits_per_link == 9
 
 
 @pytest.mark.parametrize("spin", [0, 0.3, -0.5])
 def test_qubit_totals_reject_invalid_spin(spin):
     with pytest.raises(ValueError, match="half-integer"):
-        qubit_totals((2, 3), "open", "log", spin)
+        RegisterLayout(LatticeSpec(2, (2, 3), "open"), "log", spin)
+
+
+def test_layout_rejects_unknown_encoding():
+    with pytest.raises(ValueError, match="unsupported encoding"):
+        RegisterLayout(LatticeSpec(1, (2,), "open"), "bogus", 1.0)
+
+
+@pytest.mark.parametrize("d, extents, boundary", [
+    (1, (4,), "periodic"), (2, (3, 2), "open"), (3, (2, 3, 2), "periodic")])
+def test_links_per_direction_and_link_index(d, extents, boundary):
+    spec = LatticeSpec(d, extents, boundary)
+    links = spec.links()
+    assert spec.links_per_direction == tuple(
+        sum(link.direction == k for link in links) for k in range(d))
+    lay = RegisterLayout(spec, "linear", 1.0)
+    assert [lay.link_index(link) for link in lay.links] == list(range(len(links)))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lgt.lattice import LatticeSpec, layout
+from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.hamiltonian import ModelParams, assemble, build_electric, build_hopp_wilson
 from lgt.matter import fermion_mapping
 from lgt.pauli import PauliOperator, PauliString
@@ -16,7 +16,6 @@ from lgt.resources import (
     plaquette_pauli_enumerated,
     plaquette_pauli_formula,
     predict_pauli_counts,
-    qubit_report,
     rows_to_csv,
     scaling_table,
     spin_scaling_fit,
@@ -83,7 +82,7 @@ class TestPredictions:
 
     def test_exact_counts_match_predictions(self):
         spec = LatticeSpec(1, (3,), "periodic")
-        lay = layout(spec, 2, "log", 1.0)
+        lay = RegisterLayout(spec, "log", 1.0)
         params = ModelParams(m=0.5, r=1.0, e=math.sqrt(2))
         mapping = fermion_mapping("jw", lay.n_fermionic)
         pred = predict_pauli_counts(spec, 1.0, "log")
@@ -109,6 +108,10 @@ class TestPredictions:
         assert support_histogram(op) == {1: 1, 2: 1}
 
 
+def open_layout(extents, spin):
+    return RegisterLayout(LatticeSpec(len(extents), extents, "open"), "log", spin)
+
+
 class TestQubitTables:
     CASES_2D = [((2, 3), 0.5, 19), ((2, 3), 1.0, 26), ((2, 3), 1.5, 26),
                 ((2, 3), 3.5, 33), ((4, 4), 0.5, 56), ((4, 4), 1.0, 80),
@@ -120,13 +123,13 @@ class TestQubitTables:
 
     @pytest.mark.parametrize("extents,spin,total", CASES_2D + CASES_3D)
     def test_rows(self, extents, spin, total):
-        assert qubit_report(extents, "open", spin).n_total == total
+        assert open_layout(extents, spin).n_total == total
 
     def test_fermionic_gauge_split(self):
-        rep = qubit_report((4, 4), "open", 1.0)
-        assert (rep.n_fermionic, rep.n_gauge) == (32, 48)
-        rep3 = qubit_report((100, 100, 100), "open", 255.5)
-        assert (rep3.n_fermionic, rep3.n_gauge) == (4000000, 26730000)
+        lay = open_layout((4, 4), 1.0)
+        assert (lay.n_fermionic, lay.n_gauge) == (32, 48)
+        lay3 = open_layout((100, 100, 100), 255.5)
+        assert (lay3.n_fermionic, lay3.n_gauge) == (4000000, 26730000)
 
 
 class TestScalingTable:
