@@ -12,10 +12,13 @@ interpreted in lattice units (the Hamiltonian is built with spacing 1; the
 nominal physical spacing `model.a` is validated and written to the metadata
 as `a_nominal`).
 
-A run starts from a basis state with G_x = 0 at every site (anything else
-is a config error). The exact curve evolves in that Gauss-law sector, as
-enumerated by ``gauss_filter``; the Trotter curves evolve the full
-statevector, so their weight may leave the sector.
+A run starts from a basis state i0 with G_x = 0 at every site (anything
+else is a config error). Every state of the run lives on the coset of i0
+that the Hamiltonian's strings reach (``lgt.dynamics.Coset``), 2^r of the
+2^n basis states, with r written to the metadata as ``n_simulated_qubits``.
+The exact curve evolves in the G_x = 0 states of that coset, as enumerated
+by ``gauss_filter``; the Trotter curves evolve the whole coset with tapered
+strings, so their weight may leave the Gauss-law sector.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from lgt.dynamics import (
     GAUSS_TOL,
     MAX_QUBITS,
     ORDERINGS,
+    Coset,
     ExactEvolver,
-    StateVector,
     config_probabilities,
     decode_basis,
     gauss_filter,
@@ -366,15 +369,21 @@ def build_layout(sc: ScenarioConfig) -> RegisterLayout:
 
 
 def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
+    """The assembled Hamiltonian; ConfigError at ``$.model`` if a coupling
+    sum overflows to a coefficient that is not finite."""
     if lay.n_total > MAX_QUBITS:
         raise ResourceLimitError(
             f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
-    return assemble(lay, sc.params, sc.mapping)
+    h = assemble(lay, sc.params, sc.mapping)
+    if not np.isfinite([t.coeff for t in h.total.terms]).all():
+        raise ConfigError("$.model", "the couplings give a Hamiltonian "
+                                     "coefficient that is not finite")
+    return h
 
 
-def initial_state(label, lay: RegisterLayout, mapping, params) -> StateVector:
-    """Computational basis state for a named or explicit configuration; it
-    must satisfy Gauss's law (G_x = 0) at every site."""
+def initial_index(label, lay: RegisterLayout, mapping, params) -> int:
+    """Basis index of a named or explicit configuration; it must satisfy
+    Gauss's law (G_x = 0) at every site."""
     n_sp = lay.n_spinor
     if label == "bare_vacuum":
         occupations = ([0] * (n_sp // 2) + [1] * (n_sp - n_sp // 2)) * lay.spec.n_sites
@@ -421,7 +430,7 @@ def initial_state(label, lay: RegisterLayout, mapping, params) -> StateVector:
         raise ConfigError("$.initial_state",
                           f"violates Gauss's law at site {list(site)} "
                           f"(G_x = {g[bad[0]] * params.e:g})")
-    return StateVector.basis_state(lay.n_total, index)
+    return index
 
 
 # -- run command ------------------------------------------------------------
@@ -458,8 +467,10 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
                               f"{MAX_EXACT_NORM_T:g}, too large for the exact curve")
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
     params = sc.params
-    s0 = initial_state(sc.initial, lay, mapping, params)
-    n_configs, sector = gauss_filter(lay, mapping, params)
+    i0 = initial_index(sc.initial, lay, mapping, params)
+    coset = Coset.reachable(h.total, i0)
+    s0 = coset.basis_state(i0)
+    n_configs, sector = gauss_filter(lay, mapping, params, coset)
 
     def readout(t, st):
         n_part = standard_observables(st, lay, mapping, params)["total_particle_number"]
@@ -478,7 +489,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         curves["exact"] = rows
     if evo["method"] in ("trotter", "both"):
         for dt in evo["dt"]:
-            plan = trotter_plan(h, dt, _n_steps(t_max, dt), evo["ordering"])
+            plan = trotter_plan(h, dt, _n_steps(t_max, dt), evo["ordering"], coset)
             curves[f"trotter_dt{dt:g}"] = [readout(t, st) for t, st
                                            in trotter_states(s0, plan)]
 
@@ -512,6 +523,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "evolution": evo,
         "ordering": evo["ordering"],
         "n_qubits": lay.n_total,
+        "n_simulated_qubits": coset.r,
         "n_pauli_strings": h.n_terms,
         "n_cnot_per_trotter_step": cnot_per_trotter_step(h.total),
         "n_configurations": n_configs,

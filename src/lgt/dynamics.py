@@ -1,23 +1,33 @@
-"""Statevector simulation: Pauli-exponential kernels, Trotter and exact
-evolution, the basis decoder, physical observables, configuration readout
-and the Gauss-law filter.
+"""Statevector simulation on the reachable coset: the coset map, Pauli-
+exponential kernels, Trotter and exact evolution, the basis decoder,
+physical observables, configuration readout and the Gauss-law filter.
 
-Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``, so
-in the (2,)*n view of the amplitudes qubit q is axis q. exp(-i theta P)
-works on that view with no index arrays: the X/Y axes of P become
-reversed slices (views), and the Z/Y parity is a broadcast tensor of
-2^|Z/Y axes| entries with cos/sin folded in. A diagonal P is one in-place
-multiply. A Trotter plan builds these factors once per string; nothing is
-cached at module level.
+Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
+Every string moves a basis index by its x-mask, so from a basis state i0
+both the product formula and e^{-iHt} stay inside the coset i0 + V, where V
+is the GF(2) span of the strings' x-masks, of rank r <= n. A ``Coset``
+numbers those 2^r indices in ascending order, and a ``StateVector`` holds
+one amplitude per coset position; the full register is the coset with
+V = GF(2)^n. ``Coset.taper`` rewrites a string as an r-qubit string on the
+positions (qubit tapering, Bravyi, Gambetta, Mezzacapo & Temme,
+arXiv:1701.08213), so a tapered Trotter plan is an ordinary plan on r
+qubits.
+
+In the (2,)*r view of the amplitudes qubit q is axis q. exp(-i theta P)
+works on that view with no index arrays: the X/Y axes of P become reversed
+slices (views), and the Z/Y parity is a broadcast tensor of 2^|Z/Y axes|
+entries with cos/sin folded in. A diagonal P is one in-place multiply. A
+Trotter plan builds these factors once per string; nothing is cached at
+module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes; observables, configuration labels and the Gauss-law
 filter all read it. Observables and labels decode only the nonzero
-amplitudes of one state, never all 2^n indices. Exact evolution runs on a
-span of basis states, all 2^n by default or the G_x = 0 sector that
-``gauss_filter`` returns, which the quantum-link Hamiltonian leaves
-invariant; it applies scipy's ``expm_multiply`` to H restricted to that
-span.
+amplitudes of one state. ``gauss_filter`` walks the 2^r indices of a
+coset. Exact evolution runs on a span of basis states inside the state's
+coset, all 2^n by default or the G_x = 0 sector that ``gauss_filter``
+returns, which the quantum-link Hamiltonian leaves invariant; it applies
+scipy's ``expm_multiply`` to H restricted to that span.
 """
 
 from __future__ import annotations
@@ -42,19 +52,137 @@ READOUT_TOL = 1e-12  # configuration probabilities at or below this are not list
 GAUSS_BLOCK = 1 << 16  # basis indices the Gauss filter decodes at a time
 
 
+@dataclass(frozen=True)
+class Coset:
+    """The basis indices offset + V, numbered in ascending order.
+
+    ``basis`` holds V as qubit masks (bit q = qubit q) in reduced row-echelon
+    form: v_j's pivot, its lowest qubit p_j, is set in no other v_k, and
+    the pivots ascend. ``offset`` is a basis index with every pivot bit
+    clear. Position c, read as r bits with tapered qubit 0 most significant
+    (c_j the bit of tapered qubit j), holds the basis index offset + sum_j
+    c_j v_j (XOR); a pivot is the most significant index bit of its vector,
+    so ``index`` ascends. ``lgt.pauli._index_mask`` turns qubit masks into
+    index bits. Raises ValueError if ``basis`` or ``offset`` is not in
+    that form.
+    """
+
+    n: int
+    basis: tuple[int, ...]
+    offset: int
+
+    def __post_init__(self):
+        pivot_bits = sum(v & -v for v in self.basis)
+        if not (all(0 < v < 1 << self.n and v & pivot_bits == v & -v
+                    for v in self.basis)
+                and list(self.pivots) == sorted(set(self.pivots))
+                and 0 <= self.offset < 1 << self.n
+                and not self._offset_bits & pivot_bits):
+            raise ValueError("coset not in reduced row-echelon form")
+
+    @classmethod
+    def full(cls, n: int) -> "Coset":
+        """The whole register: V = GF(2)^n, position = basis index."""
+        return cls(n, tuple(1 << q for q in range(n)), 0)
+
+    @classmethod
+    def reachable(cls, op: PauliOperator, index: int) -> "Coset":
+        """The coset of basis index ``index`` under the span of the
+        strings' x-masks: every state e^{-iHt} or a product formula reaches
+        from that basis state lies in it."""
+        rows: dict[int, int] = {}  # pivot qubit -> vector
+        for x in {t.x for t in op.terms}:
+            for p, v in rows.items():
+                if x >> p & 1:
+                    x ^= v
+            if x:
+                p = (x & -x).bit_length() - 1
+                rows = {q: v ^ x if v >> p & 1 else v for q, v in rows.items()}
+                rows[p] = x
+        bits = _index_mask(index, op.n_qubits)
+        for p, v in rows.items():
+            if bits >> p & 1:
+                bits ^= v
+        return cls(op.n_qubits, tuple(rows[p] for p in sorted(rows)),
+                   _index_mask(bits, op.n_qubits))
+
+    @property
+    def r(self) -> int:
+        return len(self.basis)
+
+    @functools.cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple((v & -v).bit_length() - 1 for v in self.basis)
+
+    @functools.cached_property
+    def _offset_bits(self) -> int:
+        return _index_mask(self.offset, self.n)
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """Basis index of every position, ascending (2^r int64 entries)."""
+        idx = np.array([self.offset], dtype=np.int64)
+        # the last tapered qubit is the least significant position bit
+        for v in reversed(self.basis):
+            idx = np.concatenate([idx, idx ^ _index_mask(v, self.n)])
+        return idx
+
+    def positions(self, indices) -> np.ndarray:
+        """Positions of an array of basis indices; ValueError if one is not
+        in the coset."""
+        idx = np.asarray(indices, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.index, idx), len(self.index) - 1)
+        if not np.array_equal(self.index[pos], idx):
+            raise ValueError("basis index outside the coset")
+        return pos
+
+    def basis_state(self, index: int) -> "StateVector":
+        amps = np.zeros(1 << self.r, dtype=complex)
+        amps[self.positions([index])] = 1.0
+        return StateVector(self.r, amps, self)
+
+    def taper(self, p: PauliString) -> PauliString:
+        """The r-qubit string that acts on positions as ``p`` acts on the
+        coset: x'_j = bit p_j of x, z'_j = parity(z & v_j), and the
+        coefficient times i^(|Y| - |Y'|) (-1)^parity(z & offset), which is
+        +-1 (Dehaene & De Moor, PRA 68, 042318). Raises ValueError if the
+        x-mask is not in V."""
+        x = z = 0
+        rest = p.x
+        for j, (pivot, v) in enumerate(zip(self.pivots, self.basis)):
+            if p.x >> pivot & 1:
+                x |= 1 << j
+                rest ^= v
+            if (p.z & v).bit_count() & 1:
+                z |= 1 << j
+        if rest:
+            raise ValueError(f"string {p.label} moves states off the coset")
+        k = ((p.x & p.z).bit_count() - (x & z).bit_count()
+             + 2 * (p.z & self._offset_bits).bit_count())
+        return PauliString(self.r, x, z, -p.coeff if k % 4 else p.coeff)
+
+
 @dataclass
 class StateVector:
+    """Amplitudes over the positions of a coset (default: the whole
+    register, so position = basis index)."""
+
     n_qubits: int
     amps: np.ndarray
+    coset: Coset | None = None
+
+    def __post_init__(self):
+        if self.coset is None:
+            self.coset = Coset.full(self.n_qubits)
+        elif self.coset.r != self.n_qubits:
+            raise ValueError("state size mismatch")
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(n_qubits, amps)
+        return Coset.full(n_qubits).basis_state(index)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
+        return StateVector(self.n_qubits, self.amps.copy(), self.coset)
 
     @property
     def norm(self) -> float:
@@ -66,8 +194,8 @@ class StateVector:
 
 def loschmidt(state0: StateVector, state_t: StateVector) -> float:
     """|<phi_0 | phi_t>|^2, the survival probability of the initial state."""
-    if state0.n_qubits != state_t.n_qubits:
-        raise ValueError("state size mismatch")
+    if state0.coset != state_t.coset:
+        raise ValueError("states on different cosets")
     return float(abs(np.vdot(state0.amps, state_t.amps)) ** 2)
 
 
@@ -170,7 +298,7 @@ class OperatorAction:
         return out
 
     def expectation(self, state: StateVector) -> float:
-        amps = state.amps[self.basis]
+        amps = state.amps[state.coset.positions(self.basis)]
         return float(np.vdot(amps, self(amps)).real)
 
     def matrix(self):
@@ -192,10 +320,14 @@ ORDERINGS = ("canonical", "by_term_group", "reversed")
 
 @dataclass(frozen=True)
 class TrotterPlan:
+    """One exponential per string, in order, on the positions of ``coset``
+    (r = ``n_qubits`` qubits)."""
+
     n_qubits: int
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
     dt: float
     n_steps: int
+    coset: Coset
     ordering: str = "canonical"
 
     @functools.cached_property
@@ -205,8 +337,10 @@ class TrotterPlan:
 
 
 def trotter_plan(h: HamiltonianTerms | PauliOperator, dt: float, n_steps: int,
-                 ordering: str = "canonical") -> TrotterPlan:
-    """Per-Pauli-string first-order product formula plan."""
+                 ordering: str = "canonical", coset: Coset | None = None
+                 ) -> TrotterPlan:
+    """Per-Pauli-string first-order product formula plan, on the whole
+    register or, tapered string by string after ordering, on ``coset``."""
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     if isinstance(h, HamiltonianTerms):
@@ -225,10 +359,18 @@ def trotter_plan(h: HamiltonianTerms | PauliOperator, dt: float, n_steps: int,
     bad = [t for t in strings if abs(t.coeff.imag) > 1e-10]
     if bad:
         raise ValueError("Trotter plan requires hermitian (real) coefficients")
-    return TrotterPlan(n, strings, dt, n_steps, ordering)
+    if coset is None:
+        coset = Coset.full(n)
+    elif coset.n != n:
+        raise ValueError("coset and Hamiltonian differ in size")
+    else:
+        strings = tuple(map(coset.taper, strings))
+    return TrotterPlan(coset.r, strings, dt, n_steps, coset, ordering)
 
 
 def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
+    if state.coset != plan.coset:
+        raise ValueError("state and plan on different cosets")
     psi = _tensor(state, plan.n_qubits)
     for factors in plan.factors:
         _apply_exp(psi, *factors)
@@ -249,10 +391,12 @@ def trotter_states(state0: StateVector, plan: TrotterPlan):
 
 class ExactEvolver:
     """e^{-iHt} on the span of sorted basis indices (all 2^n by default),
-    by scipy's ``expm_multiply`` on H restricted to that span.
+    by scipy's ``expm_multiply`` on H restricted to that span. A state is
+    gathered from, and the result scattered to, the span's positions in the
+    state's coset.
 
-    Raises ValueError if H maps the span out of itself, or if a state has
-    weight outside it.
+    Raises ValueError if H maps the span out of itself, if the span leaves
+    a state's coset, or if a state has weight outside the span.
     """
 
     def __init__(self, h: PauliOperator, basis: np.ndarray | None = None):
@@ -262,17 +406,19 @@ class ExactEvolver:
         self._action = OperatorAction(h, basis)
         self._matrix = None  # built on the first evolve, so scipy loads late
 
-    def _restrict(self, state: StateVector) -> np.ndarray:
-        """The state's amplitudes on the basis."""
-        if state.n_qubits != self.n:
+    def _restrict(self, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+        """(positions of the basis in the state's coset, the state's
+        amplitudes there)."""
+        if state.coset.n != self.n:
             raise ValueError("state size mismatch")
-        amps = state.amps[self._action.basis]
+        pos = state.coset.positions(self._action.basis)
+        amps = state.amps[pos]
         if state.norm ** 2 - np.vdot(amps, amps).real > 1e-12:
             raise ValueError("state has weight outside the evolution basis")
-        return amps
+        return pos, amps
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
-        amps = self._restrict(state)
+        pos, amps = self._restrict(state)
         if t == 0.0:
             return state.copy()
         from scipy.sparse.linalg import expm_multiply
@@ -280,8 +426,8 @@ class ExactEvolver:
         if self._matrix is None:
             self._matrix = self._action.matrix()
         out = np.zeros_like(state.amps)
-        out[self._action.basis] = expm_multiply(-1j * t * self._matrix, amps)
-        return StateVector(self.n, out)
+        out[pos] = expm_multiply(-1j * t * self._matrix, amps)
+        return StateVector(state.n_qubits, out, state.coset)
 
     def energy(self, state: StateVector) -> float:
         self._restrict(state)
@@ -318,9 +464,10 @@ def standard_observables(state: StateVector, layout: RegisterLayout,
     per site and ``flux_link{l}`` per link (a link state outside the flux
     window counts as zero flux)."""
     probs = state.probabilities()
-    index = np.flatnonzero(probs > 0)
-    p = probs[index]
-    occ, flux = decode_basis(layout, mapping, params.theta_along, index)
+    support = np.flatnonzero(probs > 0)
+    p = probs[support]
+    occ, flux = decode_basis(layout, mapping, params.theta_along,
+                             state.coset.index[support])
     # particle number and charge are linear in the occupations: reduce the
     # support once to <n> per (site, spinor component); constants scale <1>
     norm = p.sum()
@@ -378,10 +525,11 @@ def config_probabilities(state: StateVector, layout: RegisterLayout,
     """Probabilities above ``READOUT_TOL`` grouped by lattice configuration
     label, largest first."""
     probs = state.probabilities()
-    index = np.flatnonzero(probs > READOUT_TOL)
-    labels = basis_config_label(layout, mapping, params.theta_along, index)
+    support = np.flatnonzero(probs > READOUT_TOL)
+    labels = basis_config_label(layout, mapping, params.theta_along,
+                                state.coset.index[support])
     out: dict[str, float] = {}
-    for label, p in zip(labels.tolist(), probs[index].tolist()):
+    for label, p in zip(labels.tolist(), probs[support].tolist()):
         out[label] = out.get(label, 0.0) + p
     return dict(sorted(out.items(), key=lambda kv: -kv[1]))
 
@@ -407,19 +555,22 @@ def gauss_law(layout: RegisterLayout, occ: np.ndarray, flux: np.ndarray
     return g
 
 
-def gauss_filter(layout: RegisterLayout, mapping: FermionMapping, params
-                 ) -> tuple[int, np.ndarray]:
-    """(physical configuration count, sorted basis indices with G_x = 0).
+def gauss_filter(layout: RegisterLayout, mapping: FermionMapping, params,
+                 coset: Coset) -> tuple[int, np.ndarray]:
+    """(physical configuration count, sorted basis indices of the coset
+    with G_x = 0), walking the coset's 2^r indices; ``Coset.full`` gives
+    the whole G_x = 0 sector.
 
     A physical configuration has each link register in its flux window, one
     of d_S states under both encodings: 2^n_fermionic * d_S^n_links of them."""
-    n = layout.n_total
-    if n > MAX_QUBITS:
+    if layout.n_total > MAX_QUBITS:
         raise ValueError(f"configuration enumeration limited to {MAX_QUBITS} qubits")
+    if coset.n != layout.n_total:
+        raise ValueError("coset and register differ in size")
     total = (1 << layout.n_fermionic) * check_spin(layout.spin) ** layout.spec.n_links
     kept = []
-    for start in range(0, 1 << n, GAUSS_BLOCK):
-        idx = np.arange(start, min(start + GAUSS_BLOCK, 1 << n), dtype=np.int64)
+    for start in range(0, 1 << coset.r, GAUSS_BLOCK):
+        idx = coset.index[start:start + GAUSS_BLOCK]
         g = gauss_law(layout, *decode_basis(layout, mapping, params.theta_along, idx))
         kept.append(idx[(np.abs(g) <= GAUSS_TOL).all(axis=1)])
     return total, np.concatenate(kept)

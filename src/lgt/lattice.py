@@ -233,6 +233,9 @@ class RegisterLayout:
       first; a one-hot register marks m on its own qubit m + S
       (``lgt.gauge.flux_state_index`` and ``lgt.gauge.register_flux``).
       Register ``li`` holds the index bits from ``register_shift(li)`` up.
+    * Simulation: a state holds amplitudes only on the coset of basis
+      indices its Hamiltonian reaches; ``lgt.dynamics.Coset`` maps those
+      positions to basis indices and tapers strings onto them.
 
     Raises ValueError for an invalid spin or an unsupported encoding. Links
     are enumerated on first use, so counting qubits costs nothing.

@@ -118,7 +118,8 @@ class PauliSum:
     """Coefficient accumulator keyed by symplectic masks (x, z).
 
     ``to_operator`` drops coefficients with |c| < ``DROP_TOL`` and sorts the
-    rest into the canonical order of ``PauliOperator``.
+    rest into the canonical order of ``PauliOperator``; a NaN coefficient
+    is kept, so an overflow stays visible.
     """
 
     def __init__(self, n: int):
@@ -150,12 +151,12 @@ class PauliSum:
     def hermitize(self) -> None:
         """Replace the accumulated T by T + T^dag (keeps 2 Re of coefficients)."""
         self.data = {k: 2 * v.real for k, v in self.data.items()
-                     if abs(v.real) > 0}
+                     if v.real != 0}  # keeps NaN
 
     def to_operator(self) -> "PauliOperator":
         n = self.n
         strings = [PauliString(n, x, z, c) for (x, z), c in self.data.items()
-                   if abs(c) >= DROP_TOL]
+                   if not abs(c) < DROP_TOL]
         # Sort key: the packed axis words of each term, compared as bytes;
         # zero qubits still get one (all-I) byte, as NumPy has no 0-byte rows.
         nbytes = (n + 7) // 8 or 1

@@ -3,10 +3,12 @@
 import copy
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,11 +23,12 @@ from lgt.cli import (
     ScenarioConfig,
     build_hamiltonian,
     build_layout,
-    initial_state,
+    initial_index,
     load_config,
     main,
     validate_config,
 )
+from lgt.dynamics import StateVector
 from lgt.hamiltonian import default_lambda
 from lgt.matter import fermion_mapping
 
@@ -42,7 +45,8 @@ def scenario_state(path: Path):
     sc = validate_config(load_config(path))
     lay = build_layout(sc)
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
-    return initial_state(sc.initial, lay, mapping, sc.params)
+    return StateVector.basis_state(
+        lay.n_total, initial_index(sc.initial, lay, mapping, sc.params))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
@@ -197,6 +201,45 @@ def test_huge_finite_coupling_exact_exits_2(tmp_path, capsys, monkeypatch, model
     assert run_cli(tmp_path, {"scenario": "string_breaking_1d", "model": model,
                               "evolution": {"method": "exact"}}) == 2
     assert "at $.model:" in capsys.readouterr().err
+
+
+def test_non_finite_hamiltonian_trotter_exits_2(tmp_path, capsys):
+    # m + r d overflows to inf, and inf times a zero phase part gives NaN
+    assert run_cli(tmp_path, {
+        "scenario": "string_breaking_1d",
+        "model": {"m": 1e308, "r": 1e308, "lambda_gauss": 1.0},
+        "evolution": {"method": "trotter"}}) == 2
+    assert "at $.model:" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_24_qubit_chain_runs_on_its_coset(tmp_path):
+    # 8-site periodic S=1/2 chain: n = 24, r = 16; one 2^24 state alone
+    # would be 256 MB. The exact curve's scipy import is not the run's cost.
+    importlib.import_module("scipy.sparse.linalg")
+
+    cfg = {"scenario": "vacuum_decay", "lattice": {"extents": [8]},
+           "spin": 0.5, "theta": [0.5],
+           "evolution": {"method": "both", "dt": [0.05], "t_max": 0.1,
+                         "sample_dt": 0.1},
+           "output": {"prefix": "chain"}}
+    tracemalloc.start()
+    try:
+        assert run_cli(tmp_path, cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    meta = json.loads((tmp_path / "out" / "chain_meta.json").read_text())
+    assert (meta["n_qubits"], meta["n_simulated_qubits"],
+            meta["n_gauge_invariant"]) == (24, 16, 6562)
+    for name in ("exact", "trotter_dt0.05"):
+        with open(tmp_path / "out" / f"chain_{name}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["t"]) for r in rows] == pytest.approx(
+            [0.0, 0.1] if name == "exact" else [0.0, 0.05, 0.1])
+        assert float(rows[0]["loschmidt"]) == 1.0
+        assert 0.5 < float(rows[-1]["loschmidt"]) < 1.0
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")

@@ -1,5 +1,6 @@
 """Statevector kernels, Trotter/exact evolution, observables, Gauss filter."""
 
+import json
 import math
 import tracemalloc
 
@@ -13,10 +14,12 @@ import lgt.dynamics
 from lgt.cli import (
     PRESETS,
     build_layout,
-    initial_state,
+    initial_index,
+    load_config,
     validate_config,
 )
 from lgt.dynamics import (
+    Coset,
     ExactEvolver,
     OperatorAction,
     StateVector,
@@ -25,6 +28,7 @@ from lgt.dynamics import (
     config_probabilities,
     decode_basis,
     gauss_filter,
+    gauss_law,
     loschmidt,
     standard_observables,
     trotter_plan,
@@ -153,7 +157,8 @@ class TestExactEvolution:
 
     def test_gauss_sector_matches_expm(self, string_system):
         lay, params, h, s0 = string_system
-        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params,
+                                  Coset.full(lay.n_total))
         ref = expm(-1j * 0.7 * to_matrix(h.total)) @ s0.amps
         out = ExactEvolver(h.total, sector).evolve(s0, 0.7)
         assert np.max(np.abs(out.amps - ref)) < 1e-11
@@ -167,7 +172,8 @@ class TestExactEvolution:
 
     def test_rejects_state_outside_basis(self, string_system):
         lay, params, h, s0 = string_system
-        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params,
+                                  Coset.full(lay.n_total))
         ev = ExactEvolver(h.total, sector)
         outside = next(i for i in range(1 << 10) if i not in sector)
         mixed = StateVector(10, (s0.amps + StateVector.basis_state(10, outside).amps)
@@ -380,7 +386,8 @@ class TestObservables:
         lay = build_layout(sc)
         mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
         params = sc.params
-        s0 = initial_state(sc.initial, lay, mapping, params)
+        s0 = StateVector.basis_state(
+            lay.n_total, initial_index(sc.initial, lay, mapping, params))
         assert s0.n_qubits == 19
         tracemalloc.start()
         try:
@@ -502,20 +509,23 @@ def test_register_map_round_trip(mapping_name, encoding, spin, lattice, data):
 class TestGaussFilter:
     def test_vacuum_decay_48_of_1728(self, vacuum_system):
         lay, params, _, s0 = vacuum_system
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
+                                  Coset.full(lay.n_total))
         assert (total, len(inv)) == (1728, 48)
         assert int(np.argmax(s0.probabilities())) in inv
 
     def test_string_breaking_14_of_576(self, string_system):
         lay, params, _, s0 = string_system
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
+                                  Coset.full(lay.n_total))
         assert (total, len(inv)) == (576, 14)
         assert int(np.argmax(s0.probabilities())) in inv
 
     def test_linear_encoding_same_sector(self, vacuum_system):
         _, params, _, _ = vacuum_system
         lay = RegisterLayout(LatticeSpec(1, (3,), "periodic"), "linear", 1.0)
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
+                                  Coset.full(lay.n_total))
         assert (total, len(inv)) == (1728, 48)
 
     def test_double_plaquette_528_of_524288(self):
@@ -523,13 +533,14 @@ class TestGaussFilter:
                            (StaticLink((-1, 0), 0, 1.0), StaticLink((2, 0), 0, 1.0)))
         lay = RegisterLayout(spec, "log", 0.5)
         params = ModelParams(m=0.4, e=2.0, theta=(0.5, 0.5), lam=20.0)
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 12), params)
+        total, inv = gauss_filter(lay, fermion_mapping("jw", 12), params,
+                                  Coset.full(lay.n_total))
         assert (total, len(inv)) == (524288, 528)
 
     def test_single_site_zero_charge(self):
         lay = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 0.5)
         total, inv = gauss_filter(lay, fermion_mapping("jw", 2),
-                                  ModelParams(m=1.0))
+                                  ModelParams(m=1.0), Coset.full(2))
         assert total == 4
         # zero-charge site states: vacuum (0,1) and pair (1,0)
         assert sorted(inv) == [0b01, 0b10]
@@ -537,10 +548,169 @@ class TestGaussFilter:
     def test_gauss_sector_conserved(self, string_system):
         lay, params, _, s0 = string_system
         h0 = assemble(lay, ModelParams(m=0.4, r=1.0, e=2.0, lam=0.0), "jw")
-        _, inv = gauss_filter(lay, fermion_mapping("jw", 6), params)
+        _, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
+                                  Coset.full(lay.n_total))
         ev = ExactEvolver(h0.total)
         st = s0
         for _ in range(5):
             st = ev.evolve(st, 0.4)
             outside = 1.0 - st.probabilities()[np.array(inv)].sum()
             assert outside < 1e-9
+
+
+# -- the reachable coset -----------------------------------------------------
+
+
+@st.composite
+def coset_systems(draw):
+    """(hermitian operator on n <= 8 qubits whose x-masks span a random
+    subspace, a basis index i0)."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    strings = []
+    for _ in range(draw(st.integers(1, 12))):
+        x = 0
+        for g in gens:
+            if draw(st.booleans()):
+                x ^= g
+        strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
+                                   draw(st.floats(-2.0, 2.0))))
+    return PauliOperator.from_terms(n, strings), draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_systems(), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_tapered_step_matches_full_register(system, dt, seed):
+    op, i0 = system
+    coset = Coset.reachable(op, i0)
+    full = trotter_plan(op, dt, 1)
+    tapered = trotter_plan(op, dt, 1, coset=coset)
+    assert tapered.n_qubits == coset.r
+    assert len(tapered.strings) == len(full.strings)  # one exponential each
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
+    on_coset = StateVector(coset.r, amps.copy(), coset)
+    everywhere = StateVector(op.n_qubits, np.zeros(1 << op.n_qubits, dtype=complex))
+    everywhere.amps[coset.index] = amps
+    trotter_step(on_coset, tapered)
+    trotter_step(everywhere, full)
+    if coset.r:
+        assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
+    else:
+        # one reachable state: NumPy multiplies a length-1 complex array
+        # without the fused multiply-add of its vector loop, so each phase
+        # product may round differently
+        assert np.allclose(everywhere.amps[coset.index], on_coset.amps,
+                           rtol=4 * len(full.strings) * np.finfo(float).eps, atol=0)
+    outside = np.ones(1 << op.n_qubits, dtype=bool)
+    outside[coset.index] = False
+    assert not everywhere.amps[outside].any()
+
+
+@pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
+@pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d",
+                                  "double_plaquette_2d"])
+def test_tapered_preset_steps_bit_identical(name, mapping_name):
+    sc = validate_config(PRESETS[name] | {"scenario": name, "mapping": mapping_name})
+    lay = build_layout(sc)
+    mapping = fermion_mapping(mapping_name, lay.n_fermionic)
+    h = assemble(lay, sc.params, mapping_name)
+    i0 = initial_index(sc.initial, lay, mapping, sc.params)
+    coset = Coset.reachable(h.total, i0)
+    dt = sc.evolution["dt"][-1]
+    full, tapered = trotter_plan(h, dt, 2), trotter_plan(h, dt, 2, coset=coset)
+    *_, (_, everywhere) = trotter_states(StateVector.basis_state(lay.n_total, i0), full)
+    *_, (_, on_coset) = trotter_states(coset.basis_state(i0), tapered)
+    assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
+    assert np.count_nonzero(on_coset.amps) == np.count_nonzero(everywhere.amps) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_systems())
+def test_coset_index_position_round_trip(system):
+    op, i0 = system
+    n = op.n_qubits
+    coset = Coset.reachable(op, i0)
+    index = coset.index
+    assert len(index) == 1 << coset.r
+    assert (np.diff(index) > 0).all() and i0 in index
+    assert np.array_equal(coset.positions(index), np.arange(1 << coset.r))
+    # every member reaches the same coset; every other index is refused
+    members = set(index.tolist())
+    for j in range(1 << n):
+        if j in members:
+            assert Coset.reachable(op, j) == coset
+        else:
+            with pytest.raises(ValueError, match="outside the coset"):
+                coset.positions([j])
+    assert coset.basis_state(i0).amps[coset.positions([i0])[0]] == 1.0
+
+
+def test_full_coset_is_the_register():
+    coset = Coset.full(5)
+    assert coset.r == 5
+    assert np.array_equal(coset.index, np.arange(32))
+    p = PauliString.from_label("XYZIY", 0.3)
+    assert coset.taper(p) == p
+    assert Coset.reachable(PauliOperator.from_label("XXIII"), 0b10111) == \
+        Coset(5, (0b00011,), 0b01111)
+
+
+def test_coset_rejects_non_echelon_form():
+    for basis, offset in (((0b011, 0b010), 0), ((0b010, 0b001), 0),
+                          ((0b001,), 0b100), ((0,), 0)):
+        with pytest.raises(ValueError, match="row-echelon"):
+            Coset(3, basis, offset)
+
+
+def test_taper_rejects_string_off_the_coset():
+    coset = Coset.reachable(PauliOperator.from_label("XXI"), 0)
+    with pytest.raises(ValueError, match="off the coset"):
+        coset.taper(PauliString.from_label("XII"))
+
+
+def reference_sector(lay, mapping, params) -> np.ndarray:
+    """The G_x = 0 sector by a walk over all 2^n basis indices."""
+    kept = []
+    for start in range(0, 1 << lay.n_total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << lay.n_total))
+        g = gauss_law(lay, *decode_basis(lay, mapping, params.theta_along, idx))
+        kept.append(idx[(np.abs(g) <= 1e-9).all(axis=1)])
+    return np.concatenate(kept)
+
+
+def chain(sites: int, spin: float) -> dict:
+    """A periodic chain from its bare vacuum; at S=1/2 theta = 1/2 makes
+    zero flux a link state."""
+    return {"scenario": "vacuum_decay", "lattice": {"extents": [sites]},
+            "spin": spin, "theta": [0.5 if spin == 0.5 else 0.0]}
+
+
+SECTOR_SYSTEMS = (
+    [(name, {"scenario": name, "mapping": m})
+     for name in ("vacuum_decay", "string_breaking_1d", "double_plaquette_2d")
+     for m in ("jw", "parity", "bk")]
+    + [("vacuum_decay_linear", {"scenario": "vacuum_decay",
+                                "gauge_encoding": "linear"}),
+       ("chain5_half", chain(5, 0.5)), ("chain6_half", chain(6, 0.5)),
+       ("torus2x2_half", {"scenario": "vacuum_decay",
+                          "lattice": {"d": 2, "extents": [2, 2]},
+                          "spin": 0.5, "theta": [0.5, 0.5]}),
+       ("chain4_one", chain(4, 1.0))])
+
+
+@pytest.mark.parametrize("cfg", [c for _, c in SECTOR_SYSTEMS],
+                         ids=[f"{name}-{c.get('mapping', 'jw')}"
+                              for name, c in SECTOR_SYSTEMS])
+def test_coset_walk_finds_the_whole_sector(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    sc = validate_config(load_config(path))
+    lay = build_layout(sc)
+    mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
+    h = assemble(lay, sc.params, sc.mapping)
+    coset = Coset.reachable(h.total, initial_index(sc.initial, lay, mapping,
+                                                   sc.params))
+    total, kept = gauss_filter(lay, mapping, sc.params, coset)
+    assert total == 2**lay.n_fermionic * round(2 * sc.spin + 1)**len(lay.links)
+    assert np.array_equal(kept, reference_sector(lay, mapping, sc.params))

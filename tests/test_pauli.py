@@ -117,6 +117,14 @@ class TestSimplify:
             1, [PauliString.from_label("Y", 1e-14)])
         assert o.is_zero()
 
+    def test_nan_coefficient_is_kept(self):
+        o = PauliOperator.from_terms(1, [PauliString.from_label("Z", float("nan"))])
+        assert o.n_terms == 1 and np.isnan(o.terms[0].coeff)
+        acc = PauliSum(1)
+        acc.add_string(1, 0, complex(float("nan"), 0.0))
+        acc.hermitize()
+        assert np.isnan(acc.to_operator().terms[0].coeff)
+
     def test_canonical_order_is_label_order(self):
         rng = np.random.default_rng(11)
         o = PauliOperator.from_terms(3, rand_strings(rng, 3, 40))
