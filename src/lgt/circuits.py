@@ -170,7 +170,8 @@ def export_qasm(circ: Circuit) -> str:
         if g.name == "cx":
             lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
         elif g.name == "rz":
-            lines.append(f"rz({g.param!r}) q[{g.qubits[0]}];")
+            # float(): a NumPy scalar would print as np.float64(...)
+            lines.append(f"rz({float(g.param)!r}) q[{g.qubits[0]}];")
         else:
             lines.append(f"{g.name} q[{g.qubits[0]}];")
     return "\n".join(lines) + "\n"

@@ -294,6 +294,10 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     for key in ("a", "e"):
         if c[key] <= 0:
             raise ConfigError(f"$.model.{key}", "must be positive")
+    # the mass term's coupling, checked before assembly multiplies it out
+    if not math.isfinite(c["m"] + c["r"] * d):
+        raise ConfigError("$.model", f"the mass coupling m + r d is not finite "
+                                     f"(m = {c['m']!r}, r = {c['r']!r}, d = {d})")
     # H holds e^2/2 and -1/(4 e^2); e * e overflows to inf where e ** 2 raises
     e_sq = c["e"] * c["e"]
     if not (0 < e_sq < math.inf and math.isfinite(1 / (4 * e_sq))):
@@ -375,7 +379,7 @@ def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTer
         raise ResourceLimitError(
             f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
     h = assemble(lay, sc.params, sc.mapping)
-    if not np.isfinite([t.coeff for t in h.total.terms]).all():
+    if not np.isfinite(h.total.coeffs).all():
         raise ConfigError("$.model", "the couplings give a Hamiltonian "
                                      "coefficient that is not finite")
     return h

@@ -106,7 +106,8 @@ def build_mass(layout: RegisterLayout, params: ModelParams,
                     continue
                 i = layout.fermionic_mode(site, alpha)
                 j = layout.fermionic_mode(site, beta)
-                acc.add_operator(mapping.bilinear(i, j, coeff * g0[alpha, beta]))
+                acc.add_operator(mapping.bilinear(i, j, coeff * g0[alpha, beta])
+                                 .embed(layout.n_total))
     return acc.to_operator()
 
 
@@ -117,7 +118,7 @@ def build_hopp_wilson(layout: RegisterLayout, params: ModelParams,
     for link, enc in _encoded_links(layout, params).items():
         head = layout.spec.neighbor(link.site, link.direction)
         gmix = gamma_mix(rep, link.direction + 1, params.r)
-        offset = layout.gauge_offset(link)
+        u = enc.u.embed(layout.n_total, layout.gauge_offset(link))
         for alpha in range(layout.n_spinor):
             for beta in range(layout.n_spinor):
                 if gmix[alpha, beta] == 0:
@@ -125,8 +126,7 @@ def build_hopp_wilson(layout: RegisterLayout, params: ModelParams,
                 i = layout.fermionic_mode(link.site, alpha)
                 j = layout.fermionic_mode(head, beta)
                 ferm = mapping.bilinear(i, j).embed(layout.n_total)
-                acc.add_product(ferm, enc.u.terms, offset,
-                                scale=0.5 * gmix[alpha, beta])
+                acc.add_product(ferm, u, scale=0.5 * gmix[alpha, beta])
     acc.hermitize()
     return acc.to_operator()
 

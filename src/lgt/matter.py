@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, PauliString, PauliSum, _index_mask
+from lgt.pauli import PauliOperator, PauliString, _index_mask
 
 MAPPING_NAMES = ("jw", "parity", "bk")
 
@@ -103,20 +103,24 @@ class FermionMapping:
     occ: tuple[int, ...]       # qubit mask whose parity is n_j
     prefix: tuple[int, ...]    # qubit mask whose parity is sum_{k<j} n_k
 
+    # The ladder and number operators are cached per mapping (mappings are
+    # themselves cached by ``fermion_mapping``); operators are immutable.
+    @lru_cache(maxsize=None)
     def raising(self, j: int) -> PauliOperator:
         """The encoded creation operator a_j^dag (two Pauli strings)."""
         self._check_mode(j)
         n = self.n_modes
         xf = PauliOperator.from_terms(n, [PauliString(n, self.flip[j], 0, 0.5)])
         # (I + Z_D) Z_S = Z_S + Z_(D xor S): Z strings multiply without phase
-        acc = PauliSum(n)
-        acc.add_product(xf, [PauliString(n, 0, self.prefix[j], 1.0),
-                             PauliString(n, 0, self.occ[j] ^ self.prefix[j], 1.0)])
-        return acc.to_operator()
+        zs = PauliOperator.from_terms(n, [
+            PauliString(n, 0, self.prefix[j], 1.0),
+            PauliString(n, 0, self.occ[j] ^ self.prefix[j], 1.0)])
+        return xf * zs
 
     def lowering(self, j: int) -> PauliOperator:
         return self.raising(j).dagger()
 
+    @lru_cache(maxsize=None)
     def number(self, j: int) -> PauliOperator:
         """a_j^dag a_j = (I - Z_occ)/2."""
         self._check_mode(j)
@@ -205,5 +209,5 @@ def max_bilinear_support(mapping: FermionMapping) -> int:
             if i == j:
                 continue
             op = mapping.bilinear(i, j)
-            worst = max(worst, max(t.support for t in op.terms))
+            worst = max(worst, int(op.supports.max()))
     return worst

@@ -9,7 +9,6 @@ the purely imaginary four-fold products from n_pauli[U]^4.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +29,13 @@ ENUMERATION_LIMIT = 2_000_000  # plaquette four-fold products handled exactly
 
 def cnot_per_trotter_step(op: PauliOperator) -> int:
     """2 sum_P (support(P) - 1); identity strings cost nothing."""
-    return 2 * sum(s - 1 for t in op.terms if (s := (t.x | t.z).bit_count()))
+    supports = op.supports
+    return 2 * int((supports[supports > 0] - 1).sum())
 
 
 def support_histogram(op: PauliOperator) -> dict[int, int]:
-    return dict(sorted(Counter(t.support for t in op.terms).items()))
+    values, counts = np.unique(op.supports, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def plaquette_pauli_formula(n_real: int, n_imag: int, n_mixed: int) -> int:
@@ -49,7 +50,7 @@ def plaquette_pauli_formula(n_real: int, n_imag: int, n_mixed: int) -> int:
 def plaquette_pauli_enumerated(spin: float, encoding: str) -> int:
     """Count the four-fold U products with nonzero real part explicitly."""
     u = qlm_link(spin, encoding).u
-    coeffs = np.array([t.coeff for t in u.terms])
+    coeffs = u.re + 1j * u.im
     if len(coeffs) ** 4 > ENUMERATION_LIMIT:
         raise ValueError("plaquette enumeration too large; use the formula")
     pair = np.multiply.outer(coeffs, coeffs).ravel()
@@ -80,14 +81,14 @@ def link_resource_counts(spin: float, encoding: str = "log") -> LinkCounts:
     u = qlm_link(spin, encoding).u
     c = classify(u)
     link = qlm_link(spin, encoding)
-    if len(u.terms) ** 4 <= ENUMERATION_LIMIT:
+    if u.n_terms ** 4 <= ENUMERATION_LIMIT:
         plaq = plaquette_pauli_enumerated(spin, encoding)
     else:
         plaq = plaquette_pauli_formula(*c)
     return LinkCounts(spin, encoding, c.n_real, c.n_imag, c.n_mixed,
                       2 * (c.n_real + c.n_imag + 2 * c.n_mixed),
                       link.e_op.n_terms, link.e_sq.n_terms, plaq,
-                      exact=len(u.terms) ** 4 <= ENUMERATION_LIMIT)
+                      exact=u.n_terms ** 4 <= ENUMERATION_LIMIT)
 
 
 def closed_form_link_counts(spin: float) -> LinkCounts:

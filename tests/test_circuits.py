@@ -16,12 +16,13 @@ from lgt.circuits import (
 from lgt.dynamics import StateVector, apply_pauli_exp
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout
-from lgt.pauli import PauliOperator, PauliString, to_matrix
+from lgt.pauli import PauliOperator, PauliString
+from pauli_oracle import to_matrix
 from lgt.resources import cnot_per_trotter_step
 
 
 def exp_ref(p: PauliString, theta: float) -> np.ndarray:
-    axes = PauliOperator.from_terms(p.n, [p.with_coeff(1.0)])
+    axes = PauliOperator.from_terms(p.n, [p._replace(coeff=1.0)])
     return expm(-1j * theta * p.coeff.real * to_matrix(axes))
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgt
+from lgt.circuits import parse_qasm
 from lgt.cli import (
     MAX_EXACT_NORM_T,
     PRESETS,
@@ -204,10 +205,21 @@ def test_huge_finite_coupling_exact_exits_2(tmp_path, capsys, monkeypatch, model
 
 
 def test_non_finite_hamiltonian_trotter_exits_2(tmp_path, capsys):
-    # m + r d overflows to inf, and inf times a zero phase part gives NaN
+    # m + r d overflows to inf: rejected before assembly, with no NumPy
+    # warning first (warnings are errors in tests)
     assert run_cli(tmp_path, {
         "scenario": "string_breaking_1d",
         "model": {"m": 1e308, "r": 1e308, "lambda_gauss": 1.0},
+        "evolution": {"method": "trotter"}}) == 2
+    assert "at $.model:" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_overflow_in_assembly_exits_2(tmp_path, capsys):
+    # lambda_gauss times the Gauss coefficients overflows inside assembly;
+    # the finiteness check after it reports that, again without a warning
+    assert run_cli(tmp_path, {
+        "scenario": "string_breaking_1d", "model": {"lambda_gauss": 1e308},
         "evolution": {"method": "trotter"}}) == 2
     assert "at $.model:" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
@@ -329,7 +341,7 @@ def test_bad_qasm_dt_exits_2(tmp_path, capsys, dt):
             "f50095ee5f33a48f5a36b5eb8d752b10e8a7cabcd33ae9011abf837a6294a940"}),
     ("qasm", "vacuum_decay.json", {
         "vacuum_decay_trotter_step.qasm":
-            "d88419f0288835d919b49fe6d1fe9da57065e19aeec5fc27f6505f8e918f9432",
+            "9175bd0b4d8f0be76e10f40884d82187285af0b2f43f4a65b2e1cbb673b35f54",
         "vacuum_decay_gate_counts.json":
             "9259a3dc02fe1b2968ceac27310b301089a97a594587cb3f101d0d80114ab66a"}),
 ])
@@ -337,6 +349,12 @@ def test_outputs_match_golden_digest(tmp_path, command, config, digests):
     assert main([command, str(CONFIGS / config), "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in digests} == digests
+
+
+def test_exported_qasm_parses_back(tmp_path):
+    assert main(["qasm", str(CONFIGS / "vacuum_decay.json"), "--out", str(tmp_path)]) == 0
+    circ = parse_qasm((tmp_path / "vacuum_decay_trotter_step.qasm").read_text())
+    assert circ.n_qubits == 12 and circ.gate_counts()["rz"] == 465
 
 
 def exact_curve(tmp_path, mapping: str) -> list[dict[str, float]]:

@@ -39,7 +39,8 @@ from lgt.gauge import flux_state_index
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
-from lgt.pauli import PauliOperator, PauliString, string_action, to_matrix
+from lgt.pauli import PauliOperator, PauliString
+from pauli_oracle import string_action, to_matrix
 
 
 def random_state(rng, n):

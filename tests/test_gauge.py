@@ -15,7 +15,8 @@ from lgt.gauge import (
     spin_matrices,
     spin_pauli_counts,
 )
-from lgt.pauli import classify, commutator, to_matrix
+from lgt.pauli import classify
+from pauli_oracle import commutator, to_matrix
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 

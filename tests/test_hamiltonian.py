@@ -15,7 +15,8 @@ from lgt.hamiltonian import (
 )
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
-from lgt.pauli import classify, is_hermitian, to_matrix
+from lgt.pauli import classify
+from pauli_oracle import is_hermitian, to_matrix
 
 
 def cnot_count(op):

@@ -10,7 +10,7 @@ from lgt.matter import (
     mapped_anticommutator_check,
     max_bilinear_support,
 )
-from lgt.pauli import to_matrix
+from pauli_oracle import to_matrix
 
 ETA = {1: np.diag([1.0, -1.0]),
        2: np.diag([1.0, -1.0, -1.0]),

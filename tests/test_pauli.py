@@ -17,9 +17,12 @@ from lgt.pauli import (
     PauliString,
     PauliSum,
     classify,
-    commutator,
     decompose_matrix,
+)
+from pauli_oracle import (
+    commutator,
     is_hermitian,
+    product_reference,
     string_action,
     to_matrix,
 )
@@ -155,8 +158,11 @@ class TestCanonicalOrder:
         ("string_breaking_1d_light.json", 305, "f7cf78e5521daef5"),
         ({"lattice": {"d": 2, "extents": [3, 3], "boundary": "open"},
           "model": {"m": 0.4, "e": 2.0}, "spin": 1.0}, 64178, "ad478c34b4243755"),
+        # n = 102: a link register on qubits 63-65 spans two mask words
+        ({"lattice": {"d": 1, "extents": [21], "boundary": "open"},
+          "model": {"m": 0.4, "e": 2.0}, "spin": 2.0}, 8095, "73c0d0a697312278"),
     ], ids=["vacuum_decay", "double_plaquette_2d", "string_breaking_1d_light",
-            "custom_3x3_open_s1"])
+            "custom_3x3_open_s1", "custom_21_chain_s2"])
     def test_assembled_terms_match_golden_digest(self, tmp_path, config,
                                                  n_terms, digest):
         if isinstance(config, dict):
@@ -283,7 +289,7 @@ class TestAlgebraOps:
             m = np.zeros((8, 8), dtype=complex)
             idx = np.arange(8)
             m[idx ^ flip, idx] = phases
-            assert np.allclose(m, to_matrix(PauliOperator.from_terms(3, [s.with_coeff(1.0)])))
+            assert np.allclose(m, to_matrix(PauliOperator.from_terms(3, [s._replace(coeff=1.0)])))
 
 
 @st.composite
@@ -304,6 +310,33 @@ def test_product_matches_matrix_product(a, b):
     assert np.allclose(to_matrix(a * b), to_matrix(a) @ to_matrix(b), atol=1e-10)
 
 
+def assert_product_bits(a: PauliOperator, b: PauliOperator) -> None:
+    got = {(t.x, t.z): t.coeff for t in (a * b).terms}
+    want = product_reference(a, b)
+    assert got.keys() == want.keys()
+    for key, c in want.items():
+        assert (got[key].real.hex(), got[key].imag.hex()) == (c.real.hex(), c.imag.hex())
+
+
+# widths around the 64-qubit mask words; b sits on a subregister that may
+# straddle a word boundary
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 5, 63, 64, 65, 130]).flatmap(lambda n: st.tuples(
+           pauli_operators(n), st.integers(1, min(n, 6)).flatmap(
+               lambda k: st.tuples(pauli_operators(k), st.integers(0, n - k))))))
+def test_product_bits_match_the_scalar_rule(ops):
+    a, (b, offset) = ops
+    assert_product_bits(a, b.embed(a.n_qubits, offset))
+
+
+def test_product_bits_match_the_scalar_rule_when_strings_repeat():
+    # 144 products onto at most 4^n strings: the order of each sum shows
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        a, b = (PauliOperator.from_terms(n, rand_strings(rng, n, 12)) for _ in range(2))
+        assert_product_bits(a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(pauli_operators())
 def test_decompose_is_left_inverse_of_to_matrix(o):
@@ -319,9 +352,10 @@ def test_decompose_is_left_inverse_of_to_matrix(o):
        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
 def test_sum_add_product_matches_matrix_product(ops, scale):
     a, (b, offset) = ops
+    b = b.embed(a.n_qubits, offset)
     acc = PauliSum(a.n_qubits)
-    acc.add_product(a, b.terms, offset, scale)
-    expect = scale * to_matrix(a) @ to_matrix(b.embed(a.n_qubits, offset))
+    acc.add_product(a, b, scale)
+    expect = scale * to_matrix(a) @ to_matrix(b)
     assert np.allclose(to_matrix(acc.to_operator()), expect, atol=1e-10)
 
 
