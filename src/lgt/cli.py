@@ -18,7 +18,10 @@ that the Hamiltonian's strings reach (``lgt.dynamics.Coset``), 2^r of the
 2^n basis states, with r written to the metadata as ``n_simulated_qubits``.
 The exact curve evolves in the G_x = 0 states of that coset, as enumerated
 by ``gauss_filter``; the Trotter curves evolve the whole coset with tapered
-strings, so their weight may leave the Gauss-law sector.
+strings, so their weight may leave the Gauss-law sector. For each Trotter
+curve the metadata's ``trotter_kernel`` records the plan's fused blocks,
+its passes over the state per step and the bytes of its fused tensors
+(``TrotterPlan.kernel_summary``).
 """
 
 from __future__ import annotations
@@ -279,9 +282,11 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         direction = _require(sl, "dir", int, spath)
         if not 0 <= direction < d:
             raise ConfigError(f"{spath}.dir", f"must be in [0, {d})")
-        statics.append(StaticLink(tuple(site), direction,
-                                  _finite(_require(sl, "flux", (int, float), spath),
-                                          f"{spath}.flux")))
+        flux = _finite(_require(sl, "flux", (int, float), spath), f"{spath}.flux")
+        # the electric energy holds flux ** 2, an OverflowError past the float range
+        if not math.isfinite(flux * flux):
+            raise ConfigError(f"{spath}.flux", f"flux^2 must be finite, got {flux!r}")
+        statics.append(StaticLink(tuple(site), direction, flux))
     try:
         spec = LatticeSpec(d, tuple(extents), boundary, tuple(statics))
     except ValueError as exc:
@@ -491,11 +496,13 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             st = ev.evolve(st, sample)
             rows.append(readout(k * sample, st))
         curves["exact"] = rows
+    kernel: dict[str, dict[str, int]] = {}
     if evo["method"] in ("trotter", "both"):
         for dt in evo["dt"]:
             plan = trotter_plan(h, dt, _n_steps(t_max, dt), evo["ordering"], coset)
-            curves[f"trotter_dt{dt:g}"] = [readout(t, st) for t, st
-                                           in trotter_states(s0, plan)]
+            name = f"trotter_dt{dt:g}"
+            curves[name] = [readout(t, st) for t, st in trotter_states(s0, plan)]
+            kernel[name] = plan.kernel_summary()
 
     # stable label columns: ranked by peak probability across all curves
     peak: dict[str, float] = {}
@@ -532,6 +539,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "n_cnot_per_trotter_step": cnot_per_trotter_step(h.total),
         "n_configurations": n_configs,
         "n_gauge_invariant": len(sector),
+        "trotter_kernel": kernel,
         "trotter_error_reporting": {
             "absolute": "curve differences against the exact column",
             "relative_floor": 1e-3,

@@ -1,6 +1,6 @@
-"""Statevector simulation on the reachable coset: the coset map, Pauli-
-exponential kernels, Trotter and exact evolution, the basis decoder,
-physical observables, configuration readout and the Gauss-law filter.
+"""Statevector simulation on the reachable coset: the coset map, the fused
+Trotter kernel, exact evolution, the basis decoder, physical observables,
+configuration readout and the Gauss-law filter.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 Every string moves a basis index by its x-mask, so from a basis state i0
@@ -13,12 +13,17 @@ positions (qubit tapering, Bravyi, Gambetta, Mezzacapo & Temme,
 arXiv:1701.08213), so a tapered Trotter plan is an ordinary plan on r
 qubits.
 
-In the (2,)*r view of the amplitudes qubit q is axis q. exp(-i theta P)
-works on that view with no index arrays: the X/Y axes of P become reversed
-slices (views), and the Z/Y parity is a broadcast tensor of 2^|Z/Y axes|
-entries with cos/sin folded in. A diagonal P is one in-place multiply. A
-Trotter plan builds these factors once per string; nothing is cached at
-module level.
+In the (2,)*r view of the amplitudes qubit q is axis q, and a string acts
+with no index arrays: its X/Y axes become reversed slices (views) and its
+Z/Y parity a broadcast tensor of 2^|Z/Y axes| entries. The product formula
+has one exponential per string, but a Trotter plan cuts its strings into
+runs whose x-masks span at most 2^``FUSE_SPAN`` shifts w and folds each run
+into one operator, psi <- sum_w D_w psi[. ^ w], the fusion of runs of gates
+used by blocked statevector simulators (Doi & Horii, arXiv:2102.02957),
+here for Pauli strings. A step then makes one pass per term instead of one
+per string; the cut balances the passes of the plan's steps against the
+cost of the folds, and ``FUSE_ENTRIES`` bounds a fused term tensor. The
+blocks live on the plan; nothing is cached at module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes; observables, configuration labels and the Gauss-law
@@ -36,6 +41,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +56,8 @@ LEAK_TOL = 1e-12     # allowed |<out|H|in>| per unit of sum |coeff| across a spa
 GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
 READOUT_TOL = 1e-12  # configuration probabilities at or below this are not listed
 GAUSS_BLOCK = 1 << 16  # basis indices the Gauss filter decodes at a time
+FUSE_SPAN = 3          # a Trotter block's x-masks span at most this dimension
+FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB)
 
 
 @dataclass(frozen=True)
@@ -199,59 +207,12 @@ def loschmidt(state0: StateVector, state_t: StateVector) -> float:
     return float(abs(np.vdot(state0.amps, state_t.amps)) ** 2)
 
 
-# -- Pauli-exponential kernel ----------------------------------------------
+# -- matrix-free operator action ------------------------------------------
 
 
 def _parity_signs(masked: np.ndarray) -> np.ndarray:
     """(-1)^parity of each entry as a float vector."""
     return np.where(np.bitwise_count(masked) & 1, -1.0, 1.0)
-
-
-def _exp_factors(p: PauliString, theta: float):
-    """(flip, cos theta, factor) applying exp(-i theta P) to the (2,)*n
-    amplitude tensor, where qubit q is axis q; the coefficient is ignored.
-
-    ``flip`` reverses the X/Y axes (None for a diagonal P). ``factor``
-    broadcasts: length 2 on the Z/Y axes, 1 elsewhere. It is exp(-i theta
-    signs) for a diagonal P and i sin(theta) i^|Y| signs, read at the
-    flipped index, otherwise; signs is (-1)^parity over the Z/Y axes.
-    """
-    z_bits = [(p.z >> q) & 1 for q in range(p.n)]
-    signs = functools.reduce(np.multiply.outer, [(1.0, -1.0)] * sum(z_bits),
-                             np.ones(()))
-    signs = signs.reshape([1 + b for b in z_bits])
-    if p.x == 0:
-        return None, 1.0, np.exp(-1j * theta * signs)
-    flip = tuple(slice(None, None, -1) if (p.x >> q) & 1 else slice(None)
-                 for q in range(p.n))
-    ypow = index_masks(p)[2]
-    return flip, math.cos(theta), (1j * math.sin(theta) * ypow) * signs[flip]
-
-
-def _apply_exp(psi: np.ndarray, flip, cos: float, factor: np.ndarray) -> None:
-    """psi <- exp(-i theta P) psi in place, with the factors of
-    ``_exp_factors``: cos(theta) psi - i sin(theta) P psi, where
-    (P psi)[k] = i^|Y| signs[k ^ flip] psi[k ^ flip]."""
-    if flip is None:
-        psi *= factor
-        return
-    moved = factor * psi[flip]
-    psi *= cos
-    psi -= moved
-
-
-def _tensor(state: StateVector, n_qubits: int) -> np.ndarray:
-    """The state's amplitudes as a writable (2,)*n view."""
-    if state.n_qubits != n_qubits:
-        raise ValueError("state size mismatch")
-    state.amps = np.ascontiguousarray(state.amps, dtype=complex)
-    return state.amps.reshape((2,) * n_qubits)
-
-
-def apply_pauli_exp(state: StateVector, p: PauliString, theta: float) -> StateVector:
-    """state <- exp(-i theta P_axes) state, in place; coefficient ignored."""
-    _apply_exp(_tensor(state, p.n), *_exp_factors(p, theta))
-    return state
 
 
 class OperatorAction:
@@ -318,10 +279,95 @@ class OperatorAction:
 ORDERINGS = ("canonical", "by_term_group", "reversed")
 
 
+class Block(NamedTuple):
+    """A run of plan strings applied as one operator, psi <- sum_w D_w
+    psi[. ^ w], with one term per shift w in the GF(2) span of the run's
+    x-masks, in fold order (``_fold``). A term is (index, D_w): in the
+    (2,)*r view psi[index] is psi[. ^ w], and D_w broadcasts against it."""
+
+    strings: range  # positions in the plan's strings
+    terms: tuple[tuple[tuple[slice, ...], np.ndarray], ...]
+
+
+def _shift(x: int, n: int) -> tuple[slice, ...]:
+    """Index of psi[. ^ x] in the (2,)*n view: the X/Y axes reversed."""
+    return tuple(slice(None, None, -1) if (x >> q) & 1 else slice(None)
+                 for q in range(n))
+
+
+def _fold(terms: dict[int, np.ndarray], p: PauliString, theta: float
+          ) -> dict[int, np.ndarray]:
+    """The terms {w: D_w} of exp(-i theta P) B from those of B; the
+    coefficient of P is ignored.
+
+    exp(-i theta P) = cos(theta) I - F X^x with F = i sin(theta) i^|Y|
+    signs[. ^ x], where signs is (-1)^parity over the Z/Y axes, so
+    (cos I - F X^x) sum_w D_w X^w = sum_w cos D_w X^w
+    - sum_w (F D_w[. ^ x]) X^(x ^ w). A diagonal P multiplies every D_w
+    by exp(-i theta signs). New shifts follow the old ones, so the order
+    of the terms comes from the fold alone.
+    """
+    z_bits = [(p.z >> q) & 1 for q in range(p.n)]
+    signs = functools.reduce(np.multiply.outer, [(1.0, -1.0)] * sum(z_bits),
+                             np.ones(()))
+    signs = signs.reshape([1 + b for b in z_bits])
+    if p.x == 0:
+        phase = np.exp(-1j * theta * signs)
+        return {w: d * phase for w, d in terms.items()}
+    flip = _shift(p.x, p.n)
+    f = (1j * math.sin(theta) * index_masks(p)[2]) * signs[flip]
+    cos = math.cos(theta)
+    out = {w: cos * d for w, d in terms.items()}
+    for w, d in terms.items():
+        moved = f * d[flip]
+        v = w ^ p.x
+        out[v] = out[v] - moved if v in out else -moved
+    return out
+
+
+def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
+    """Where the blocks of a plan start: the cut of the string order into
+    runs that minimises sum 2^k (n_steps + L), the passes over the state in
+    n_steps steps plus the folds that build the run, for a run of L strings
+    whose x-masks span dimension k <= ``FUSE_SPAN``. The strings of a run
+    of two or more act on at most log2(``FUSE_ENTRIES``) Z/Y axes together,
+    so none of its term tensors exceeds that many entries; a lone string's
+    tensor has the size of its own Z/Y support."""
+    max_axes = FUSE_ENTRIES.bit_length() - 1
+    cost = [0] * (len(strings) + 1)
+    start = [0] * (len(strings) + 1)
+    for j in range(1, len(strings) + 1):
+        span, z_axes = {0}, 0
+        for i in range(j - 1, -1, -1):
+            p = strings[i]
+            if p.x not in span:
+                if len(span) == 1 << FUSE_SPAN:
+                    break
+                span |= {w ^ p.x for w in span}
+            z_axes |= p.z
+            if i < j - 1 and z_axes.bit_count() > max_axes:
+                break
+            c = cost[i] + len(span) * (n_steps + j - i)
+            if i == j - 1 or c < cost[j]:
+                cost[j], start[j] = c, i
+    starts = []
+    j = len(strings)
+    while j:
+        j = start[j]
+        starts.append(j)
+    return starts[::-1]
+
+
 @dataclass(frozen=True)
 class TrotterPlan:
-    """One exponential per string, in order, on the positions of ``coset``
-    (r = ``n_qubits`` qubits)."""
+    """A first-order product formula, one exponential per string in order,
+    on the positions of ``coset`` (r = ``n_qubits`` qubits).
+
+    A step applies ``blocks``: the strings cut into consecutive runs, each
+    folded into one operator of at most 2^``FUSE_SPAN`` terms and applied
+    in one pass per term. The cut depends on ``n_steps``, since a plan of
+    more steps repays more folding (``_block_starts``); the blocks are
+    built on first use."""
 
     n_qubits: int
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
@@ -331,9 +377,25 @@ class TrotterPlan:
     ordering: str = "canonical"
 
     @functools.cached_property
-    def factors(self) -> tuple:
-        """Per-string ``_exp_factors``, built once per plan."""
-        return tuple(_exp_factors(t, t.coeff.real * self.dt) for t in self.strings)
+    def blocks(self) -> tuple[Block, ...]:
+        starts = _block_starts(self.strings, self.n_steps)
+        identity = {0: np.ones((1,) * self.n_qubits, dtype=complex)}
+        blocks = []
+        for i, j in zip(starts, starts[1:] + [len(self.strings)]):
+            terms = identity
+            for p in self.strings[i:j]:
+                terms = _fold(terms, p, p.coeff.real * self.dt)
+            blocks.append(Block(range(i, j), tuple(
+                (_shift(w, self.n_qubits), d) for w, d in terms.items())))
+        return tuple(blocks)
+
+    def kernel_summary(self) -> dict[str, int]:
+        """Blocks, passes over the state per step, and bytes of the fused
+        term tensors."""
+        return {"blocks": len(self.blocks),
+                "passes_per_step": sum(len(b.terms) for b in self.blocks),
+                "fused_bytes": sum(d.nbytes for b in self.blocks
+                                   for _, d in b.terms)}
 
 
 def trotter_plan(h: HamiltonianTerms | PauliOperator, dt: float, n_steps: int,
@@ -369,11 +431,26 @@ def trotter_plan(h: HamiltonianTerms | PauliOperator, dt: float, n_steps: int,
 
 
 def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
+    """One step of the plan on the state's amplitudes, in place: a
+    diagonal block multiplies them, any other block makes one pass per
+    term into a second buffer, and the two buffers swap roles."""
     if state.coset != plan.coset:
         raise ValueError("state and plan on different cosets")
-    psi = _tensor(state, plan.n_qubits)
-    for factors in plan.factors:
-        _apply_exp(psi, *factors)
+    state.amps = np.ascontiguousarray(state.amps, dtype=complex)
+    psi = home = state.amps.reshape((2,) * plan.n_qubits)
+    out, tmp = np.empty_like(psi), np.empty_like(psi)
+    for block in plan.blocks:
+        (index, d), *rest = block.terms
+        if not rest:
+            psi *= d
+            continue
+        np.multiply(d, psi[index], out=out)
+        for index, d in rest:
+            np.multiply(d, psi[index], out=tmp)
+            out += tmp
+        psi, out = out, psi
+    if psi is not home:
+        home[...] = psi
     return state
 
 

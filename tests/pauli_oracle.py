@@ -1,7 +1,12 @@
-"""Dense-matrix and commutator oracles for the Pauli algebra (small systems).
+"""Dense-matrix and commutator oracles for the Pauli algebra (small
+systems), and the per-string Pauli-exponential kernel that the fused Trotter
+blocks of ``lgt.dynamics`` are checked against.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -12,6 +17,55 @@ from lgt.pauli import (
     PauliString,
     index_masks,
 )
+
+
+def exp_factors(p: PauliString, theta: float):
+    """(flip, cos theta, factor) applying exp(-i theta P) to the (2,)*n
+    amplitude tensor, where qubit q is axis q; the coefficient is ignored.
+
+    ``flip`` reverses the X/Y axes (None for a diagonal P). ``factor``
+    broadcasts: length 2 on the Z/Y axes, 1 elsewhere. It is exp(-i theta
+    signs) for a diagonal P and i sin(theta) i^|Y| signs, read at the
+    flipped index, otherwise; signs is (-1)^parity over the Z/Y axes.
+    """
+    z_bits = [(p.z >> q) & 1 for q in range(p.n)]
+    signs = functools.reduce(np.multiply.outer, [(1.0, -1.0)] * sum(z_bits),
+                             np.ones(()))
+    signs = signs.reshape([1 + b for b in z_bits])
+    if p.x == 0:
+        return None, 1.0, np.exp(-1j * theta * signs)
+    flip = tuple(slice(None, None, -1) if (p.x >> q) & 1 else slice(None)
+                 for q in range(p.n))
+    ypow = index_masks(p)[2]
+    return flip, math.cos(theta), (1j * math.sin(theta) * ypow) * signs[flip]
+
+
+def apply_exp(psi: np.ndarray, flip, cos: float, factor: np.ndarray) -> None:
+    """psi <- exp(-i theta P) psi in place, with the factors of
+    ``exp_factors``: cos(theta) psi - i sin(theta) P psi, where
+    (P psi)[k] = i^|Y| signs[k ^ flip] psi[k ^ flip]."""
+    if flip is None:
+        psi *= factor
+        return
+    moved = factor * psi[flip]
+    psi *= cos
+    psi -= moved
+
+
+def apply_pauli_exp(state, p: PauliString, theta: float):
+    """state <- exp(-i theta P_axes) state, in place; coefficient ignored."""
+    if state.n_qubits != p.n:
+        raise ValueError("state size mismatch")
+    state.amps = np.ascontiguousarray(state.amps, dtype=complex)
+    apply_exp(state.amps.reshape((2,) * p.n), *exp_factors(p, theta))
+    return state
+
+
+def trotter_step_reference(state, plan):
+    """One step of a Trotter plan, one exponential per string in order."""
+    for t in plan.strings:
+        apply_pauli_exp(state, t, t.coeff.real * plan.dt)
+    return state
 
 
 def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:

@@ -13,11 +13,11 @@ from lgt.circuits import (
     synth_pauli_exp,
     synth_trotter_step,
 )
-from lgt.dynamics import StateVector, apply_pauli_exp
+from lgt.dynamics import StateVector
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.pauli import PauliOperator, PauliString
-from pauli_oracle import to_matrix
+from pauli_oracle import apply_pauli_exp, to_matrix
 from lgt.resources import cnot_per_trotter_step
 
 

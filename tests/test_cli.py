@@ -29,7 +29,7 @@ from lgt.cli import (
     main,
     validate_config,
 )
-from lgt.dynamics import StateVector
+from lgt.dynamics import Coset, StateVector, trotter_plan
 from lgt.hamiltonian import default_lambda
 from lgt.matter import fermion_mapping
 
@@ -254,6 +254,24 @@ def test_24_qubit_chain_runs_on_its_coset(tmp_path):
         assert 0.5 < float(rows[-1]["loschmidt"]) < 1.0
 
 
+def test_meta_records_trotter_kernel(tmp_path):
+    cfg = {"scenario": "string_breaking_1d",
+           "evolution": {"method": "trotter", "dt": [0.1, 0.01], "t_max": 0.2}}
+    assert run_cli(tmp_path, cfg) == 0
+    meta = json.loads((tmp_path / "out" / "string_breaking_1d_meta.json").read_text())
+    sc = validate_config(load_config(write_config(tmp_path, cfg)))
+    lay = build_layout(sc)
+    h = build_hamiltonian(sc, lay)
+    coset = Coset.reachable(h.total, initial_index(
+        sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic), sc.params))
+    assert meta["trotter_kernel"] == {
+        f"trotter_dt{dt:g}": trotter_plan(h, dt, steps, coset=coset).kernel_summary()
+        for dt, steps in ((0.1, 2), (0.01, 20))}
+    # a plan of more steps fuses more: fewer passes over the state per step
+    short, long = (meta["trotter_kernel"][f"trotter_dt{dt}"] for dt in ("0.1", "0.01"))
+    assert long["passes_per_step"] < short["passes_per_step"]
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
                                         if p.name != "resource_report.json"))
 def test_shipped_configs_within_exact_bound(name):
@@ -281,6 +299,19 @@ def test_curves_stop_at_t_max(tmp_path):
         text = (tmp_path / "out" / f"string_breaking_1d_{name}.csv").read_text()
         times = [float(line.split(",")[0]) for line in text.splitlines()[1:]]
         assert times == pytest.approx([0.0, 0.3])
+
+
+def test_huge_static_flux_exits_2(tmp_path, capsys, monkeypatch):
+    # finite, but the electric energy's flux ** 2 overflows: rejected where
+    # the flux is read, before assembly would raise OverflowError
+    def no_assembly(*args):
+        raise AssertionError("Hamiltonian assembled")
+
+    monkeypatch.setattr("lgt.cli.assemble", no_assembly)
+    assert run_cli(tmp_path, {
+        "scenario": "string_breaking_1d", "lattice": {"static_links": [
+            {"site": [-1], "dir": 0, "flux": 1e200}]}}) == 2
+    assert "at $.lattice.static_links[0].flux:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override, path", [

@@ -1,12 +1,14 @@
 """Statevector kernels, Trotter/exact evolution, observables, Gauss filter."""
 
+import dataclasses
+import functools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -19,11 +21,13 @@ from lgt.cli import (
     validate_config,
 )
 from lgt.dynamics import (
+    FUSE_ENTRIES,
+    FUSE_SPAN,
+    ORDERINGS,
     Coset,
     ExactEvolver,
     OperatorAction,
     StateVector,
-    apply_pauli_exp,
     basis_config_label,
     config_probabilities,
     decode_basis,
@@ -40,7 +44,12 @@ from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
 from lgt.pauli import PauliOperator, PauliString
-from pauli_oracle import string_action, to_matrix
+from pauli_oracle import (
+    apply_pauli_exp,
+    string_action,
+    to_matrix,
+    trotter_step_reference,
+)
 
 
 def random_state(rng, n):
@@ -309,6 +318,90 @@ class TestTrotter:
         h = PauliOperator.from_terms(1, [PauliString.from_label("X", 1j)])
         with pytest.raises(ValueError):
             trotter_plan(h, 0.1, 1)
+
+
+# -- fused Trotter blocks against the per-string oracle -----------------------
+
+
+@functools.cache
+def open_chain_terms(sites: int):
+    """The HamiltonianTerms of an open S=1/2 chain: 2, 5 or 8 qubits."""
+    lay = RegisterLayout(LatticeSpec(1, (sites,), "open"), "log", 0.5)
+    return assemble(lay, ModelParams(m=0.5, lam=1.0))
+
+
+@st.composite
+def ordered_hamiltonians(draw):
+    """(random hermitian HamiltonianTerms on n <= 8 qubits, an ordering).
+    The x-masks are sums of a few generators and some strings are diagonal,
+    so runs of strings share small spans."""
+    h = open_chain_terms(draw(st.integers(1, 3)))
+    n = h.layout.n_total
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
+
+    def part():
+        strings = []
+        for _ in range(draw(st.integers(0, 8))):
+            x = 0
+            for g in gens:
+                if draw(st.booleans()):
+                    x ^= g
+            strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
+                                       draw(st.floats(-2.0, 2.0))))
+        return PauliOperator.from_terms(n, strings)
+
+    mass, hopp, elec, plaq, gauss = (part() for _ in range(5))
+    h = dataclasses.replace(h, mass=mass, hopp_wilson=hopp, elec=elec,
+                            plaq=plaq, gauss=gauss,
+                            total=mass + hopp + elec + plaq + gauss)
+    return h, draw(st.sampled_from(ORDERINGS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_hamiltonians(), st.sampled_from([1, 3, 200]),
+       st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
+    h, ordering = system
+    plan = trotter_plan(h, dt, n_steps, ordering)
+    # every string lands in exactly one block, in order, and a block has
+    # one term per shift in the span of its x-masks
+    assert [i for b in plan.blocks for i in b.strings] == list(range(len(plan.strings)))
+    for block in plan.blocks:
+        span = {0}
+        for i in block.strings:
+            x = plan.strings[i].x
+            if x not in span:
+                span |= {w ^ x for w in span}
+        assert len(block.terms) == len(span) <= 1 << FUSE_SPAN
+    st0 = random_state(np.random.default_rng(seed), plan.n_qubits)
+    fused, ref = st0.copy(), st0.copy()
+    for _ in range(2):
+        trotter_step(fused, plan)
+        trotter_step_reference(ref, plan)
+    assert np.max(np.abs(fused.amps - ref.amps)) <= 1e-12
+
+
+def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
+    # 8-site periodic S=1/2 chain: r = 16, a 1 MB state. Diagonal strings
+    # folded into a run widen its tensors to the union of the run's Z axes.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(chain(8, 0.5)))
+    sc = validate_config(load_config(path))
+    lay = build_layout(sc)
+    h = assemble(lay, sc.params, sc.mapping)
+    coset = Coset.reachable(h.total, initial_index(
+        sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic), sc.params))
+    plan = trotter_plan(h, 0.05, 100, coset=coset)
+    assert plan.n_qubits == 16
+    assert plan.kernel_summary() == {"blocks": 58, "passes_per_step": 126,
+                                     "fused_bytes": 8_579_920}
+    for block in plan.blocks:
+        if len(block.strings) > 1:
+            assert max(d.size for _, d in block.terms) <= FUSE_ENTRIES
+    # without the bound the same plan holds almost three times as much
+    monkeypatch.setattr(lgt.dynamics, "FUSE_ENTRIES", 1 << 30)
+    unbounded = trotter_plan(h, 0.05, 100, coset=coset).kernel_summary()
+    assert unbounded["fused_bytes"] == 23_944_704
 
 
 class TestObservables:
@@ -606,6 +699,50 @@ def test_tapered_step_matches_full_register(system, dt, seed):
     outside = np.ones(1 << op.n_qubits, dtype=bool)
     outside[coset.index] = False
     assert not everywhere.amps[outside].any()
+
+
+# one block of three strings spanning two dimensions; its shifts sort
+# differently by w on the register and on the coset
+SORT_SENSITIVE = PauliOperator.from_terms(3, [
+    PauliString.from_label(label, c)
+    for label, c in (("XYZ", 0.2), ("XZY", 0.5), ("ZXY", 0.1))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_systems(), st.sampled_from([3, 200]), st.floats(1e-3, 1.0),
+       st.integers(0, 2**32 - 1))
+@example((SORT_SENSITIVE, 0), 200, 0.5, 0)
+def test_tapered_fused_blocks_match_full_register(system, n_steps, dt, seed):
+    # long plans fuse runs into blocks of up to 2^FUSE_SPAN terms; tapering
+    # relabels the shifts w, so the terms must be summed in fold order for
+    # the two registers to agree bit for bit
+    op, i0 = system
+    coset = Coset.reachable(op, i0)
+    full = trotter_plan(op, dt, n_steps)
+    tapered = trotter_plan(op, dt, n_steps, coset=coset)
+    assert ([b.strings for b in tapered.blocks] == [b.strings for b in full.blocks])
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
+    on_coset = StateVector(coset.r, amps.copy(), coset)
+    everywhere = StateVector(op.n_qubits, np.zeros(1 << op.n_qubits, dtype=complex))
+    everywhere.amps[coset.index] = amps
+    for _ in range(2):
+        trotter_step(on_coset, tapered)
+        trotter_step(everywhere, full)
+    if coset.r:
+        assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
+    else:  # a length-1 product rounds without the vector loop's fused multiply-add
+        assert np.allclose(everywhere.amps[coset.index], on_coset.amps,
+                           rtol=8 * len(full.strings) * np.finfo(float).eps, atol=0)
+
+
+def test_span_bound_cuts_a_long_run():
+    # x-masks cycling through four generators: every run of more than three
+    # strings spans four dimensions, so only the bound keeps runs short
+    strings = [PauliString(4, 1 << (i % 4), 0, 0.1 * (i + 1)) for i in range(40)]
+    op = PauliOperator.from_terms(4, strings)
+    plan = trotter_plan(op, 0.1, 200)
+    assert max(len(b.terms) for b in plan.blocks) <= 1 << FUSE_SPAN
 
 
 @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
