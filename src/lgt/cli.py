@@ -21,7 +21,9 @@ by ``gauss_filter``; the Trotter curves evolve the whole coset with tapered
 strings, so their weight may leave the Gauss-law sector. For each Trotter
 curve the metadata's ``trotter_kernel`` records the plan's fused blocks,
 its passes over the state per step and the bytes of its fused tensors
-(``TrotterPlan.kernel_summary``).
+(``TrotterPlan.kernel_summary``); for the exact curve ``exact_kernel``
+records the sector's ||H||_inf, the Taylor substeps per sample and the
+actions of H (``ExactEvolver.kernel_summary``).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from lgt.dynamics import (
     GAUSS_TOL,
     MAX_QUBITS,
     ORDERINGS,
+    READOUT_TOL,
     Coset,
     ExactEvolver,
     config_probabilities,
@@ -74,9 +77,10 @@ class ResourceLimitError(Exception):
 
 
 MAX_STEPS = 100_000  # longest curve (time steps) a run may ask for
-# Largest sum |coeff| * t_max an exact curve may take. expm_multiply's step
-# count grows with ||H|| t, and its norm estimates of (H t)^p overflow to inf
-# long before a finite coupling does; shipped configs reach 4,905.
+# Largest sum |coeff| * t_max an exact curve may take. The exact evolver
+# takes ||H|| t / TAYLOR_STEP Taylor substeps, and ||H|| on the Gauss sector
+# is at most sum |coeff|: past this bound a curve takes hours, and an
+# infinite sum has no step count at all; shipped configs reach 4,905.
 MAX_EXACT_NORM_T = 1e7
 
 PRESETS: dict[str, dict] = {
@@ -462,6 +466,27 @@ def _write_curve(path: Path, rows, label_columns):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _label_columns(curves, n_columns: int = 12) -> list[str]:
+    """The configurations of highest peak probability across all curves.
+    Peaks that differ from their neighbour in the ranking by at most
+    ``READOUT_TOL`` form one tier, ordered by label, so round-off between
+    exact solvers or fermion mappings cannot reorder a block of
+    symmetry-degenerate configurations or move the cut through it."""
+    peak: dict[str, float] = {}
+    for rows in curves:
+        for *_, probs in rows:
+            for label, p in probs.items():
+                peak[label] = max(peak.get(label, 0.0), p)
+    ranked = sorted(peak.items(), key=lambda kv: -kv[1])
+    tier, prev, keyed = 0, math.inf, []
+    for label, p in ranked:
+        if prev - p > READOUT_TOL:
+            tier += 1
+        keyed.append((tier, label))
+        prev = p
+    return [label for _, label in sorted(keyed)[:n_columns]]
+
+
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -487,6 +512,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
                 config_probabilities(st, lay, mapping, params))
 
     curves: dict[str, list] = {}
+    exact_kernel: dict[str, float | int] = {}
     if evo["method"] in ("exact", "both"):
         ev = ExactEvolver(h.total, sector)
         sample = evo["sample_dt"]
@@ -496,6 +522,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             st = ev.evolve(st, sample)
             rows.append(readout(k * sample, st))
         curves["exact"] = rows
+        exact_kernel = ev.kernel_summary(sample)
     kernel: dict[str, dict[str, int]] = {}
     if evo["method"] in ("trotter", "both"):
         for dt in evo["dt"]:
@@ -504,14 +531,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             curves[name] = [readout(t, st) for t, st in trotter_states(s0, plan)]
             kernel[name] = plan.kernel_summary()
 
-    # stable label columns: ranked by peak probability across all curves
-    peak: dict[str, float] = {}
-    for rows in curves.values():
-        for *_, probs in rows:
-            for label, p in probs.items():
-                peak[label] = max(peak.get(label, 0.0), p)
-    label_columns = [label for label, _ in
-                     sorted(peak.items(), key=lambda kv: (-kv[1], kv[0]))[:12]]
+    label_columns = _label_columns(curves.values())
 
     written = []
     for name, rows in curves.items():
@@ -540,6 +560,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "n_configurations": n_configs,
         "n_gauge_invariant": len(sector),
         "trotter_kernel": kernel,
+        "exact_kernel": exact_kernel,
         "trotter_error_reporting": {
             "absolute": "curve differences against the exact column",
             "relative_floor": 1e-3,

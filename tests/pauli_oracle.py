@@ -103,6 +103,19 @@ def to_matrix(op: PauliOperator) -> np.ndarray:
     return m
 
 
+def action_matrix(action) -> np.ndarray:
+    """Dense matrix of an ``lgt.dynamics.OperatorAction`` on its span, read
+    from its groups the way ``__call__`` applies them: row i gathers
+    diag[src[i]] * amps[src[i]] from every group."""
+    dim = len(action.basis)
+    m = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    for src, diag in action.groups:
+        cols = rows if src is None else src
+        np.add.at(m, (rows, cols), diag[cols])
+    return m
+
+
 def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
     """Exponent k (mod 4) such that P(x1,z1) P(x2,z2) = i^k P(x1^x2, z1^z2)."""
     k = (x1 & z1).bit_count() + (x2 & z2).bit_count()

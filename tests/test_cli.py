@@ -3,7 +3,6 @@
 import copy
 import csv
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -22,6 +21,7 @@ from lgt.cli import (
     PRESETS,
     ConfigError,
     ScenarioConfig,
+    _label_columns,
     build_hamiltonian,
     build_layout,
     initial_index,
@@ -80,13 +80,29 @@ def test_off_sector_run_exits_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, lgt.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once ``code`` has run in a fresh
+    interpreter that sees only the source tree."""
+    code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=str(Path(lgt.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_modules_after("import sys, lgt.cli") == "[]"
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    # exact and Trotter curves, readout and output: the whole run
+    config = write_config(tmp_path, {
+        "scenario": "string_breaking_1d",
+        "evolution": {"method": "both", "dt": [0.1], "t_max": 0.2}})
+    argv = ["run", str(config), "--out", str(tmp_path / "out")]
+    code = f"import sys, lgt.cli; assert lgt.cli.main({argv!r}) == 0"
+    assert scipy_modules_after(code) == "[]"
+    assert (tmp_path / "out" / "string_breaking_1d_exact.csv").is_file()
 
 
 def run_cli(tmp_path, cfg: dict) -> int:
@@ -227,9 +243,7 @@ def test_overflow_in_assembly_exits_2(tmp_path, capsys):
 
 def test_24_qubit_chain_runs_on_its_coset(tmp_path):
     # 8-site periodic S=1/2 chain: n = 24, r = 16; one 2^24 state alone
-    # would be 256 MB. The exact curve's scipy import is not the run's cost.
-    importlib.import_module("scipy.sparse.linalg")
-
+    # would be 256 MB
     cfg = {"scenario": "vacuum_decay", "lattice": {"extents": [8]},
            "spin": 0.5, "theta": [0.5],
            "evolution": {"method": "both", "dt": [0.05], "t_max": 0.1,
@@ -270,6 +284,21 @@ def test_meta_records_trotter_kernel(tmp_path):
     # a plan of more steps fuses more: fewer passes over the state per step
     short, long = (meta["trotter_kernel"][f"trotter_dt{dt}"] for dt in ("0.1", "0.01"))
     assert long["passes_per_step"] < short["passes_per_step"]
+
+
+def test_meta_records_exact_kernel(tmp_path):
+    cfg = {"scenario": "vacuum_decay",
+           "evolution": {"method": "exact", "t_max": 0.3, "sample_dt": 0.1}}
+    assert run_cli(tmp_path, cfg) == 0
+    meta = json.loads((tmp_path / "out" / "vacuum_decay_meta.json").read_text())
+    kernel = meta["exact_kernel"]
+    assert kernel.keys() == {"sector_norm", "substeps_per_sample", "matvecs"}
+    # on the G_x = 0 sector the Gauss penalty drops out of ||H||
+    assert kernel["sector_norm"] == pytest.approx(9.0, rel=1e-12)
+    assert kernel["substeps_per_sample"] == 1
+    # three samples, each a Taylor series of several terms
+    assert 3 * 5 <= kernel["matvecs"] <= 3 * 30
+    assert meta["trotter_kernel"] == {}
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
@@ -397,6 +426,27 @@ def exact_curve(tmp_path, mapping: str) -> list[dict[str, float]]:
     assert main(["run", str(config), "--out", str(out)]) == 0
     with open(out / "run_exact.csv", newline="") as fh:
         return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+def test_label_columns_rank_near_ties_by_label():
+    def rows(probs):
+        return [(0.0, 1.0, 0.0, probs)]
+
+    tied = 2.0e-3
+    curve = {"z": 0.5, "y": 0.4, "c": tied + 4e-13, "a": tied, "b": tied - 4e-13,
+             "x": tied - 2e-12}
+    # a tier is a chain of neighbours within READOUT_TOL; peaks further
+    # apart keep their order
+    assert _label_columns([rows(curve)]) == ["z", "y", "a", "b", "c", "x"]
+    # round-off that reorders peaks inside the tier moves no column, and
+    # the cut falls inside the tier by label
+    nudged = dict(curve, b=tied + 8e-13)
+    assert _label_columns([rows(nudged)]) == ["z", "y", "a", "b", "c", "x"]
+    for c in (curve, nudged):
+        assert _label_columns([rows(c)], n_columns=4) == ["z", "y", "a", "b"]
+    # the peak over all curves and rows ranks a label
+    assert _label_columns([rows({"a": 0.1}), rows({"b": 0.2, "a": 0.3})]) \
+        == ["a", "b"]
 
 
 @pytest.mark.parametrize("mapping", ["parity", "bk"])

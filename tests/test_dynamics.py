@@ -174,6 +174,74 @@ class TestExactEvolution:
         assert np.max(np.abs(out.amps - ref)) < 1e-11
         assert not out.amps[np.setdiff1d(np.arange(1 << 10), sector)].any()
 
+    @pytest.mark.parametrize("norm_t", [1e-3, 0.4, 2.0, 7.5, 50.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_taylor_matches_expm(self, norm_t, sign):
+        rng = np.random.default_rng(41)
+        h = random_hermitian_sum(rng, 6, 20)
+        st = random_state(rng, 6)
+        ev = ExactEvolver(h)
+        t = sign * norm_t / ev.norm
+        ref = expm(-1j * t * to_matrix(h)) @ st.amps
+        out = ev.evolve(st, t)
+        assert np.max(np.abs(out.amps - ref)) < 1e-13
+        assert abs(out.norm - 1.0) < 1e-13
+        assert ev.substeps(t) == math.ceil(norm_t / lgt.dynamics.TAYLOR_STEP)
+
+    def test_norm_is_the_inf_norm_on_the_span(self, string_system):
+        lay, params, h, _ = string_system
+        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params,
+                                  Coset.full(lay.n_total))
+        ev = ExactEvolver(h.total, sector)
+        m = to_matrix(h.total)[np.ix_(sector, sector)]
+        assert ev.norm == pytest.approx(np.abs(m).sum(axis=1).max(), rel=1e-14)
+        assert ev.norm == pytest.approx(np.abs(m).sum(axis=0).max(), rel=1e-14)
+        # the Gauss penalty vanishes on the sector, so the norm is far below
+        # the sum of |coeff| that bounds it
+        assert ev.norm < 0.1 * sum(abs(t.coeff) for t in h.total.terms)
+
+    def test_diagonal_h_on_a_point_coset(self):
+        h = PauliOperator.from_terms(3, [PauliString.from_label("ZIZ", 0.5),
+                                         PauliString.from_label("IZI", -1.25)])
+        coset = Coset.reachable(h, 5)
+        assert coset.r == 0
+        energy = to_matrix(h)[5, 5].real
+        ev = ExactEvolver(h, coset.index)
+        assert ev.norm == abs(energy)
+        out = ev.evolve(coset.basis_state(5), -3.0)
+        assert abs(out.amps[0] - np.exp(3j * energy)) < 1e-13
+
+    def test_zero_h_and_zero_state(self):
+        rng = np.random.default_rng(43)
+        st = random_state(rng, 3)
+        ev = ExactEvolver(PauliOperator.zero(3))
+        assert ev.norm == 0.0
+        assert np.array_equal(ev.evolve(st, 5.0).amps, st.amps)
+        assert ev.matvecs == 0
+        ev = ExactEvolver(random_hermitian_sum(rng, 3, 6))
+        zero = StateVector(3, np.zeros(8, dtype=complex))
+        assert not ev.evolve(zero, 5.0).amps.any()
+
+    def test_non_finite_state_raises(self):
+        rng = np.random.default_rng(47)
+        st = random_state(rng, 3)
+        st.amps[2] = np.nan
+        ev = ExactEvolver(random_hermitian_sum(rng, 3, 6))
+        with pytest.raises(RuntimeError, match="not converged"):
+            ev.evolve(st, 0.1)
+
+    def test_kernel_summary_counts_matvecs(self):
+        rng = np.random.default_rng(53)
+        ev = ExactEvolver(random_hermitian_sum(rng, 4, 10))
+        st = random_state(rng, 4)
+        ev.evolve(st, 1.0)
+        summary = ev.kernel_summary(1.0)
+        assert summary["sector_norm"] == ev.norm
+        assert summary["substeps_per_sample"] == ev.substeps(1.0) >= 1
+        assert summary["matvecs"] == ev.matvecs
+        # a converged substep sums at least a few Taylor terms
+        assert ev.matvecs >= 3 * ev.substeps(1.0)
+
     def test_rejects_basis_h_leaves(self, vacuum_system):
         _, _, h, s0 = vacuum_system
         vacuum = int(np.argmax(s0.probabilities()))

@@ -19,7 +19,7 @@ from lgt.dynamics import (
 from lgt.hamiltonian import ModelParams, assemble, build_gauss
 from lgt.matter import MAPPING_NAMES, fermion_mapping
 from lgt.pauli import PauliOperator, PauliString
-from pauli_oracle import commutator, is_hermitian
+from pauli_oracle import action_matrix, commutator, is_hermitian
 
 SCENARIOS = ("vacuum_decay", "string_breaking_1d", "double_plaquette_2d")
 
@@ -85,7 +85,7 @@ def test_sector_spectrum_same_for_every_mapping(systems, name, size):
         lay, _, _, sector = systems.get(name, mapping_name)
         assert len(sector) == size
         h = assemble(lay, sc.params, mapping_name)
-        matrix = OperatorAction(h.total, basis=sector).matrix().toarray()
+        matrix = action_matrix(OperatorAction(h.total, basis=sector))
         spectra[mapping_name] = np.linalg.eigvalsh(matrix)
     for mapping_name in ("parity", "bk"):
         assert np.abs(spectra[mapping_name] - spectra["jw"]).max() <= 1e-9
