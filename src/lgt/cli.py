@@ -24,6 +24,12 @@ its passes over the state per step and the bytes of its fused tensors
 (``TrotterPlan.kernel_summary``); for the exact curve ``exact_kernel``
 records the sector's ||H||_inf, the Taylor substeps per sample and the
 actions of H (``ExactEvolver.kernel_summary``).
+
+Each readout row holds the time, the Loschmidt echo, the particle number
+and the (keys, probabilities) arrays of ``config_probabilities``, keyed by
+the run's ``ConfigKeys``. After the last curve the 12 configurations of
+highest peak probability become the CSV columns (``_label_columns``), and
+only the keys ranked up to the tier of the cut get a label string.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from lgt.dynamics import (
     MAX_QUBITS,
     ORDERINGS,
     READOUT_TOL,
+    ConfigKeys,
     Coset,
     ExactEvolver,
     config_probabilities,
@@ -175,9 +182,9 @@ def _merge(base: dict, override: dict) -> dict:
 
 def load_config(path: str | Path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(str(path), str(exc)) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("$", "top level must be a JSON object")
@@ -453,38 +460,54 @@ def _format(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_curve(path: Path, rows, label_columns):
+def _write_curve(path: Path, rows, columns: np.ndarray, labels: list[str]):
+    """One CSV line per readout row (t, Loschmidt echo, particle number,
+    (keys, probabilities)): a column per configuration key in ``columns``,
+    headed by its label, and p[other], the rest of the row's probability."""
     lines = ["t,loschmidt,total_particle_number"
-             + "".join(f",p[{label}]" for label in label_columns) + ",p[other]"]
-    for t, g, n_part, probs in rows:
-        listed = sum(probs.get(label, 0.0) for label in label_columns)
-        other = max(0.0, sum(probs.values()) - listed)
+             + "".join(f",p[{label}]" for label in labels) + ",p[other]"]
+    # key -> its column, -1 for none; every key past the last column reads
+    # the final -1
+    slot = np.full(columns.max(initial=-1) + 2, -1)
+    slot[columns] = np.arange(len(columns))
+    for t, g, n_part, (keys, probs) in rows:
+        col = slot[np.minimum(keys, len(slot) - 1)]
+        hit = col >= 0
+        values = np.zeros(len(columns))
+        values[col[hit]] = probs[hit]
+        values = values.tolist()
+        other = max(0.0, sum(probs.tolist()) - sum(values))
         cells = [_format(t), _format(g), _format(n_part)]
-        cells += [_format(probs.get(label, 0.0)) for label in label_columns]
+        cells += [_format(p) for p in values]
         cells.append(_format(other))
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _label_columns(curves, n_columns: int = 12) -> list[str]:
-    """The configurations of highest peak probability across all curves.
+def _label_columns(curves, label, n_columns: int = 12
+                   ) -> tuple[np.ndarray, list[str]]:
+    """(keys, labels) of the configurations of highest peak probability
+    across all curves; ``label`` maps a key array to label strings.
     Peaks that differ from their neighbour in the ranking by at most
     ``READOUT_TOL`` form one tier, ordered by label, so round-off between
     exact solvers or fermion mappings cannot reorder a block of
-    symmetry-degenerate configurations or move the cut through it."""
-    peak: dict[str, float] = {}
-    for rows in curves:
-        for *_, probs in rows:
-            for label, p in probs.items():
-                peak[label] = max(peak.get(label, 0.0), p)
-    ranked = sorted(peak.items(), key=lambda kv: -kv[1])
-    tier, prev, keyed = 0, math.inf, []
-    for label, p in ranked:
-        if prev - p > READOUT_TOL:
-            tier += 1
-        keyed.append((tier, label))
-        prev = p
-    return [label for _, label in sorted(keyed)[:n_columns]]
+    symmetry-degenerate configurations or move the cut through it. Labels
+    are built only for the tiers up to the one the cut falls in."""
+    readouts = [row[-1] for rows in curves for row in rows]
+    peak = np.zeros(1 + max((keys.max(initial=-1) for keys, _ in readouts),
+                            default=-1))
+    for keys, probs in readouts:
+        peak[keys] = np.maximum(peak[keys], probs)  # keys are distinct in a row
+    ranked = np.flatnonzero(peak)
+    ranked = ranked[np.argsort(-peak[ranked], kind="stable")]
+    # a drop of more than READOUT_TOL from the previous peak starts a tier
+    p = peak[ranked]
+    tier = np.cumsum(np.diff(p, prepend=p[:1]) < -READOUT_TOL)
+    if len(ranked) > n_columns:
+        ranked = ranked[tier <= tier[n_columns - 1]]
+    names = label(ranked)
+    order = sorted(range(len(ranked)), key=lambda i: (tier[i], names[i]))[:n_columns]
+    return ranked[order], [names[i] for i in order]
 
 
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
@@ -505,11 +528,11 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     coset = Coset.reachable(h.total, i0)
     s0 = coset.basis_state(i0)
     n_configs, sector = gauss_filter(lay, mapping, params, coset)
+    configs = ConfigKeys(lay, mapping, params, coset)
 
     def readout(t, st):
         n_part = standard_observables(st, lay, mapping, params)["total_particle_number"]
-        return (t, loschmidt(s0, st), n_part,
-                config_probabilities(st, lay, mapping, params))
+        return t, loschmidt(s0, st), n_part, config_probabilities(st, configs)
 
     curves: dict[str, list] = {}
     exact_kernel: dict[str, float | int] = {}
@@ -531,12 +554,12 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             curves[name] = [readout(t, st) for t, st in trotter_states(s0, plan)]
             kernel[name] = plan.kernel_summary()
 
-    label_columns = _label_columns(curves.values())
+    columns, labels = _label_columns(curves.values(), configs.labels)
 
     written = []
     for name, rows in curves.items():
         path = out / f"{sc.output_prefix}_{name}.csv"
-        _write_curve(path, rows, label_columns)
+        _write_curve(path, rows, columns, labels)
         written.append(path)
 
     meta = {
@@ -669,6 +692,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        out = Path(args.out)
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ConfigError("--out", f"{args.out} is a file, not a directory")
         sc = validate_config(load_config(args.config))
         if args.command == "run":
             written = run_scenario(sc, args.out)

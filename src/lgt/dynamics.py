@@ -27,9 +27,13 @@ blocks live on the plan; nothing is cached at module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes; observables, configuration labels and the Gauss-law
-filter all read it. Observables and labels decode only the nonzero
-amplitudes of one state. ``gauss_filter`` walks the 2^r indices of a
-coset. Exact evolution runs on a span of basis states inside the state's
+filter all read it. Observables decode only the nonzero amplitudes of one
+state. The configuration readout groups by integer key, not by label:
+``ConfigKeys`` numbers the configurations of a coset's positions once per
+run, and ``config_probabilities`` sums a state's probabilities per key with
+one ``np.bincount``; labels are built only for the keys a caller asks for.
+``gauss_filter`` and ``ConfigKeys`` walk the 2^r indices of a coset in
+blocks. Exact evolution runs on a span of basis states inside the state's
 coset, all 2^n by default or the G_x = 0 sector that ``gauss_filter``
 returns, which the quantum-link Hamiltonian leaves invariant. There the
 Gauss penalty vanishes, so H restricted to the span has a small norm, and
@@ -617,30 +621,81 @@ def basis_config_label(layout: RegisterLayout, mapping: FermionMapping,
         if li:
             parts.append(";")
         values, inverse = np.unique(flux[:, li], return_inverse=True)
-        names = ["x" if np.isnan(v) else _flux_str(v) for v in values]
-        parts.append(np.array(names, dtype=str)[inverse])
+        parts.append(np.array(_flux_names(values), dtype=str)[inverse])
     labels = functools.reduce(np.strings.add, parts)
     return labels if np.ndim(index) else str(labels[0])
 
 
-def _flux_str(value: float) -> str:
-    if abs(value - round(value)) < 1e-9:
-        return str(int(round(value)))
-    return f"{value:g}"
+def _flux_names(values: np.ndarray) -> list[str]:
+    """The label text of each flux value: 'x' for NaN (no flux state), an
+    integer without a decimal point, anything else in ``:g`` format."""
+    return ["x" if np.isnan(v) else str(int(round(v))) if abs(v - round(v)) < 1e-9
+            else f"{v:g}" for v in values]
 
 
-def config_probabilities(state: StateVector, layout: RegisterLayout,
-                         mapping: FermionMapping, params) -> dict[str, float]:
-    """Probabilities above ``READOUT_TOL`` grouped by lattice configuration
-    label, largest first."""
+class ConfigKeys:
+    """The lattice configurations of a coset's positions, numbered once per
+    run, so that a readout groups its probabilities by integer key.
+
+    Two positions share a key exactly when their basis states share a
+    ``basis_config_label``. The fermion bits fix the site letters, and per
+    link every register value is replaced by the smallest value with the
+    same flux text (all values outside the flux window read 'x'); the keys
+    number the resulting canonical indices in ascending order. ``key``
+    holds the key of every position of ``coset`` (2^r entries), ``index``
+    the canonical basis index of every key, a state of that configuration.
+    The coset is
+    walked in blocks of ``GAUSS_BLOCK`` positions, as ``gauss_filter``
+    does, so memory stays at a few arrays of 2^r integers.
+    """
+
+    def __init__(self, layout: RegisterLayout, mapping: FermionMapping, params,
+                 coset: Coset):
+        self.coset = coset
+        self._decode = (layout, mapping, params.theta_along)
+        width = (1 << layout.qubits_per_link) - 1
+        regs = np.arange(width + 1)
+        canon = []  # (register shift, register value -> canonical value)
+        for li, link in enumerate(layout.links):
+            flux = (register_flux(layout.spin, layout.encoding, regs)
+                    + params.theta_along(link.direction))
+            first: dict[str, int] = {}
+            table = np.array([first.setdefault(name, reg)
+                              for reg, name in enumerate(_flux_names(flux))])
+            if (table != regs).any():
+                canon.append((layout.register_shift(li), table))
+        if not canon:  # every basis state of the coset has its own label
+            self.key, self.index = np.arange(1 << coset.r), coset.index
+            return
+        canonical = coset.index.copy()
+        for start in range(0, len(canonical), GAUSS_BLOCK):
+            block = canonical[start:start + GAUSS_BLOCK]
+            for shift, table in canon:
+                reg = (block >> shift) & width
+                block ^= (reg ^ table[reg]) << shift
+        self.index, self.key = np.unique(canonical, return_inverse=True)
+
+    def labels(self, keys: np.ndarray) -> list[str]:
+        """``basis_config_label`` of each key's configuration."""
+        return basis_config_label(*self._decode, self.index[keys]).tolist()
+
+
+def config_probabilities(state: StateVector, configs: ConfigKeys
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, probabilities) of the configurations with probability above
+    ``READOUT_TOL`` in a state, largest first, ties in the order of their
+    first position. A configuration's probability sums its positions'
+    probabilities in position order, starting from 0.0."""
+    if state.coset != configs.coset:
+        raise ValueError("state and configuration keys on different cosets")
     probs = state.probabilities()
     support = np.flatnonzero(probs > READOUT_TOL)
-    labels = basis_config_label(layout, mapping, params.theta_along,
-                                state.coset.index[support])
-    out: dict[str, float] = {}
-    for label, p in zip(labels.tolist(), probs[support].tolist()):
-        out[label] = out.get(label, 0.0) + p
-    return dict(sorted(out.items(), key=lambda kv: -kv[1]))
+    key = configs.key[support]
+    total = np.bincount(key, weights=probs[support])
+    keys, first = np.unique(key, return_index=True)
+    p = total[keys]
+    order = np.lexsort((first, -p))
+    return keys[order], p[order]
 
 
 # -- Gauss-law filtering ---------------------------------------------------

@@ -173,15 +173,6 @@ def register_flux(spin: float, encoding: str, reg: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported encoding {encoding!r}")
 
 
-def encoding_isometry(spin: float, encoding: str) -> np.ndarray:
-    """Columns are the encoded flux states |m = S>, ..., |m = -S>."""
-    d_s = check_spin(spin)
-    v = np.zeros((1 << link_qubits(spin, encoding), d_s))
-    for l in range(d_s):
-        v[flux_state_index(spin, encoding, spin - l), l] = 1.0
-    return v
-
-
 # -- encoded links -------------------------------------------------------
 
 

@@ -194,25 +194,6 @@ class LatticeSpec:
         return static if static is not None else 0.0
 
 
-class LatticeCensus(NamedTuple):
-    sites: list[Site]
-    links: list[Link]
-    plaquettes: list[Plaquette]
-    n_sites: int
-    n_links: int
-    n_plaquettes: int
-
-
-def enumerate_lattice(spec: LatticeSpec) -> LatticeCensus:
-    sites = list(spec.sites())
-    links = spec.links()
-    plaq = spec.plaquettes()
-    assert len(sites) == spec.n_sites
-    assert len(links) == spec.n_links
-    assert len(plaq) == spec.n_plaquettes
-    return LatticeCensus(sites, links, plaq, len(sites), len(links), len(plaq))
-
-
 def spinor_components(d: int) -> int:
     """Spinor component count: 2^(d/2) for even d, 2^((d+1)/2) for odd d."""
     return 2 ** (d // 2) if d % 2 == 0 else 2 ** ((d + 1) // 2)

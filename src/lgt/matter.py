@@ -169,45 +169,3 @@ def fermion_mapping(name: str, n_modes: int) -> FermionMapping:
             row ^= a_inv[k]
         prefix.append(int(sum(1 << i for i in range(n_modes) if row[i])))
     return FermionMapping(name, n_modes, flip, occ, tuple(prefix))
-
-
-@dataclass(frozen=True)
-class AnticommutatorReport:
-    mapping: str
-    n_modes: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def mapped_anticommutator_check(mapping: FermionMapping) -> AnticommutatorReport:
-    """Verify {a_i, a_j^dag} = delta_ij and {a_i, a_j} = 0 as Pauli operators."""
-    n = mapping.n_modes
-    lowers = [mapping.lowering(j) for j in range(n)]
-    raises = [mapping.raising(j) for j in range(n)]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            ac = lowers[i] * raises[j] + raises[j] * lowers[i]
-            expect = PauliOperator.identity(n) if i == j else PauliOperator.zero(n)
-            if (ac - expect).n_terms:
-                violations.append(f"{{a_{i}, adag_{j}}} != {int(i == j)}")
-            ac0 = lowers[i] * lowers[j] + lowers[j] * lowers[i]
-            if ac0.n_terms:
-                violations.append(f"{{a_{i}, a_{j}}} != 0")
-    return AnticommutatorReport(mapping.name, n, tuple(violations))
-
-
-def max_bilinear_support(mapping: FermionMapping) -> int:
-    """Worst-case Pauli support over all hopping bilinears a_i^dag a_j."""
-    worst = 0
-    n = mapping.n_modes
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            op = mapping.bilinear(i, j)
-            worst = max(worst, int(op.supports.max()))
-    return worst

@@ -8,7 +8,6 @@ the purely imaginary four-fold products from n_pauli[U]^4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from lgt.gauge import (
     is_perfectly_representable,
     link_qubits,
     qlm_link,
-    spin_pauli_counts,
 )
 from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.matter import clifford_rep, gamma_mix
@@ -31,11 +29,6 @@ def cnot_per_trotter_step(op: PauliOperator) -> int:
     """2 sum_P (support(P) - 1); identity strings cost nothing."""
     supports = op.supports
     return 2 * int((supports[supports > 0] - 1).sum())
-
-
-def support_histogram(op: PauliOperator) -> dict[int, int]:
-    values, counts = np.unique(op.supports, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def plaquette_pauli_formula(n_real: int, n_imag: int, n_mixed: int) -> int:
@@ -205,16 +198,3 @@ def rows_to_csv(rows: list[ResourceRow]) -> str:
             str(row.n_qubits_fermionic), str(row.n_qubits_gauge),
         ]))
     return "\n".join(lines) + "\n"
-
-
-def spin_scaling_fit(max_power: int = 10) -> tuple[float, float, float, list[int]]:
-    """Least-squares re-fit a x^log2(3) + b x + c to Sx counts at d_S = 2^k."""
-    dims = [2**k for k in range(1, max_power + 1)]
-    counts = []
-    for d_s in dims:
-        spin = (d_s - 1) / 2
-        counts.append(spin_pauli_counts(spin, "log").sx)
-    x = np.array(dims, dtype=float)
-    design = np.stack([x ** math.log2(3), x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, np.array(counts, dtype=float), rcond=None)
-    return float(coef[0]), float(coef[1]), float(coef[2]), counts

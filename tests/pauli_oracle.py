@@ -1,15 +1,21 @@
 """Dense-matrix and commutator oracles for the Pauli algebra (small
-systems), and the per-string Pauli-exponential kernel that the fused Trotter
-blocks of ``lgt.dynamics`` are checked against.
+systems), the per-string Pauli-exponential kernel that the fused Trotter
+blocks of ``lgt.dynamics`` are checked against, and the readout by label
+dictionaries that the keyed readout of ``lgt.dynamics`` and ``lgt.cli``
+replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
+from lgt.dynamics import READOUT_TOL, StateVector, basis_config_label
+from lgt.lattice import RegisterLayout
+from lgt.matter import FermionMapping
 from lgt.pauli import (
     DROP_TOL,
     ORACLE_LIMIT,
@@ -135,3 +141,58 @@ def product_reference(a: PauliOperator, b: PauliOperator) -> dict:
             key = (ta.x ^ tb.x, ta.z ^ tb.z)
             data[key] = data.get(key, 0.0) + ta.coeff * tb.coeff * (1, 1j, -1, -1j)[k]
     return {key: c for key, c in data.items() if not abs(c) < DROP_TOL}
+
+
+# -- readout by label dictionaries ------------------------------------------
+
+
+def _format(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def config_probabilities(state: StateVector, layout: RegisterLayout,
+                         mapping: FermionMapping, params) -> dict[str, float]:
+    """Probabilities above ``READOUT_TOL`` grouped by lattice configuration
+    label, largest first."""
+    probs = state.probabilities()
+    support = np.flatnonzero(probs > READOUT_TOL)
+    labels = basis_config_label(layout, mapping, params.theta_along,
+                                state.coset.index[support])
+    out: dict[str, float] = {}
+    for label, p in zip(labels.tolist(), probs[support].tolist()):
+        out[label] = out.get(label, 0.0) + p
+    return dict(sorted(out.items(), key=lambda kv: -kv[1]))
+
+
+def write_curve(path: Path, rows, label_columns):
+    lines = ["t,loschmidt,total_particle_number"
+             + "".join(f",p[{label}]" for label in label_columns) + ",p[other]"]
+    for t, g, n_part, probs in rows:
+        listed = sum(probs.get(label, 0.0) for label in label_columns)
+        other = max(0.0, sum(probs.values()) - listed)
+        cells = [_format(t), _format(g), _format(n_part)]
+        cells += [_format(probs.get(label, 0.0)) for label in label_columns]
+        cells.append(_format(other))
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def label_columns(curves, n_columns: int = 12) -> list[str]:
+    """The configurations of highest peak probability across all curves.
+    Peaks that differ from their neighbour in the ranking by at most
+    ``READOUT_TOL`` form one tier, ordered by label, so round-off between
+    exact solvers or fermion mappings cannot reorder a block of
+    symmetry-degenerate configurations or move the cut through it."""
+    peak: dict[str, float] = {}
+    for rows in curves:
+        for *_, probs in rows:
+            for label, p in probs.items():
+                peak[label] = max(peak.get(label, 0.0), p)
+    ranked = sorted(peak.items(), key=lambda kv: -kv[1])
+    tier, prev, keyed = 0, math.inf, []
+    for label, p in ranked:
+        if prev - p > READOUT_TOL:
+            tier += 1
+        keyed.append((tier, label))
+        prev = p
+    return [label for _, label in sorted(keyed)[:n_columns]]

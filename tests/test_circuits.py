@@ -7,9 +7,7 @@ from scipy.linalg import expm
 from lgt.circuits import (
     Circuit,
     Gate,
-    circuit_unitary,
     export_qasm,
-    parse_qasm,
     synth_pauli_exp,
     synth_trotter_step,
 )
@@ -17,6 +15,7 @@ from lgt.dynamics import StateVector
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.pauli import PauliOperator, PauliString
+from circuit_oracle import circuit_unitary, parse_qasm
 from pauli_oracle import apply_pauli_exp, to_matrix
 from lgt.resources import cnot_per_trotter_step
 

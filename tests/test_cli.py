@@ -10,12 +10,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgt
-from lgt.circuits import parse_qasm
+from circuit_oracle import parse_qasm
 from lgt.cli import (
     MAX_EXACT_NORM_T,
     PRESETS,
@@ -382,6 +383,25 @@ def test_bad_resource_report_exits_2(tmp_path, capsys, override, path):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte-order mark
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"at {config}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "resources", "qasm"])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_path_through_a_file_exits_2(tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("kept\n")
+    config = CONFIGS / ("resource_report.json" if command == "resources"
+                        else "string_breaking_1d_light.json")
+    assert main([command, str(config), "--out", str(tmp_path / out)]) == 2
+    assert "at --out:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0"])
 def test_bad_qasm_dt_exits_2(tmp_path, capsys, dt):
     config = write_config(tmp_path, {"scenario": "string_breaking_1d"})
@@ -429,24 +449,36 @@ def exact_curve(tmp_path, mapping: str) -> list[dict[str, float]]:
 
 
 def test_label_columns_rank_near_ties_by_label():
+    names = ["x", "c", "b", "a", "z", "y"]  # key -> label, not in label order
+
     def rows(probs):
-        return [(0.0, 1.0, 0.0, probs)]
+        keys = np.array([names.index(label) for label in probs])
+        return [(0.0, 1.0, 0.0, (keys, np.array(list(probs.values()))))]
+
+    def label_columns(curves, **kwargs):
+        keys, labels = _label_columns(curves, lambda k: [names[i] for i in k],
+                                      **kwargs)
+        assert labels == [names[i] for i in keys.tolist()]
+        return labels
 
     tied = 2.0e-3
     curve = {"z": 0.5, "y": 0.4, "c": tied + 4e-13, "a": tied, "b": tied - 4e-13,
              "x": tied - 2e-12}
     # a tier is a chain of neighbours within READOUT_TOL; peaks further
     # apart keep their order
-    assert _label_columns([rows(curve)]) == ["z", "y", "a", "b", "c", "x"]
+    assert label_columns([rows(curve)]) == ["z", "y", "a", "b", "c", "x"]
     # round-off that reorders peaks inside the tier moves no column, and
     # the cut falls inside the tier by label
     nudged = dict(curve, b=tied + 8e-13)
-    assert _label_columns([rows(nudged)]) == ["z", "y", "a", "b", "c", "x"]
+    assert label_columns([rows(nudged)]) == ["z", "y", "a", "b", "c", "x"]
     for c in (curve, nudged):
-        assert _label_columns([rows(c)], n_columns=4) == ["z", "y", "a", "b"]
+        assert label_columns([rows(c)], n_columns=4) == ["z", "y", "a", "b"]
     # the peak over all curves and rows ranks a label
-    assert _label_columns([rows({"a": 0.1}), rows({"b": 0.2, "a": 0.3})]) \
+    assert label_columns([rows({"a": 0.1}), rows({"b": 0.2, "a": 0.3})]) \
         == ["a", "b"]
+    # no readout above the tolerance: no column
+    empty = (np.array([], dtype=np.intp), np.array([]))
+    assert label_columns([[(0.0, 1.0, 0.0, empty)]]) == []
 
 
 @pytest.mark.parametrize("mapping", ["parity", "bk"])

@@ -15,6 +15,8 @@ from scipy.linalg import expm
 import lgt.dynamics
 from lgt.cli import (
     PRESETS,
+    _label_columns,
+    _write_curve,
     build_layout,
     initial_index,
     load_config,
@@ -24,6 +26,8 @@ from lgt.dynamics import (
     FUSE_ENTRIES,
     FUSE_SPAN,
     ORDERINGS,
+    READOUT_TOL,
+    ConfigKeys,
     Coset,
     ExactEvolver,
     OperatorAction,
@@ -44,6 +48,7 @@ from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
 from lgt.pauli import PauliOperator, PauliString
+import pauli_oracle
 from pauli_oracle import (
     apply_pauli_exp,
     string_action,
@@ -562,18 +567,24 @@ class TestObservables:
         assert obs["flux_link0"] == obs["flux_link3"] == params.e
 
 
+def readout(state, lay, mapping, params) -> dict[str, float]:
+    """``config_probabilities`` as {label: probability}, in its order."""
+    configs = ConfigKeys(lay, mapping, params, state.coset)
+    keys, probs = config_probabilities(state, configs)
+    return dict(zip(configs.labels(keys), probs.tolist()))
+
+
 class TestConfigReadout:
     def test_basis_state_label(self, vacuum_system):
         lay, params, _, s0 = vacuum_system
         mapping = fermion_mapping("jw", 6)
-        probs = config_probabilities(s0, lay, mapping, params)
+        probs = readout(s0, lay, mapping, params)
         assert probs == {"ooo|0;0;0": 1.0}
 
     def test_probabilities_sum_to_one(self, vacuum_system):
         lay, params, h, s0 = vacuum_system
         st = ExactEvolver(h.total).evolve(s0, 0.4)
-        probs = config_probabilities(st, lay, mapping=fermion_mapping("jw", 6),
-                                     params=params)
+        probs = readout(st, lay, mapping=fermion_mapping("jw", 6), params=params)
         assert abs(sum(probs.values()) - 1.0) < 1e-10
 
     def test_empty_readout(self, vacuum_system):
@@ -584,12 +595,19 @@ class TestConfigReadout:
         assert labels.shape == (0,) and labels.dtype.kind == "U"
         # every probability is 1e-14, below the readout tolerance
         st = StateVector(12, np.full(1 << 12, 1e-7, dtype=complex))
-        assert config_probabilities(st, lay, mapping, params) == {}
+        assert readout(st, lay, mapping, params) == {}
+
+    def test_readout_rejects_another_coset(self, vacuum_system):
+        lay, params, h, s0 = vacuum_system
+        mapping = fermion_mapping("jw", 6)
+        coset = Coset.reachable(h.total, int(np.argmax(s0.probabilities())))
+        with pytest.raises(ValueError, match="different cosets"):
+            config_probabilities(s0, ConfigKeys(lay, mapping, params, coset))
 
     def test_vacuum_decay_decomposition(self, vacuum_system):
         lay, params, h, s0 = vacuum_system
         st = ExactEvolver(h.total).evolve(s0, 0.4)
-        probs = config_probabilities(st, lay, fermion_mapping("jw", 6), params)
+        probs = readout(st, lay, fermion_mapping("jw", 6), params)
         assert abs(probs["ooo|0;0;0"] - 0.825) < 0.005
         six = ["pao|1;0;0", "apo|-1;0;0", "opa|0;1;0",
                "oap|0;-1;0", "poa|0;0;-1", "aop|0;0;1"]
@@ -623,6 +641,110 @@ class TestConfigReadout:
         for reg in (0b000, 0b011, 0b111):
             assert np.isnan(decode_basis(lay, mapping, theta, [pa | reg])[1]).all()
             assert basis_config_label(lay, mapping, theta, pa | reg) == "pa|x"
+
+
+def test_keys_merge_exactly_the_positions_that_share_a_label():
+    # the full register of the linear-encoding vacuum_decay chain: a one-hot
+    # S = 1 register has five values outside the flux window, all read 'x'
+    lay = RegisterLayout(LatticeSpec(1, (3,), "periodic"), "linear", 1.0)
+    mapping = fermion_mapping("jw", 6)
+    params = ModelParams(m=0.5, e=math.sqrt(2))
+    coset = Coset.full(lay.n_total)
+    configs = ConfigKeys(lay, mapping, params, coset)
+    assert (len(coset.index), len(configs.index)) == (32_768, 4_096)
+    labels = basis_config_label(lay, mapping, params.theta_along, coset.index)
+    assert configs.labels(configs.key) == labels.tolist()
+    assert len(set(labels.tolist())) == 4_096
+    # a key's index is a state of its own configuration
+    assert np.array_equal(configs.key[coset.positions(configs.index)],
+                          np.arange(4_096))
+
+
+# layouts whose full register maps several basis states to one label
+# (linear S = 1, log S = 2) or none (log S = 1 and S = 1/2)
+READOUT_LAYOUTS = [((1, (2,), "open"), "linear", 1.0),
+                   ((1, (2,), "open"), "log", 2.0),
+                   ((1, (3,), "periodic"), "log", 1.0),
+                   ((2, (2, 2), "open"), "log", 0.5)]
+
+
+def _at_and_above(tol: float) -> tuple[float, float]:
+    """The largest amplitude whose square is at most ``tol``, and the next."""
+    a = math.sqrt(tol)
+    while a * a > tol:
+        a = math.nextafter(a, 0.0)
+    while math.nextafter(a, 1.0) ** 2 <= tol:
+        a = math.nextafter(a, 1.0)
+    return a, math.nextafter(a, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(READOUT_LAYOUTS), st.sampled_from(["jw", "parity", "bk"]),
+       st.sampled_from([0.0, 0.25]), st.booleans(), st.integers(1, 14),
+       st.integers(0, 2**32 - 1))
+def test_keyed_readout_matches_label_dictionaries(tmp_path_factory, layout, mapping_name,
+                                                  theta, tapered, n_columns, seed):
+    lattice, encoding, spin = layout
+    lay = RegisterLayout(LatticeSpec(*lattice), encoding, spin)
+    mapping = fermion_mapping(mapping_name, lay.n_fermionic)
+    params = ModelParams(m=1.0, theta=(theta,) * lay.spec.d)
+    rng = np.random.default_rng(seed)
+    coset = Coset.full(lay.n_total)
+    if tapered:  # the coset of a random index under a few random x-masks
+        strings = [PauliString(lay.n_total, int(x), 0, 1.0)
+                   for x in rng.integers(1, 1 << lay.n_total, size=4)]
+        coset = Coset.reachable(PauliOperator.from_terms(lay.n_total, strings),
+                                int(rng.integers(1 << lay.n_total)))
+    configs = ConfigKeys(lay, mapping, params, coset)
+    at, above = _at_and_above(READOUT_TOL)
+    size = 1 << coset.r
+    curve_old, curve_new = [], []
+    for t in range(3):
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        if rng.random() < 0.5:  # sparse
+            amps[rng.random(size) < 0.9] = 0.0
+        # exact ties, and probabilities at and just above READOUT_TOL
+        pick = rng.integers(size, size=6)
+        amps[pick[:2]] = amps[pick[2]]
+        amps[pick[3]], amps[pick[4]], amps[pick[5]] = at, above, -above
+        state = StateVector(coset.r, amps, coset)
+        old = pauli_oracle.config_probabilities(state, lay, mapping, params)
+        keys, probs = config_probabilities(state, configs)
+        assert configs.labels(keys) == list(old)
+        assert probs.tolist() == list(old.values())
+        curve_old.append((0.1 * t, 1.0, 0.5, old))
+        curve_new.append((0.1 * t, 1.0, 0.5, (keys, probs)))
+    label_columns = pauli_oracle.label_columns([curve_old], n_columns)
+    columns, labels = _label_columns([curve_new], configs.labels, n_columns)
+    assert labels == label_columns
+    out = tmp_path_factory.mktemp("curves")
+    pauli_oracle.write_curve(out / "old.csv", curve_old, label_columns)
+    _write_curve(out / "new.csv", curve_new, columns, labels)
+    assert (out / "new.csv").read_text() == (out / "old.csv").read_text()
+
+
+def test_readout_memory_on_the_24_qubit_chain(tmp_path):
+    # 8-site periodic S=1/2 chain: r = 16. A label per support position
+    # made one readout of a spread state peak at 23-25 MB
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(chain(8, 0.5)))
+    sc = validate_config(load_config(path))
+    lay = build_layout(sc)
+    mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
+    h = assemble(lay, sc.params, sc.mapping)
+    coset = Coset.reachable(h.total, initial_index(sc.initial, lay, mapping,
+                                                   sc.params))
+    configs = ConfigKeys(lay, mapping, sc.params, coset)
+    assert coset.r == 16
+    st = StateVector(16, random_state(np.random.default_rng(3), 16).amps, coset)
+    tracemalloc.start()
+    try:
+        keys, probs = config_probabilities(st, configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 1 << 16 and abs(probs.sum() - 1.0) < 1e-12
+    assert peak < 12 * 2**20
 
 
 # small 1-D and 2-D lattices whose registers fit an int64 basis index

@@ -7,7 +7,6 @@ from lgt.gauge import (
     check_spin,
     encode_lin,
     encode_log,
-    encoding_isometry,
     flux_state_index,
     is_perfectly_representable,
     link_qubits,
@@ -19,6 +18,15 @@ from lgt.pauli import classify
 from pauli_oracle import commutator, to_matrix
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+
+
+def encoding_isometry(spin: float, encoding: str) -> np.ndarray:
+    """Columns are the encoded flux states |m = S>, ..., |m = -S>."""
+    d_s = check_spin(spin)
+    v = np.zeros((1 << link_qubits(spin, encoding), d_s))
+    for l in range(d_s):
+        v[flux_state_index(spin, encoding, spin - l), l] = 1.0
+    return v
 
 
 class TestSpinMatrices:

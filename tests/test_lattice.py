@@ -1,5 +1,7 @@
 """Lattice enumeration, link normalization, and register layout tests."""
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,23 @@ from lgt.lattice import (
     LatticeSpec,
     RegisterLayout,
     StaticLink,
-    enumerate_lattice,
     spinor_components,
 )
+
+
+class Census(NamedTuple):
+    n_sites: int
+    n_links: int
+    n_plaquettes: int
+
+
+def enumerate_lattice(spec: LatticeSpec) -> Census:
+    """Counts of the enumerated sites, links and plaquettes, checked
+    against the closed forms of ``LatticeSpec``."""
+    census = Census(len(list(spec.sites())), len(spec.links()),
+                    len(spec.plaquettes()))
+    assert census == (spec.n_sites, spec.n_links, spec.n_plaquettes)
+    return census
 
 
 def test_1d_periodic_counts():

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from lgt.gauge import spin_pauli_counts
 from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.hamiltonian import ModelParams, assemble, build_electric, build_hopp_wilson
 from lgt.matter import fermion_mapping
@@ -18,9 +20,26 @@ from lgt.resources import (
     predict_pauli_counts,
     rows_to_csv,
     scaling_table,
-    spin_scaling_fit,
-    support_histogram,
 )
+
+
+def support_histogram(op: PauliOperator) -> dict[int, int]:
+    values, counts = np.unique(op.supports, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+def spin_scaling_fit(max_power: int = 10) -> tuple[float, float, float, list[int]]:
+    """Least-squares re-fit a x^log2(3) + b x + c to Sx counts at d_S = 2^k."""
+    dims = [2**k for k in range(1, max_power + 1)]
+    counts = []
+    for d_s in dims:
+        spin = (d_s - 1) / 2
+        counts.append(spin_pauli_counts(spin, "log").sx)
+    x = np.array(dims, dtype=float)
+    design = np.stack([x ** math.log2(3), x, np.ones_like(x)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, np.array(counts, dtype=float), rcond=None)
+    return float(coef[0]), float(coef[1]), float(coef[2]), counts
+
 
 # Appendix-style per-link columns: S -> (hopping, E op., E^2, plaquette)
 PER_LINK = {
