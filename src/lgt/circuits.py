@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from lgt.pauli import PauliString
+from lgt.pauli import PauliOperator, PauliString
 
 GATE_NAMES = ("h", "s", "sdg", "rz", "cx")
 
@@ -102,18 +102,15 @@ def synth_pauli_exp(p: PauliString, theta: float) -> Circuit:
     return circ
 
 
-def synth_trotter_step(h, dt: float, ordering: str = "canonical") -> Circuit:
-    """One first-order Trotter step: per-string exponentials in plan order."""
-    from lgt.dynamics import trotter_plan
-
-    plan = trotter_plan(h, dt, 1, ordering)
-    circ = Circuit(plan.n_qubits)
-    for t in plan.strings:
+def synth_trotter_step(op: PauliOperator, dt: float) -> Circuit:
+    """One first-order Trotter step on ``op``'s register: one exponential
+    per string, in the canonical order that ``lgt.dynamics.trotter_plan``
+    applies them."""
+    circ = Circuit(op.n_qubits)
+    for t in op.terms:
         circ.extend(synth_pauli_exp(t, dt))
     return circ
 
-
-# -- dense unitary (testing oracle) ----------------------------------------
 
 # -- OpenQASM 2.0 -----------------------------------------------------------
 

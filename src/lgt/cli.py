@@ -7,7 +7,8 @@ Commands::
     lgt resources <config.json>  resource tables -> CSV
     lgt qasm <config.json>       one Trotter-step circuit -> OpenQASM + counts
 
-Exit codes: 0 ok, 2 config error, 3 resource limit. Model couplings are
+Exit codes: 0 ok, 2 config error, 3 resource limit (``run`` only: the
+statevector holds at most ``MAX_QUBITS`` qubits). Model couplings are
 interpreted in lattice units (the Hamiltonian is built with spacing 1; the
 nominal physical spacing `model.a` is validated and written to the metadata
 as `a_nominal`).
@@ -46,7 +47,6 @@ import numpy as np
 from lgt.dynamics import (
     GAUSS_TOL,
     MAX_QUBITS,
-    ORDERINGS,
     READOUT_TOL,
     ConfigKeys,
     Coset,
@@ -102,7 +102,7 @@ PRESETS: dict[str, dict] = {
         "theta": [0.0],
         "initial_state": "bare_vacuum",
         "evolution": {"method": "both", "dt": [0.1, 0.05, 0.01],
-                      "t_max": 2.0, "sample_dt": 0.1, "ordering": "canonical"},
+                      "t_max": 2.0, "sample_dt": 0.1},
         "output": {"prefix": "vacuum_decay"},
     },
     "string_breaking_1d": {
@@ -118,7 +118,7 @@ PRESETS: dict[str, dict] = {
         "theta": [0.0],
         "initial_state": {"sites": ["o", "o", "o"], "link_fluxes": [1, 1]},
         "evolution": {"method": "both", "dt": [0.1, 0.05, 0.01],
-                      "t_max": 2.0, "sample_dt": 0.1, "ordering": "canonical"},
+                      "t_max": 2.0, "sample_dt": 0.1},
         "output": {"prefix": "string_breaking_1d"},
     },
     "double_plaquette_2d": {
@@ -137,7 +137,7 @@ PRESETS: dict[str, dict] = {
         "initial_state": {"sites": ["o"] * 6,
                           "link_fluxes": [1, 0, 0, 1, 0, 0, 0]},
         "evolution": {"method": "both", "dt": [0.05, 0.025, 0.012],
-                      "t_max": 1.0, "sample_dt": 0.1, "ordering": "canonical"},
+                      "t_max": 1.0, "sample_dt": 0.1},
         "output": {"prefix": "double_plaquette_2d"},
     },
     "resource_report": {
@@ -346,6 +346,9 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     spin = _spin(_require(cfg, "spin", (int, float), "$"), "$.spin")
 
     evo = _optional(cfg, "evolution", dict, "$", {})
+    if "ordering" in evo:  # a removed key: an old config must not change meaning
+        raise ConfigError("$.evolution.ordering", "no longer a setting; Trotter "
+                          "plans apply the strings in canonical order")
     dts = [_finite(x, "$.evolution.dt")
            for x in _optional(evo, "dt", list, "$.evolution", [0.05])]
     evolution = {
@@ -354,15 +357,13 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         "t_max": _finite(evo.get("t_max", 1.0), "$.evolution.t_max"),
         "sample_dt": _finite(evo.get("sample_dt", max(dts, default=1.0)),
                              "$.evolution.sample_dt"),
-        "ordering": evo.get("ordering", "canonical"),
     }
     for key, ok, rule in (
             ("dt", dts and min(dts) > 0, "a list of positive time steps"),
             ("t_max", evolution["t_max"] >= 0, ">= 0"),
             ("sample_dt", evolution["sample_dt"] > 0, "> 0"),
             ("method", evolution["method"] in ("exact", "trotter", "both"),
-             "one of exact|trotter|both"),
-            ("ordering", evolution["ordering"] in ORDERINGS, f"one of {ORDERINGS}")):
+             "one of exact|trotter|both")):
         if not ok:
             raise ConfigError(f"$.evolution.{key}", f"must be {rule}")
     # each dt names its curve file, trotter_dt{dt:g}
@@ -391,9 +392,6 @@ def build_layout(sc: ScenarioConfig) -> RegisterLayout:
 def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
     """The assembled Hamiltonian; ConfigError at ``$.model`` if a coupling
     sum overflows to a coefficient that is not finite."""
-    if lay.n_total > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
     h = assemble(lay, sc.params, sc.mapping)
     if not np.isfinite(h.total.coeffs).all():
         raise ConfigError("$.model", "the couplings give a Hamiltonian "
@@ -511,9 +509,12 @@ def _label_columns(curves, label, n_columns: int = 12
 
 
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
+    lay = build_layout(sc)
+    if lay.n_total > MAX_QUBITS:
+        raise ResourceLimitError(
+            f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lay = build_layout(sc)
     h = build_hamiltonian(sc, lay)
     evo = sc.evolution
     t_max = evo["t_max"]
@@ -549,7 +550,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     kernel: dict[str, dict[str, int]] = {}
     if evo["method"] in ("trotter", "both"):
         for dt in evo["dt"]:
-            plan = trotter_plan(h, dt, _n_steps(t_max, dt), evo["ordering"], coset)
+            plan = trotter_plan(h.total, dt, _n_steps(t_max, dt), coset)
             name = f"trotter_dt{dt:g}"
             curves[name] = [readout(t, st) for t, st in trotter_states(s0, plan)]
             kernel[name] = plan.kernel_summary()
@@ -575,7 +576,6 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "gauge_encoding": sc.encoding,
         "spin": sc.spin,
         "evolution": evo,
-        "ordering": evo["ordering"],
         "n_qubits": lay.n_total,
         "n_simulated_qubits": coset.r,
         "n_pauli_strings": h.n_terms,
@@ -659,7 +659,7 @@ def run_qasm(sc: ScenarioConfig, out_dir: str | Path, dt: float | None) -> list[
     lay = build_layout(sc)
     h = build_hamiltonian(sc, lay)
     step = dt if dt is not None else sc.evolution["dt"][0]
-    circ = synth_trotter_step(h, step, sc.evolution["ordering"])
+    circ = synth_trotter_step(h.total, step)
     qasm_path = out / f"{sc.output_prefix}_trotter_step.qasm"
     qasm_path.write_text(export_qasm(circ))
     summary = {

@@ -55,7 +55,6 @@ from typing import NamedTuple
 import numpy as np
 
 from lgt.gauge import check_spin, register_flux
-from lgt.hamiltonian import HamiltonianTerms
 from lgt.lattice import Link, RegisterLayout
 from lgt.matter import FermionMapping
 from lgt.pauli import PauliOperator, PauliString, _index_mask, index_masks
@@ -276,8 +275,6 @@ class OperatorAction:
 
 # -- Trotter -------------------------------------------------------------
 
-ORDERINGS = ("canonical", "by_term_group", "reversed")
-
 
 class Block(NamedTuple):
     """A run of plan strings applied as one operator, psi <- sum_w D_w
@@ -361,7 +358,8 @@ def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
 @dataclass(frozen=True)
 class TrotterPlan:
     """A first-order product formula, one exponential per string in order,
-    on the positions of ``coset`` (r = ``n_qubits`` qubits).
+    on the positions of ``coset`` (r = ``n_qubits`` qubits); ``trotter_plan``
+    gives an operator's strings in canonical order.
 
     A step applies ``blocks``: the strings cut into consecutive runs, each
     folded into one operator of at most 2^``FUSE_SPAN`` terms and applied
@@ -369,12 +367,14 @@ class TrotterPlan:
     more steps repays more folding (``_block_starts``); the blocks are
     built on first use."""
 
-    n_qubits: int
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
     dt: float
     n_steps: int
     coset: Coset
-    ordering: str = "canonical"
+
+    @property
+    def n_qubits(self) -> int:
+        return self.coset.r
 
     @functools.cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -398,36 +398,19 @@ class TrotterPlan:
                                    for _, d in b.terms)}
 
 
-def trotter_plan(h: HamiltonianTerms | PauliOperator, dt: float, n_steps: int,
-                 ordering: str = "canonical", coset: Coset | None = None
-                 ) -> TrotterPlan:
-    """Per-Pauli-string first-order product formula plan, on the whole
-    register or, tapered string by string after ordering, on ``coset``."""
-    if ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    if isinstance(h, HamiltonianTerms):
-        if ordering == "by_term_group":
-            strings = tuple(t for _, op in h.named_terms() for t in op.terms)
-        else:
-            strings = h.total.terms
-        n = h.layout.n_total
-    else:
-        strings = h.terms
-        n = h.n_qubits
-        if ordering == "by_term_group":
-            raise ValueError("by_term_group ordering needs HamiltonianTerms")
-    if ordering == "reversed":
-        strings = tuple(reversed(strings))
-    bad = [t for t in strings if abs(t.coeff.imag) > 1e-10]
-    if bad:
+def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
+                 coset: Coset | None = None) -> TrotterPlan:
+    """The product formula of ``op``'s strings in their canonical order,
+    each tapered onto ``coset`` (default the whole register, where tapering
+    leaves every string as it is). Raises ValueError if a coefficient is
+    not real or the coset is not on ``op``'s register."""
+    if any(abs(t.coeff.imag) > 1e-10 for t in op.terms):
         raise ValueError("Trotter plan requires hermitian (real) coefficients")
     if coset is None:
-        coset = Coset.full(n)
-    elif coset.n != n:
+        coset = Coset.full(op.n_qubits)
+    elif coset.n != op.n_qubits:
         raise ValueError("coset and Hamiltonian differ in size")
-    else:
-        strings = tuple(map(coset.taper, strings))
-    return TrotterPlan(coset.r, strings, dt, n_steps, coset, ordering)
+    return TrotterPlan(tuple(map(coset.taper, op.terms)), dt, n_steps, coset)
 
 
 def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
@@ -628,9 +611,11 @@ def basis_config_label(layout: RegisterLayout, mapping: FermionMapping,
 
 def _flux_names(values: np.ndarray) -> list[str]:
     """The label text of each flux value: 'x' for NaN (no flux state), an
-    integer without a decimal point, anything else in ``:g`` format."""
+    integer without a decimal point, anything else in ``:g`` format to six
+    significant digits or to the first decimal, whichever is more, so two
+    flux states of a link, one unit or more apart, never share a text."""
     return ["x" if np.isnan(v) else str(int(round(v))) if abs(v - round(v)) < 1e-9
-            else f"{v:g}" for v in values]
+            else f"{v:.{max(6, len(str(int(abs(v)))) + 1)}g}" for v in values]
 
 
 class ConfigKeys:
@@ -638,15 +623,15 @@ class ConfigKeys:
     run, so that a readout groups its probabilities by integer key.
 
     Two positions share a key exactly when their basis states share a
-    ``basis_config_label``. The fermion bits fix the site letters, and per
-    link every register value is replaced by the smallest value with the
-    same flux text (all values outside the flux window read 'x'); the keys
+    ``basis_config_label``. The fermion bits fix the site letters, and the
+    flux states of a link have distinct texts, so only the register values
+    outside the flux window (no flux state, all read 'x') merge: each link
+    register holding one is set to the smallest such value, and the keys
     number the resulting canonical indices in ascending order. ``key``
     holds the key of every position of ``coset`` (2^r entries), ``index``
     the canonical basis index of every key, a state of that configuration.
-    The coset is
-    walked in blocks of ``GAUSS_BLOCK`` positions, as ``gauss_filter``
-    does, so memory stays at a few arrays of 2^r integers.
+    The coset is walked in blocks of ``GAUSS_BLOCK`` positions, as
+    ``gauss_filter`` does, so memory stays at a few arrays of 2^r integers.
     """
 
     def __init__(self, layout: RegisterLayout, mapping: FermionMapping, params,
@@ -655,22 +640,16 @@ class ConfigKeys:
         self._decode = (layout, mapping, params.theta_along)
         width = (1 << layout.qubits_per_link) - 1
         regs = np.arange(width + 1)
-        canon = []  # (register shift, register value -> canonical value)
-        for li, link in enumerate(layout.links):
-            flux = (register_flux(layout.spin, layout.encoding, regs)
-                    + params.theta_along(link.direction))
-            first: dict[str, int] = {}
-            table = np.array([first.setdefault(name, reg)
-                              for reg, name in enumerate(_flux_names(flux))])
-            if (table != regs).any():
-                canon.append((layout.register_shift(li), table))
-        if not canon:  # every basis state of the coset has its own label
+        off = np.isnan(register_flux(layout.spin, layout.encoding, regs))
+        if np.count_nonzero(off) < 2:  # every basis state has its own label
             self.key, self.index = np.arange(1 << coset.r), coset.index
             return
+        table = np.where(off, np.argmax(off), regs)  # register -> canonical
+        shifts = [layout.register_shift(li) for li in range(len(layout.links))]
         canonical = coset.index.copy()
         for start in range(0, len(canonical), GAUSS_BLOCK):
             block = canonical[start:start + GAUSS_BLOCK]
-            for shift, table in canon:
+            for shift in shifts:
                 reg = (block >> shift) & width
                 block ^= (reg ^ table[reg]) << shift
         self.index, self.key = np.unique(canonical, return_inverse=True)

@@ -67,13 +67,6 @@ class HamiltonianTerms:
     def n_terms(self) -> int:
         return self.total.n_terms
 
-    def named_terms(self) -> list[tuple[str, PauliOperator]]:
-        out = [("mass", self.mass), ("hopp_wilson", self.hopp_wilson),
-               ("elec", self.elec), ("plaq", self.plaq)]
-        if self.params.lam:
-            out.append(("gauss", self.params.lam * self.gauss))
-        return out
-
 
 def _encoded_links(layout: RegisterLayout, params: ModelParams) -> dict[Link, EncodedLink]:
     return {

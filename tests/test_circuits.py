@@ -84,11 +84,11 @@ def small_h():
 class TestTrotterStepCircuit:
 
     def test_total_cnots_match_formula(self, small_h):
-        circ = synth_trotter_step(small_h, 0.05)
+        circ = synth_trotter_step(small_h.total, 0.05)
         assert circ.cnot_count == cnot_per_trotter_step(small_h.total)
 
     def test_unitary_matches_sequential_kernel(self, small_h):
-        circ = synth_trotter_step(small_h, 0.05)
+        circ = synth_trotter_step(small_h.total, 0.05)
         u = circuit_unitary(circ, max_qubits=6)
         rng = np.random.default_rng(4)
         v = rng.normal(size=32) + 1j * rng.normal(size=32)
@@ -118,8 +118,8 @@ class TestTrotterStepCircuit:
         assert depths[0] == depths[1]
 
     def test_gate_counts_additive(self, small_h):
-        a = synth_trotter_step(small_h, 0.05)
-        b = synth_trotter_step(small_h, 0.05)
+        a = synth_trotter_step(small_h.total, 0.05)
+        b = synth_trotter_step(small_h.total, 0.05)
         combined = Circuit(a.n_qubits)
         combined.extend(a)
         combined.extend(b)

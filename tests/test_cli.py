@@ -81,10 +81,10 @@ def test_off_sector_run_exits_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
-def scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded once ``code`` has run in a fresh
-    interpreter that sees only the source tree."""
-    code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def modules_after(code: str, prefix: str = "scipy") -> str:
+    """The modules named ``prefix``... loaded once ``code`` has run in a
+    fresh interpreter that sees only the source tree."""
+    code += f"; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     env = dict(os.environ, PYTHONPATH=str(Path(lgt.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
@@ -92,7 +92,14 @@ def scipy_modules_after(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    assert scipy_modules_after("import sys, lgt.cli") == "[]"
+    assert modules_after("import sys, lgt.cli") == "[]"
+
+
+@pytest.mark.parametrize("module, absent", [("lgt.dynamics", "lgt.hamiltonian"),
+                                            ("lgt.circuits", "lgt.dynamics")])
+def test_layer_imports(module, absent):
+    # the simulator takes Pauli operators, and circuits take no plan
+    assert modules_after(f"import sys, {module}", absent) == "[]"
 
 
 def test_cli_run_loads_no_scipy(tmp_path):
@@ -102,7 +109,7 @@ def test_cli_run_loads_no_scipy(tmp_path):
         "evolution": {"method": "both", "dt": [0.1], "t_max": 0.2}})
     argv = ["run", str(config), "--out", str(tmp_path / "out")]
     code = f"import sys, lgt.cli; assert lgt.cli.main({argv!r}) == 0"
-    assert scipy_modules_after(code) == "[]"
+    assert modules_after(code) == "[]"
     assert (tmp_path / "out" / "string_breaking_1d_exact.csv").is_file()
 
 
@@ -126,6 +133,9 @@ def run_cli(tmp_path, cfg: dict) -> int:
     # about 2e299 steps: rejected before the first one
     ({"dt": [1e-300]}, "dt"),
     ({"sample_dt": 1e-300}, "sample_dt"),
+    # a removed key: plans apply the strings in canonical order, and a
+    # config that names any order must not run with that one silently
+    ({"ordering": "canonical"}, "ordering"),
 ])
 def test_bad_evolution_is_config_error(tmp_path, capsys, monkeypatch, evolution, field):
     def no_assembly(*args):
@@ -274,13 +284,14 @@ def test_meta_records_trotter_kernel(tmp_path):
            "evolution": {"method": "trotter", "dt": [0.1, 0.01], "t_max": 0.2}}
     assert run_cli(tmp_path, cfg) == 0
     meta = json.loads((tmp_path / "out" / "string_breaking_1d_meta.json").read_text())
+    assert "ordering" not in meta and "ordering" not in meta["evolution"]
     sc = validate_config(load_config(write_config(tmp_path, cfg)))
     lay = build_layout(sc)
     h = build_hamiltonian(sc, lay)
     coset = Coset.reachable(h.total, initial_index(
         sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic), sc.params))
     assert meta["trotter_kernel"] == {
-        f"trotter_dt{dt:g}": trotter_plan(h, dt, steps, coset=coset).kernel_summary()
+        f"trotter_dt{dt:g}": trotter_plan(h.total, dt, steps, coset=coset).kernel_summary()
         for dt, steps in ((0.1, 2), (0.01, 20))}
     # a plan of more steps fuses more: fewer passes over the state per step
     short, long = (meta["trotter_kernel"][f"trotter_dt{dt}"] for dt in ("0.1", "0.01"))
@@ -342,6 +353,49 @@ def test_huge_static_flux_exits_2(tmp_path, capsys, monkeypatch):
         "scenario": "string_breaking_1d", "lattice": {"static_links": [
             {"site": [-1], "dir": 0, "flux": 1e200}]}}) == 2
     assert "at $.lattice.static_links[0].flux:" in capsys.readouterr().err
+
+
+def lattice_4x2() -> dict:
+    """A 26-qubit 4x2 open S = 1/2 lattice with a flux string on row 0."""
+    return {"scenario": "custom",
+            "lattice": {"d": 2, "extents": [4, 2], "boundary": "open",
+                        "static_links": [{"site": [-1, 0], "dir": 0, "flux": 1},
+                                         {"site": [3, 0], "dir": 0, "flux": 1}]},
+            "model": {"m": 0.4, "e": 2.0, "lambda_gauss": 20.0},
+            "spin": 0.5, "theta": [0.5, 0.5],
+            "initial_state": {"sites": ["o"] * 8,
+                              "link_fluxes": [1, 0, 0, 1, 0, 0, 1, 0, 0, 0]},
+            "evolution": {"dt": [0.05], "t_max": 0.1}}
+
+
+def test_statevector_cap_stops_run_only(tmp_path, capsys):
+    config = write_config(tmp_path, lattice_4x2())
+    assert main(["run", str(config), "--out", str(tmp_path / "run")]) == 3
+    assert "26 qubits exceeds the simulable limit (24)" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [config]
+    # a circuit needs no statevector
+    assert main(["qasm", str(config), "--out", str(tmp_path / "qasm")]) == 0
+    counts = json.loads((tmp_path / "qasm" / "custom_gate_counts.json").read_text())
+    assert counts["n_qubits"] == 26
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
+                                        if p.name != "resource_report.json"))
+def test_circuit_and_run_count_the_same_step(tmp_path, name):
+    cfg = load_config(CONFIGS / name)
+    cfg["evolution"] = cfg["evolution"] | {"method": "trotter", "dt": [0.1],
+                                           "t_max": 0.1}
+    config = write_config(tmp_path, cfg)
+    assert main(["run", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert main(["qasm", str(config), "--out", str(tmp_path / "qasm")]) == 0
+    prefix = cfg["output"]["prefix"]
+    meta = json.loads((tmp_path / "run" / f"{prefix}_meta.json").read_text())
+    counts = json.loads((tmp_path / "qasm" / f"{prefix}_gate_counts.json").read_text())
+    assert counts["cnot_count"] == meta["n_cnot_per_trotter_step"]
+    assert counts["n_pauli_strings"] == meta["n_pauli_strings"]
+    sc = validate_config(cfg)
+    terms = build_hamiltonian(sc, build_layout(sc)).total.terms
+    assert counts["gate_counts"]["rz"] == sum(1 for t in terms if t.x or t.z)
 
 
 @pytest.mark.parametrize("override, path", [

@@ -1,7 +1,6 @@
 """Statevector kernels, Trotter/exact evolution, observables, Gauss filter."""
 
 import dataclasses
-import functools
 import json
 import math
 import tracemalloc
@@ -25,7 +24,6 @@ from lgt.cli import (
 from lgt.dynamics import (
     FUSE_ENTRIES,
     FUSE_SPAN,
-    ORDERINGS,
     READOUT_TOL,
     ConfigKeys,
     Coset,
@@ -43,11 +41,11 @@ from lgt.dynamics import (
     trotter_states,
     trotter_step,
 )
-from lgt.gauge import flux_state_index
+from lgt.gauge import flux_state_index, register_flux
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
-from lgt.pauli import PauliOperator, PauliString
+from lgt.pauli import PauliOperator, PauliString, _index_mask
 import pauli_oracle
 from pauli_oracle import (
     apply_pauli_exp,
@@ -322,7 +320,7 @@ class TestTrotter:
 
     def test_norm_per_step(self, vacuum_system):
         _, _, h, s0 = vacuum_system
-        plan = trotter_plan(h, dt=0.1, n_steps=5)
+        plan = trotter_plan(h.total, dt=0.1, n_steps=5)
         for _, st in trotter_states(s0, plan):
             assert abs(st.norm - 1.0) < 1e-12
 
@@ -336,27 +334,36 @@ class TestTrotter:
             exact.append(loschmidt(s0, st))
         errs = {}
         for dt in (0.1, 0.05):
-            plan = trotter_plan(h, dt, int(round(2.0 / dt)))
+            plan = trotter_plan(h.total, dt, int(round(2.0 / dt)))
             vals = {round(t, 9): loschmidt(s0, s) for t, s in trotter_states(s0, plan)}
             tr = np.array([vals[round(t, 9)] for t in ts])
             errs[dt] = np.max(np.abs(tr - np.array(exact)))
         assert 1.6 <= errs[0.1] / errs[0.05] <= 2.4
 
     def test_orderings(self, vacuum_system):
+        # a plan applies the strings in the order it holds them
         _, _, h, s0 = vacuum_system
-        canonical = trotter_plan(h, 0.1, 1, "canonical")
-        rev = trotter_plan(h, 0.1, 1, "reversed")
-        grouped = trotter_plan(h, 0.1, 1, "by_term_group")
-        assert canonical.strings == tuple(reversed(rev.strings))
-        assert len(grouped.strings) >= len(canonical.strings)
+        canonical = trotter_plan(h.total, 0.1, 1)
+        rev = dataclasses.replace(canonical, strings=canonical.strings[::-1])
         a, b = s0.copy(), s0.copy()
         trotter_step(a, canonical)
         trotter_step(b, rev)
         assert not np.allclose(a.amps, b.amps)  # ordering matters at finite dt
 
+    @pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d",
+                                      "double_plaquette_2d"])
+    def test_full_register_plan_keeps_every_string(self, name):
+        sc = validate_config(PRESETS[name] | {"scenario": name})
+        op = assemble(build_layout(sc), sc.params, sc.mapping).total
+        plan = trotter_plan(op, 0.1, 1, Coset.full(op.n_qubits))
+        assert plan.strings == op.terms  # same masks, equal coefficients
+        assert np.array_equal(  # and the same coefficient bits, -0.0 included
+            np.array([t.coeff for t in plan.strings]).view(np.uint64),
+            np.array([t.coeff for t in op.terms]).view(np.uint64))
+
     def test_step_matches_string_action_reference(self, vacuum_system):
         _, _, h, _ = vacuum_system
-        plan = trotter_plan(h, 0.07, 1)
+        plan = trotter_plan(h.total, 0.07, 1)
         st = random_state(np.random.default_rng(41), 12)
         ref = st.amps.copy()
         idx = np.arange(1 << 12)
@@ -396,46 +403,32 @@ class TestTrotter:
 # -- fused Trotter blocks against the per-string oracle -----------------------
 
 
-@functools.cache
-def open_chain_terms(sites: int):
-    """The HamiltonianTerms of an open S=1/2 chain: 2, 5 or 8 qubits."""
-    lay = RegisterLayout(LatticeSpec(1, (sites,), "open"), "log", 0.5)
-    return assemble(lay, ModelParams(m=0.5, lam=1.0))
-
-
 @st.composite
 def ordered_hamiltonians(draw):
-    """(random hermitian HamiltonianTerms on n <= 8 qubits, an ordering).
-    The x-masks are sums of a few generators and some strings are diagonal,
-    so runs of strings share small spans."""
-    h = open_chain_terms(draw(st.integers(1, 3)))
-    n = h.layout.n_total
+    """(random hermitian operator on 2, 5 or 8 qubits, a permutation of its
+    strings). The x-masks are sums of a few generators and some strings are
+    diagonal, so runs of strings share small spans."""
+    n = draw(st.sampled_from([2, 5, 8]))
     gens = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
-
-    def part():
-        strings = []
-        for _ in range(draw(st.integers(0, 8))):
-            x = 0
-            for g in gens:
-                if draw(st.booleans()):
-                    x ^= g
-            strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
-                                       draw(st.floats(-2.0, 2.0))))
-        return PauliOperator.from_terms(n, strings)
-
-    mass, hopp, elec, plaq, gauss = (part() for _ in range(5))
-    h = dataclasses.replace(h, mass=mass, hopp_wilson=hopp, elec=elec,
-                            plaq=plaq, gauss=gauss,
-                            total=mass + hopp + elec + plaq + gauss)
-    return h, draw(st.sampled_from(ORDERINGS))
+    strings = []
+    for _ in range(draw(st.integers(0, 40))):
+        x = 0
+        for g in gens:
+            if draw(st.booleans()):
+                x ^= g
+        strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
+                                   draw(st.floats(-2.0, 2.0))))
+    op = PauliOperator.from_terms(n, strings)
+    return op, draw(st.permutations(range(op.n_terms)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(ordered_hamiltonians(), st.sampled_from([1, 3, 200]),
        st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
 def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
-    h, ordering = system
-    plan = trotter_plan(h, dt, n_steps, ordering)
+    op, order = system
+    plan = trotter_plan(op, dt, n_steps)
+    plan = dataclasses.replace(plan, strings=tuple(plan.strings[i] for i in order))
     # every string lands in exactly one block, in order, and a block has
     # one term per shift in the span of its x-masks
     assert [i for b in plan.blocks for i in b.strings] == list(range(len(plan.strings)))
@@ -464,7 +457,7 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
     h = assemble(lay, sc.params, sc.mapping)
     coset = Coset.reachable(h.total, initial_index(
         sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic), sc.params))
-    plan = trotter_plan(h, 0.05, 100, coset=coset)
+    plan = trotter_plan(h.total, 0.05, 100, coset=coset)
     assert plan.n_qubits == 16
     assert plan.kernel_summary() == {"blocks": 58, "passes_per_step": 126,
                                      "fused_bytes": 8_579_920}
@@ -473,7 +466,7 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
             assert max(d.size for _, d in block.terms) <= FUSE_ENTRIES
     # without the bound the same plan holds almost three times as much
     monkeypatch.setattr(lgt.dynamics, "FUSE_ENTRIES", 1 << 30)
-    unbounded = trotter_plan(h, 0.05, 100, coset=coset).kernel_summary()
+    unbounded = trotter_plan(h.total, 0.05, 100, coset=coset).kernel_summary()
     assert unbounded["fused_bytes"] == 23_944_704
 
 
@@ -528,7 +521,7 @@ class TestObservables:
         mapping = fermion_mapping(mapping_name, 6)
         # bare vacuum: every link register 01 holds flux 0
         index = mapping.encode_occupations([0, 1] * 3) << 6 | 0b010101
-        plan = trotter_plan(assemble(lay, params, mapping_name), 0.1, 3)
+        plan = trotter_plan(assemble(lay, params, mapping_name).total, 0.1, 3)
         *_, (_, st) = trotter_states(StateVector.basis_state(12, index), plan)
         # reference: every basis index decoded, dotted with the probabilities
         probs = st.probabilities()
@@ -658,6 +651,38 @@ def test_keys_merge_exactly_the_positions_that_share_a_label():
     # a key's index is a state of its own configuration
     assert np.array_equal(configs.key[coset.positions(configs.index)],
                           np.arange(4_096))
+
+
+def test_flux_states_far_from_zero_keep_their_own_key():
+    # 2-site open chain at S = 131071.5: one 18-qubit link register, where
+    # six significant digits read m = 123455.5 and 123456.5 both as 123456
+    lay = RegisterLayout(LatticeSpec(1, (2,), "open"), "log", 131071.5)
+    mapping = fermion_mapping("jw", 4)
+    params = ModelParams(m=0.5)
+    i1, i2 = (flux_state_index(lay.spin, "log", m) << lay.register_shift(0)
+              for m in (123455.5, 123456.5))
+    jump = PauliString(lay.n_total, _index_mask(i1 ^ i2, lay.n_total), 0, 1.0)
+    coset = Coset.reachable(PauliOperator.from_terms(lay.n_total, [jump]), i1)
+    assert lay.n_total == 22 and coset.index.tolist() == sorted([i1, i2])
+    configs = ConfigKeys(lay, mapping, params, coset)
+    assert configs.key.tolist() == [0, 1]
+    assert sorted(configs.labels(configs.key)) == ["aa|123455.5", "aa|123456.5"]
+
+
+@pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d",
+                                  "double_plaquette_2d"])
+@pytest.mark.parametrize("variant", [{}, {"gauge_encoding": "linear"},
+                                     {"spin": 2.0}, {"theta": [0.3]}])
+def test_flux_texts_of_the_presets_unchanged(name, variant):
+    # below 1e5 a flux reads as it always has: an integer, 'x', or :g
+    sc = validate_config(PRESETS[name] | {"scenario": name} | variant)
+    lay = build_layout(sc)
+    regs = np.arange(1 << lay.qubits_per_link)
+    for k in range(lay.spec.d):
+        values = register_flux(lay.spin, lay.encoding, regs) + sc.params.theta_along(k)
+        assert lgt.dynamics._flux_names(values) == [
+            "x" if np.isnan(v) else str(int(round(v))) if abs(v - round(v)) < 1e-9
+            else f"{v:g}" for v in values]
 
 
 # layouts whose full register maps several basis states to one label
@@ -946,7 +971,7 @@ def test_tapered_preset_steps_bit_identical(name, mapping_name):
     i0 = initial_index(sc.initial, lay, mapping, sc.params)
     coset = Coset.reachable(h.total, i0)
     dt = sc.evolution["dt"][-1]
-    full, tapered = trotter_plan(h, dt, 2), trotter_plan(h, dt, 2, coset=coset)
+    full, tapered = trotter_plan(h.total, dt, 2), trotter_plan(h.total, dt, 2, coset=coset)
     *_, (_, everywhere) = trotter_states(StateVector.basis_state(lay.n_total, i0), full)
     *_, (_, on_coset) = trotter_states(coset.basis_state(i0), tapered)
     assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
