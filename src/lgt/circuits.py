@@ -1,129 +1,76 @@
-"""Circuit synthesis for Pauli-string exponentials and Trotter steps.
+"""One first-order Trotter step as OpenQASM 2.0 text, written straight from
+an operator's strings in canonical order (the order ``trotter_plan`` applies
+them). No gate objects are built: counts come from the mask words.
 
-exp(-i theta P) is realized the standard way: rotate every support qubit
-into the Z basis (H for X, S^dag then H for Y), accumulate the parity on the
-highest-index support qubit with a CNOT ladder, apply RZ(2 theta) there, and
-uncompute. Identity strings produce an empty circuit with a recorded global
-phase. Gate counts per string are exactly 2 (support - 1) CNOTs.
+exp(-i dt c P) is the standard circuit: S^dag H on each Y and H on each X
+support qubit (ascending), a CNOT ladder onto the highest support qubit,
+RZ(2 dt c) there, then the ladder reversed and the basis changes undone in
+reverse (S for S^dag). An identity string writes nothing, as OpenQASM 2.0
+has no global phase.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TextIO
 
-from lgt.pauli import PauliOperator, PauliString
+import numpy as np
 
-GATE_NAMES = ("h", "s", "sdg", "rz", "cx")
-
-
-@dataclass(frozen=True)
-class Gate:
-    name: str
-    qubits: tuple[int, ...]
-    param: float | None = None
-
-    def __post_init__(self):
-        if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {self.name!r}")
-        if self.name == "cx" and len(self.qubits) != 2:
-            raise ValueError("cx needs control and target")
-        if self.name == "rz" and (self.param is None
-                                  or not math.isfinite(self.param)):
-            raise ValueError("rz needs a finite angle")
+from lgt.pauli import PauliOperator
+from lgt.resources import cnot_per_trotter_step
 
 
-@dataclass
-class Circuit:
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-    global_phase: float = 0.0
+def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
+    """Write one Trotter step of ``op`` to ``fh`` and return its schedule
+    depth (all-to-all connectivity, unit-time gates). ValueError, before
+    anything is written, if a coefficient is not real or an RZ angle is not
+    finite.
 
-    def add(self, name: str, *qubits: int, param: float | None = None) -> None:
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"qubit {q} outside register of {self.n_qubits}")
-        self.gates.append(Gate(name, tuple(qubits), param))
-
-    def extend(self, other: "Circuit") -> None:
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        self.gates.extend(other.gates)
-        self.global_phase += other.global_phase
-
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.name] = counts.get(g.name, 0) + 1
-        return counts
-
-    @property
-    def cnot_count(self) -> int:
-        return sum(1 for g in self.gates if g.name == "cx")
-
-    def depth(self) -> int:
-        """Schedule depth under all-to-all connectivity (unit-time gates)."""
-        level = [0] * self.n_qubits
-        depth = 0
-        for g in self.gates:
-            t = 1 + max(level[q] for q in g.qubits)
-            for q in g.qubits:
-                level[q] = t
-            depth = max(depth, t)
-        return depth
-
-
-def synth_pauli_exp(p: PauliString, theta: float) -> Circuit:
-    """Circuit for exp(-i theta c P) where c = Re coeff of the string."""
-    if abs(p.coeff.imag) > 1e-12:
+    A string's gates are a palindrome around its RZ: support qubit i of k,
+    with rho_i basis-change gates (X 1, Y 2, Z 0), has o_i = rho_i + k -
+    max(i, 1) layers on each side of it. So the RZ lands in layer
+    T = 1 + max_i(level_i + o_i), and level_i becomes T + o_i."""
+    if (np.abs(op.im) > 1e-12).any():
         raise ValueError("exponentiation needs a hermitian (real) coefficient")
-    angle = theta * p.coeff.real
-    circ = Circuit(p.n)
-    supp = [i for i in range(p.n) if (p.x >> i) & 1 or (p.z >> i) & 1]
-    if not supp:
-        circ.global_phase = -angle
-        return circ
-    target = supp[-1]
-    pre: list[Gate] = []
-    for q in supp:
-        xb, zb = (p.x >> q) & 1, (p.z >> q) & 1
-        if xb and zb:        # Y basis
-            pre.append(Gate("sdg", (q,)))
-            pre.append(Gate("h", (q,)))
-        elif xb:             # X basis
-            pre.append(Gate("h", (q,)))
-    ladder = [Gate("cx", (supp[i], supp[i + 1])) for i in range(len(supp) - 1)]
-    circ.gates.extend(pre)
-    circ.gates.extend(ladder)
-    circ.add("rz", target, param=2.0 * angle)
-    circ.gates.extend(reversed(ladder))
-    for g in reversed(pre):
-        circ.gates.append(Gate("s", g.qubits) if g.name == "sdg" else g)
-    return circ
+    dt = float(dt)  # a NumPy scalar would print as np.float64(...)
+    angles = [2.0 * (dt * c) for c in op.re.tolist()]
+    if not all(math.isfinite(a) for a, k in zip(angles, op.supports.tolist()) if k):
+        raise ValueError(f"an RZ angle of the step dt = {dt!r} is not finite")
+    n = op.n_qubits
+    h = [f"h q[{q}];\n" for q in range(n)]
+    # the basis change of a qubit with rho = 1 (X) or 2 (Y), and its undoing
+    into = (None, h, [f"sdg q[{q}];\n{h[q]}" for q in range(n)])
+    out_of = (None, h, [f"{h[q]}s q[{q}];\n" for q in range(n)])
+    fh.write(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n')
+    level = [0] * n
+    for p, angle in zip(op.terms, angles):
+        supp, rho = [], []
+        mask, y = p.x | p.z, p.x & p.z
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            supp.append(low.bit_length() - 1)
+            rho.append(2 if y & low else 1 if p.x & low else 0)
+        if not supp:
+            continue
+        pre = [into[r][q] for q, r in zip(supp, rho) if r]
+        post = [out_of[r][q] for q, r in zip(supp[::-1], rho[::-1]) if r]
+        ladder = [f"cx q[{a}],q[{b}];\n" for a, b in zip(supp, supp[1:])]
+        fh.write("".join(pre + ladder) + f"rz({angle!r}) q[{supp[-1]}];\n"
+                 + "".join(ladder[::-1] + post))
+        k = len(supp)
+        off = [r + k - max(i, 1) for i, r in enumerate(rho)]
+        t = 1 + max(level[q] + o for q, o in zip(supp, off))
+        for q, o in zip(supp, off):
+            level[q] = t + o
+    return max(level, default=0)
 
 
-def synth_trotter_step(op: PauliOperator, dt: float) -> Circuit:
-    """One first-order Trotter step on ``op``'s register: one exponential
-    per string, in the canonical order that ``lgt.dynamics.trotter_plan``
-    applies them."""
-    circ = Circuit(op.n_qubits)
-    for t in op.terms:
-        circ.extend(synth_pauli_exp(t, dt))
-    return circ
-
-
-# -- OpenQASM 2.0 -----------------------------------------------------------
-
-
-def export_qasm(circ: Circuit) -> str:
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";',
-             f"qreg q[{circ.n_qubits}];"]
-    for g in circ.gates:
-        if g.name == "cx":
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.name == "rz":
-            # float(): a NumPy scalar would print as np.float64(...)
-            lines.append(f"rz({float(g.param)!r}) q[{g.qubits[0]}];")
-        else:
-            lines.append(f"{g.name} q[{g.qubits[0]}];")
-    return "\n".join(lines) + "\n"
+def step_gate_counts(op: PauliOperator) -> dict[str, int]:
+    """Gates of each name in ``write_trotter_step``'s circuit, names with no
+    gate left out."""
+    n_y = int(np.bitwise_count(op.x & op.z).sum())
+    counts = {"h": 2 * int(np.bitwise_count(op.x).sum()), "s": n_y, "sdg": n_y,
+              "cx": cnot_per_trotter_step(op),
+              "rz": int(np.count_nonzero(op.supports))}
+    return {name: c for name, c in counts.items() if c}

@@ -64,6 +64,7 @@ from lgt.gauge import check_spin, flux_state_index, is_perfectly_representable
 from lgt.hamiltonian import HamiltonianTerms, ModelParams, assemble, default_lambda
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import MAPPING_NAMES, fermion_mapping
+from lgt.pauli import PauliOperator
 from lgt.resources import (
     closed_form_link_counts,
     cnot_per_trotter_step,
@@ -399,6 +400,15 @@ def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTer
     return h
 
 
+def _check_step(op: PauliOperator, dt: float, path: str) -> None:
+    """ConfigError at ``path`` unless every rotation angle of a Trotter step
+    of ``dt``, up to 2 dt max|coeff|, is finite."""
+    angle = 2.0 * (dt * float(np.abs(op.re).max(initial=0.0)))
+    if not math.isfinite(angle):
+        raise ConfigError(path, f"the step gives a rotation angle {angle!r} "
+                                "that is not finite")
+
+
 def initial_index(label, lay: RegisterLayout, mapping, params) -> int:
     """Basis index of a named or explicit configuration; it must satisfy
     Gauss's law (G_x = 0) at every site."""
@@ -513,8 +523,6 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     if lay.n_total > MAX_QUBITS:
         raise ResourceLimitError(
             f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     h = build_hamiltonian(sc, lay)
     evo = sc.evolution
     t_max = evo["t_max"]
@@ -523,6 +531,10 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         if not norm_t <= MAX_EXACT_NORM_T:  # also inf and nan
             raise ConfigError("$.model", f"sum |coeff| * t_max = {norm_t:g} is over "
                               f"{MAX_EXACT_NORM_T:g}, too large for the exact curve")
+    if evo["method"] != "exact":
+        _check_step(h.total, max(evo["dt"]), "$.evolution.dt")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
     params = sc.params
     i0 = initial_index(sc.initial, lay, mapping, params)
@@ -650,24 +662,26 @@ def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
 
 
 def run_qasm(sc: ScenarioConfig, out_dir: str | Path, dt: float | None) -> list[Path]:
-    from lgt.circuits import export_qasm, synth_trotter_step
+    from lgt.circuits import step_gate_counts, write_trotter_step
 
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ConfigError("--dt", f"must be a finite time step > 0, got {dt!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lay = build_layout(sc)
     h = build_hamiltonian(sc, lay)
     step = dt if dt is not None else sc.evolution["dt"][0]
-    circ = synth_trotter_step(h.total, step)
+    _check_step(h.total, step, "--dt" if dt is not None else "$.evolution.dt")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     qasm_path = out / f"{sc.output_prefix}_trotter_step.qasm"
-    qasm_path.write_text(export_qasm(circ))
+    with qasm_path.open("w") as fh:
+        depth = write_trotter_step(h.total, step, fh)
+    counts = step_gate_counts(h.total)
     summary = {
-        "n_qubits": circ.n_qubits,
+        "n_qubits": h.total.n_qubits,
         "dt": step,
-        "gate_counts": circ.gate_counts(),
-        "cnot_count": circ.cnot_count,
-        "depth": circ.depth(),
+        "gate_counts": counts,
+        "cnot_count": counts.get("cx", 0),
+        "depth": depth,
         "n_pauli_strings": h.n_terms,
     }
     json_path = out / f"{sc.output_prefix}_gate_counts.json"

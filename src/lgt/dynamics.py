@@ -157,7 +157,7 @@ class Coset:
     def basis_state(self, index: int) -> "StateVector":
         amps = np.zeros(1 << self.r, dtype=complex)
         amps[self.positions([index])] = 1.0
-        return StateVector(self.r, amps, self)
+        return StateVector(amps, self)
 
     def taper(self, p: PauliString) -> PauliString:
         """The r-qubit string that acts on positions as ``p`` acts on the
@@ -183,24 +183,27 @@ class Coset:
 @dataclass
 class StateVector:
     """Amplitudes over the positions of a coset (default: the whole
-    register, so position = basis index)."""
+    register of log2 len(amps) qubits, so position = basis index)."""
 
-    n_qubits: int
     amps: np.ndarray
     coset: Coset | None = None
 
     def __post_init__(self):
         if self.coset is None:
-            self.coset = Coset.full(self.n_qubits)
-        elif self.coset.r != self.n_qubits:
+            self.coset = Coset.full(max(len(self.amps) - 1, 0).bit_length())
+        if len(self.amps) != 1 << self.coset.r:
             raise ValueError("state size mismatch")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.coset.r
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
         return Coset.full(n_qubits).basis_state(index)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy(), self.coset)
+        return StateVector(self.amps.copy(), self.coset)
 
     @property
     def norm(self) -> float:
@@ -503,7 +506,7 @@ class ExactEvolver:
             return state.copy()
         out = np.zeros_like(state.amps)
         out[pos] = self._propagate(amps, t)
-        return StateVector(state.n_qubits, out, state.coset)
+        return StateVector(out, state.coset)
 
     def _propagate(self, total: np.ndarray, t: float) -> np.ndarray:
         """e^{-iHt} on span amplitudes, summed into ``total`` in place."""

@@ -1,23 +1,47 @@
-"""Circuit synthesis, gate counting, depth, and QASM round trips."""
+"""Trotter-step circuits: the written text against the gate-level oracle,
+gate counts, depth, unitaries and the QASM reader."""
+
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lgt.circuits import (
-    Circuit,
-    Gate,
-    export_qasm,
-    synth_pauli_exp,
-    synth_trotter_step,
-)
+from lgt.circuits import step_gate_counts, write_trotter_step
 from lgt.dynamics import StateVector
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.pauli import PauliOperator, PauliString
-from circuit_oracle import circuit_unitary, parse_qasm
+from circuit_oracle import (
+    circuit_unitary,
+    gate_counts,
+    parse_qasm,
+    schedule_depth,
+    step_gates,
+)
 from pauli_oracle import apply_pauli_exp, to_matrix
 from lgt.resources import cnot_per_trotter_step
+
+
+def step_text(op: PauliOperator, dt: float) -> tuple[str, int]:
+    """The written step and the depth the writer reports."""
+    fh = io.StringIO()
+    depth = write_trotter_step(op, dt, fh)
+    return fh.getvalue(), depth
+
+
+def step_unitary(op: PauliOperator, dt: float, max_qubits: int = 8) -> np.ndarray:
+    """Unitary of the written step, times exp(-i dt c_I) for the identity
+    string, a global phase that OpenQASM 2.0 cannot express."""
+    c_id = op.coefficient(PauliString(op.n_qubits, 0, 0, 1.0)).real
+    u = circuit_unitary(parse_qasm(step_text(op, dt)[0]), max_qubits)
+    return np.exp(-1j * dt * c_id) * u
+
+
+def one(label: str, coeff: complex = 1.0) -> PauliOperator:
+    return PauliOperator.from_label(label, coeff)
 
 
 def exp_ref(p: PauliString, theta: float) -> np.ndarray:
@@ -27,34 +51,35 @@ def exp_ref(p: PauliString, theta: float) -> np.ndarray:
 
 class TestSynthPauliExp:
     def test_zzzz_ladder(self):
-        circ = synth_pauli_exp(PauliString.from_label("ZZZZ"), 0.5)
-        assert [g.name for g in circ.gates] == ["cx"] * 3 + ["rz"] + ["cx"] * 3
-        assert circ.gates[3].qubits == (3,)  # rotation on the last support qubit
+        _, gates = parse_qasm(step_text(one("ZZZZ"), 0.5)[0])
+        assert [g[0] for g in gates] == ["cx"] * 3 + ["rz"] + ["cx"] * 3
+        assert gates[3][1] == (3,)  # rotation on the last support qubit
 
     def test_single_z(self):
-        circ = synth_pauli_exp(PauliString.from_label("Z"), 0.3)
-        assert circ.cnot_count == 0
-        assert [g.name for g in circ.gates] == ["rz"]
+        _, gates = parse_qasm(step_text(one("Z"), 0.3)[0])
+        assert [g[0] for g in gates] == ["rz"]
+        assert "cx" not in step_gate_counts(one("Z"))
 
     def test_identity_records_global_phase(self):
-        circ = synth_pauli_exp(PauliString.from_label("II", 2.0), 0.25)
-        assert circ.gates == [] and abs(circ.global_phase + 0.5) < 1e-15
-        u = circuit_unitary(circ)
-        assert np.allclose(u, np.exp(-0.5j) * np.eye(4))
+        op = one("II", 2.0)
+        text, depth = step_text(op, 0.25)
+        assert parse_qasm(text) == (2, []) and depth == 0
+        assert step_gate_counts(op) == {}
+        assert np.allclose(step_unitary(op, 0.25), np.exp(-0.5j) * np.eye(4))
 
     @pytest.mark.parametrize("label", ["YZZX" + "I", "XIZYI", "IYXII", "ZIIIZ"])
     def test_unitary_equivalence(self, label):
         p = PauliString.from_label(label, 0.8)
-        circ = synth_pauli_exp(p, -0.41)
-        assert np.max(np.abs(circuit_unitary(circ) - exp_ref(p, -0.41))) < 1e-10
+        u = step_unitary(PauliOperator.from_terms(5, [p]), -0.41)
+        assert np.max(np.abs(u - exp_ref(p, -0.41))) < 1e-10
 
     def test_cnot_count_formula(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             label = "".join(rng.choice(list("IXYZ")) for _ in range(6))
             p = PauliString.from_label(label, 1.0)
-            circ = synth_pauli_exp(p, 0.2)
-            assert circ.cnot_count == max(0, 2 * (p.support - 1))
+            _, gates = parse_qasm(step_text(PauliOperator.from_terms(6, [p]), 0.2)[0])
+            assert gate_counts(gates).get("cx", 0) == max(0, 2 * (p.support - 1))
 
     def test_matches_statevector_kernel(self):
         rng = np.random.default_rng(9)
@@ -62,17 +87,28 @@ class TestSynthPauliExp:
             label = "".join(rng.choice(list("IXYZ")) for _ in range(4))
             theta = rng.normal()
             p = PauliString.from_label(label, 1.0)
-            circ = synth_pauli_exp(p, theta)
-            u = circuit_unitary(circ)
+            u = step_unitary(PauliOperator.from_terms(4, [p]), theta)
             v = rng.normal(size=16) + 1j * rng.normal(size=16)
             v /= np.linalg.norm(v)
-            st = StateVector(4, v.copy())
-            apply_pauli_exp(st, p, theta)
-            assert np.max(np.abs(u @ v - st.amps)) < 1e-10
+            state = StateVector(v.copy())
+            apply_pauli_exp(state, p, theta)
+            assert np.max(np.abs(u @ v - state.amps)) < 1e-10
 
     def test_rejects_complex_coefficient(self):
-        with pytest.raises(ValueError):
-            synth_pauli_exp(PauliString.from_label("X", 1j), 0.1)
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="real"):
+            write_trotter_step(one("X", 1j), 0.1, fh)
+        assert fh.getvalue() == ""
+
+    def test_rejects_non_finite_angle(self):
+        op = PauliOperator.from_terms(2, [PauliString.from_label("ZI", 1.0),
+                                          PauliString.from_label("IX", 4.0)])
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="not finite"):
+            write_trotter_step(op, 1e308, fh)
+        assert fh.getvalue() == ""
+        # an identity string writes no rotation, so its angle is not checked
+        assert step_text(one("II", 4.0), 1e308)[1] == 0
 
 
 @pytest.fixture(scope="module")
@@ -84,70 +120,80 @@ def small_h():
 class TestTrotterStepCircuit:
 
     def test_total_cnots_match_formula(self, small_h):
-        circ = synth_trotter_step(small_h.total, 0.05)
-        assert circ.cnot_count == cnot_per_trotter_step(small_h.total)
+        _, gates = parse_qasm(step_text(small_h.total, 0.05)[0])
+        assert gate_counts(gates)["cx"] == cnot_per_trotter_step(small_h.total)
 
     def test_unitary_matches_sequential_kernel(self, small_h):
-        circ = synth_trotter_step(small_h.total, 0.05)
-        u = circuit_unitary(circ, max_qubits=6)
+        u = step_unitary(small_h.total, 0.05, max_qubits=6)
         rng = np.random.default_rng(4)
         v = rng.normal(size=32) + 1j * rng.normal(size=32)
         v /= np.linalg.norm(v)
-        st = StateVector(5, v.copy())
+        state = StateVector(v.copy())
         for t in small_h.total.terms:
-            apply_pauli_exp(st, t, t.coeff.real * 0.05)
-        assert np.max(np.abs(u @ v - st.amps)) < 1e-10
+            apply_pauli_exp(state, t, t.coeff.real * 0.05)
+        assert np.max(np.abs(u @ v - state.amps)) < 1e-10
 
     def test_disjoint_supports_schedule_in_parallel(self):
         op = PauliOperator.from_terms(4, [
             PauliString.from_label("ZZII", 1.0),
             PauliString.from_label("IIZZ", 1.0)])
-        circ = synth_trotter_step(op, 0.1)
-        assert circ.depth() < len(circ.gates)
-        assert circ.depth() == 3  # the two exponential blocks run side by side
+        text, depth = step_text(op, 0.1)
+        assert depth < len(parse_qasm(text)[1])
+        assert depth == 3  # the two exponential blocks run side by side
 
     def test_electric_depth_size_independent(self):
         depths = []
         for ext in ((2, 2), (4, 4)):
             lay = RegisterLayout(LatticeSpec(2, ext, "open"), "log", 1.0)
             h = assemble(lay, ModelParams(m=0.5, r=1.0, e=1.0))
-            circ = Circuit(lay.n_total)
-            for t in h.elec.terms:
-                circ.extend(synth_pauli_exp(t, 0.1))
-            depths.append(circ.depth())
+            depths.append(step_text(h.elec, 0.1)[1])
         assert depths[0] == depths[1]
 
-    def test_gate_counts_additive(self, small_h):
-        a = synth_trotter_step(small_h.total, 0.05)
-        b = synth_trotter_step(small_h.total, 0.05)
-        combined = Circuit(a.n_qubits)
-        combined.extend(a)
-        combined.extend(b)
-        for name, count in a.gate_counts().items():
-            assert combined.gate_counts()[name] == count + b.gate_counts()[name]
+
+# random operators: identity and single-qubit strings, shared and disjoint
+# supports; coefficients of either sign
+@st.composite
+def operators(draw):
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                           min_size=1, max_size=8))
+    coeffs = draw(st.lists(st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-6),
+                           min_size=len(labels), max_size=len(labels)))
+    return PauliOperator.from_terms(n, [PauliString.from_label(label, c)
+                                        for label, c in zip(labels, coeffs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(operators(), st.floats(1e-3, 1.0))
+def test_written_step_matches_gate_oracle(op, dt):
+    text, depth = step_text(op, dt)
+    n, gates = parse_qasm(text)
+    assert (n, gates) == (op.n_qubits, step_gates(op, dt))
+    assert depth == schedule_depth(n, gates)
+    assert step_gate_counts(op) == gate_counts(gates)
 
 
 class TestQasm:
     def test_empty_circuit(self):
-        text = export_qasm(Circuit(3))
+        text, depth = step_text(PauliOperator.zero(3), 0.1)
         assert text.splitlines() == [
             "OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];"]
+        assert depth == 0
 
     def test_single_cnot(self):
-        circ = Circuit(2)
-        circ.add("cx", 0, 1)
-        assert export_qasm(circ).splitlines()[-1] == "cx q[0],q[1];"
+        lines = step_text(one("ZZ"), 0.25)[0].splitlines()
+        assert lines[3:] == ["cx q[0],q[1];", "rz(0.5) q[1];", "cx q[0],q[1];"]
 
     def test_roundtrip_synth(self):
-        circ = synth_pauli_exp(PauliString.from_label("ZZZZ"), 0.7)
-        back = parse_qasm(export_qasm(circ))
-        assert back.n_qubits == circ.n_qubits
-        assert back.gates == circ.gates
+        op = one("ZZZZ")
+        assert parse_qasm(step_text(op, 0.7)[0]) == (4, step_gates(op, 0.7))
 
     def test_roundtrip_with_rotations(self):
-        circ = synth_pauli_exp(PauliString.from_label("YXZ", -1.5), 0.123456789)
-        back = parse_qasm(export_qasm(circ))
-        assert back.gates == circ.gates
+        op = one("YXZ", -1.5)
+        gates = step_gates(op, 0.123456789)
+        assert parse_qasm(step_text(op, 0.123456789)[0]) == (3, gates)
+        assert [g[0] for g in gates] == ["sdg", "h", "h", "cx", "cx", "rz",
+                                         "cx", "cx", "h", "h", "s"]
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -156,20 +202,21 @@ class TestQasm:
 
 class TestGateValidation:
     def test_unknown_gate(self):
-        with pytest.raises(ValueError):
-            Gate("t", (0,))
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_qasm("qreg q[1];\nt q[0];")
 
     def test_rz_needs_angle(self):
-        with pytest.raises(ValueError):
-            Gate("rz", (0,))
+        # and no other gate takes one; cx needs control and target
+        for line in ("rz q[0];", "rz(nan) q[0];", "rz(inf) q[0];", "h(0.5) q[0];",
+                     "cx q[0];", "h q[0],q[1];"):
+            with pytest.raises(ValueError, match="malformed"):
+                parse_qasm(f"qreg q[2];\n{line}")
 
     def test_rx_is_not_a_gate(self):
-        with pytest.raises(ValueError, match="unknown gate"):
-            Gate("rx", (0,), 0.1)
         with pytest.raises(ValueError, match="cannot parse"):
             parse_qasm("qreg q[1];\nrx(0.1) q[0];")
 
     def test_qubit_range_checked(self):
-        circ = Circuit(2)
-        with pytest.raises(ValueError):
-            circ.add("h", 2)
+        for line in ("h q[2];", "cx q[0],q[2];"):
+            with pytest.raises(ValueError, match="outside register"):
+                parse_qasm(f"qreg q[2];\n{line}")

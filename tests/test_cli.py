@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgt
-from circuit_oracle import parse_qasm
+from circuit_oracle import gate_counts, parse_qasm, schedule_depth
 from lgt.cli import (
     MAX_EXACT_NORM_T,
     PRESETS,
@@ -35,6 +35,10 @@ from lgt.hamiltonian import default_lambda
 from lgt.matter import fermion_mapping
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# open S=1 chain of 17 sites: 66 qubits, so masks span two words; 2,475 strings
+CHAIN_17 = {"scenario": "custom",
+            "lattice": {"d": 1, "extents": [17], "boundary": "open"},
+            "model": {"m": 0.5, "e": 1.0}, "spin": 1.0}
 
 
 def write_config(tmp_path, cfg: dict) -> Path:
@@ -456,12 +460,24 @@ def test_out_path_through_a_file_exits_2(tmp_path, capsys, command, out):
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0", "1e307"])
 def test_bad_qasm_dt_exits_2(tmp_path, capsys, dt):
+    # 1e307 is finite, but twice it times a coefficient is not
     config = write_config(tmp_path, {"scenario": "string_breaking_1d"})
     assert main(["qasm", str(config), "--out", str(tmp_path / "out"),
                  "--dt", dt]) == 2
     assert "at --dt:" in capsys.readouterr().err
+
+
+def test_overflowing_trotter_angle_exits_2(tmp_path, capsys):
+    # a finite dt whose rotation angles overflow: rejected before the plan
+    # folds them into NaN amplitudes (warnings are errors in tests)
+    assert run_cli(tmp_path, {
+        "scenario": "vacuum_decay",
+        "evolution": {"method": "trotter", "dt": [1e307], "t_max": 1e308}}) == 2
+    err = capsys.readouterr().err
+    assert "at $.evolution.dt:" in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # SHA-256 of the paper's resource tables and of one Trotter-step circuit
@@ -478,17 +494,46 @@ def test_bad_qasm_dt_exits_2(tmp_path, capsys, dt):
             "9175bd0b4d8f0be76e10f40884d82187285af0b2f43f4a65b2e1cbb673b35f54",
         "vacuum_decay_gate_counts.json":
             "9259a3dc02fe1b2968ceac27310b301089a97a594587cb3f101d0d80114ab66a"}),
+    ("qasm", "double_plaquette_2d.json", {
+        "double_plaquette_2d_trotter_step.qasm":
+            "308083260a3988094f61e9984ceaff700fed6ca2a8d146d6706b142827961b0c",
+        "double_plaquette_2d_gate_counts.json":
+            "33580674bb52b375be5db58fd89c77992fd1372e5c42b26c5ba30556693957fe"}),
+    ("qasm", "string_breaking_1d_light.json", {
+        "string_breaking_1d_trotter_step.qasm":
+            "99ee338e997d79d80fd35ff5c19a9463f889d6645db392593d81c13e86e12dc4",
+        "string_breaking_1d_gate_counts.json":
+            "eeb9de28d051e131f0f573e549ac15fa5ffbe47e655fc3a7db03e151927738a0"}),
+    ("qasm", CHAIN_17, {
+        "custom_trotter_step.qasm":
+            "7318a77216fcdeae91f26f4caaac00194d69a735a954e4005469b96e025fb5c3",
+        "custom_gate_counts.json":
+            "82ae76656a36bbeaa6231a22be87e3502fec1d11d6a8c0683bc3c99228ecaa5d"}),
 ])
 def test_outputs_match_golden_digest(tmp_path, command, config, digests):
-    assert main([command, str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+    path = write_config(tmp_path, config) if isinstance(config, dict) else CONFIGS / config
+    assert main([command, str(path), "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in digests} == digests
 
 
 def test_exported_qasm_parses_back(tmp_path):
     assert main(["qasm", str(CONFIGS / "vacuum_decay.json"), "--out", str(tmp_path)]) == 0
-    circ = parse_qasm((tmp_path / "vacuum_decay_trotter_step.qasm").read_text())
-    assert circ.n_qubits == 12 and circ.gate_counts()["rz"] == 465
+    n, gates = parse_qasm((tmp_path / "vacuum_decay_trotter_step.qasm").read_text())
+    assert n == 12 and gate_counts(gates)["rz"] == 465
+
+
+@pytest.mark.parametrize("config, prefix", [(CONFIGS / "vacuum_decay.json", "vacuum_decay"),
+                                            (CHAIN_17, "custom")])
+def test_gate_counts_match_the_written_circuit(tmp_path, config, prefix):
+    path = write_config(tmp_path, config) if isinstance(config, dict) else config
+    assert main(["qasm", str(path), "--out", str(tmp_path)]) == 0
+    n, gates = parse_qasm((tmp_path / f"{prefix}_trotter_step.qasm").read_text())
+    counts = json.loads((tmp_path / f"{prefix}_gate_counts.json").read_text())
+    assert counts["n_qubits"] == n
+    assert counts["gate_counts"] == gate_counts(gates)
+    assert counts["cnot_count"] == counts["gate_counts"]["cx"]
+    assert counts["depth"] == schedule_depth(n, gates)
 
 
 def exact_curve(tmp_path, mapping: str) -> list[dict[str, float]]:

@@ -57,7 +57,7 @@ from pauli_oracle import (
 
 def random_state(rng, n):
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector(n, v / np.linalg.norm(v))
+    return StateVector(v / np.linalg.norm(v))
 
 
 def random_hermitian_sum(rng, n, k):
@@ -128,6 +128,19 @@ class TestPauliExp:
             apply_pauli_exp(st, PauliString.from_label("XZ"), 0.1)
 
 
+class TestStateVector:
+    def test_register_from_length(self):
+        st = StateVector(np.zeros(8, dtype=complex))
+        assert st.n_qubits == 3 and st.coset == Coset.full(3)
+        assert StateVector(np.ones(1, dtype=complex)).n_qubits == 0
+
+    @pytest.mark.parametrize("size, coset", [(0, None), (6, None), (4, Coset.full(3)),
+                                             (8, Coset(3, (1,), 0))])
+    def test_length_must_fill_the_coset(self, size, coset):
+        with pytest.raises(ValueError, match="size mismatch"):
+            StateVector(np.zeros(size, dtype=complex), coset)
+
+
 class TestOperatorAction:
     def test_matches_dense(self):
         rng = np.random.default_rng(23)
@@ -155,7 +168,7 @@ class TestExactEvolution:
     def test_diagonal_h_per_amplitude_phases(self):
         h = PauliOperator.from_terms(2, [PauliString.from_label("ZI", 0.5),
                                          PauliString.from_label("IZ", -0.25)])
-        st = StateVector(2, np.ones(4, dtype=complex) / 2)
+        st = StateVector(np.ones(4, dtype=complex) / 2)
         out = ExactEvolver(h).evolve(st, 1.0)
         energies = np.array([0.25, 0.75, -0.75, -0.25])
         assert np.max(np.abs(out.amps - st.amps * np.exp(-1j * energies))) < 1e-13
@@ -222,7 +235,7 @@ class TestExactEvolution:
         assert np.array_equal(ev.evolve(st, 5.0).amps, st.amps)
         assert ev.matvecs == 0
         ev = ExactEvolver(random_hermitian_sum(rng, 3, 6))
-        zero = StateVector(3, np.zeros(8, dtype=complex))
+        zero = StateVector(np.zeros(8, dtype=complex))
         assert not ev.evolve(zero, 5.0).amps.any()
 
     def test_non_finite_state_raises(self):
@@ -257,7 +270,7 @@ class TestExactEvolution:
                                   Coset.full(lay.n_total))
         ev = ExactEvolver(h.total, sector)
         outside = next(i for i in range(1 << 10) if i not in sector)
-        mixed = StateVector(10, (s0.amps + StateVector.basis_state(10, outside).amps)
+        mixed = StateVector((s0.amps + StateVector.basis_state(10, outside).amps)
                             / math.sqrt(2))
         with pytest.raises(ValueError, match="outside"):
             ev.evolve(mixed, 0.1)
@@ -587,7 +600,7 @@ class TestConfigReadout:
                                     np.array([], dtype=np.int64))
         assert labels.shape == (0,) and labels.dtype.kind == "U"
         # every probability is 1e-14, below the readout tolerance
-        st = StateVector(12, np.full(1 << 12, 1e-7, dtype=complex))
+        st = StateVector(np.full(1 << 12, 1e-7, dtype=complex))
         assert readout(st, lay, mapping, params) == {}
 
     def test_readout_rejects_another_coset(self, vacuum_system):
@@ -732,7 +745,7 @@ def test_keyed_readout_matches_label_dictionaries(tmp_path_factory, layout, mapp
         pick = rng.integers(size, size=6)
         amps[pick[:2]] = amps[pick[2]]
         amps[pick[3]], amps[pick[4]], amps[pick[5]] = at, above, -above
-        state = StateVector(coset.r, amps, coset)
+        state = StateVector(amps, coset)
         old = pauli_oracle.config_probabilities(state, lay, mapping, params)
         keys, probs = config_probabilities(state, configs)
         assert configs.labels(keys) == list(old)
@@ -761,7 +774,7 @@ def test_readout_memory_on_the_24_qubit_chain(tmp_path):
                                                    sc.params))
     configs = ConfigKeys(lay, mapping, sc.params, coset)
     assert coset.r == 16
-    st = StateVector(16, random_state(np.random.default_rng(3), 16).amps, coset)
+    st = StateVector(random_state(np.random.default_rng(3), 16).amps, coset)
     tracemalloc.start()
     try:
         keys, probs = config_probabilities(st, configs)
@@ -898,8 +911,8 @@ def test_tapered_step_matches_full_register(system, dt, seed):
     assert len(tapered.strings) == len(full.strings)  # one exponential each
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
-    on_coset = StateVector(coset.r, amps.copy(), coset)
-    everywhere = StateVector(op.n_qubits, np.zeros(1 << op.n_qubits, dtype=complex))
+    on_coset = StateVector(amps.copy(), coset)
+    everywhere = StateVector(np.zeros(1 << op.n_qubits, dtype=complex))
     everywhere.amps[coset.index] = amps
     trotter_step(on_coset, tapered)
     trotter_step(everywhere, full)
@@ -938,8 +951,8 @@ def test_tapered_fused_blocks_match_full_register(system, n_steps, dt, seed):
     assert ([b.strings for b in tapered.blocks] == [b.strings for b in full.blocks])
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
-    on_coset = StateVector(coset.r, amps.copy(), coset)
-    everywhere = StateVector(op.n_qubits, np.zeros(1 << op.n_qubits, dtype=complex))
+    on_coset = StateVector(amps.copy(), coset)
+    everywhere = StateVector(np.zeros(1 << op.n_qubits, dtype=complex))
     everywhere.amps[coset.index] = amps
     for _ in range(2):
         trotter_step(on_coset, tapered)

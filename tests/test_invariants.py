@@ -143,7 +143,7 @@ def test_trotter_steps_keep_norm(systems, name, mapping_name, c, dt, n_steps,
     rng = np.random.default_rng(seed)
     dim = 1 << lay.n_total
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    start = StateVector(lay.n_total, amps / np.linalg.norm(amps))
+    start = StateVector(amps / np.linalg.norm(amps))
     # the strings in a drawn order: the fused-block cut depends on it
     plan = trotter_plan(h.total, dt, n_steps)
     order = data.draw(st.permutations(range(len(plan.strings))))
