@@ -21,16 +21,18 @@ The exact curve evolves in the G_x = 0 states of that coset, as enumerated
 by ``gauss_filter``; the Trotter curves evolve the whole coset with tapered
 strings, so their weight may leave the Gauss-law sector. For each Trotter
 curve the metadata's ``trotter_kernel`` records the plan's fused blocks,
-its passes over the state per step and the bytes of its fused tensors
-(``TrotterPlan.kernel_summary``); for the exact curve ``exact_kernel``
-records the sector's ||H||_inf, the Taylor substeps per sample and the
-actions of H (``ExactEvolver.kernel_summary``).
+its passes over the state per step, the bytes of its fused tensors and
+the transposing copies of a step (``TrotterPlan.kernel_summary``); for
+the exact curve ``exact_kernel`` records the sector's ||H||_inf, the
+Taylor substeps per sample and the actions of H
+(``ExactEvolver.kernel_summary``).
 
-Each readout row holds the time, the Loschmidt echo, the particle number
-and the (keys, probabilities) arrays of ``config_probabilities``, keyed by
-the run's ``ConfigKeys``. After the last curve the 12 configurations of
-highest peak probability become the CSV columns (``_label_columns``), and
-only the keys ranked up to the tier of the cut get a label string.
+Each readout computes the state's probabilities once and holds the time,
+the Loschmidt echo, the particle number and the (keys, probabilities)
+arrays of ``config_probabilities``, keyed by the run's ``ConfigKeys``.
+After the last curve the 12 configurations of highest peak probability
+become the CSV columns (``_label_columns``), and only the keys ranked up
+to the tier of the cut get a label string.
 """
 
 from __future__ import annotations
@@ -544,8 +546,10 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     configs = ConfigKeys(lay, mapping, params, coset)
 
     def readout(t, st):
-        n_part = standard_observables(st, lay, mapping, params)["total_particle_number"]
-        return t, loschmidt(s0, st), n_part, config_probabilities(st, configs)
+        probs = st.probabilities()
+        n_part = standard_observables(st, lay, mapping, params,
+                                      probs)["total_particle_number"]
+        return t, loschmidt(s0, st), n_part, config_probabilities(st, configs, probs)
 
     curves: dict[str, list] = {}
     exact_kernel: dict[str, float | int] = {}

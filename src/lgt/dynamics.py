@@ -22,8 +22,20 @@ into one operator, psi <- sum_w D_w psi[. ^ w], the fusion of runs of gates
 used by blocked statevector simulators (Doi & Horii, arXiv:2102.02957),
 here for Pauli strings. A step then makes one pass per term instead of one
 per string; the cut balances the passes of the plan's steps against the
-cost of the folds, and ``FUSE_ENTRIES`` bounds a fused term tensor. The
-blocks live on the plan; nothing is cached at module level.
+cost of the folds, and ``FUSE_ENTRIES`` bounds a fused term tensor.
+
+In qubit order a block's axes sit among the untouched ones, and NumPy
+would walk each pass in rows of a few amplitudes. So consecutive blocks
+form layout runs, as blocked simulators order qubits per run of gates and
+swap axes only between runs: a run holds the amplitudes in its own axis
+order, the t qubits its blocks act on first, and leaves at least
+``ROW_AXES`` qubits untouched where it can. Its passes then walk rows of
+2^(r - t) contiguous amplitudes, and a step makes one transposing copy
+into each run's order and one back to qubit order. Per amplitude a step
+does the same products and sums in the same order as in qubit order, so
+the result does not depend on the layouts. The blocks and the step's
+views of two scratch buffers live on the plan; nothing is cached at
+module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes; observables, configuration labels and the Gauss-law
@@ -66,6 +78,7 @@ READOUT_TOL = 1e-12  # configuration probabilities at or below this are not list
 GAUSS_BLOCK = 1 << 16  # basis indices the Gauss filter decodes at a time
 FUSE_SPAN = 3          # a Trotter block's x-masks span at most this dimension
 FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB)
+ROW_AXES = 3           # qubits a Trotter layout run leaves untouched, if it can
 TAYLOR_STEP = 2.0       # ||H tau||_inf of one exact-evolution substep at most
 TAYLOR_TERMS = 60       # Taylor terms a substep may take before evolve gives up
 
@@ -282,17 +295,25 @@ class OperatorAction:
 class Block(NamedTuple):
     """A run of plan strings applied as one operator, psi <- sum_w D_w
     psi[. ^ w], with one term per shift w in the GF(2) span of the run's
-    x-masks, in fold order (``_fold``). A term is (index, D_w): in the
-    (2,)*r view psi[index] is psi[. ^ w], and D_w broadcasts against it."""
+    x-masks, in fold order (``_fold``).
+
+    The terms are laid out for the block's layout run (``TrotterPlan``):
+    ``axes`` is the run's axis order, its t touched qubits first. A term is
+    (index, D_w): in the (2,)*t + (2^(r-t),) view of the amplitudes in that
+    order, psi[index] is psi[. ^ w] (one slice per leading axis), and D_w,
+    of size 2 or 1 on each leading axis and 1 on the last, scales whole
+    contiguous rows."""
 
     strings: range  # positions in the plan's strings
+    axes: tuple[int, ...]  # the qubit held by each axis of the run's layout
     terms: tuple[tuple[tuple[slice, ...], np.ndarray], ...]
 
 
-def _shift(x: int, n: int) -> tuple[slice, ...]:
-    """Index of psi[. ^ x] in the (2,)*n view: the X/Y axes reversed."""
+def _shift(x: int, axes) -> tuple[slice, ...]:
+    """Index of psi[. ^ x] over axes holding the qubits ``axes``: the X/Y
+    axes reversed."""
     return tuple(slice(None, None, -1) if (x >> q) & 1 else slice(None)
-                 for q in range(n))
+                 for q in axes)
 
 
 def _fold(terms: dict[int, np.ndarray], p: PauliString, theta: float
@@ -314,7 +335,7 @@ def _fold(terms: dict[int, np.ndarray], p: PauliString, theta: float
     if p.x == 0:
         phase = np.exp(-1j * theta * signs)
         return {w: d * phase for w, d in terms.items()}
-    flip = _shift(p.x, p.n)
+    flip = _shift(p.x, range(p.n))
     f = (1j * math.sin(theta) * index_masks(p)[2]) * signs[flip]
     cos = math.cos(theta)
     out = {w: cos * d for w, d in terms.items()}
@@ -358,6 +379,42 @@ def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
     return starts[::-1]
 
 
+def _layouts(touched: list[int], r: int) -> list[tuple[tuple[int, ...], int]]:
+    """(axes, t) of each block, from the qubit masks its strings act on (X,
+    Y or Z): the axis order of its layout run and the number of qubits the
+    run touches. A run of consecutive blocks grows while the union of their
+    masks leaves at least ``ROW_AXES`` qubits untouched, or does not grow.
+    Its order puts the touched qubits first and the rest after them, each
+    group in the previous run's order (qubit order before the first run)."""
+    runs: list[list[int]] = []  # [blocks, union of their masks]
+    for mask in touched:
+        if runs and (runs[-1][1] | mask).bit_count() <= r - ROW_AXES:
+            runs[-1][0] += 1
+            runs[-1][1] |= mask
+        else:
+            runs.append([1, mask])
+    axes, out = tuple(range(r)), []
+    for count, union in runs:
+        head = tuple(q for q in axes if union >> q & 1)
+        axes = head + tuple(q for q in axes if not union >> q & 1)
+        out += [(axes, len(head))] * count
+    return out
+
+
+class _Passes(NamedTuple):
+    """A plan's step as NumPy calls bound to two scratch buffers."""
+
+    axes: tuple[int, ...]  # the first run's axis order
+    enter: np.ndarray  # the buffer the state is copied into, as (2,)*r
+    # per layout run: the (dst, src) of the copy into its axis order (None
+    # if the order stays), its (2,)*t + (2^(r-t),) shape, and per block
+    # (the buffer it sums into, None for a diagonal block, then D_w and
+    # psi[index] of its first term, then those of the others)
+    runs: tuple[tuple[tuple[np.ndarray, np.ndarray] | None, tuple[int, ...],
+                      list], ...]
+    leave: np.ndarray  # the buffer the last run ends in, in qubit order
+
+
 @dataclass(frozen=True)
 class TrotterPlan:
     """A first-order product formula, one exponential per string in order,
@@ -367,7 +424,11 @@ class TrotterPlan:
     A step applies ``blocks``: the strings cut into consecutive runs, each
     folded into one operator of at most 2^``FUSE_SPAN`` terms and applied
     in one pass per term. The cut depends on ``n_steps``, since a plan of
-    more steps repays more folding (``_block_starts``); the blocks are
+    more steps repays more folding (``_block_starts``). Consecutive blocks
+    share a layout run (``_layouts``), which holds the amplitudes in its
+    own axis order, the qubits its blocks touch first, so that a pass
+    walks rows of at least 2^``ROW_AXES`` contiguous amplitudes where r
+    allows. The blocks, and the step's views of two scratch buffers, are
     built on first use."""
 
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
@@ -381,24 +442,70 @@ class TrotterPlan:
 
     @functools.cached_property
     def blocks(self) -> tuple[Block, ...]:
+        r = self.n_qubits
         starts = _block_starts(self.strings, self.n_steps)
-        identity = {0: np.ones((1,) * self.n_qubits, dtype=complex)}
+        cuts = list(zip(starts, starts[1:] + [len(self.strings)]))
+        touched = []
+        for i, j in cuts:
+            mask = 0
+            for p in self.strings[i:j]:
+                mask |= p.x | p.z
+            touched.append(mask)
+        identity = {0: np.ones((1,) * r, dtype=complex)}
         blocks = []
-        for i, j in zip(starts, starts[1:] + [len(self.strings)]):
+        for (i, j), (axes, t) in zip(cuts, _layouts(touched, r)):
             terms = identity
             for p in self.strings[i:j]:
                 terms = _fold(terms, p, p.coeff.real * self.dt)
-            blocks.append(Block(range(i, j), tuple(
-                (_shift(w, self.n_qubits), d) for w, d in terms.items())))
+            laid_out = []
+            for w, d in terms.items():
+                # a NumPy scalar at r = 0; size 1 past the t touched axes
+                d = np.asarray(d).transpose(axes)
+                laid_out.append((_shift(w, axes[:t]), d.reshape(d.shape[:t] + (1,))))
+            blocks.append(Block(range(i, j), axes, tuple(laid_out)))
         return tuple(blocks)
 
+    @functools.cached_property
+    def _passes(self) -> _Passes:
+        r = self.n_qubits
+        full = (2,) * r
+        buffers = np.empty(1 << r, dtype=complex), np.empty(1 << r, dtype=complex)
+        axes = self.blocks[0].axes if self.blocks else tuple(range(r))
+        first, psi = axes, 0  # psi: the buffer holding the amplitudes
+        runs: list = []
+        for block in self.blocks:
+            t = len(block.terms[0][0])
+            shape = (2,) * t + (1 << r - t,)
+            if not runs or (block.axes, shape) != (axes, runs[-1][1]):
+                copy = None
+                if block.axes != axes:
+                    src = buffers[psi].reshape(full).transpose(
+                        [axes.index(q) for q in block.axes])
+                    psi ^= 1
+                    copy = buffers[psi].reshape(full), src
+                    axes = block.axes
+                runs.append((copy, shape, []))
+            view = buffers[psi].reshape(shape)
+            (index, d), *rest = block.terms
+            out = None
+            if rest:
+                psi ^= 1
+                out = buffers[psi].reshape(shape)
+            runs[-1][2].append((out, d, view[index],
+                                tuple((d, view[i]) for i, d in rest)))
+        leave = buffers[psi].reshape(full).transpose([axes.index(q) for q in range(r)])
+        return _Passes(first, buffers[0].reshape(full), tuple(runs), leave)
+
     def kernel_summary(self) -> dict[str, int]:
-        """Blocks, passes over the state per step, and bytes of the fused
-        term tensors."""
+        """Blocks, passes over the state per step, bytes of the fused term
+        tensors, and the transposing copies a step makes: into each layout
+        run's order and back to qubit order."""
         return {"blocks": len(self.blocks),
                 "passes_per_step": sum(len(b.terms) for b in self.blocks),
                 "fused_bytes": sum(d.nbytes for b in self.blocks
-                                   for _, d in b.terms)}
+                                   for _, d in b.terms),
+                "layouts_per_step": 2 + sum(copy is not None
+                                            for copy, *_ in self._passes.runs)}
 
 
 def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
@@ -417,26 +524,32 @@ def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
 
 
 def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
-    """One step of the plan on the state's amplitudes, in place: a
-    diagonal block multiplies them, any other block makes one pass per
-    term into a second buffer, and the two buffers swap roles."""
+    """One step of the plan on the state's amplitudes, in place. A copy
+    moves them into a scratch buffer in the first layout run's order. A
+    diagonal block multiplies them there; any other block makes one pass
+    per term into the other buffer, which then holds them, with the state's
+    own array as the product scratch. Between runs a transposing copy moves
+    them into the other buffer in the next run's order, and after the last
+    run a copy moves them back into the state in qubit order."""
     if state.coset != plan.coset:
         raise ValueError("state and plan on different cosets")
     state.amps = np.ascontiguousarray(state.amps, dtype=complex)
-    psi = home = state.amps.reshape((2,) * plan.n_qubits)
-    out, tmp = np.empty_like(psi), np.empty_like(psi)
-    for block in plan.blocks:
-        (index, d), *rest = block.terms
-        if not rest:
-            psi *= d
-            continue
-        np.multiply(d, psi[index], out=out)
-        for index, d in rest:
-            np.multiply(d, psi[index], out=tmp)
-            out += tmp
-        psi, out = out, psi
-    if psi is not home:
-        home[...] = psi
+    passes = plan._passes
+    home = state.amps.reshape((2,) * plan.n_qubits)
+    np.copyto(passes.enter, home.transpose(passes.axes))
+    for copy, shape, blocks in passes.runs:
+        if copy:
+            np.copyto(*copy)
+        tmp = state.amps.reshape(shape)
+        for out, d, psi, rest in blocks:
+            if out is None:
+                psi *= d
+                continue
+            np.multiply(d, psi, out=out)
+            for d, psi in rest:
+                np.multiply(d, psi, out=tmp)
+                out += tmp
+    np.copyto(home, passes.leave)
     return state
 
 
@@ -557,12 +670,15 @@ def decode_basis(layout: RegisterLayout, mapping: FermionMapping,
 
 
 def standard_observables(state: StateVector, layout: RegisterLayout,
-                         mapping: FermionMapping, params) -> dict[str, float]:
+                         mapping: FermionMapping, params,
+                         probs: np.ndarray | None = None) -> dict[str, float]:
     """Expectations of the diagonal observables in a state, read from its
     nonzero amplitudes: ``total_particle_number``, then ``charge_site{s}``
     per site and ``flux_link{l}`` per link (a link state outside the flux
-    window counts as zero flux)."""
-    probs = state.probabilities()
+    window counts as zero flux). ``probs`` is ``state.probabilities()``,
+    computed here if not given."""
+    if probs is None:
+        probs = state.probabilities()
     support = np.flatnonzero(probs > 0)
     p = probs[support]
     occ, flux = decode_basis(layout, mapping, params.theta_along,
@@ -662,15 +778,18 @@ class ConfigKeys:
         return basis_config_label(*self._decode, self.index[keys]).tolist()
 
 
-def config_probabilities(state: StateVector, configs: ConfigKeys
+def config_probabilities(state: StateVector, configs: ConfigKeys,
+                         probs: np.ndarray | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, probabilities) of the configurations with probability above
     ``READOUT_TOL`` in a state, largest first, ties in the order of their
     first position. A configuration's probability sums its positions'
-    probabilities in position order, starting from 0.0."""
+    probabilities in position order, starting from 0.0. ``probs`` is
+    ``state.probabilities()``, computed here if not given."""
     if state.coset != configs.coset:
         raise ValueError("state and configuration keys on different cosets")
-    probs = state.probabilities()
+    if probs is None:
+        probs = state.probabilities()
     support = np.flatnonzero(probs > READOUT_TOL)
     key = configs.key[support]
     total = np.bincount(key, weights=probs[support])

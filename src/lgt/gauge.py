@@ -213,36 +213,3 @@ def qlm_link(spin: float, encoding: str, theta: float = 0.0) -> EncodedLink:
         # algebra square reproduces the exact linear-encoding term counts
         e_sq = e_op * e_op
     return EncodedLink(spin, encoding, theta, n, e_op, u, u.dagger(), e_sq)
-
-
-# -- string counts --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpinPauliCounts:
-    sx: int
-    sy: int
-    sz: int
-    splus: int
-
-
-def spin_pauli_counts(spin: float, encoding: str) -> SpinPauliCounts:
-    """Exact Pauli-string counts of the encoded spin operators."""
-    d_s = check_spin(spin)
-    if encoding == "linear":
-        n_xy = 2 * d_s - 2
-        n_z = d_s if d_s % 2 == 0 else d_s - 1
-        return SpinPauliCounts(n_xy, n_xy, n_z, 4 * (d_s - 1))
-    if encoding != "log":
-        raise ValueError(f"unsupported encoding {encoding!r}")
-    if d_s > 1 << 10:
-        raise ValueError("logarithmic count enumeration limited to d_S <= 1024")
-    mats = spin_matrices(spin)
-    sx_enc = encode_log(spin, mats.sx)
-    sy_enc = encode_log(spin, mats.sy)
-    return SpinPauliCounts(
-        sx_enc.n_terms,
-        sy_enc.n_terms,
-        encode_log(spin, mats.sz).n_terms,
-        (sx_enc + 1j * sy_enc).n_terms,
-    )

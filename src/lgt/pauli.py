@@ -356,9 +356,6 @@ class PauliOperator:
     def __len__(self) -> int:
         return self.n_terms
 
-    def is_zero(self) -> bool:
-        return not self.n_terms
-
     def coefficient(self, label_or_string: "str | PauliString") -> complex:
         if isinstance(label_or_string, str):
             probe = PauliString.from_label(label_or_string)

@@ -1,19 +1,29 @@
 """Dense-matrix and commutator oracles for the Pauli algebra (small
-systems), the per-string Pauli-exponential kernel that the fused Trotter
-blocks of ``lgt.dynamics`` are checked against, and the readout by label
-dictionaries that the keyed readout of ``lgt.dynamics`` and ``lgt.cli``
-replaced.
+systems), the Pauli-string counts of the encoded spin operators, the
+per-string Pauli-exponential kernel that the fused Trotter blocks of
+``lgt.dynamics`` are checked against, the fused kernel in qubit order that
+its layout runs replaced, and the readout by label dictionaries that the
+keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from lgt.dynamics import READOUT_TOL, StateVector, basis_config_label
+from lgt.dynamics import (
+    READOUT_TOL,
+    StateVector,
+    _block_starts,
+    _fold,
+    _shift,
+    basis_config_label,
+)
+from lgt.gauge import check_spin, encode_log, spin_matrices
 from lgt.lattice import RegisterLayout
 from lgt.matter import FermionMapping
 from lgt.pauli import (
@@ -74,6 +84,47 @@ def trotter_step_reference(state, plan):
     return state
 
 
+def position_blocks(plan) -> list[tuple]:
+    """The terms of each block of a Trotter plan on the (2,)*r view in
+    qubit order: (index, D_w) with psi[index] = psi[. ^ w], D_w broadcast
+    against it."""
+    r = plan.n_qubits
+    starts = _block_starts(plan.strings, plan.n_steps)
+    identity = {0: np.ones((1,) * r, dtype=complex)}
+    blocks = []
+    for i, j in zip(starts, starts[1:] + [len(plan.strings)]):
+        terms = identity
+        for p in plan.strings[i:j]:
+            terms = _fold(terms, p, p.coeff.real * plan.dt)
+        blocks.append(tuple((_shift(w, range(r)), d) for w, d in terms.items()))
+    return blocks
+
+
+def fused_step_reference(state, plan):
+    """One step of a Trotter plan by the fused kernel in qubit order, with
+    no layout runs: a diagonal block multiplies the amplitudes, any other
+    block makes one pass per term into a second buffer, and the two
+    buffers swap roles."""
+    if state.coset != plan.coset:
+        raise ValueError("state and plan on different cosets")
+    state.amps = np.ascontiguousarray(state.amps, dtype=complex)
+    psi = home = state.amps.reshape((2,) * plan.n_qubits)
+    out, tmp = np.empty_like(psi), np.empty_like(psi)
+    for terms in position_blocks(plan):
+        (index, d), *rest = terms
+        if not rest:
+            psi *= d
+            continue
+        np.multiply(d, psi[index], out=out)
+        for index, d in rest:
+            np.multiply(d, psi[index], out=tmp)
+            out += tmp
+        psi, out = out, psi
+    if psi is not home:
+        home[...] = psi
+    return state
+
+
 def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return a * b - b * a
 
@@ -120,6 +171,36 @@ def action_matrix(action) -> np.ndarray:
         cols = rows if src is None else src
         np.add.at(m, (rows, cols), diag[cols])
     return m
+
+
+@dataclass(frozen=True)
+class SpinPauliCounts:
+    sx: int
+    sy: int
+    sz: int
+    splus: int
+
+
+def spin_pauli_counts(spin: float, encoding: str) -> SpinPauliCounts:
+    """Exact Pauli-string counts of the encoded spin operators."""
+    d_s = check_spin(spin)
+    if encoding == "linear":
+        n_xy = 2 * d_s - 2
+        n_z = d_s if d_s % 2 == 0 else d_s - 1
+        return SpinPauliCounts(n_xy, n_xy, n_z, 4 * (d_s - 1))
+    if encoding != "log":
+        raise ValueError(f"unsupported encoding {encoding!r}")
+    if d_s > 1 << 10:
+        raise ValueError("logarithmic count enumeration limited to d_S <= 1024")
+    mats = spin_matrices(spin)
+    sx_enc = encode_log(spin, mats.sx)
+    sy_enc = encode_log(spin, mats.sy)
+    return SpinPauliCounts(
+        sx_enc.n_terms,
+        sy_enc.n_terms,
+        encode_log(spin, mats.sz).n_terms,
+        (sx_enc + 1j * sy_enc).n_terms,
+    )
 
 
 def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:

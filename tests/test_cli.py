@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgt
+import lgt.dynamics
 from circuit_oracle import gate_counts, parse_qasm, schedule_depth
 from lgt.cli import (
     MAX_EXACT_NORM_T,
@@ -33,6 +34,7 @@ from lgt.cli import (
 from lgt.dynamics import Coset, StateVector, trotter_plan
 from lgt.hamiltonian import default_lambda
 from lgt.matter import fermion_mapping
+from pauli_oracle import fused_step_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # open S=1 chain of 17 sites: 66 qubits, so masks span two words; 2,475 strings
@@ -281,6 +283,45 @@ def test_24_qubit_chain_runs_on_its_coset(tmp_path):
             [0.0, 0.1] if name == "exact" else [0.0, 0.05, 0.1])
         assert float(rows[0]["loschmidt"]) == 1.0
         assert 0.5 < float(rows[-1]["loschmidt"]) < 1.0
+
+
+def test_one_site_lattice_matches_reference_kernel(tmp_path, monkeypatch):
+    # an open one-site lattice has only diagonal strings: the run lives on
+    # a coset of r = 0, one amplitude, and every layout is the empty one
+    cfg = {"scenario": "vacuum_decay",
+           "lattice": {"extents": [1], "boundary": "open"},
+           "evolution": {"method": "both"}, "output": {"prefix": "one"}}
+    assert run_cli(tmp_path, cfg) == 0
+    meta = json.loads((tmp_path / "out" / "one_meta.json").read_text())
+    assert (meta["n_qubits"], meta["n_simulated_qubits"]) == (2, 0)
+    assert meta["trotter_kernel"]["trotter_dt0.1"]["layouts_per_step"] == 2
+    written = {p.name: p.read_bytes() for p in (tmp_path / "out").glob("*.csv")}
+    monkeypatch.setattr(lgt.dynamics, "trotter_step", fused_step_reference)
+    (tmp_path / "ref").mkdir()
+    assert run_cli(tmp_path / "ref", cfg) == 0
+    reference = {p.name: p.read_bytes()
+                 for p in (tmp_path / "ref" / "out").glob("*.csv")}
+    assert written == reference
+    assert sorted(written) == ["one_exact.csv", "one_trotter_dt0.01.csv",
+                               "one_trotter_dt0.05.csv", "one_trotter_dt0.1.csv"]
+
+
+def test_readout_computes_probabilities_once(tmp_path, monkeypatch):
+    calls = []
+    probabilities = StateVector.probabilities
+
+    def counted(state):
+        calls.append(state)
+        return probabilities(state)
+
+    monkeypatch.setattr(StateVector, "probabilities", counted)
+    cfg = {"scenario": "vacuum_decay", "output": {"prefix": "vd"},
+           "evolution": {"method": "both", "dt": [0.1], "t_max": 0.3,
+                         "sample_dt": 0.1}}
+    assert run_cli(tmp_path, cfg) == 0
+    rows = [len(p.read_text().splitlines()) - 1
+            for p in (tmp_path / "out").glob("*.csv")]
+    assert rows == [4, 4] and len(calls) == 8
 
 
 def test_meta_records_trotter_kernel(tmp_path):

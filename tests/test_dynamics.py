@@ -25,6 +25,7 @@ from lgt.dynamics import (
     FUSE_ENTRIES,
     FUSE_SPAN,
     READOUT_TOL,
+    ROW_AXES,
     ConfigKeys,
     Coset,
     ExactEvolver,
@@ -49,6 +50,7 @@ from lgt.pauli import PauliOperator, PauliString, _index_mask
 import pauli_oracle
 from pauli_oracle import (
     apply_pauli_exp,
+    fused_step_reference,
     string_action,
     to_matrix,
     trotter_step_reference,
@@ -460,6 +462,93 @@ def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
     assert np.max(np.abs(fused.amps - ref.amps)) <= 1e-12
 
 
+@st.composite
+def ordered_coset_systems(draw):
+    """(hermitian operator on n <= 8 qubits, a permutation of its strings,
+    a basis index i0). The x-masks are sums of up to n generators, so the
+    coset of i0 has r = 0 to 8 qubits."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=n))
+    strings = []
+    for _ in range(draw(st.integers(0, 40))):
+        x = 0
+        for g in gens:
+            if draw(st.booleans()):
+                x ^= g
+        strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
+                                   draw(st.floats(-2.0, 2.0))))
+    op = PauliOperator.from_terms(n, strings)
+    return (op, draw(st.permutations(range(op.n_terms))),
+            draw(st.integers(0, (1 << n) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_coset_systems(), st.sampled_from([1, 3, 200]),
+       st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_layout_runs_match_position_kernel(system, n_steps, dt, seed):
+    op, order, i0 = system
+    coset = Coset.reachable(op, i0)
+    plan = trotter_plan(op, dt, n_steps, coset=coset)
+    plan = dataclasses.replace(plan, strings=tuple(plan.strings[i] for i in order))
+    r = plan.n_qubits
+    changes = 0
+    for prev, block in zip((None,) + plan.blocks, plan.blocks):
+        # the run's touched qubits lead its axis order, it leaves ROW_AXES
+        # qubits untouched unless one block alone touches more, and every
+        # tensor is constant along the contiguous rows
+        t = len(block.terms[0][0])
+        assert sorted(block.axes) == list(range(r))
+        touched = 0
+        for i in block.strings:
+            touched |= plan.strings[i].x | plan.strings[i].z
+        assert all(q in block.axes[:t] for q in range(r) if touched >> q & 1)
+        assert t <= max(r - ROW_AXES, touched.bit_count())
+        for index, d in block.terms:
+            assert len(index) == t and d.ndim == t + 1 and d.shape[t] == 1
+        changes += prev is not None and prev.axes != block.axes
+    assert plan.kernel_summary()["layouts_per_step"] == 2 + changes
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << r) + 1j * rng.normal(size=1 << r)
+    laid_out, reference = StateVector(amps.copy(), coset), StateVector(amps, coset)
+    for _ in range(2):
+        trotter_step(laid_out, plan)
+        fused_step_reference(reference, plan)
+    assert np.array_equal(laid_out.amps, reference.amps)
+
+
+def chain(sites: int, spin: float) -> dict:
+    """A periodic chain from its bare vacuum; at S=1/2 theta = 1/2 makes
+    zero flux a link state."""
+    return {"scenario": "vacuum_decay", "lattice": {"extents": [sites]},
+            "spin": spin, "theta": [0.5 if spin == 0.5 else 0.0]}
+
+
+@pytest.mark.parametrize("cfg", [{"scenario": "vacuum_decay"},
+                                 {"scenario": "string_breaking_1d"},
+                                 {"scenario": "double_plaquette_2d"},
+                                 chain(8, 0.5)],
+                         ids=["vacuum_decay", "string_breaking_1d",
+                              "double_plaquette_2d", "chain8_half"])
+def test_layout_runs_match_position_kernel_on_presets(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    sc = validate_config(load_config(path))
+    lay = build_layout(sc)
+    h = assemble(lay, sc.params, sc.mapping)
+    coset = Coset.reachable(h.total, initial_index(
+        sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic), sc.params))
+    dt = min(sc.evolution["dt"])
+    plan = trotter_plan(h.total, dt, round(sc.evolution["t_max"] / dt), coset=coset)
+    assert 2 < plan.kernel_summary()["layouts_per_step"] < len(plan.blocks)
+    rng = np.random.default_rng(47)
+    amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
+    laid_out, reference = StateVector(amps.copy(), coset), StateVector(amps, coset)
+    for _ in range(3):
+        trotter_step(laid_out, plan)
+        fused_step_reference(reference, plan)
+    assert np.array_equal(laid_out.amps, reference.amps)
+
+
 def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
     # 8-site periodic S=1/2 chain: r = 16, a 1 MB state. Diagonal strings
     # folded into a run widen its tensors to the union of the run's Z axes.
@@ -473,7 +562,8 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
     plan = trotter_plan(h.total, 0.05, 100, coset=coset)
     assert plan.n_qubits == 16
     assert plan.kernel_summary() == {"blocks": 58, "passes_per_step": 126,
-                                     "fused_bytes": 8_579_920}
+                                     "fused_bytes": 8_579_920,
+                                     "layouts_per_step": 37}
     for block in plan.blocks:
         if len(block.strings) > 1:
             assert max(d.size for _, d in block.terms) <= FUSE_ENTRIES
@@ -1043,13 +1133,6 @@ def reference_sector(lay, mapping, params) -> np.ndarray:
         g = gauss_law(lay, *decode_basis(lay, mapping, params.theta_along, idx))
         kept.append(idx[(np.abs(g) <= 1e-9).all(axis=1)])
     return np.concatenate(kept)
-
-
-def chain(sites: int, spin: float) -> dict:
-    """A periodic chain from its bare vacuum; at S=1/2 theta = 1/2 makes
-    zero flux a link state."""
-    return {"scenario": "vacuum_decay", "lattice": {"extents": [sites]},
-            "spin": spin, "theta": [0.5 if spin == 0.5 else 0.0]}
 
 
 SECTOR_SYSTEMS = (

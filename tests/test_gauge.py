@@ -12,10 +12,9 @@ from lgt.gauge import (
     link_qubits,
     qlm_link,
     spin_matrices,
-    spin_pauli_counts,
 )
 from lgt.pauli import classify
-from pauli_oracle import commutator, to_matrix
+from pauli_oracle import commutator, spin_pauli_counts, to_matrix
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from lgt.gauge import spin_pauli_counts
 from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.hamiltonian import ModelParams, assemble, build_electric, build_hopp_wilson
 from lgt.matter import fermion_mapping
@@ -21,6 +20,7 @@ from lgt.resources import (
     rows_to_csv,
     scaling_table,
 )
+from pauli_oracle import spin_pauli_counts
 
 
 def support_histogram(op: PauliOperator) -> dict[int, int]:
