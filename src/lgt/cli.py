@@ -50,6 +50,7 @@ from lgt.dynamics import (
     GAUSS_TOL,
     MAX_QUBITS,
     READOUT_TOL,
+    SITE_CHARS,
     ConfigKeys,
     Coset,
     ExactEvolver,
@@ -62,12 +63,18 @@ from lgt.dynamics import (
     trotter_plan,
     trotter_states,
 )
-from lgt.gauge import check_spin, flux_state_index, is_perfectly_representable
+from lgt.gauge import (
+    check_log_link,
+    check_spin,
+    flux_state_index,
+    is_perfectly_representable,
+)
 from lgt.hamiltonian import HamiltonianTerms, ModelParams, assemble, default_lambda
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import MAPPING_NAMES, fermion_mapping
 from lgt.pauli import PauliOperator
 from lgt.resources import (
+    CLOSED_FORM_D_S,
     closed_form_link_counts,
     cnot_per_trotter_step,
     link_resource_counts,
@@ -156,7 +163,7 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-SITE_PATTERNS = {"o": (0, 1), "p": (1, 1), "a": (0, 0), "b": (1, 0)}
+SITE_PATTERNS = {letter: bits for bits, letter in SITE_CHARS.items()}
 
 
 @dataclass(frozen=True)
@@ -281,6 +288,8 @@ def validate_config(cfg: dict) -> ScenarioConfig:
 
     lat = _require(cfg, "lattice", dict, "$")
     d = _require(lat, "d", int, "$.lattice")
+    if d not in (1, 2, 3):  # the Dirac representations of lgt.matter
+        raise ConfigError("$.lattice.d", f"must be 1, 2 or 3, got {d!r}")
     extents = _require(lat, "extents", list, "$.lattice")
     if len(extents) != d or not all(type(e) is int for e in extents):
         raise ConfigError("$.lattice.extents", f"need {d} integer extents")
@@ -389,12 +398,22 @@ def validate_config(cfg: dict) -> ScenarioConfig:
 
 
 def build_layout(sc: ScenarioConfig) -> RegisterLayout:
+    if sc.spec is None:
+        raise ConfigError("$.scenario", f"{sc.scenario!r} is a set of tables "
+                                        "for `lgt resources`, not a lattice")
     return RegisterLayout(sc.spec, sc.encoding, sc.spin)
 
 
 def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
-    """The assembled Hamiltonian; ConfigError at ``$.model`` if a coupling
-    sum overflows to a coefficient that is not finite."""
+    """The assembled Hamiltonian; ConfigError at ``$.spin`` if a log-encoded
+    link is too large to build, before any matrix is allocated, and at
+    ``$.model`` if a coupling sum overflows to a coefficient that is not
+    finite."""
+    if sc.encoding == "log":
+        try:
+            check_log_link(sc.spin)
+        except ValueError as exc:
+            raise ConfigError("$.spin", str(exc)) from exc
     h = assemble(lay, sc.params, sc.mapping)
     if not np.isfinite(h.total.coeffs).all():
         raise ConfigError("$.model", "the couplings give a Hamiltonian "
@@ -638,6 +657,12 @@ def _qubit_csv(lattices, spins) -> str:
 
 
 def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
+    d_s = check_spin(sc.spin)
+    if (sc.scenario != "resource_report" and sc.encoding == "log"
+            and d_s > CLOSED_FORM_D_S and not is_perfectly_representable(sc.spin)):
+        raise ConfigError("$.spin", f"beyond d_S = {CLOSED_FORM_D_S} the link "
+                          "counts come from closed forms, which need 2S+1 to be "
+                          f"a power of two; got d_S = {d_s}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

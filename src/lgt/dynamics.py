@@ -50,10 +50,12 @@ coset, all 2^n by default or the G_x = 0 sector that ``gauss_filter``
 returns, which the quantum-link Hamiltonian leaves invariant. There the
 Gauss penalty vanishes, so H restricted to the span has a small norm, and
 e^{-iHt} is a truncated Taylor series in s substeps of norm at most
-``TAYLOR_STEP``, built from the matrix-free ``OperatorAction`` alone: the
-scaling-and-stepping scheme of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011), with the exact infinity norm of the restricted H in place of
-their norm estimates. The package needs no scipy.
+``TAYLOR_STEP``, built from ``OperatorAction`` alone, which holds the
+restricted H as one (flip masks x span) gather table and applies it with
+one gather, one multiply and one sum: the scaling-and-stepping scheme of
+Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), with the exact
+infinity norm of the restricted H in place of their norm estimates. The
+package needs no scipy.
 """
 
 from __future__ import annotations
@@ -211,10 +213,6 @@ class StateVector:
     def n_qubits(self) -> int:
         return self.coset.r
 
-    @classmethod
-    def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
-        return Coset.full(n_qubits).basis_state(index)
-
     def copy(self) -> "StateVector":
         return StateVector(self.amps.copy(), self.coset)
 
@@ -236,16 +234,15 @@ def loschmidt(state0: StateVector, state_t: StateVector) -> float:
 # -- matrix-free operator action ------------------------------------------
 
 
-def _parity_signs(masked: np.ndarray) -> np.ndarray:
-    """(-1)^parity of each entry as a float vector."""
-    return np.where(np.bitwise_count(masked) & 1, -1.0, 1.0)
-
-
 class OperatorAction:
-    """Matrix-free H|psi> on the span of sorted basis indices (all 2^n by
-    default), with strings grouped by their index-flip mask.
+    """H|psi> on the span of sorted basis indices (all 2^n by default) as
+    one gather table, a row per index-flip mask xm in ascending order.
 
-    Amplitude arrays hold one entry per basis index, in basis order. Raises
+    Amplitude arrays hold one entry per basis index, in basis order. Row g
+    holds ``src[g, i]``, the position of basis[i] ^ xm, and ``coef[g, i]``,
+    the entry of H from there to position i (summed over the strings that
+    flip xm); where basis[i] ^ xm leaves the span it reads position i with
+    coefficient 0. An operator with no strings has no rows. Raises
     ValueError if H maps a state of the span out of it.
     """
 
@@ -254,39 +251,28 @@ class OperatorAction:
         self.basis = np.asarray(np.arange(1 << self.n) if basis is None
                                 else basis, dtype=np.int64)
         dim = len(self.basis)
-        # the diagonal group always exists, so the action is never empty
-        diags: dict[int, np.ndarray] = {0: np.zeros(dim, dtype=complex)}
-        for t in op.terms:
-            xm, zm, ypow = index_masks(t)
-            diag = diags.get(xm)
-            if diag is None:
-                diag = diags[xm] = np.zeros(dim, dtype=complex)
-            diag += (t.coeff * ypow) * _parity_signs(self.basis & zm)
+        masks = [index_masks(t) for t in op.terms]
+        rows = {xm: g for g, xm in enumerate(sorted({m[0] for m in masks}))}
+        # row g first holds diag[j] = <basis[j] ^ xm| H |basis[j]>
+        self.src = np.empty((len(rows), dim), dtype=np.intp)
+        self.coef = np.zeros((len(rows), dim), dtype=complex)
+        for t, (xm, zm, ypow) in zip(op.terms, masks):
+            self.coef[rows[xm]] += (t.coeff * ypow) * np.where(
+                np.bitwise_count(self.basis & zm) & 1, -1.0, 1.0)
         leak_tol = LEAK_TOL * max(1.0, sum(abs(t.coeff) for t in op.terms))
-        # diag[j] is <j ^ xm| H |j>; src[i] is the position of basis[i] ^ xm
-        self.groups: list[tuple[np.ndarray | None, np.ndarray]] = []
-        for xm, diag in sorted(diags.items()):
-            src = None
-            if xm:
-                target = self.basis ^ xm
-                pos = np.minimum(np.searchsorted(self.basis, target), dim - 1)
-                outside = self.basis[pos] != target
-                if np.abs(diag[outside]).max(initial=0.0) > leak_tol:
-                    raise ValueError("operator maps the basis span out of itself")
-                diag[outside] = 0.0
-                src = np.where(outside, np.arange(dim), pos)
-            self.groups.append((src, diag))
+        for xm, g in rows.items():
+            diag = self.coef[g]
+            target = self.basis ^ xm
+            pos = np.minimum(np.searchsorted(self.basis, target), dim - 1)
+            outside = self.basis[pos] != target
+            if np.abs(diag[outside]).max(initial=0.0) > leak_tol:
+                raise ValueError("operator maps the basis span out of itself")
+            diag[outside] = 0.0
+            self.src[g] = np.where(outside, np.arange(dim), pos)
+            diag[:] = diag[self.src[g]]
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amps)
-        for src, diag in self.groups:
-            tmp = diag * amps
-            out += tmp if src is None else tmp[src]
-        return out
-
-    def expectation(self, state: StateVector) -> float:
-        amps = state.amps[state.coset.positions(self.basis)]
-        return float(np.vdot(amps, self(amps)).real)
+        return (self.coef * amps[self.src]).sum(axis=0)
 
 
 # -- Trotter -------------------------------------------------------------
@@ -570,13 +556,15 @@ class ExactEvolver:
     state is gathered from, and the result scattered to, the span's
     positions in the state's coset.
 
-    ``norm`` is ||H||_inf of H restricted to the span, exact, and equal to
-    its 1-norm since H is hermitian. ``evolve`` cuts t into s =
-    ceil(norm |t| / ``TAYLOR_STEP``) substeps tau and sums the Taylor series
-    of e^{-iH tau} term by term, stopping once two consecutive terms are
-    below 2^-53 of the partial sum in the infinity norm, Al-Mohy & Higham's
-    stopping rule. It holds three span vectors; ``matvecs`` counts the
-    actions of H.
+    H restricted to the span is an ``OperatorAction`` table. ``norm`` is its
+    exact ||H||_inf, the largest sum of |coef| over a span position's rows,
+    and equal to its 1-norm since H is hermitian. ``evolve`` cuts t into
+    s = ceil(norm |t| / ``TAYLOR_STEP``) substeps tau (none at t = 0) and
+    sums the Taylor series of e^{-iH tau} term by term, stopping once two
+    consecutive terms are below 2^-53 of the partial sum in the infinity
+    norm, Al-Mohy & Higham's stopping rule. It holds the table and three
+    span vectors, and an action of H makes two temporaries of the table's
+    size; ``matvecs`` counts the actions of H.
 
     Raises ValueError if H maps the span out of itself, if the span leaves
     a state's coset, or if a state has weight outside the span.
@@ -587,9 +575,8 @@ class ExactEvolver:
         if self.n > MAX_QUBITS:
             raise ValueError(f"evolution limited to {MAX_QUBITS} qubits")
         self._action = OperatorAction(h, basis)
-        # column j of the restricted H holds diag[j] of every group
-        col_sums = sum(np.abs(diag) for _, diag in self._action.groups)
-        self.norm = float(col_sums.max(initial=0.0))
+        # position i of the table holds row i of the restricted H
+        self.norm = float(np.abs(self._action.coef).sum(axis=0).max(initial=0.0))
         self.matvecs = 0
 
     def substeps(self, t: float) -> int:
@@ -615,8 +602,6 @@ class ExactEvolver:
 
     def evolve(self, state: StateVector, t: float) -> StateVector:
         pos, amps = self._restrict(state)
-        if t == 0.0:
-            return state.copy()
         out = np.zeros_like(state.amps)
         out[pos] = self._propagate(amps, t)
         return StateVector(out, state.coset)
@@ -642,8 +627,8 @@ class ExactEvolver:
         return total
 
     def energy(self, state: StateVector) -> float:
-        self._restrict(state)
-        return self._action.expectation(state)
+        amps = self._restrict(state)[1]
+        return float(np.vdot(amps, self._action(amps)).real)
 
 
 # -- basis decoding, observables and configuration readout -----------------
@@ -760,9 +745,6 @@ class ConfigKeys:
         width = (1 << layout.qubits_per_link) - 1
         regs = np.arange(width + 1)
         off = np.isnan(register_flux(layout.spin, layout.encoding, regs))
-        if np.count_nonzero(off) < 2:  # every basis state has its own label
-            self.key, self.index = np.arange(1 << coset.r), coset.index
-            return
         table = np.where(off, np.argmax(off), regs)  # register -> canonical
         shifts = [layout.register_shift(li) for li in range(len(layout.links))]
         canonical = coset.index.copy()

@@ -26,7 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, PauliString, _index_mask, decompose_matrix
+from lgt.pauli import (
+    ORACLE_LIMIT,
+    PauliOperator,
+    PauliString,
+    _index_mask,
+    decompose_matrix,
+)
 
 
 def check_spin(spin: float) -> int:
@@ -89,8 +95,20 @@ def embed_matrix(spin: float, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_log_link(spin: float) -> None:
+    """ValueError unless a log-encoded link register fits the dense
+    matrices that ``encode_log`` decomposes: at most ``ORACLE_LIMIT``
+    qubits, d_S <= 2^``ORACLE_LIMIT``."""
+    k = link_qubits(spin, "log")
+    if k > ORACLE_LIMIT:
+        raise ValueError(f"a log-encoded link of spin {spin:g} needs {k} qubits; "
+                         f"its dense matrices are built up to {ORACLE_LIMIT}")
+
+
 def encode_log(spin: float, m: np.ndarray) -> PauliOperator:
-    """Identity-padded embedding of a spin-space matrix, Pauli decomposed."""
+    """Identity-padded embedding of a spin-space matrix, Pauli decomposed;
+    ValueError past ``check_log_link`` before the padding is allocated."""
+    check_log_link(spin)
     return decompose_matrix(embed_matrix(spin, m))
 
 
@@ -195,8 +213,9 @@ def qlm_link(spin: float, encoding: str, theta: float = 0.0) -> EncodedLink:
     d_s = check_spin(spin)
     n = link_qubits(spin, encoding)
     norm = 1.0 / math.sqrt(spin * (spin + 1))
-    mats = spin_matrices(spin)
     if encoding == "log":
+        check_log_link(spin)  # before the d_S x d_S spin matrices
+        mats = spin_matrices(spin)
         sz_enc = encode_log(spin, mats.sz)
         # U is the sum of the separately padded Sx and Sy embeddings, so the
         # unused-state block carries (1 + i) and yields the mixed (a + ia) terms

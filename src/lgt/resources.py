@@ -23,6 +23,7 @@ from lgt.matter import clifford_rep, gamma_mix
 from lgt.pauli import PauliOperator, classify
 
 ENUMERATION_LIMIT = 2_000_000  # plaquette four-fold products handled exactly
+CLOSED_FORM_D_S = 1 << 10  # log links with larger d_S are counted by closed forms
 
 
 def cnot_per_trotter_step(op: PauliOperator) -> int:
@@ -69,7 +70,7 @@ class LinkCounts:
 
 def link_resource_counts(spin: float, encoding: str = "log") -> LinkCounts:
     d_s = check_spin(spin)
-    if encoding == "log" and d_s > 1 << 10:
+    if encoding == "log" and d_s > CLOSED_FORM_D_S:
         return closed_form_link_counts(spin)
     u = qlm_link(spin, encoding).u
     c = classify(u)

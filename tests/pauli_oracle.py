@@ -2,8 +2,10 @@
 systems), the Pauli-string counts of the encoded spin operators, the
 per-string Pauli-exponential kernel that the fused Trotter blocks of
 ``lgt.dynamics`` are checked against, the fused kernel in qubit order that
-its layout runs replaced, and the readout by label dictionaries that the
-keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced.
+its layout runs replaced, the per-flip-group action of H that the gather
+table of ``lgt.dynamics.OperatorAction`` replaced, and the readout by
+label dictionaries that the keyed readout of ``lgt.dynamics`` and
+``lgt.cli`` replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from lgt.dynamics import (
+    LEAK_TOL,
     READOUT_TOL,
     StateVector,
     _block_starts,
@@ -162,15 +165,57 @@ def to_matrix(op: PauliOperator) -> np.ndarray:
 
 def action_matrix(action) -> np.ndarray:
     """Dense matrix of an ``lgt.dynamics.OperatorAction`` on its span, read
-    from its groups the way ``__call__`` applies them: row i gathers
-    diag[src[i]] * amps[src[i]] from every group."""
+    from its table the way ``__call__`` applies it: row i gathers
+    coef[g, i] * amps[src[g, i]] from every row g."""
     dim = len(action.basis)
     m = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for src, diag in action.groups:
-        cols = rows if src is None else src
-        np.add.at(m, (rows, cols), diag[cols])
+    rows = np.broadcast_to(np.arange(dim), action.src.shape)
+    np.add.at(m, (rows, action.src), action.coef)
     return m
+
+
+class GroupedAction:
+    """H|psi> on the span of sorted basis indices (all 2^n by default), one
+    flip group at a time: the action that ``lgt.dynamics.OperatorAction``'s
+    gather table replaced, kept as its reference. ``groups`` holds (src,
+    diag) per index-flip mask in ascending order, the diagonal group always
+    first with src None; diag[j] is <basis[j] ^ xm| H |basis[j]> and src[i]
+    the position of basis[i] ^ xm. Raises ValueError if H maps a state of
+    the span out of it."""
+
+    def __init__(self, op: PauliOperator, basis: np.ndarray | None = None):
+        self.n = op.n_qubits
+        self.basis = np.asarray(np.arange(1 << self.n) if basis is None
+                                else basis, dtype=np.int64)
+        dim = len(self.basis)
+        diags: dict[int, np.ndarray] = {0: np.zeros(dim, dtype=complex)}
+        for t in op.terms:
+            xm, zm, ypow = index_masks(t)
+            diag = diags.get(xm)
+            if diag is None:
+                diag = diags[xm] = np.zeros(dim, dtype=complex)
+            diag += (t.coeff * ypow) * np.where(
+                np.bitwise_count(self.basis & zm) & 1, -1.0, 1.0)
+        leak_tol = LEAK_TOL * max(1.0, sum(abs(t.coeff) for t in op.terms))
+        self.groups: list[tuple[np.ndarray | None, np.ndarray]] = []
+        for xm, diag in sorted(diags.items()):
+            src = None
+            if xm:
+                target = self.basis ^ xm
+                pos = np.minimum(np.searchsorted(self.basis, target), dim - 1)
+                outside = self.basis[pos] != target
+                if np.abs(diag[outside]).max(initial=0.0) > leak_tol:
+                    raise ValueError("operator maps the basis span out of itself")
+                diag[outside] = 0.0
+                src = np.where(outside, np.arange(dim), pos)
+            self.groups.append((src, diag))
+
+    def __call__(self, amps: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(amps)
+        for src, diag in self.groups:
+            tmp = diag * amps
+            out += tmp if src is None else tmp[src]
+        return out
 
 
 @dataclass(frozen=True)

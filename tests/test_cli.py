@@ -53,8 +53,8 @@ def scenario_state(path: Path):
     sc = validate_config(load_config(path))
     lay = build_layout(sc)
     mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
-    return StateVector.basis_state(
-        lay.n_total, initial_index(sc.initial, lay, mapping, sc.params))
+    return Coset.full(lay.n_total).basis_state(
+        initial_index(sc.initial, lay, mapping, sc.params))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")
@@ -479,6 +479,52 @@ def test_bad_resource_report_exits_2(tmp_path, capsys, override, path):
     config = write_config(tmp_path, {"scenario": "resource_report"} | override)
     assert main(["resources", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"at {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "qasm"])
+def test_resource_report_is_not_a_lattice(tmp_path, capsys, command):
+    config = CONFIGS / "resource_report.json"
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "at $.scenario:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "resources", "qasm"])
+def test_four_dimensional_lattice_exits_2(tmp_path, capsys, command):
+    config = write_config(tmp_path, {
+        "lattice": {"d": 4, "extents": [1, 1, 1, 1], "boundary": "open"},
+        "model": {"m": 0.5}, "spin": 0.5})
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "at $.lattice.d:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resources_beyond_closed_forms_need_power_of_two(tmp_path, capsys):
+    # d_S = 1202: past 1024 the counts are closed forms, exact for 2^k only
+    config = write_config(tmp_path, {
+        "lattice": {"d": 1, "extents": [2], "boundary": "open"},
+        "model": {"m": 0.5}, "spin": 600.5})
+    assert main(["resources", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "at $.spin:" in err and "power of two" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "qasm"])
+def test_huge_log_spin_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
+                                                 command):
+    # d_S = 10,002 on 14 qubits: an 18-qubit register, but dense spin
+    # matrices of 1.6 GB each; failing here keeps a regression fast
+    def no_matrices(*args):
+        raise AssertionError("spin matrices allocated")
+
+    monkeypatch.setattr("lgt.gauge.spin_matrices", no_matrices)
+    config = write_config(tmp_path, {
+        "lattice": {"d": 1, "extents": [2], "boundary": "open"},
+        "model": {"m": 0.5}, "spin": 5000.5})
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "at $.spin:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

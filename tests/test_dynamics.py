@@ -46,7 +46,7 @@ from lgt.gauge import flux_state_index, register_flux
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
-from lgt.pauli import PauliOperator, PauliString, _index_mask
+from lgt.pauli import PauliOperator, PauliString, _index_mask, decompose_matrix
 import pauli_oracle
 from pauli_oracle import (
     apply_pauli_exp,
@@ -79,7 +79,7 @@ def vacuum_system():
     h = assemble(lay, params, "jw")
     bits = [0, 1] * 3 + [0, 1] * 3
     index = sum(b << (11 - q) for q, b in enumerate(bits))
-    return lay, params, h, StateVector.basis_state(12, index)
+    return lay, params, h, Coset.full(12).basis_state(index)
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +91,17 @@ def string_system():
     h = assemble(lay, params, "jw")
     bits = [0, 1] * 3 + [0, 0] * 2
     index = sum(b << (9 - q) for q, b in enumerate(bits))
-    return lay, params, h, StateVector.basis_state(10, index)
+    return lay, params, h, Coset.full(10).basis_state(index)
 
 
 class TestPauliExp:
     def test_z_phase_on_zero(self):
-        st = StateVector.basis_state(1, 0)
+        st = Coset.full(1).basis_state(0)
         apply_pauli_exp(st, PauliString.from_label("Z"), 0.7)
         assert abs(st.amps[0] - np.exp(-0.7j)) < 1e-14
 
     def test_x_half_pi(self):
-        st = StateVector.basis_state(1, 0)
+        st = Coset.full(1).basis_state(0)
         apply_pauli_exp(st, PauliString.from_label("X"), np.pi / 2)
         assert abs(st.amps[0]) < 1e-14
         assert abs(st.amps[1] + 1j) < 1e-14
@@ -125,7 +125,7 @@ class TestPauliExp:
         assert abs(st.norm - 1.0) < 1e-12
 
     def test_rejects_size_mismatch(self):
-        st = StateVector.basis_state(3, 0)
+        st = Coset.full(3).basis_state(0)
         with pytest.raises(ValueError, match="size mismatch"):
             apply_pauli_exp(st, PauliString.from_label("XZ"), 0.1)
 
@@ -156,7 +156,31 @@ class TestOperatorAction:
         h = random_hermitian_sum(rng, 5, 20)
         st = random_state(rng, 5)
         ref = np.vdot(st.amps, to_matrix(h) @ st.amps).real
-        assert abs(OperatorAction(h).expectation(st) - ref) < 1e-12
+        assert abs(ExactEvolver(h).energy(st) - ref) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+               st.just(n), st.sets(st.integers(0, (1 << n) - 1), min_size=1),
+               st.sampled_from([0.0, 0.3, 1.0]))),
+           st.integers(0, 2 ** 32 - 1))
+    @example((3, {1, 2, 4}, 0.0), 0)  # an operator with no strings
+    @example((2, {2}, 1.0), 1)  # a one-state span
+    @example((3, {1, 2, 4}, 1.0), 2)  # strings that leave the span
+    @example((3, set(range(8)), 1.0), 3)  # the whole register
+    def test_table_matches_grouped_reference(self, case, seed):
+        """H supported on a random span, Pauli-decomposed: its strings leave
+        the span one by one, their sums per flip mask do not."""
+        n, span, density = case
+        rng = np.random.default_rng(seed)
+        basis = np.array(sorted(span), dtype=np.int64)
+        block = rng.normal(size=(len(basis),) * 2) + 1j * rng.normal(size=(len(basis),) * 2)
+        m = np.zeros((1 << n, 1 << n), dtype=complex)
+        m[np.ix_(basis, basis)] = block * (rng.random(block.shape) < density)
+        op = decompose_matrix(m)
+        action = OperatorAction(op, basis)
+        assert np.allclose(pauli_oracle.action_matrix(action), m[np.ix_(basis, basis)])
+        amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        assert np.array_equal(action(amps), pauli_oracle.GroupedAction(op, basis)(amps))
 
 
 class TestExactEvolution:
@@ -272,7 +296,7 @@ class TestExactEvolution:
                                   Coset.full(lay.n_total))
         ev = ExactEvolver(h.total, sector)
         outside = next(i for i in range(1 << 10) if i not in sector)
-        mixed = StateVector((s0.amps + StateVector.basis_state(10, outside).amps)
+        mixed = StateVector((s0.amps + Coset.full(10).basis_state(outside).amps)
                             / math.sqrt(2))
         with pytest.raises(ValueError, match="outside"):
             ev.evolve(mixed, 0.1)
@@ -301,8 +325,8 @@ class TestLoschmidt:
         assert abs(loschmidt(s0, s0) - 1.0) < 1e-15
 
     def test_orthogonal_states(self):
-        a = StateVector.basis_state(3, 0)
-        b = StateVector.basis_state(3, 5)
+        a = Coset.full(3).basis_state(0)
+        b = Coset.full(3).basis_state(5)
         assert loschmidt(a, b) == 0.0
 
     def test_vacuum_decay_value(self, vacuum_system):
@@ -325,7 +349,7 @@ class TestTrotter:
     def test_single_term_reduces_to_pauli_exp(self):
         p = PauliString.from_label("XZ", 0.8)
         h = PauliOperator.from_terms(2, [p])
-        s0 = StateVector.basis_state(2, 1)
+        s0 = Coset.full(2).basis_state(1)
         plan = trotter_plan(h, dt=0.3, n_steps=1)
         st = s0.copy()
         trotter_step(st, plan)
@@ -596,7 +620,7 @@ class TestObservables:
         # particle at site 0, antiparticle at site 1, flux +1 in between
         bits = [1, 1, 0, 0, 0, 1] + [0, 0, 0, 1, 0, 1]
         index = sum(b << (11 - q) for q, b in enumerate(bits))
-        st = StateVector.basis_state(12, index)
+        st = Coset.full(12).basis_state(index)
         obs = standard_observables(st, lay, mapping, params)
         assert abs(obs["total_particle_number"] - 2.0) < 1e-12
         assert abs(obs["charge_site0"] - params.e) < 1e-12
@@ -612,7 +636,7 @@ class TestObservables:
         lay = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 0.5)
         mapping = fermion_mapping(mapping_name, 2)
         params = ModelParams(m=0.5, e=1.5)
-        st = StateVector.basis_state(2, mapping.encode_occupations(occupations))
+        st = Coset.full(2).basis_state(mapping.encode_occupations(occupations))
         obs = standard_observables(st, lay, mapping, params)
         assert obs["total_particle_number"] == number
         assert obs["charge_site0"] == charge * params.e
@@ -625,7 +649,7 @@ class TestObservables:
         # bare vacuum: every link register 01 holds flux 0
         index = mapping.encode_occupations([0, 1] * 3) << 6 | 0b010101
         plan = trotter_plan(assemble(lay, params, mapping_name).total, 0.1, 3)
-        *_, (_, st) = trotter_states(StateVector.basis_state(12, index), plan)
+        *_, (_, st) = trotter_states(Coset.full(12).basis_state(index), plan)
         # reference: every basis index decoded, dotted with the probabilities
         probs = st.probabilities()
         occ, flux = decode_basis(lay, mapping, params.theta_along,
@@ -649,8 +673,8 @@ class TestObservables:
         lay = build_layout(sc)
         mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
         params = sc.params
-        s0 = StateVector.basis_state(
-            lay.n_total, initial_index(sc.initial, lay, mapping, params))
+        s0 = Coset.full(lay.n_total).basis_state(
+            initial_index(sc.initial, lay, mapping, params))
         assert s0.n_qubits == 19
         tracemalloc.start()
         try:
@@ -1075,7 +1099,7 @@ def test_tapered_preset_steps_bit_identical(name, mapping_name):
     coset = Coset.reachable(h.total, i0)
     dt = sc.evolution["dt"][-1]
     full, tapered = trotter_plan(h.total, dt, 2), trotter_plan(h.total, dt, 2, coset=coset)
-    *_, (_, everywhere) = trotter_states(StateVector.basis_state(lay.n_total, i0), full)
+    *_, (_, everywhere) = trotter_states(Coset.full(lay.n_total).basis_state(i0), full)
     *_, (_, on_coset) = trotter_states(coset.basis_state(i0), tapered)
     assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
     assert np.count_nonzero(on_coset.amps) == np.count_nonzero(everywhere.amps) > 1

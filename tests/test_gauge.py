@@ -110,6 +110,17 @@ class TestLogEncoding:
         d_s = check_spin(spin)
         assert spin_pauli_counts(spin, "log").sz <= 2 * d_s
 
+    def test_link_past_dense_limit_raises_before_allocating(self, monkeypatch):
+        # spin 5000.5 needs 14 qubits; its matrices would take gigabytes
+        def no_matrices(*args):
+            raise AssertionError("spin matrices allocated")
+
+        monkeypatch.setattr("lgt.gauge.spin_matrices", no_matrices)
+        with pytest.raises(ValueError, match="14 qubits"):
+            qlm_link(5000.5, "log")
+        with pytest.raises(ValueError, match="14 qubits"):
+            encode_log(5000.5, np.zeros((1, 1)))
+
 
 class TestLinearEncoding:
     @pytest.mark.parametrize("spin", SPINS)

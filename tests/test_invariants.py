@@ -72,8 +72,9 @@ def test_hermitian_and_keeps_gauss_sector(systems, name, mapping_name, c):
     assert is_hermitian(h.total)
     OperatorAction(h.total, basis=sector)  # raises if H leaves the sector
     # sum_x G_x^2 is positive semi-definite: a zero diagonal means G_x = 0
-    src, diag = OperatorAction(h.gauss, basis=sector).groups[0]
-    assert src is None and np.abs(diag).max() <= 1e-9
+    action = OperatorAction(h.gauss, basis=sector)
+    assert np.array_equal(action.src[0], np.arange(len(sector)))
+    assert np.abs(action.coef[0]).max() <= 1e-9
 
 
 @pytest.mark.parametrize("name, size", [("vacuum_decay", 48),
