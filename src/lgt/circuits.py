@@ -1,6 +1,7 @@
 """One first-order Trotter step as OpenQASM 2.0 text, written straight from
-an operator's strings in canonical order (the order ``trotter_plan`` applies
-them). No gate objects are built: counts come from the mask words.
+an operator's mask words in canonical order (the order ``trotter_plan``
+applies them). No gate or ``PauliString`` objects are built: counts come
+from the mask words too.
 
 exp(-i dt c P) is the standard circuit: S^dag H on each Y and H on each X
 support qubit (ascending), a CNOT ladder onto the highest support qubit,
@@ -16,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from lgt.pauli import PauliOperator
+from lgt.pauli import PauliOperator, _ints
 from lgt.resources import cnot_per_trotter_step
 
 
@@ -43,14 +44,14 @@ def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
     out_of = (None, h, [f"{h[q]}s q[{q}];\n" for q in range(n)])
     fh.write(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n')
     level = [0] * n
-    for p, angle in zip(op.terms, angles):
+    for x, z, angle in zip(_ints(op.x), _ints(op.z), angles):
         supp, rho = [], []
-        mask, y = p.x | p.z, p.x & p.z
+        mask, y = x | z, x & z
         while mask:
             low = mask & -mask
             mask ^= low
             supp.append(low.bit_length() - 1)
-            rho.append(2 if y & low else 1 if p.x & low else 0)
+            rho.append(2 if y & low else 1 if x & low else 0)
         if not supp:
             continue
         pre = [into[r][q] for q, r in zip(supp, rho) if r]

@@ -582,6 +582,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             rows.append(readout(k * sample, st))
         curves["exact"] = rows
         exact_kernel = ev.kernel_summary(sample)
+        del ev  # its gather table is not needed by the Trotter curves
     kernel: dict[str, dict[str, int]] = {}
     if evo["method"] in ("trotter", "both"):
         for dt in evo["dt"]:

@@ -8,7 +8,10 @@ exercised by the counting tests):
 * mass: (m + r d) sum_sites psi-bar psi;
 * electric: (e^2/2) sum_links (Sz + theta_k)^2, static boundary links enter
   as classical constants;
-* plaquette: -(1/4 e^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.);
+* plaquette: -(1/4 e^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.), each loop
+  the tensor product over its four distinct link registers; on a periodic
+  axis of extent 1 the loop meets a link twice, and that link's two edges
+  are multiplied first, in loop order;
 * Gauss: G_x = e [ sum_k (flux_in - flux_out) + (psidag psi - n_spinor/2) ],
   so the half-filled bare vacuum is annihilated; H_gauss = sum_x G_x^2.
   psidag psi is the sum of the mapping's number operators, which is the
@@ -21,6 +24,8 @@ are calibrated that way).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from lgt.gauge import EncodedLink, qlm_link
@@ -136,30 +141,32 @@ def build_electric(layout: RegisterLayout, params: ModelParams) -> PauliOperator
 
 
 def build_plaquette(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
+    """-(1/4 e^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.), each loop added as
+    one tensor product over the link registers it meets (every edge is
+    dynamical, as a static link has only one end on the lattice).
+
+    The four edges sit on four distinct registers except on a periodic axis
+    of extent 1, where the loop meets a link twice: that link's edges are
+    multiplied in loop order, and the tensor product runs over the distinct
+    links in order of first appearance."""
     spec = layout.spec
     if spec.d < 2:
         return PauliOperator.zero(layout.n_total)
     links = _encoded_links(layout, params)
-    acc = PauliSum(layout.n_total)
     n = layout.n_total
-
-    def factor(site: Site, direction: int, dagger: bool) -> PauliOperator:
-        """U (or U^dag) of a plaquette edge; every edge is dynamical, as a
-        static link has only one end on the lattice."""
-        link = spec.normalize_link(site, direction)
-        enc = links[link]
-        op = enc.u_dag if dagger else enc.u
-        return op.embed(n, layout.gauge_offset(link))
-
+    acc = PauliSum(n)
+    scale = -1.0 / (4.0 * params.e ** 2)
     for plaq in spec.plaquettes():
         x, k, j = plaq.site, plaq.k, plaq.j
-        xk = spec.neighbor(x, k)
-        xj = spec.neighbor(x, j)
-        prod = PauliOperator.identity(n)
-        for f in (factor(x, k, False), factor(xk, j, False),
-                  factor(xj, k, True), factor(x, j, True)):
-            prod = prod * f
-        acc.add_operator(prod, scale=-1.0 / (4.0 * params.e ** 2))
+        edges: dict[Link, list[PauliOperator]] = {}
+        for site, direction, dagger in ((x, k, False), (spec.neighbor(x, k), j, False),
+                                        (spec.neighbor(x, j), k, True), (x, j, True)):
+            link = spec.normalize_link(site, direction)
+            enc = links[link]
+            edges.setdefault(link, []).append(enc.u_dag if dagger else enc.u)
+        factors = [functools.reduce(operator.mul, ops).embed(n, layout.gauge_offset(link))
+                   for link, ops in edges.items()]
+        acc.add_tensor_product(factors, scale=scale)
     acc.hermitize()
     return acc.to_operator()
 

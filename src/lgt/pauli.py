@@ -25,8 +25,10 @@ Matrices enter only through ``decompose_matrix``.
 it alone merges, multiplies, hermitizes and sorts Pauli terms. Duplicate
 strings are summed in insertion order, and coefficients below ``DROP_TOL``,
 the one tolerance of the algebra, are dropped (NaN is kept, so an overflow
-stays visible). Coefficient arithmetic does not warn on overflow: the
-caller decides whether a non-finite coefficient is an error.
+stays visible). A product of factors on disjoint qubits has no duplicate
+string, so ``add_tensor_product`` lays it out in one broadcast, with no
+partial product sorted or merged. Coefficient arithmetic does not warn on
+overflow: the caller decides whether a non-finite coefficient is an error.
 
 Every ``PauliOperator`` keeps its terms in one canonical order: by the packed
 axis word of the string, 2 bits per qubit with qubit 0 most significant and
@@ -242,6 +244,57 @@ class PauliSum:
                            _I_POWERS_RE[k], _I_POWERS_IM[k])
         self._append(masks.reshape(-1, 2 * w),
                      np.stack([re.ravel(), im.ravel()], axis=1))
+
+    def add_tensor_product(self, factors: Iterable["PauliOperator"],
+                           scale: complex = 1.0) -> None:
+        """Add scale * f_1 f_2 ... f_k for factors on pairwise disjoint
+        qubits; ValueError if two supports overlap.
+
+        The coefficients are those of the chained product
+        ``identity(n) * f_1 * ... * f_k`` added with ``add_operator(...,
+        scale)``, bit for bit: factor by factor in the given order (complex
+        products do not associate in floating point), each partial product
+        merged as ``to_operator`` merges it (+ 0.0, then terms below
+        ``DROP_TOL`` dropped), the scale last. Disjoint strings commute
+        with phase i^0 and never coincide, so no partial product is sorted
+        or merged. The rows are laid out factor-major, the factors ordered
+        by their lowest support qubit and each in its own canonical order,
+        which is canonical order when the supports are non-interleaved
+        qubit ranges, such as link registers."""
+        factors = list(factors)
+        used, lowest = 0, []
+        for f in factors:
+            if f.n_qubits != self.n:
+                raise ValueError("qubit-count mismatch in tensor product")
+            supp, = _ints(np.bitwise_or.reduce(f.x | f.z, axis=0, keepdims=True))
+            if used & supp:
+                raise ValueError("tensor product factors share a qubit")
+            used |= supp
+            # lowest support qubit + 1; 0 for an identity factor, whose one
+            # row goes anywhere
+            lowest.append((supp & -supp).bit_length())
+        # coefficients as a tensor with one axis per factor, in factor order
+        re, im = np.ones(()), np.zeros(())
+        keep = np.ones((), dtype=bool)
+        with _quiet():
+            for f in factors:
+                re, im = _cmul(*_cmul(re[..., None], im[..., None], f.re, f.im), 1.0, 0.0)
+                re, im = re + 0.0, im + 0.0
+                keep = keep[..., None] & ~(np.hypot(re, im) < DROP_TOL)
+            scale = complex(scale)
+            if scale != 1:
+                re, im = _cmul(scale.real, scale.imag, re, im)
+        layout = sorted(range(len(factors)), key=lowest.__getitem__)
+        w = _n_words(self.n)
+        masks = np.zeros((1, 2 * w), dtype=np.uint64)
+        for i in layout:
+            masks = (masks[:, None] | factors[i].masks).reshape(-1, 2 * w)
+        coeffs = np.stack([re.transpose(layout).ravel(), im.transpose(layout).ravel()],
+                          axis=1)
+        keep = keep.transpose(layout).ravel()
+        if not keep.all():
+            masks, coeffs = masks[keep], coeffs[keep]
+        self._append(masks, coeffs)
 
     def _merge(self) -> tuple[np.ndarray, np.ndarray]:
         """Collapse the chunks into one: a row per distinct string, in

@@ -3,9 +3,11 @@ systems), the Pauli-string counts of the encoded spin operators, the
 per-string Pauli-exponential kernel that the fused Trotter blocks of
 ``lgt.dynamics`` are checked against, the fused kernel in qubit order that
 its layout runs replaced, the per-flip-group action of H that the gather
-table of ``lgt.dynamics.OperatorAction`` replaced, and the readout by
+table of ``lgt.dynamics.OperatorAction`` replaced, the readout by
 label dictionaries that the keyed readout of ``lgt.dynamics`` and
-``lgt.cli`` replaced.
+``lgt.cli`` replaced, and the plaquette term as a chain of operator
+products that the tensor products of ``lgt.hamiltonian.build_plaquette``
+replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
@@ -27,13 +29,15 @@ from lgt.dynamics import (
     basis_config_label,
 )
 from lgt.gauge import check_spin, encode_log, spin_matrices
-from lgt.lattice import RegisterLayout
+from lgt.hamiltonian import ModelParams, _encoded_links
+from lgt.lattice import RegisterLayout, Site
 from lgt.matter import FermionMapping
 from lgt.pauli import (
     DROP_TOL,
     ORACLE_LIMIT,
     PauliOperator,
     PauliString,
+    PauliSum,
     index_masks,
 )
 
@@ -267,6 +271,37 @@ def product_reference(a: PauliOperator, b: PauliOperator) -> dict:
             key = (ta.x ^ tb.x, ta.z ^ tb.z)
             data[key] = data.get(key, 0.0) + ta.coeff * tb.coeff * (1, 1j, -1, -1j)[k]
     return {key: c for key, c in data.items() if not abs(c) < DROP_TOL}
+
+
+def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
+    """The plaquette term as the chained product identity * U1 * U2 * U3^dag
+    * U4^dag per plaquette, each partial product merged and sorted."""
+    spec = layout.spec
+    if spec.d < 2:
+        return PauliOperator.zero(layout.n_total)
+    links = _encoded_links(layout, params)
+    acc = PauliSum(layout.n_total)
+    n = layout.n_total
+
+    def factor(site: Site, direction: int, dagger: bool) -> PauliOperator:
+        """U (or U^dag) of a plaquette edge; every edge is dynamical, as a
+        static link has only one end on the lattice."""
+        link = spec.normalize_link(site, direction)
+        enc = links[link]
+        op = enc.u_dag if dagger else enc.u
+        return op.embed(n, layout.gauge_offset(link))
+
+    for plaq in spec.plaquettes():
+        x, k, j = plaq.site, plaq.k, plaq.j
+        xk = spec.neighbor(x, k)
+        xj = spec.neighbor(x, j)
+        prod = PauliOperator.identity(n)
+        for f in (factor(x, k, False), factor(xk, j, False),
+                  factor(xj, k, True), factor(x, j, True)):
+            prod = prod * f
+        acc.add_operator(prod, scale=-1.0 / (4.0 * params.e ** 2))
+    acc.hermitize()
+    return acc.to_operator()
 
 
 # -- readout by label dictionaries ------------------------------------------

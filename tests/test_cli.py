@@ -567,7 +567,8 @@ def test_overflowing_trotter_angle_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# SHA-256 of the paper's resource tables and of one Trotter-step circuit
+# SHA-256 of the paper's resource tables, of Trotter-step circuits and of
+# the resource table of a lattice whose plaquettes meet a link twice
 @pytest.mark.parametrize("command, config, digests", [
     ("resources", "resource_report.json", {
         "resource_report_per_link.csv":
@@ -596,6 +597,12 @@ def test_overflowing_trotter_angle_exits_2(tmp_path, capsys):
             "7318a77216fcdeae91f26f4caaac00194d69a735a954e4005469b96e025fb5c3",
         "custom_gate_counts.json":
             "82ae76656a36bbeaa6231a22be87e3502fec1d11d6a8c0683bc3c99228ecaa5d"}),
+    # periodic [2, 1]: the row "plaquette,0.5,log,6,16,20,4,4"
+    ("resources", {"scenario": "custom",
+                   "lattice": {"d": 2, "extents": [2, 1], "boundary": "periodic"},
+                   "model": {"m": 0.4, "e": 2.0}, "spin": 0.5}, {
+        "custom_resources.csv":
+            "5648810a889897e17f88166d4306c8998edaae00ed30e29bcd0b4a4e6303265f"}),
 ])
 def test_outputs_match_golden_digest(tmp_path, command, config, digests):
     path = write_config(tmp_path, config) if isinstance(config, dict) else CONFIGS / config

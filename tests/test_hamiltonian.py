@@ -16,7 +16,7 @@ from lgt.hamiltonian import (
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
 from lgt.pauli import classify
-from pauli_oracle import is_hermitian, to_matrix
+from pauli_oracle import build_plaquette_reference, is_hermitian, to_matrix
 
 
 def cnot_count(op):
@@ -116,6 +116,34 @@ class TestPlaquette:
         op = build_plaquette(lay, ModelParams(m=0.4, e=2.0))
         m = to_matrix(op)
         assert np.allclose(m, m.conj().T)
+
+    # the tensor products against the chained products they replaced:
+    # masks and coefficient bits, on four distinct links per plaquette
+    @pytest.mark.parametrize("d, extents", [(2, (3, 2)), (3, (2, 2, 2))])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("encoding", ["log", "linear"])
+    def test_matches_chained_products_bit_for_bit(self, d, extents, boundary,
+                                                  spin, encoding):
+        lay = RegisterLayout(LatticeSpec(d, extents, boundary), encoding, spin)
+        params = ModelParams(m=0.4, e=1.7, theta=(0.3, -0.2, 0.1)[:d])
+        got, want = build_plaquette(lay, params), build_plaquette_reference(lay, params)
+        assert got.n_terms > 0
+        assert np.array_equal(got.masks, want.masks)
+        assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+    # a periodic axis of extent 1 makes a plaquette meet a link twice: that
+    # link's edges are multiplied first, which rounds differently
+    @pytest.mark.parametrize("extents", [(2, 1), (1, 1)])
+    @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("encoding", ["log", "linear"])
+    def test_repeated_link_matches_chained_products(self, extents, spin, encoding):
+        lay = RegisterLayout(LatticeSpec(2, extents, "periodic"), encoding, spin)
+        params = ModelParams(m=0.4, e=1.0, theta=(0.3, -0.2))
+        got, want = build_plaquette(lay, params), build_plaquette_reference(lay, params)
+        assert got.n_terms > 0
+        assert np.array_equal(got.masks, want.masks)
+        assert np.abs(got.coeffs - want.coeffs).max() <= 2e-16
 
 
 class TestGauss:

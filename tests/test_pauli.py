@@ -161,8 +161,11 @@ class TestCanonicalOrder:
         # n = 102: a link register on qubits 63-65 spans two mask words
         ({"lattice": {"d": 1, "extents": [21], "boundary": "open"},
           "model": {"m": 0.4, "e": 2.0}, "spin": 2.0}, 8095, "73c0d0a697312278"),
+        # d = 3: 24 plaquettes over 24 distinct links
+        ({"lattice": {"d": 3, "extents": [2, 2, 2], "boundary": "periodic"},
+          "model": {"m": 0.4, "e": 2.0}, "spin": 0.5}, 1341, "f20c17207074af5f"),
     ], ids=["vacuum_decay", "double_plaquette_2d", "string_breaking_1d_light",
-            "custom_3x3_open_s1", "custom_21_chain_s2"])
+            "custom_3x3_open_s1", "custom_21_chain_s2", "custom_222_periodic_s05"])
     def test_assembled_terms_match_golden_digest(self, tmp_path, config,
                                                  n_terms, digest):
         if isinstance(config, dict):
@@ -367,3 +370,97 @@ def test_sum_hermitize_adds_the_adjoint(t):
     acc.hermitize()
     m = to_matrix(t)
     assert np.allclose(to_matrix(acc.to_operator()), m + m.conj().T, atol=1e-10)
+
+
+def assert_tensor_product_bits(factors, scale) -> None:
+    """add_tensor_product appends the rows that the chained product
+    identity * f_1 * ... * f_k, added with add_operator(..., scale),
+    appends: the same masks in the same (canonical) order, and the same
+    coefficient bits, NaN aside."""
+    n = factors[0].n_qubits
+    got = PauliSum(n)
+    got.add_tensor_product(factors, scale)
+    prod = PauliOperator.identity(n)
+    for f in factors:
+        prod = prod * f
+    want = PauliSum(n)
+    want.add_operator(prod, scale)
+    assert len(got._parts) == len(want._parts)
+    for (gm, gc), (wm, wc) in zip(got._parts, want._parts):
+        assert np.array_equal(gm, wm)
+        # a NaN matches any NaN: IEEE 754 leaves the sign and payload of a
+        # NaN result open, and NumPy's loops differ in them by memory layout
+        nan = np.isnan(gc)
+        assert np.array_equal(nan, np.isnan(wc))
+        assert np.array_equal(gc.view(np.uint64)[~nan], wc.view(np.uint64)[~nan])
+
+
+TENSOR_COEFFS = st.one_of(
+    st.floats(-2, 2, allow_nan=False),
+    # two 1e-7 factors make a partial product below DROP_TOL; NaN and inf
+    # must pass through (inf * 0.0 turns into NaN as in the chain)
+    st.sampled_from([1e-7, -1e-7, float("nan"), float("inf"), -float("inf")]))
+
+
+@st.composite
+def tensor_factors(draw):
+    """Up to four factors on disjoint qubit ranges in a random order (ranges
+    may straddle a mask word), one of them possibly the identity string
+    alone, and a scale."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = draw(st.sampled_from([sum(widths), 64, 65, 130]).filter(lambda m: m >= sum(widths)))
+    factors, start, slack = [], 0, n - sum(widths)
+    for w in widths:
+        gap = draw(st.integers(0, slack))
+        start, slack = start + gap, slack - gap
+        terms = [PauliString.from_label(
+                     draw(st.text(alphabet="IXYZ", min_size=w, max_size=w)),
+                     complex(draw(TENSOR_COEFFS), draw(TENSOR_COEFFS)))
+                 for _ in range(draw(st.integers(1, 4)))]
+        factors.append(PauliOperator.from_terms(w, terms).embed(n, start))
+        start += w
+    if draw(st.booleans()):
+        factors.append(PauliOperator.identity(n, complex(draw(TENSOR_COEFFS), 0.5)))
+    scale = draw(st.sampled_from([1.0, -0.25, 1e6, complex(0.3, -2.0)]))
+    return draw(st.permutations(factors)), scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_factors())
+def test_tensor_product_bits_match_the_chained_product(case):
+    assert_tensor_product_bits(*case)
+
+
+def test_tensor_product_edge_coefficients_match_the_chained_product():
+    n = 9
+    tiny = PauliOperator.from_terms(2, [PauliString.from_label("XY", 1e-7),
+                                        PauliString.from_label("ZI", 0.5)]).embed(n, 0)
+    also_tiny = PauliOperator.from_terms(3, [PauliString.from_label("IYX", -1e-7j),
+                                             PauliString.from_label("ZZI", 2.0)]).embed(n, 2)
+    overflow = PauliOperator.from_terms(2, [
+        PauliString.from_label("XI", complex(float("inf"), 1.0)),
+        PauliString.from_label("YZ", complex(0.5, float("nan")))]).embed(n, 5)
+    identity = PauliOperator.identity(n, 1.5 - 0.25j)
+    # (-0.5i)(-2i) = -1 - 0.0i, which the merge writes as -1 + 0.0i
+    imaginary = [PauliOperator.from_label("X", -0.5j).embed(n, 7),
+                 PauliOperator.from_label("Y", -2j).embed(n, 8)]
+    # the 1e-14 partial products are dropped although the scale lifts them
+    # over DROP_TOL
+    for scale in (1.0, 1e6):
+        assert_tensor_product_bits([also_tiny, identity, tiny, overflow], scale)
+        assert_tensor_product_bits([identity], scale)
+        assert_tensor_product_bits(imaginary, scale)
+    acc = PauliSum(n)
+    acc.add_tensor_product([tiny, also_tiny], 1e6)
+    assert acc.to_operator().n_terms == 3
+
+
+def test_tensor_product_rejects_shared_qubits():
+    acc = PauliSum(4)
+    a = PauliOperator.from_label("XXII")
+    with pytest.raises(ValueError, match="share a qubit"):
+        acc.add_tensor_product([a, PauliOperator.from_label("IZZI")])
+    with pytest.raises(ValueError, match="qubit-count"):
+        acc.add_tensor_product([a, PauliOperator.from_label("Z")])
+    acc.add_tensor_product([a, PauliOperator.from_label("IIZY")])
+    assert [t.label for t in acc.to_operator().terms] == ["XXZY"]
