@@ -17,22 +17,24 @@ A run starts from a basis state i0 with G_x = 0 at every site (anything
 else is a config error). Every state of the run lives on the coset of i0
 that the Hamiltonian's strings reach (``lgt.dynamics.Coset``), 2^r of the
 2^n basis states, with r written to the metadata as ``n_simulated_qubits``.
-The exact curve evolves in the G_x = 0 states of that coset, as enumerated
-by ``gauss_filter``; the Trotter curves evolve the whole coset with tapered
-strings, so their weight may leave the Gauss-law sector. For each Trotter
-curve the metadata's ``trotter_kernel`` records the plan's fused blocks,
-its passes over the state per step, the bytes of its fused tensors and
-the transposing copies of a step (``TrotterPlan.kernel_summary``); for
-the exact curve ``exact_kernel`` records the sector's ||H||_inf, the
-Taylor substeps per sample and the actions of H
-(``ExactEvolver.kernel_summary``).
+The exact curve evolves in the G_x = 0 states of that coset, as selected
+by ``gauss_filter`` from the run's ``ConfigKeys``; the Trotter curves
+evolve the whole coset with tapered strings, so their weight may leave the
+Gauss-law sector. For each Trotter curve the metadata's ``trotter_kernel``
+records the plan's fused blocks, its passes over the state per step, the
+bytes of its fused tensors and the transposing copies of a step
+(``TrotterPlan.kernel_summary``); for the exact curve ``exact_kernel``
+records the sector's ||H||_inf, the Taylor substeps per sample and the
+actions of H (``ExactEvolver.kernel_summary``).
 
-Each readout computes the state's probabilities once and holds the time,
-the Loschmidt echo, the particle number and the (keys, probabilities)
-arrays of ``config_probabilities``, keyed by the run's ``ConfigKeys``.
-After the last curve the 12 configurations of highest peak probability
-become the CSV columns (``_label_columns``), and only the keys ranked up
-to the tier of the cut get a label string.
+``ConfigKeys`` decodes the coset once, at set-up; a readout decodes
+nothing. It computes the state's probabilities once and holds the time,
+the Loschmidt echo, the particle number (``standard_observables``, the
+probabilities dotted with the keys' particle-number table) and the (keys,
+probabilities) arrays of ``config_probabilities``. After the last curve
+the 12 configurations of highest peak probability become the CSV columns
+(``_label_columns``), and only the keys ranked up to the tier of the cut
+get a label string.
 """
 
 from __future__ import annotations
@@ -561,13 +563,12 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     i0 = initial_index(sc.initial, lay, mapping, params)
     coset = Coset.reachable(h.total, i0)
     s0 = coset.basis_state(i0)
-    n_configs, sector = gauss_filter(lay, mapping, params, coset)
     configs = ConfigKeys(lay, mapping, params, coset)
+    n_configs, sector = gauss_filter(configs)
 
     def readout(t, st):
         probs = st.probabilities()
-        n_part = standard_observables(st, lay, mapping, params,
-                                      probs)["total_particle_number"]
+        n_part = standard_observables(st, configs, probs)["total_particle_number"]
         return t, loschmidt(s0, st), n_part, config_probabilities(st, configs, probs)
 
     curves: dict[str, list] = {}

@@ -38,24 +38,23 @@ views of two scratch buffers live on the plan; nothing is cached at
 module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
-and link fluxes; observables, configuration labels and the Gauss-law
-filter all read it. Observables decode only the nonzero amplitudes of one
-state. The configuration readout groups by integer key, not by label:
-``ConfigKeys`` numbers the configurations of a coset's positions once per
-run, and ``config_probabilities`` sums a state's probabilities per key with
-one ``np.bincount``; labels are built only for the keys a caller asks for.
-``gauss_filter`` and ``ConfigKeys`` walk the 2^r indices of a coset in
-blocks. Exact evolution runs on a span of basis states inside the state's
-coset, all 2^n by default or the G_x = 0 sector that ``gauss_filter``
-returns, which the quantum-link Hamiltonian leaves invariant. There the
-Gauss penalty vanishes, so H restricted to the span has a small norm, and
-e^{-iHt} is a truncated Taylor series in s substeps of norm at most
-``TAYLOR_STEP``, built from ``OperatorAction`` alone, which holds the
-restricted H as one (flip masks x span) gather table and applies it with
-one gather, one multiply and one sum: the scaling-and-stepping scheme of
-Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), with the exact
-infinity norm of the restricted H in place of their norm estimates. The
-package needs no scipy.
+and link fluxes. ``ConfigKeys`` is the one walk over a coset: it decodes
+the 2^r positions once per run, in blocks, into three tables, the
+configuration key, the G_x = 0 mask and the particle number of each
+position. Readouts decode nothing: ``standard_observables`` dots a state's
+probabilities with the particle numbers, ``config_probabilities`` sums them
+per key with one ``np.bincount``, and ``gauss_filter`` selects the G_x = 0
+positions; labels are decoded only for the keys a caller asks for. Exact
+evolution runs on a span of basis states inside the state's coset, all 2^n
+by default or the G_x = 0 sector that ``gauss_filter`` returns, which the
+quantum-link Hamiltonian leaves invariant. There the Gauss penalty
+vanishes, so H restricted to the span has a small norm, and e^{-iHt} is a
+truncated Taylor series in s substeps of norm at most ``TAYLOR_STEP``,
+built from ``OperatorAction`` alone, which holds the restricted H as one
+(flip masks x span) gather table and applies it with one gather, one
+multiply and one sum: the scaling-and-stepping scheme of Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 488 (2011), with the exact infinity norm of the
+restricted H in place of their norm estimates. The package needs no scipy.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ MAX_QUBITS = 24      # statevector simulation limit
 LEAK_TOL = 1e-12     # allowed |<out|H|in>| per unit of sum |coeff| across a span
 GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
 READOUT_TOL = 1e-12  # configuration probabilities at or below this are not listed
-GAUSS_BLOCK = 1 << 16  # basis indices the Gauss filter decodes at a time
+GAUSS_BLOCK = 1 << 16  # coset positions ConfigKeys decodes at a time
 FUSE_SPAN = 3          # a Trotter block's x-masks span at most this dimension
 FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB)
 ROW_AXES = 3           # qubits a Trotter layout run leaves untouched, if it can
@@ -626,10 +625,6 @@ class ExactEvolver:
                                    f"after {TAYLOR_TERMS} terms")
         return total
 
-    def energy(self, state: StateVector) -> float:
-        amps = self._restrict(state)[1]
-        return float(np.vdot(amps, self._action(amps)).real)
-
 
 # -- basis decoding, observables and configuration readout -----------------
 
@@ -652,36 +647,6 @@ def decode_basis(layout: RegisterLayout, mapping: FermionMapping,
         flux[:, li] = (register_flux(layout.spin, layout.encoding, reg)
                        + theta_along(link.direction))
     return occ, flux
-
-
-def standard_observables(state: StateVector, layout: RegisterLayout,
-                         mapping: FermionMapping, params,
-                         probs: np.ndarray | None = None) -> dict[str, float]:
-    """Expectations of the diagonal observables in a state, read from its
-    nonzero amplitudes: ``total_particle_number``, then ``charge_site{s}``
-    per site and ``flux_link{l}`` per link (a link state outside the flux
-    window counts as zero flux). ``probs`` is ``state.probabilities()``,
-    computed here if not given."""
-    if probs is None:
-        probs = state.probabilities()
-    support = np.flatnonzero(probs > 0)
-    p = probs[support]
-    occ, flux = decode_basis(layout, mapping, params.theta_along,
-                             state.coset.index[support])
-    # particle number and charge are linear in the occupations: reduce the
-    # support once to <n> per (site, spinor component); constants scale <1>
-    norm = p.sum()
-    n_sp = layout.n_spinor
-    half = n_sp // 2
-    n_mode = (p @ occ).reshape(layout.spec.n_sites, n_sp)
-    # gamma^0 = diag(+1 ... +1, -1 ... -1) in all supported representations
-    nbar = n_mode[:, :half].sum(axis=1) - n_mode[:, half:].sum(axis=1) + half * norm
-    charge = params.e * (n_mode.sum(axis=1) - n_sp / 2.0 * norm)
-    out = {"total_particle_number": float(nbar.sum())}
-    out.update((f"charge_site{s}", v) for s, v in enumerate(charge.tolist()))
-    out.update((f"flux_link{li}", v) for li, v
-               in enumerate((p @ np.nan_to_num(flux * params.e)).tolist()))
-    return out
 
 
 SITE_CHARS = {(0, 1): "o", (1, 1): "p", (0, 0): "a", (1, 0): "b"}
@@ -723,8 +688,9 @@ def _flux_names(values: np.ndarray) -> list[str]:
 
 
 class ConfigKeys:
-    """The lattice configurations of a coset's positions, numbered once per
-    run, so that a readout groups its probabilities by integer key.
+    """The lattice configurations of a coset's positions, decoded once per
+    run: the one walk over the coset, whose tables every readout and the
+    Gauss-law filter read.
 
     Two positions share a key exactly when their basis states share a
     ``basis_config_label``. The fermion bits fix the site letters, and the
@@ -734,22 +700,45 @@ class ConfigKeys:
     number the resulting canonical indices in ascending order. ``key``
     holds the key of every position of ``coset`` (2^r entries), ``index``
     the canonical basis index of every key, a state of that configuration.
-    The coset is walked in blocks of ``GAUSS_BLOCK`` positions, as
-    ``gauss_filter`` does, so memory stays at a few arrays of 2^r integers.
+    Per position, ``physical`` is True where G_x = 0 at every site
+    (``gauss_law`` within ``GAUSS_TOL``), and ``particles`` holds the
+    particle number, per site sum n_upper - sum n_lower + n_spinor/2
+    (gamma^0 = diag(+1 ... +1, -1 ... -1) in all supported representations).
+
+    The coset is decoded in blocks of ``GAUSS_BLOCK`` positions, so memory
+    stays at a few arrays of 2^r entries. Raises ValueError, before the
+    coset's indices are built, if the register has more than
+    ``MAX_QUBITS`` qubits or the coset is on another register.
     """
 
     def __init__(self, layout: RegisterLayout, mapping: FermionMapping, params,
                  coset: Coset):
+        if layout.n_total > MAX_QUBITS:
+            raise ValueError(f"configuration enumeration limited to {MAX_QUBITS} qubits")
+        if coset.n != layout.n_total:
+            raise ValueError("coset and register differ in size")
         self.coset = coset
-        self._decode = (layout, mapping, params.theta_along)
+        self.layout = layout
+        self._decode = (mapping, params.theta_along)
         width = (1 << layout.qubits_per_link) - 1
         regs = np.arange(width + 1)
         off = np.isnan(register_flux(layout.spin, layout.encoding, regs))
         table = np.where(off, np.argmax(off), regs)  # register -> canonical
         shifts = [layout.register_shift(li) for li in range(len(layout.links))]
+        half = layout.n_spinor // 2
+        gamma0 = np.tile(np.repeat([1, -1], half), layout.spec.n_sites).astype(np.int8)
+        constant = half * layout.spec.n_sites
         canonical = coset.index.copy()
+        self.physical = np.empty(len(canonical), dtype=bool)
+        # at most n_fermionic <= MAX_QUBITS particles
+        self.particles = np.empty(len(canonical), dtype=np.int8)
         for start in range(0, len(canonical), GAUSS_BLOCK):
             block = canonical[start:start + GAUSS_BLOCK]
+            occ, flux = decode_basis(layout, mapping, params.theta_along, block)
+            rows = slice(start, start + len(block))
+            self.physical[rows] = (np.abs(gauss_law(layout, occ, flux))
+                                   <= GAUSS_TOL).all(axis=1)
+            self.particles[rows] = occ @ gamma0 + constant
             for shift in shifts:
                 reg = (block >> shift) & width
                 block ^= (reg ^ table[reg]) << shift
@@ -757,7 +746,21 @@ class ConfigKeys:
 
     def labels(self, keys: np.ndarray) -> list[str]:
         """``basis_config_label`` of each key's configuration."""
-        return basis_config_label(*self._decode, self.index[keys]).tolist()
+        return basis_config_label(self.layout, *self._decode,
+                                  self.index[keys]).tolist()
+
+
+def standard_observables(state: StateVector, configs: ConfigKeys,
+                         probs: np.ndarray | None = None) -> dict[str, float]:
+    """Expectations of the diagonal observables in a state, read from the
+    tables of ``configs``: ``total_particle_number``. ``probs`` is
+    ``state.probabilities()``, computed here if not given. Raises
+    ValueError if the state and the tables are on different cosets."""
+    if state.coset != configs.coset:
+        raise ValueError("state and configuration keys on different cosets")
+    if probs is None:
+        probs = state.probabilities()
+    return {"total_particle_number": float(probs @ configs.particles)}
 
 
 def config_probabilities(state: StateVector, configs: ConfigKeys,
@@ -802,22 +805,13 @@ def gauss_law(layout: RegisterLayout, occ: np.ndarray, flux: np.ndarray
     return g
 
 
-def gauss_filter(layout: RegisterLayout, mapping: FermionMapping, params,
-                 coset: Coset) -> tuple[int, np.ndarray]:
+def gauss_filter(configs: ConfigKeys) -> tuple[int, np.ndarray]:
     """(physical configuration count, sorted basis indices of the coset
-    with G_x = 0), walking the coset's 2^r indices; ``Coset.full`` gives
-    the whole G_x = 0 sector.
+    with G_x = 0), read from the ``physical`` table of ``configs``; keys
+    on ``Coset.full`` give the whole G_x = 0 sector.
 
     A physical configuration has each link register in its flux window, one
     of d_S states under both encodings: 2^n_fermionic * d_S^n_links of them."""
-    if layout.n_total > MAX_QUBITS:
-        raise ValueError(f"configuration enumeration limited to {MAX_QUBITS} qubits")
-    if coset.n != layout.n_total:
-        raise ValueError("coset and register differ in size")
+    layout = configs.layout
     total = (1 << layout.n_fermionic) * check_spin(layout.spin) ** layout.spec.n_links
-    kept = []
-    for start in range(0, 1 << coset.r, GAUSS_BLOCK):
-        idx = coset.index[start:start + GAUSS_BLOCK]
-        g = gauss_law(layout, *decode_basis(layout, mapping, params.theta_along, idx))
-        kept.append(idx[(np.abs(g) <= GAUSS_TOL).all(axis=1)])
-    return total, np.concatenate(kept)
+    return total, configs.coset.index[configs.physical]

@@ -3,11 +3,13 @@ systems), the Pauli-string counts of the encoded spin operators, the
 per-string Pauli-exponential kernel that the fused Trotter blocks of
 ``lgt.dynamics`` are checked against, the fused kernel in qubit order that
 its layout runs replaced, the per-flip-group action of H that the gather
-table of ``lgt.dynamics.OperatorAction`` replaced, the readout by
-label dictionaries that the keyed readout of ``lgt.dynamics`` and
-``lgt.cli`` replaced, and the plaquette term as a chain of operator
-products that the tensor products of ``lgt.hamiltonian.build_plaquette``
-replaced.
+table of ``lgt.dynamics.OperatorAction`` replaced, the observables decoded
+from a state's support that the tables of ``lgt.dynamics.ConfigKeys``
+replaced (with the charge and flux per site and link they also gave), the
+energy on an exact-evolution span, the readout by label dictionaries that
+the keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced, and the
+plaquette term as a chain of operator products that the tensor products of
+``lgt.hamiltonian.build_plaquette`` replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
@@ -27,6 +29,7 @@ from lgt.dynamics import (
     _fold,
     _shift,
     basis_config_label,
+    decode_basis,
 )
 from lgt.gauge import check_spin, encode_log, spin_matrices
 from lgt.hamiltonian import ModelParams, _encoded_links
@@ -302,6 +305,47 @@ def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> Pa
         acc.add_operator(prod, scale=-1.0 / (4.0 * params.e ** 2))
     acc.hermitize()
     return acc.to_operator()
+
+
+# -- readout by decoding the support, and the energy on an exact span -------
+
+
+def standard_observables_reference(state: StateVector, layout: RegisterLayout,
+                                   mapping: FermionMapping, params,
+                                   probs: np.ndarray | None = None
+                                   ) -> dict[str, float]:
+    """Expectations of the diagonal observables in a state, read from its
+    nonzero amplitudes: ``total_particle_number``, then ``charge_site{s}``
+    per site and ``flux_link{l}`` per link (a link state outside the flux
+    window counts as zero flux). ``probs`` is ``state.probabilities()``,
+    computed here if not given."""
+    if probs is None:
+        probs = state.probabilities()
+    support = np.flatnonzero(probs > 0)
+    p = probs[support]
+    occ, flux = decode_basis(layout, mapping, params.theta_along,
+                             state.coset.index[support])
+    # particle number and charge are linear in the occupations: reduce the
+    # support once to <n> per (site, spinor component); constants scale <1>
+    norm = p.sum()
+    n_sp = layout.n_spinor
+    half = n_sp // 2
+    n_mode = (p @ occ).reshape(layout.spec.n_sites, n_sp)
+    # gamma^0 = diag(+1 ... +1, -1 ... -1) in all supported representations
+    nbar = n_mode[:, :half].sum(axis=1) - n_mode[:, half:].sum(axis=1) + half * norm
+    charge = params.e * (n_mode.sum(axis=1) - n_sp / 2.0 * norm)
+    out = {"total_particle_number": float(nbar.sum())}
+    out.update((f"charge_site{s}", v) for s, v in enumerate(charge.tolist()))
+    out.update((f"flux_link{li}", v) for li, v
+               in enumerate((p @ np.nan_to_num(flux * params.e)).tolist()))
+    return out
+
+
+def span_energy(evolver, state: StateVector) -> float:
+    """<psi|H|psi> on the span of an ``ExactEvolver``; ValueError if the
+    state has weight outside the span."""
+    amps = evolver._restrict(state)[1]
+    return float(np.vdot(amps, evolver._action(amps)).real)
 
 
 # -- readout by label dictionaries ------------------------------------------

@@ -51,6 +51,7 @@ import pauli_oracle
 from pauli_oracle import (
     apply_pauli_exp,
     fused_step_reference,
+    standard_observables_reference,
     string_action,
     to_matrix,
     trotter_step_reference,
@@ -156,7 +157,7 @@ class TestOperatorAction:
         h = random_hermitian_sum(rng, 5, 20)
         st = random_state(rng, 5)
         ref = np.vdot(st.amps, to_matrix(h) @ st.amps).real
-        assert abs(ExactEvolver(h).energy(st) - ref) < 1e-12
+        assert abs(pauli_oracle.span_energy(ExactEvolver(h), st) - ref) < 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -209,8 +210,8 @@ class TestExactEvolution:
 
     def test_gauss_sector_matches_expm(self, string_system):
         lay, params, h, s0 = string_system
-        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params,
-                                  Coset.full(lay.n_total))
+        _, sector = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 6), params,
+                                             Coset.full(lay.n_total)))
         ref = expm(-1j * 0.7 * to_matrix(h.total)) @ s0.amps
         out = ExactEvolver(h.total, sector).evolve(s0, 0.7)
         assert np.max(np.abs(out.amps - ref)) < 1e-11
@@ -232,8 +233,8 @@ class TestExactEvolution:
 
     def test_norm_is_the_inf_norm_on_the_span(self, string_system):
         lay, params, h, _ = string_system
-        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params,
-                                  Coset.full(lay.n_total))
+        _, sector = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 6), params,
+                                             Coset.full(lay.n_total)))
         ev = ExactEvolver(h.total, sector)
         m = to_matrix(h.total)[np.ix_(sector, sector)]
         assert ev.norm == pytest.approx(np.abs(m).sum(axis=1).max(), rel=1e-14)
@@ -292,8 +293,8 @@ class TestExactEvolution:
 
     def test_rejects_state_outside_basis(self, string_system):
         lay, params, h, s0 = string_system
-        _, sector = gauss_filter(lay, fermion_mapping("jw", 6), params,
-                                  Coset.full(lay.n_total))
+        _, sector = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 6), params,
+                                             Coset.full(lay.n_total)))
         ev = ExactEvolver(h.total, sector)
         outside = next(i for i in range(1 << 10) if i not in sector)
         mixed = StateVector((s0.amps + Coset.full(10).basis_state(outside).amps)
@@ -301,16 +302,16 @@ class TestExactEvolution:
         with pytest.raises(ValueError, match="outside"):
             ev.evolve(mixed, 0.1)
         with pytest.raises(ValueError, match="outside"):
-            ev.energy(mixed)
+            pauli_oracle.span_energy(ev, mixed)
 
     def test_energy_conserved(self, string_system):
         _, _, h, s0 = string_system
         ev = ExactEvolver(h.total)
-        e0 = ev.energy(s0)
+        e0 = pauli_oracle.span_energy(ev, s0)
         st = s0
         for _ in range(10):
             st = ev.evolve(st, 0.2)
-            assert abs(ev.energy(st) - e0) < 1e-9
+            assert abs(pauli_oracle.span_energy(ev, st) - e0) < 1e-9
         assert abs(st.norm - 1.0) < 1e-10
 
     def test_size_guards(self):
@@ -598,19 +599,23 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
 
 
 class TestObservables:
+    """The particle number from the package's tables; the charge and flux
+    per site and link from the support-decoding reference."""
+
     def test_bare_vacuum_all_zero(self, vacuum_system):
         lay, params, _, s0 = vacuum_system
         mapping = fermion_mapping("jw", 6)
-        values = standard_observables(s0, lay, mapping, params)
+        values = standard_observables(s0, ConfigKeys(lay, mapping, params, s0.coset))
         assert abs(values["total_particle_number"]) < 1e-12
-        for name, val in values.items():
+        ref = standard_observables_reference(s0, lay, mapping, params)
+        for name, val in ref.items():
             if name.startswith(("charge", "flux")):
                 assert abs(val) < 1e-12
 
     def test_flux_string_links(self, string_system):
         lay, params, _, s0 = string_system
         mapping = fermion_mapping("jw", 6)
-        obs = standard_observables(s0, lay, mapping, params)
+        obs = standard_observables_reference(s0, lay, mapping, params)
         assert abs(obs["flux_link0"] - params.e) < 1e-12
         assert abs(obs["flux_link1"] - params.e) < 1e-12
 
@@ -621,10 +626,11 @@ class TestObservables:
         bits = [1, 1, 0, 0, 0, 1] + [0, 0, 0, 1, 0, 1]
         index = sum(b << (11 - q) for q, b in enumerate(bits))
         st = Coset.full(12).basis_state(index)
-        obs = standard_observables(st, lay, mapping, params)
+        obs = standard_observables(st, ConfigKeys(lay, mapping, params, st.coset))
         assert abs(obs["total_particle_number"] - 2.0) < 1e-12
-        assert abs(obs["charge_site0"] - params.e) < 1e-12
-        assert abs(obs["charge_site1"] + params.e) < 1e-12
+        ref = standard_observables_reference(st, lay, mapping, params)
+        assert abs(ref["charge_site0"] - params.e) < 1e-12
+        assert abs(ref["charge_site1"] + params.e) < 1e-12
 
     @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
     @pytest.mark.parametrize("occupations, number, charge", [
@@ -637,9 +643,10 @@ class TestObservables:
         mapping = fermion_mapping(mapping_name, 2)
         params = ModelParams(m=0.5, e=1.5)
         st = Coset.full(2).basis_state(mapping.encode_occupations(occupations))
-        obs = standard_observables(st, lay, mapping, params)
+        obs = standard_observables(st, ConfigKeys(lay, mapping, params, st.coset))
         assert obs["total_particle_number"] == number
-        assert obs["charge_site0"] == charge * params.e
+        ref = standard_observables_reference(st, lay, mapping, params)
+        assert ref["charge_site0"] == charge * params.e
 
     @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
     def test_support_readout_matches_full_tables(self, vacuum_system,
@@ -661,7 +668,8 @@ class TestObservables:
                 params.e * (occ[:, 2 * s] + occ[:, 2 * s + 1] - 1.0))
         for li in range(3):
             ref[f"flux_link{li}"] = probs @ np.nan_to_num(flux[:, li] * params.e)
-        obs = standard_observables(st, lay, mapping, params)
+        obs = standard_observables_reference(st, lay, mapping, params)
+        obs |= standard_observables(st, ConfigKeys(lay, mapping, params, st.coset))
         assert list(obs) == list(ref)
         assert ref["total_particle_number"] > 1e-3
         for name, val in ref.items():
@@ -676,15 +684,24 @@ class TestObservables:
         s0 = Coset.full(lay.n_total).basis_state(
             initial_index(sc.initial, lay, mapping, params))
         assert s0.n_qubits == 19
+        configs = ConfigKeys(lay, mapping, params, s0.coset)
         tracemalloc.start()
         try:
-            obs = standard_observables(s0, lay, mapping, params)
+            obs = standard_observables(s0, configs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert obs["total_particle_number"] == 0.0
-        assert obs["flux_link0"] == obs["flux_link3"] == params.e
+        ref = standard_observables_reference(s0, lay, mapping, params)
+        assert ref["flux_link0"] == ref["flux_link3"] == params.e
+
+    def test_rejects_another_coset(self, vacuum_system):
+        lay, params, h, s0 = vacuum_system
+        mapping = fermion_mapping("jw", 6)
+        coset = Coset.reachable(h.total, int(np.argmax(s0.probabilities())))
+        with pytest.raises(ValueError, match="different cosets"):
+            standard_observables(s0, ConfigKeys(lay, mapping, params, coset))
 
 
 def readout(state, lay, mapping, params) -> dict[str, float]:
@@ -889,14 +906,22 @@ def test_readout_memory_on_the_24_qubit_chain(tmp_path):
     configs = ConfigKeys(lay, mapping, sc.params, coset)
     assert coset.r == 16
     st = StateVector(random_state(np.random.default_rng(3), 16).amps, coset)
+    all_probs = st.probabilities()
     tracemalloc.start()
     try:
         keys, probs = config_probabilities(st, configs)
         peak = tracemalloc.get_traced_memory()[1]
+        # the particle number is a dot product with the walk's table
+        tracemalloc.reset_peak()
+        obs = standard_observables(st, configs, all_probs)
+        observables_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(keys) == 1 << 16 and abs(probs.sum() - 1.0) < 1e-12
     assert peak < 12 * 2**20
+    ref = standard_observables_reference(st, lay, mapping, sc.params, all_probs)
+    assert abs(obs["total_particle_number"] - ref["total_particle_number"]) < 1e-12
+    assert observables_peak < 2 * 2**20
 
 
 # small 1-D and 2-D lattices whose registers fit an int64 basis index
@@ -945,23 +970,23 @@ def test_register_map_round_trip(mapping_name, encoding, spin, lattice, data):
 class TestGaussFilter:
     def test_vacuum_decay_48_of_1728(self, vacuum_system):
         lay, params, _, s0 = vacuum_system
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
-                                  Coset.full(lay.n_total))
+        total, inv = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 6), params,
+                                             Coset.full(lay.n_total)))
         assert (total, len(inv)) == (1728, 48)
         assert int(np.argmax(s0.probabilities())) in inv
 
     def test_string_breaking_14_of_576(self, string_system):
         lay, params, _, s0 = string_system
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
-                                  Coset.full(lay.n_total))
+        total, inv = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 6), params,
+                                             Coset.full(lay.n_total)))
         assert (total, len(inv)) == (576, 14)
         assert int(np.argmax(s0.probabilities())) in inv
 
     def test_linear_encoding_same_sector(self, vacuum_system):
         _, params, _, _ = vacuum_system
         lay = RegisterLayout(LatticeSpec(1, (3,), "periodic"), "linear", 1.0)
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
-                                  Coset.full(lay.n_total))
+        total, inv = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 6), params,
+                                             Coset.full(lay.n_total)))
         assert (total, len(inv)) == (1728, 48)
 
     def test_double_plaquette_528_of_524288(self):
@@ -969,23 +994,39 @@ class TestGaussFilter:
                            (StaticLink((-1, 0), 0, 1.0), StaticLink((2, 0), 0, 1.0)))
         lay = RegisterLayout(spec, "log", 0.5)
         params = ModelParams(m=0.4, e=2.0, theta=(0.5, 0.5), lam=20.0)
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 12), params,
-                                  Coset.full(lay.n_total))
+        total, inv = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 12), params,
+                                             Coset.full(lay.n_total)))
         assert (total, len(inv)) == (524288, 528)
 
     def test_single_site_zero_charge(self):
         lay = RegisterLayout(LatticeSpec(1, (1,), "open"), "log", 0.5)
-        total, inv = gauss_filter(lay, fermion_mapping("jw", 2),
-                                  ModelParams(m=1.0), Coset.full(2))
+        total, inv = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 2),
+                                             ModelParams(m=1.0), Coset.full(2)))
         assert total == 4
         # zero-charge site states: vacuum (0,1) and pair (1,0)
         assert sorted(inv) == [0b01, 0b10]
 
+    def test_walk_guards_run_before_the_coset_is_indexed(self, monkeypatch):
+        def no_index(coset):
+            raise AssertionError("coset index built")
+
+        monkeypatch.setattr(Coset, "index", property(no_index))
+        # 9-site periodic S=1/2 chain: 27 qubits
+        lay = RegisterLayout(LatticeSpec(1, (9,), "periodic"), "log", 0.5)
+        assert lay.n_total > lgt.dynamics.MAX_QUBITS
+        mapping = fermion_mapping("jw", lay.n_fermionic)
+        with pytest.raises(ValueError, match="limited to 24 qubits"):
+            ConfigKeys(lay, mapping, ModelParams(m=1.0), Coset.full(lay.n_total))
+        lay = RegisterLayout(LatticeSpec(1, (3,), "periodic"), "log", 1.0)
+        mapping = fermion_mapping("jw", lay.n_fermionic)
+        with pytest.raises(ValueError, match="differ in size"):
+            ConfigKeys(lay, mapping, ModelParams(m=1.0), Coset.full(lay.n_total - 1))
+
     def test_gauss_sector_conserved(self, string_system):
         lay, params, _, s0 = string_system
         h0 = assemble(lay, ModelParams(m=0.4, r=1.0, e=2.0, lam=0.0), "jw")
-        _, inv = gauss_filter(lay, fermion_mapping("jw", 6), params,
-                                  Coset.full(lay.n_total))
+        _, inv = gauss_filter(ConfigKeys(lay, fermion_mapping("jw", 6), params,
+                                             Coset.full(lay.n_total)))
         ev = ExactEvolver(h0.total)
         st = s0
         for _ in range(5):
@@ -1184,6 +1225,21 @@ def test_coset_walk_finds_the_whole_sector(tmp_path, cfg):
     h = assemble(lay, sc.params, sc.mapping)
     coset = Coset.reachable(h.total, initial_index(sc.initial, lay, mapping,
                                                    sc.params))
-    total, kept = gauss_filter(lay, mapping, sc.params, coset)
+    configs = ConfigKeys(lay, mapping, sc.params, coset)
+    total, kept = gauss_filter(configs)
     assert total == 2**lay.n_fermionic * round(2 * sc.spin + 1)**len(lay.links)
     assert np.array_equal(kept, reference_sector(lay, mapping, sc.params))
+    # the particle-number table: per site sum n_upper - sum n_lower + n_spinor/2
+    occ, _ = decode_basis(lay, mapping, sc.params.theta_along, coset.index)
+    half = lay.n_spinor // 2
+    modes = occ.reshape(len(occ), lay.spec.n_sites, lay.n_spinor)
+    count = modes[..., :half].sum(axis=2) - modes[..., half:].sum(axis=2) + half
+    assert np.array_equal(configs.particles, count.sum(axis=1))
+    # a readout of a state spread over the whole coset reads the table as
+    # the support-decoding reference reads the state
+    spread = StateVector(random_state(np.random.default_rng(5), coset.r).amps, coset)
+    *_, (_, st) = trotter_states(spread, trotter_plan(h.total, 0.1, 2, coset))
+    ref = standard_observables_reference(st, lay, mapping, sc.params)
+    assert np.count_nonzero(st.probabilities()) == 1 << coset.r
+    assert (standard_observables(st, configs)["total_particle_number"]
+            == pytest.approx(ref["total_particle_number"], abs=1e-12))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lgt.cli import PRESETS, build_layout, validate_config
 from lgt.dynamics import (
+    ConfigKeys,
     Coset,
     OperatorAction,
     StateVector,
@@ -41,7 +42,8 @@ class Systems:
             lay = build_layout(sc)
             mapping = fermion_mapping(mapping_name, lay.n_fermionic)
             params = sc.params
-            _, sector = gauss_filter(lay, mapping, params, Coset.full(lay.n_total))
+            _, sector = gauss_filter(ConfigKeys(lay, mapping, params,
+                                                Coset.full(lay.n_total)))
             self._built[key] = lay, mapping, params.theta, sector
         return self._built[key]
 
