@@ -241,8 +241,10 @@ class OperatorAction:
     holds ``src[g, i]``, the position of basis[i] ^ xm, and ``coef[g, i]``,
     the entry of H from there to position i (summed over the strings that
     flip xm); where basis[i] ^ xm leaves the span it reads position i with
-    coefficient 0. An operator with no strings has no rows. Raises
-    ValueError if H maps a state of the span out of it.
+    coefficient 0. An operator with no strings has no rows. An action
+    takes complex amplitudes and works in one buffer of the table's size,
+    kept with the table. Raises ValueError if H maps a state of the span
+    out of it.
     """
 
     def __init__(self, op: PauliOperator, basis: np.ndarray | None = None):
@@ -254,7 +256,14 @@ class OperatorAction:
         rows = {xm: g for g, xm in enumerate(sorted({m[0] for m in masks}))}
         # row g first holds diag[j] = <basis[j] ^ xm| H |basis[j]>
         self.src = np.empty((len(rows), dim), dtype=np.intp)
-        self.coef = np.zeros((len(rows), dim), dtype=complex)
+        # coef and the action's buffer end in one spare 0: NumPy multiplies
+        # a lone complex pair in place without the vector loop's fused
+        # multiply-add, so every in-place product spans two or more pairs
+        size = len(rows) * dim
+        self._coef = np.zeros(size + 1, dtype=complex)
+        self._buf = np.zeros(size + 1, dtype=complex)
+        self.coef = self._coef[:size].reshape(len(rows), dim)
+        self._rows = self._buf[:size].reshape(len(rows), dim)
         for t, (xm, zm, ypow) in zip(op.terms, masks):
             self.coef[rows[xm]] += (t.coeff * ypow) * np.where(
                 np.bitwise_count(self.basis & zm) & 1, -1.0, 1.0)
@@ -271,7 +280,10 @@ class OperatorAction:
             diag[:] = diag[self.src[g]]
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
-        return (self.coef * amps[self.src]).sum(axis=0)
+        amps.take(self.src, out=self._rows, mode="clip")  # no index is out of range
+        # coef first: the product's rounding depends on the operand order
+        np.multiply(self._coef, self._buf, out=self._buf)
+        return np.add.reduce(self._rows, axis=0)
 
 
 # -- Trotter -------------------------------------------------------------
@@ -561,9 +573,8 @@ class ExactEvolver:
     s = ceil(norm |t| / ``TAYLOR_STEP``) substeps tau (none at t = 0) and
     sums the Taylor series of e^{-iH tau} term by term, stopping once two
     consecutive terms are below 2^-53 of the partial sum in the infinity
-    norm, Al-Mohy & Higham's stopping rule. It holds the table and three
-    span vectors, and an action of H makes two temporaries of the table's
-    size; ``matvecs`` counts the actions of H.
+    norm, Al-Mohy & Higham's stopping rule. It holds the table, the table's
+    buffer and three span vectors; ``matvecs`` counts the actions of H.
 
     Raises ValueError if H maps the span out of itself, if the span leaves
     a state's coset, or if a state has weight outside the span.

@@ -29,6 +29,10 @@ stays visible). A product of factors on disjoint qubits has no duplicate
 string, so ``add_tensor_product`` lays it out in one broadcast, with no
 partial product sorted or merged. Coefficient arithmetic does not warn on
 overflow: the caller decides whether a non-finite coefficient is an error.
+A merge holds the result, one sort-key array (2 bytes per mask byte of a
+row) and index arrays of 8 bytes a row beside its input chunks, which it
+releases as their rows are written; it joins only consecutive small chunks,
+up to ``_ORDER_BLOCK`` rows, and never copies all rows into one array.
 
 Every ``PauliOperator`` keeps its terms in one canonical order: by the packed
 axis word of the string, 2 bits per qubit with qubit 0 most significant and
@@ -156,25 +160,60 @@ def _order_table() -> np.ndarray:
 
 
 _ORDER = _order_table()
-# Rows keyed per pass: bounds the intp index temporaries of the table lookup.
+# Rows per pass of a merge: bounds the temporaries of the key lookup and
+# of the duplicate flags, and the small chunks joined into one block.
 _ORDER_BLOCK = 4096
 
 
-def _sort_keys(masks: np.ndarray, n: int) -> np.ndarray:
-    """One bytes key per row whose byte order is the canonical order: the
-    packed axis words of the string, byte by byte of the masks."""
+def _key_width(n: int) -> int:
+    """Bytes of mask per sort key; zero qubits still get one (all-I) byte,
+    as NumPy has no 0-byte keys."""
+    return (n + 7) // 8 or 1
+
+
+def _sort_keys(masks: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, (N, ``_key_width(n)``) big-endian uint16 for n
+    qubits, with one key per row whose byte order (``out`` viewed as bytes
+    strings) is the canonical order: the packed axis words of the string,
+    byte by byte of the masks."""
     w = masks.shape[1] // 2
-    # zero qubits still get one (all-I) byte, as NumPy has no 0-byte keys
-    nbytes = (n + 7) // 8 or 1
-    z = masks[:, w:]
-    zb = z.astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
-    xzb = (masks[:, :w] ^ z).astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
-    keys = np.empty((len(masks), nbytes), dtype=">u2")
+    nbytes = out.shape[1]
     for lo in range(0, len(masks), _ORDER_BLOCK):
-        hi = lo + _ORDER_BLOCK
-        idx = zb[lo:hi].astype(np.intp) << 8 | xzb[lo:hi]
-        np.take(_ORDER, idx, out=keys[lo:hi], mode="clip")
-    return keys.view(f"S{2 * nbytes}").ravel()
+        block = masks[lo:lo + _ORDER_BLOCK]
+        z = block[:, w:]
+        zb = z.astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
+        xzb = (block[:, :w] ^ z).astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
+        idx = zb.astype(np.intp) << 8 | xzb
+        np.take(_ORDER, idx, out=out[lo:lo + _ORDER_BLOCK], mode="clip")
+
+
+def _blocks(parts: list, real: bool):
+    """The (masks, coeffs) chunks of ``parts`` in order, consecutive ones
+    joined while they fit in ``_ORDER_BLOCK`` rows, each entry of
+    ``parts`` cleared as it is taken; with ``real``, only the rows whose
+    real part is not 0 (NaN is kept)."""
+    run, size = [], 0
+    for i, part in enumerate(parts):
+        parts[i] = None
+        if run and size + len(part[1]) > _ORDER_BLOCK:
+            yield _joined(run, real)
+            run, size = [], 0
+        run.append(part)
+        size += len(part[1])
+    yield _joined(run, real)
+
+
+def _joined(chunks: list, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    if len(chunks) == 1:
+        masks, coeffs = chunks[0]
+    else:
+        masks = np.concatenate([m for m, _ in chunks])
+        coeffs = np.concatenate([c for _, c in chunks])
+    if real:
+        keep = coeffs[:, 0] != 0
+        if not keep.all():
+            masks, coeffs = masks[keep], coeffs[keep]
+    return masks, coeffs
 
 
 class ClassifyCounts(NamedTuple):
@@ -190,15 +229,20 @@ class PauliSum:
     ``to_operator`` sums duplicate strings in insertion order, drops
     coefficients with |c| < ``DROP_TOL`` and sorts the rest into the
     canonical order of ``PauliOperator``; a NaN coefficient is kept, so an
-    overflow stays visible.
+    overflow stays visible. Beside the chunks and the result, a merge
+    holds one sort-key array and index arrays of 8 bytes a row: the
+    chunks are scattered into the result one by one and released.
     """
 
     def __init__(self, n: int):
         self.n = n
         # (masks, coeffs) rows as in ``PauliOperator``: the merged rows so
         # far, then the chunks added since
-        self._merged = (np.zeros((0, 2 * _n_words(n)), np.uint64), np.zeros((0, 2)))
+        self._merged = self._no_rows()
         self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def _no_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros((0, 2 * _n_words(self.n)), np.uint64), np.zeros((0, 2))
 
     def _append(self, masks: np.ndarray, coeffs: np.ndarray) -> None:
         if len(coeffs):
@@ -296,37 +340,79 @@ class PauliSum:
             masks, coeffs = masks[keep], coeffs[keep]
         self._append(masks, coeffs)
 
-    def _merge(self) -> tuple[np.ndarray, np.ndarray]:
+    def _merge(self, real: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Collapse the chunks into one: a row per distinct string, in
         canonical order, with its contributions summed in insertion order
-        starting from 0.0 (nothing dropped yet)."""
+        starting from 0.0 (nothing dropped yet). With ``real``, rows whose
+        real part is 0 are left out first (see ``hermitize``).
+
+        The chunks are taken in blocks of up to ``_ORDER_BLOCK`` rows
+        (consecutive small chunks joined), so every pass below runs per
+        block. One sort of the rows' keys gives each row its group, and the
+        blocks are scattered into the result one by one, each released
+        once written."""
         if not self._parts:
             return self._merged
-        masks, coeffs = (np.concatenate(a) for a in zip(self._merged, *self._parts))
-        if len(masks) > 1:
-            order = np.argsort(_sort_keys(masks, self.n), kind="stable")
-            masks, coeffs = masks[order], coeffs[order]
-        first = np.ones(len(masks), dtype=bool)
-        first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
-        if first.all():
-            coeffs = coeffs + 0.0  # as 0.0 + c: a -0.0 part becomes 0.0
-        else:
-            group = np.cumsum(first) - 1
-            sums = np.zeros((group[-1] + 1, 2))
-            with _quiet():
-                np.add.at(sums, group, coeffs)  # row by row, in order
-            masks, coeffs = masks[first], sums
-        self._merged, self._parts = (masks, coeffs), []
+        parts = [self._merged, *self._parts] if len(self._merged[1]) else self._parts
+        # from here on ``parts``, then ``blocks``, hold the only references
+        # to the chunks
+        self._merged, self._parts = self._no_rows(), []
+        blocks = [b for b in _blocks(parts, real) if len(b[1])]
+        if not blocks:
+            return self._merged
+        rows = sum(len(c) for _, c in blocks)
+        keys = np.empty((rows, _key_width(self.n)), dtype=">u2")
+        lo = 0
+        for masks, _ in blocks:
+            _sort_keys(masks, keys[lo:lo + len(masks)])
+            lo += len(masks)
+        keys = keys.view(f"S{2 * keys.shape[1]}").ravel()
+        # the group sums do not depend on the order of equal keys; a
+        # stable sort is the one that runs along the presorted chunks
+        order = np.argsort(keys, kind="stable")
+        # a row opens a group where its key differs from the previous one
+        first = np.ones(rows, dtype=bool)
+        for lo in range(1, rows, _ORDER_BLOCK):
+            run = keys[order[lo - 1:lo + _ORDER_BLOCK]]
+            np.not_equal(run[1:], run[:-1], out=first[lo:lo + len(run) - 1])
+        del keys
+        group = first.cumsum(dtype=np.intp)
+        group -= 1
+        del first
+        # the group of each row in insertion order
+        where = np.empty_like(order)
+        where[order] = group
+        n_groups = int(group[-1]) + 1
+        del order, group
+        masks = np.empty((n_groups, 2 * _n_words(self.n)), dtype=np.uint64)
+        sums = np.zeros(n_groups, dtype=complex)
+        lo = 0
+        with _quiet():
+            for i, (block, coeffs) in enumerate(blocks):
+                blocks[i] = None
+                at = where[lo:lo + len(coeffs)]
+                lo += len(coeffs)
+                masks[at] = block
+                # as 0.0 + each row in turn: a -0.0 part becomes 0.0
+                np.add.at(sums, at, np.ascontiguousarray(coeffs).view(complex).ravel())
+        self._merged = (masks, sums.view(float).reshape(-1, 2))
         return self._merged
 
     def hermitize(self) -> None:
-        """Replace the accumulated T by T + T^dag (keeps 2 Re of coefficients)."""
-        masks, coeffs = self._merge()
+        """Replace the accumulated T by T + T^dag (keeps 2 Re of coefficients).
+
+        The merge leaves out rows with a zero real part, which changes no
+        bit: a sum starting from 0.0 is never -0.0, so adding +-0.0 leaves
+        it as it was, and a string with only such rows would sum to 0.0
+        and be dropped here anyway."""
+        masks, coeffs = self._merge(real=True)
         keep = coeffs[:, 0] != 0  # keeps NaN
-        doubled = np.zeros((int(keep.sum()), 2))
+        if not keep.all():
+            masks, coeffs = masks[keep], coeffs[keep]
+        doubled = np.zeros_like(coeffs)
         with _quiet():
-            doubled[:, 0] = 2 * coeffs[keep, 0]
-        self._merged = (masks[keep], doubled)
+            np.multiply(coeffs[:, 0], 2, out=doubled[:, 0])
+        self._merged = (masks, doubled)
 
     def to_operator(self) -> "PauliOperator":
         masks, coeffs = self._merge()

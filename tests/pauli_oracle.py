@@ -7,9 +7,10 @@ table of ``lgt.dynamics.OperatorAction`` replaced, the observables decoded
 from a state's support that the tables of ``lgt.dynamics.ConfigKeys``
 replaced (with the charge and flux per site and link they also gave), the
 energy on an exact-evolution span, the readout by label dictionaries that
-the keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced, and the
-plaquette term as a chain of operator products that the tensor products of
-``lgt.hamiltonian.build_plaquette`` replaced.
+the keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced, the merge
+of concatenated chunks that ``PauliSum``'s in-place scatter replaced, and
+the plaquette term as a chain of operator products that the tensor
+products of ``lgt.hamiltonian.build_plaquette`` replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
@@ -41,6 +42,8 @@ from lgt.pauli import (
     PauliOperator,
     PauliString,
     PauliSum,
+    _key_width,
+    _sort_keys,
     index_masks,
 )
 
@@ -274,6 +277,29 @@ def product_reference(a: PauliOperator, b: PauliOperator) -> dict:
             key = (ta.x ^ tb.x, ta.z ^ tb.z)
             data[key] = data.get(key, 0.0) + ta.coeff * tb.coeff * (1, 1j, -1, -1j)[k]
     return {key: c for key, c in data.items() if not abs(c) < DROP_TOL}
+
+
+def merge_reference(n: int, chunks) -> tuple[np.ndarray, np.ndarray]:
+    """The (masks, coeffs) chunks, in insertion order, merged as
+    ``PauliSum`` merged them before its chunks were scattered in place:
+    concatenated, stably sorted into canonical order, and the coefficients
+    of each string summed in insertion order starting from 0.0, nothing
+    dropped."""
+    masks, coeffs = (np.concatenate(a) for a in zip(*chunks))
+    if len(masks) > 1:
+        keys = np.empty((len(masks), _key_width(n)), dtype=">u2")
+        _sort_keys(masks, keys)
+        order = np.argsort(keys.view(f"S{2 * keys.shape[1]}").ravel(), kind="stable")
+        masks, coeffs = masks[order], coeffs[order]
+    first = np.ones(len(masks), dtype=bool)
+    first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
+    if first.all():
+        return masks, coeffs + 0.0  # as 0.0 + c: a -0.0 part becomes 0.0
+    group = np.cumsum(first) - 1
+    sums = np.zeros((group[-1] + 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(sums, group, coeffs)  # row by row, in order
+    return masks[first], sums
 
 
 def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> PauliOperator:

@@ -1,6 +1,7 @@
 """Hamiltonian term construction, counting calibrations, gauge invariance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,23 @@ class TestPlaquette:
         assert got.n_terms > 0
         assert np.array_equal(got.masks, want.masks)
         assert np.abs(got.coeffs - want.coeffs).max() <= 2e-16
+
+
+def test_assembly_memory_stays_near_its_result():
+    """The merges hold little beyond what they return: the tracemalloc peak
+    of ``assemble`` on an open 3x3 S=1 lattice stays within 1.6x the
+    string arrays of the operators it returns."""
+    lay = RegisterLayout(LatticeSpec(2, (3, 3), "open"), "log", 1.0)
+    tracemalloc.start()
+    try:
+        h = assemble(lay, ModelParams(m=0.4, e=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.plaq.n_terms == 62417
+    ops = (h.mass, h.hopp_wilson, h.elec, h.plaq, h.gauss, *h.gauss_ops, h.total)
+    held = sum(op.masks.nbytes + op.coeffs.nbytes for op in ops)
+    assert peak <= 1.6 * held
 
 
 class TestGauss:

@@ -22,6 +22,7 @@ from lgt.pauli import (
 from pauli_oracle import (
     commutator,
     is_hermitian,
+    merge_reference,
     product_reference,
     string_action,
     to_matrix,
@@ -372,6 +373,90 @@ def test_sum_hermitize_adds_the_adjoint(t):
     assert np.allclose(to_matrix(acc.to_operator()), m + m.conj().T, atol=1e-10)
 
 
+def assert_same_rows(got, want) -> None:
+    """Two (masks, coeffs) row sets match: the same masks, and the same
+    coefficient bits (-0.0 included) wherever neither is NaN."""
+    (gm, gc), (wm, wc) = got, want
+    assert np.array_equal(gm, wm)
+    # a NaN matches any NaN: IEEE 754 leaves the sign and payload of a
+    # NaN result open, and NumPy's loops differ in them by memory layout
+    nan = np.isnan(gc)
+    assert np.array_equal(nan, np.isnan(wc))
+    assert np.array_equal(gc.view(np.uint64)[~nan], wc.view(np.uint64)[~nan])
+
+
+MERGE_PARTS = st.one_of(
+    st.floats(-2, 2, allow_nan=False),
+    # a zero real part is dropped by hermitize before the merge; 1e-13
+    # sums stay below DROP_TOL
+    st.sampled_from([0.0, -0.0, 1e-13, float("inf"), -float("inf"), float("nan")]))
+
+
+@st.composite
+def merge_steps(draw):
+    """A qubit count and a run of accumulator steps: chunks of rows drawn
+    from a few strings (so strings repeat within and across chunks), in
+    no particular order, possibly one row or none, with merges
+    (``to_operator``) and ``hermitize`` in between."""
+    n = draw(st.sampled_from([1, 3, 8, 64, 65, 130]))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6))
+    row = st.tuples(st.sampled_from(pool), MERGE_PARTS, MERGE_PARTS)
+    step = st.one_of(st.lists(row, max_size=8),
+                     st.sampled_from(["to_operator", "hermitize"]))
+    return n, draw(st.lists(step, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(merge_steps())
+def test_merges_match_the_concatenated_reference(case):
+    """``to_operator`` and ``hermitize`` against ``merge_reference``, with
+    the old ``hermitize`` (2 Re of each merged string whose real part is
+    not 0) on top, step by step on one accumulator."""
+    n, steps = case
+    acc = PauliSum(n)
+    merged, parts = acc._no_rows(), []
+    for step in steps + ["to_operator"]:
+        if isinstance(step, list):
+            xs, zs = [x for (x, _), _, _ in step], [z for (_, z), _, _ in step]
+            acc.add_strings(xs, zs, [complex(re, im) for _, re, im in step])
+            if step:
+                parts.append((acc._parts[-1][0].copy(), acc._parts[-1][1].copy()))
+            continue
+        if parts:
+            merged, parts = merge_reference(n, [merged, *parts]), []
+        if step == "hermitize":
+            acc.hermitize()
+            masks, coeffs = merged
+            keep = coeffs[:, 0] != 0
+            doubled = np.zeros((int(keep.sum()), 2))
+            doubled[:, 0] = 2 * coeffs[keep, 0]
+            merged = masks[keep], doubled
+            assert_same_rows(acc._merged, merged)
+        else:
+            got = acc.to_operator()
+            masks, coeffs = merged
+            keep = ~(np.hypot(coeffs[:, 0], coeffs[:, 1]) < DROP_TOL)
+            assert_same_rows((got.masks, got.coeffs), (masks[keep], coeffs[keep]))
+
+
+def test_merge_of_long_runs_of_repeats_matches_the_reference():
+    # thousands of rows on 16 strings, in chunks that a merge joins and
+    # splits across its blocks of rows: each sum runs over both blocks,
+    # and the duplicate flags cross a block boundary inside a string's run
+    rng = np.random.default_rng(43)
+    for n in (2, 70):
+        acc, chunks = PauliSum(n), []
+        for size in (1500, 1, 5000):
+            xs = rng.integers(0, 4, size).tolist()
+            zs = rng.integers(0, 2, size).tolist()
+            acc.add_strings(xs, zs, rng.normal(size=size) + 1j * rng.normal(size=size))
+            chunks.append(acc._parts[-1])
+        want = merge_reference(n, chunks)
+        got = acc.to_operator()
+        assert_same_rows((got.masks, got.coeffs), want)
+
+
 def assert_tensor_product_bits(factors, scale) -> None:
     """add_tensor_product appends the rows that the chained product
     identity * f_1 * ... * f_k, added with add_operator(..., scale),
@@ -386,13 +471,8 @@ def assert_tensor_product_bits(factors, scale) -> None:
     want = PauliSum(n)
     want.add_operator(prod, scale)
     assert len(got._parts) == len(want._parts)
-    for (gm, gc), (wm, wc) in zip(got._parts, want._parts):
-        assert np.array_equal(gm, wm)
-        # a NaN matches any NaN: IEEE 754 leaves the sign and payload of a
-        # NaN result open, and NumPy's loops differ in them by memory layout
-        nan = np.isnan(gc)
-        assert np.array_equal(nan, np.isnan(wc))
-        assert np.array_equal(gc.view(np.uint64)[~nan], wc.view(np.uint64)[~nan])
+    for rows, want_rows in zip(got._parts, want._parts):
+        assert_same_rows(rows, want_rows)
 
 
 TENSOR_COEFFS = st.one_of(
