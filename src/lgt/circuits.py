@@ -17,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, _ints
+from lgt.pauli import DROP_TOL, PauliOperator, _ints
 from lgt.resources import cnot_per_trotter_step
 
 
@@ -31,7 +31,7 @@ def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
     with rho_i basis-change gates (X 1, Y 2, Z 0), has o_i = rho_i + k -
     max(i, 1) layers on each side of it. So the RZ lands in layer
     T = 1 + max_i(level_i + o_i), and level_i becomes T + o_i."""
-    if (np.abs(op.im) > 1e-12).any():
+    if (np.abs(op.im) > DROP_TOL).any():
         raise ValueError("exponentiation needs a hermitian (real) coefficient")
     dt = float(dt)  # a NumPy scalar would print as np.float64(...)
     angles = [2.0 * (dt * c) for c in op.re.tolist()]

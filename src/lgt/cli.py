@@ -77,7 +77,6 @@ from lgt.matter import MAPPING_NAMES, fermion_mapping
 from lgt.pauli import PauliOperator
 from lgt.resources import (
     CLOSED_FORM_D_S,
-    closed_form_link_counts,
     cnot_per_trotter_step,
     link_resource_counts,
     rows_to_csv,
@@ -238,6 +237,16 @@ def _spin(val, path: str) -> float:
     return spin
 
 
+def _check_countable(spin: float, path: str) -> None:
+    """ConfigError where a log link's counts would need closed forms that
+    do not hold: past d_S = CLOSED_FORM_D_S with 2S+1 not a power of two."""
+    d_s = check_spin(spin)
+    if d_s > CLOSED_FORM_D_S and not is_perfectly_representable(spin):
+        raise ConfigError(path, f"beyond d_S = {CLOSED_FORM_D_S} the link "
+                          "counts come from closed forms, which need 2S+1 to be "
+                          f"a power of two; got d_S = {d_s}")
+
+
 def _spins(spins: list, path: str) -> list[float]:
     return [_spin(s, f"{path}[{i}]") for i, s in enumerate(spins)]
 
@@ -249,11 +258,7 @@ def _resource_report(cfg: dict) -> dict:
     preset = PRESETS["resource_report"]
     spins = _spins(_optional(cfg, "spins", list, "$", preset["spins"]), "$.spins")
     for i, spin in enumerate(spins):
-        # beyond d_S = 16 the per-link table uses closed forms, which hold
-        # only for d_S a power of two
-        if check_spin(spin) > 16 and not is_perfectly_representable(spin):
-            raise ConfigError(f"$.spins[{i}]",
-                              f"above S = 7.5 need 2S+1 a power of two, got {spin:g}")
+        _check_countable(spin, f"$.spins[{i}]")
     tables = _optional(cfg, "qubit_tables", dict, "$", preset["qubit_tables"])
     out = {"spins": _spins(_require(tables, "spins", list, "$.qubit_tables"),
                            "$.qubit_tables.spins")}
@@ -638,9 +643,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
 def _per_link_csv(spins) -> str:
     lines = ["S,hopping_factor,e_op,e_sq,plaquette,exact"]
     for spin in spins:
-        d_s = check_spin(spin)
-        counts = (link_resource_counts(spin, "log") if d_s <= 16
-                  else closed_form_link_counts(spin))
+        counts = link_resource_counts(spin, "log")
         lines.append(f"{spin:g},{counts.hopping_factor},{counts.e_op},"
                      f"{counts.e_sq},{counts.plaquette},{int(counts.exact)}")
     return "\n".join(lines) + "\n"
@@ -659,12 +662,8 @@ def _qubit_csv(lattices, spins) -> str:
 
 
 def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
-    d_s = check_spin(sc.spin)
-    if (sc.scenario != "resource_report" and sc.encoding == "log"
-            and d_s > CLOSED_FORM_D_S and not is_perfectly_representable(sc.spin)):
-        raise ConfigError("$.spin", f"beyond d_S = {CLOSED_FORM_D_S} the link "
-                          "counts come from closed forms, which need 2S+1 to be "
-                          f"a power of two; got d_S = {d_s}")
+    if sc.scenario != "resource_report" and sc.encoding == "log":
+        _check_countable(sc.spin, "$.spin")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -682,7 +681,7 @@ def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             path.write_text(text)
             written.append(path)
         return written
-    rows = scaling_table(sc.spec, [sc.spin], [sc.encoding], params=sc.params)
+    rows = scaling_table(sc.spec, sc.spin, sc.encoding, sc.params)
     path = out / f"{sc.output_prefix}_resources.csv"
     path.write_text(rows_to_csv(rows))
     written.append(path)

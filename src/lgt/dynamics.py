@@ -70,7 +70,7 @@ import numpy as np
 from lgt.gauge import check_spin, register_flux
 from lgt.lattice import Link, RegisterLayout
 from lgt.matter import FermionMapping
-from lgt.pauli import PauliOperator, PauliString, _index_mask, index_masks
+from lgt.pauli import DROP_TOL, PauliOperator, PauliString, _index_mask, index_masks
 
 MAX_QUBITS = 24      # statevector simulation limit
 LEAK_TOL = 1e-12     # allowed |<out|H|in>| per unit of sum |coeff| across a span
@@ -511,7 +511,7 @@ def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
     each tapered onto ``coset`` (default the whole register, where tapering
     leaves every string as it is). Raises ValueError if a coefficient is
     not real or the coset is not on ``op``'s register."""
-    if any(abs(t.coeff.imag) > 1e-10 for t in op.terms):
+    if (np.abs(op.im) > DROP_TOL).any():
         raise ValueError("Trotter plan requires hermitian (real) coefficients")
     if coset is None:
         coset = Coset.full(op.n_qubits)
@@ -807,11 +807,9 @@ def gauss_law(layout: RegisterLayout, occ: np.ndarray, flux: np.ndarray
     g = np.empty((len(occ), spec.n_sites))
     for s, site in enumerate(spec.sites()):
         col = occ[:, s * n_sp:(s + 1) * n_sp].sum(axis=1) - n_sp / 2.0
-        for k in range(spec.d):
-            for base, sign in ((spec.shift(site, k, -1), 1.0), (site, -1.0)):
-                link = spec.link_or_flux(base, k)
-                col = col + sign * (flux[:, layout.link_index(link)]
-                                    if isinstance(link, Link) else link)
+        for link, sign in spec.gauss_fluxes(site):
+            col = col + sign * (flux[:, layout.link_index(link)]
+                                if isinstance(link, Link) else link)
         g[:, s] = col
     return g
 

@@ -156,16 +156,13 @@ def build_plaquette(layout: RegisterLayout, params: ModelParams) -> PauliOperato
     n = layout.n_total
     acc = PauliSum(n)
     scale = -1.0 / (4.0 * params.e ** 2)
-    for plaq in spec.plaquettes():
-        x, k, j = plaq.site, plaq.k, plaq.j
-        edges: dict[Link, list[PauliOperator]] = {}
-        for site, direction, dagger in ((x, k, False), (spec.neighbor(x, k), j, False),
-                                        (spec.neighbor(x, j), k, True), (x, j, True)):
-            link = spec.normalize_link(site, direction)
+    for edges in spec.plaquettes():
+        per_link: dict[Link, list[PauliOperator]] = {}
+        for link, dagger in edges:
             enc = links[link]
-            edges.setdefault(link, []).append(enc.u_dag if dagger else enc.u)
+            per_link.setdefault(link, []).append(enc.u_dag if dagger else enc.u)
         factors = [functools.reduce(operator.mul, ops).embed(n, layout.gauge_offset(link))
-                   for link, ops in edges.items()]
+                   for link, ops in per_link.items()]
         acc.add_tensor_product(factors, scale=scale)
     acc.hermitize()
     return acc.to_operator()
@@ -187,15 +184,12 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
     g_ops = []
     for site in spec.sites():
         acc = PauliSum(n)
-        for k in range(spec.d):
-            # incoming, then outgoing flux
-            for base, sign in ((spec.shift(site, k, -1), 1.0), (site, -1.0)):
-                link = spec.link_or_flux(base, k)
-                if isinstance(link, Link):
-                    acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link)),
-                                     scale=sign * e)
-                else:
-                    acc.add_string(0, 0, sign * e * link)
+        for link, sign in spec.gauss_fluxes(site):
+            if isinstance(link, Link):
+                acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link)),
+                                 scale=sign * e)
+            else:
+                acc.add_string(0, 0, sign * e * link)
         acc.add_operator(site_psidagpsi(layout, mapping, site), scale=e)
         acc.add_string(0, 0, -e * layout.n_spinor / 2.0)
         g_ops.append(acc.to_operator())

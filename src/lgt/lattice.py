@@ -1,11 +1,13 @@
 """Hypercubic lattice topology and the qubit register layout.
 
 Sites are integer d-tuples indexed row-major over the extents. A link is the
-pair (site, direction) normalized to the positive direction; the same link is
-reachable from the head site with the negated direction. Static boundary
-links (open boundary only) carry fixed classical flux values and never own
-qubits; each joins one lattice site to one site outside, and each
-(site, direction) is given at most once.
+pair (tail site, positive direction), its tail wrapped into the lattice on a
+periodic axis. Static boundary links (open boundary only) carry fixed
+classical flux values and never own qubits; each joins one lattice site to
+one site outside, and each (site, direction) is given at most once. Only
+``LatticeSpec`` knows which links meet a site (``gauss_fluxes``) or a
+plaquette (``plaquettes``); the Hamiltonian and the Gauss-law check read
+those lists.
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ class Link(NamedTuple):
     direction: int   # 0-based spatial direction
 
 
-class Plaquette(NamedTuple):
-    site: Site
-    k: int
-    j: int           # k < j; loop traverses (x,k), (x+k,j), (x+j,k)^†, (x,j)^†
+Edge = tuple[Link, bool]  # a plaquette edge: the link, and whether it is daggered
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,21 @@ class LatticeSpec:
     def wrap(self, site: Site) -> Site:
         return tuple(c % e for c, e in zip(site, self.extents))
 
-    def neighbor(self, site: Site, direction: int, sign: int = +1) -> Site | None:
+    def neighbor(self, site: Site, direction: int) -> Site | None:
         """Neighboring site, or None if it falls off an open boundary."""
-        raw = self.shift(site, direction, sign)
+        raw = self.shift(site, direction)
         if self.boundary == "periodic":
             return self.wrap(raw)
         return raw if self.contains(raw) else None
+
+    def _link(self, tail: Site, direction: int) -> Link | None:
+        """The dynamical link from ``tail`` along ``direction``, or None
+        where one of its ends is off an open boundary."""
+        if self.boundary == "periodic":
+            return Link(self.wrap(tail), direction)
+        if self.contains(tail) and self.contains(self.shift(tail, direction)):
+            return Link(tail, direction)
+        return None
 
     def site_index(self, site: Site) -> int:
         idx = 0
@@ -142,38 +150,25 @@ class LatticeSpec:
         yield from rec([], 0)
 
     def links(self) -> list[Link]:
-        out = []
-        for site in self.sites():
-            for k in range(self.d):
-                if self.neighbor(site, k) is not None:
-                    out.append(Link(site, k))
-        return out
+        return [link for site in self.sites() for k in range(self.d)
+                if (link := self._link(site, k)) is not None]
 
-    def plaquettes(self) -> list[Plaquette]:
+    def plaquettes(self) -> list[tuple[Edge, Edge, Edge, Edge]]:
+        """The four edges of each plaquette (x, k < j) in loop order:
+        (x,k), (x+k,j), (x+j,k)^dag, (x,j)^dag. A plaquette is listed where
+        all four links are dynamical; on a periodic axis of extent 1 its
+        loop meets one link twice."""
         out = []
-        for site in self.sites():
+        for x in self.sites():
             for k in range(self.d):
                 for j in range(k + 1, self.d):
-                    corner = self.neighbor(site, k)
-                    if corner is None:
-                        continue
-                    if self.neighbor(site, j) is None:
-                        continue
-                    if self.neighbor(corner, j) is None:
-                        continue
-                    out.append(Plaquette(site, k, j))
+                    edges = ((self._link(x, k), False),
+                             (self._link(self.shift(x, k), j), False),
+                             (self._link(self.shift(x, j), k), True),
+                             (self._link(x, j), True))
+                    if all(link is not None for link, _ in edges):
+                        out.append(edges)
         return out
-
-    def normalize_link(self, site: Site, direction: int) -> Link:
-        """Canonical form of a link given by (x, +k) or (x + k, -k)."""
-        if direction >= 0:
-            base = self.wrap(site) if self.boundary == "periodic" else site
-            return Link(base, direction)
-        k = -direction - 1
-        base = self.shift(site, k, -1)
-        if self.boundary == "periodic":
-            base = self.wrap(base)
-        return Link(base, k)
 
     def static_flux(self, site: Site, direction: int) -> float | None:
         """Flux of the static link with tail ``site`` along ``direction``."""
@@ -182,16 +177,22 @@ class LatticeSpec:
                 return sl.flux
         return None
 
-    def link_or_flux(self, base: Site, direction: int) -> Link | float:
-        """The dynamical link with tail ``base`` along ``direction``, or else
-        the fixed flux there: a static link's value, 0.0 where no link is.
-        This is the boundary rule of Gauss's law at every site."""
-        head_in = self.boundary == "periodic" or self.contains(self.shift(base, direction))
-        base_in = self.contains(self.wrap(base) if self.boundary == "periodic" else base)
-        if base_in and head_in:
-            return self.normalize_link(base, direction)
-        static = self.static_flux(base, direction)
-        return static if static is not None else 0.0
+    def gauss_fluxes(self, site: Site) -> list[tuple[Link | float, float]]:
+        """(flux, sign) pairs of Gauss's law at ``site``: per direction k,
+        the incoming flux (+1.0), then the outgoing one (-1.0). A flux is the
+        dynamical ``Link``, or else the fixed flux: the static link's value,
+        0.0 where no link is. G_x sums its terms in this stencil order, and
+        float sums depend on order: it fixes G_x, sum_x G_x^2 and the circuit
+        angles bit for bit."""
+        out = []
+        for k in range(self.d):
+            for tail, sign in ((self.shift(site, k, -1), 1.0), (site, -1.0)):
+                link = self._link(tail, k)
+                if link is None:
+                    static = self.static_flux(tail, k)
+                    link = 0.0 if static is None else static
+                out.append((link, sign))
+        return out
 
 
 def spinor_components(d: int) -> int:

@@ -69,20 +69,30 @@ class LinkCounts:
 
 
 def link_resource_counts(spin: float, encoding: str = "log") -> LinkCounts:
+    """Per-link counts: closed forms for a log link with d_S a power of two
+    whose four-fold U products are too many to enumerate (so every one past
+    ``CLOSED_FORM_D_S``), enumeration otherwise; both agree where both run.
+    ValueError past ``CLOSED_FORM_D_S`` for d_S not a power of two."""
     d_s = check_spin(spin)
-    if encoding == "log" and d_s > CLOSED_FORM_D_S:
-        return closed_form_link_counts(spin)
-    u = qlm_link(spin, encoding).u
-    c = classify(u)
+    if encoding == "log" and (d_s > CLOSED_FORM_D_S or is_perfectly_representable(spin)):
+        closed = closed_form_link_counts(spin)
+        if (closed.u_real + closed.u_imag) ** 4 > ENUMERATION_LIMIT:
+            return closed
+    return enumerated_link_counts(spin, encoding)
+
+
+def enumerated_link_counts(spin: float, encoding: str) -> LinkCounts:
+    """Per-link counts from the encoded link; the plaquette count is
+    enumerated (``exact``) where the four-fold U products are at most
+    ``ENUMERATION_LIMIT``, else the formula of U's classification."""
     link = qlm_link(spin, encoding)
-    if u.n_terms ** 4 <= ENUMERATION_LIMIT:
-        plaq = plaquette_pauli_enumerated(spin, encoding)
-    else:
-        plaq = plaquette_pauli_formula(*c)
+    c = classify(link.u)
+    exact = link.u.n_terms ** 4 <= ENUMERATION_LIMIT
+    plaq = (plaquette_pauli_enumerated(spin, encoding) if exact
+            else plaquette_pauli_formula(*c))
     return LinkCounts(spin, encoding, c.n_real, c.n_imag, c.n_mixed,
                       2 * (c.n_real + c.n_imag + 2 * c.n_mixed),
-                      link.e_op.n_terms, link.e_sq.n_terms, plaq,
-                      exact=u.n_terms ** 4 <= ENUMERATION_LIMIT)
+                      link.e_op.n_terms, link.e_sq.n_terms, plaq, exact)
 
 
 def closed_form_link_counts(spin: float) -> LinkCounts:
@@ -154,37 +164,29 @@ CSV_HEADER = ("term,S,encoding,n_pauli_exact,n_pauli_formula,n_cnot,"
               "n_qubits_fermionic,n_qubits_gauge")
 
 
-def scaling_table(spec: LatticeSpec, spins, encodings=("log",),
-                  params=None) -> list[ResourceRow]:
-    """Per-term resource rows; exact columns filled by construction when feasible."""
-    from lgt.hamiltonian import ModelParams, assemble
+def scaling_table(spec: LatticeSpec, spin: float, encoding: str,
+                  params) -> list[ResourceRow]:
+    """Per-term resource rows of one (spin, encoding) pair; the exact
+    columns are filled by construction when feasible."""
+    from lgt.hamiltonian import assemble
 
-    model = params or ModelParams(m=1.0)
+    lay = RegisterLayout(spec, encoding, spin)
+    pred = predict_pauli_counts(spec, spin, encoding, r=params.r)
+    ferm, gauge = lay.n_fermionic, lay.n_gauge
+    built = {}
+    if pred.total <= ENUMERATION_LIMIT and check_spin(spin) <= 1 << 6:
+        h = assemble(lay, params)
+        built = {"mass": h.mass, "hopping": h.hopp_wilson, "electric": h.elec,
+                 "plaquette": h.plaq, "total": h.total}
     rows = []
-    for encoding in encodings:
-        for spin in spins:
-            lay = RegisterLayout(spec, encoding, spin)
-            pred = predict_pauli_counts(spec, spin, encoding, r=model.r)
-            ferm, gauge = lay.n_fermionic, lay.n_gauge
-            feasible = (pred.total <= ENUMERATION_LIMIT
-                        and check_spin(spin) <= 1 << 6)
-            if feasible:
-                h = assemble(lay, model)
-                built = {"mass": h.mass, "hopping": h.hopp_wilson,
-                         "electric": h.elec, "plaquette": h.plaq,
-                         "total": h.total}
-            for term, formula in (("mass", pred.mass), ("hopping", pred.hopping),
-                                  ("electric", pred.electric),
-                                  ("plaquette", pred.plaquette),
-                                  ("total", pred.total)):
-                if feasible:
-                    op = built[term]
-                    rows.append(ResourceRow(term, spin, encoding, op.n_terms,
-                                            formula, cnot_per_trotter_step(op),
-                                            ferm, gauge))
-                else:
-                    rows.append(ResourceRow(term, spin, encoding, None, formula,
-                                            None, ferm, gauge))
+    for term, formula in (("mass", pred.mass), ("hopping", pred.hopping),
+                          ("electric", pred.electric),
+                          ("plaquette", pred.plaquette), ("total", pred.total)):
+        op = built.get(term)
+        rows.append(ResourceRow(term, spin, encoding,
+                                None if op is None else op.n_terms, formula,
+                                None if op is None else cnot_per_trotter_step(op),
+                                ferm, gauge))
     return rows
 
 

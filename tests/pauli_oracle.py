@@ -34,7 +34,7 @@ from lgt.dynamics import (
 )
 from lgt.gauge import check_spin, encode_log, spin_matrices
 from lgt.hamiltonian import ModelParams, _encoded_links
-from lgt.lattice import RegisterLayout, Site
+from lgt.lattice import RegisterLayout
 from lgt.matter import FermionMapping
 from lgt.pauli import (
     DROP_TOL,
@@ -312,22 +312,12 @@ def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> Pa
     acc = PauliSum(layout.n_total)
     n = layout.n_total
 
-    def factor(site: Site, direction: int, dagger: bool) -> PauliOperator:
-        """U (or U^dag) of a plaquette edge; every edge is dynamical, as a
-        static link has only one end on the lattice."""
-        link = spec.normalize_link(site, direction)
-        enc = links[link]
-        op = enc.u_dag if dagger else enc.u
-        return op.embed(n, layout.gauge_offset(link))
-
-    for plaq in spec.plaquettes():
-        x, k, j = plaq.site, plaq.k, plaq.j
-        xk = spec.neighbor(x, k)
-        xj = spec.neighbor(x, j)
+    for edges in spec.plaquettes():
         prod = PauliOperator.identity(n)
-        for f in (factor(x, k, False), factor(xk, j, False),
-                  factor(xj, k, True), factor(x, j, True)):
-            prod = prod * f
+        for link, dagger in edges:
+            enc = links[link]
+            op = enc.u_dag if dagger else enc.u
+            prod = prod * op.embed(n, layout.gauge_offset(link))
         acc.add_operator(prod, scale=-1.0 / (4.0 * params.e ** 2))
     acc.hermitize()
     return acc.to_operator()

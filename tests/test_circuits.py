@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lgt.circuits import step_gate_counts, write_trotter_step
-from lgt.dynamics import StateVector
+from lgt.dynamics import StateVector, trotter_plan
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout
 from lgt.pauli import PauliOperator, PauliString
@@ -99,6 +99,15 @@ class TestSynthPauliExp:
         with pytest.raises(ValueError, match="real"):
             write_trotter_step(one("X", 1j), 0.1, fh)
         assert fh.getvalue() == ""
+
+    @pytest.mark.parametrize("make", [
+        lambda op: trotter_plan(op, 0.1, 1),
+        lambda op: write_trotter_step(op, 0.1, io.StringIO())], ids=["plan", "qasm"])
+    def test_plan_and_circuit_share_the_real_tolerance(self, make):
+        # an imaginary part above DROP_TOL = 1e-12 is refused, one below it is not
+        with pytest.raises(ValueError, match="real"):
+            make(one("X", 1.0 + 1e-11j))
+        make(one("X", 1.0 + 1e-13j))
 
     def test_rejects_non_finite_angle(self):
         op = PauliOperator.from_terms(2, [PauliString.from_label("ZI", 1.0),

@@ -463,7 +463,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, override, path):
     ({"spins": ["a"]}, "$.spins[0]"),
     ({"spins": [0.7]}, "$.spins[0]"),
     ({"spins": [0.5, True]}, "$.spins[1]"),
-    ({"spins": [9.0]}, "$.spins[0]"),
+    ({"spins": [600.5]}, "$.spins[0]"),
     ({"spins": 0.5}, "$.spins"),
     ({"qubit_tables": [1]}, "$.qubit_tables"),
     ({"qubit_tables": {"spins": [0.3]}}, "$.qubit_tables.spins[0]"),

@@ -1,5 +1,7 @@
-"""Lattice enumeration, link normalization, and register layout tests."""
+"""Lattice enumeration, Gauss-law and plaquette geometry, and register
+layout tests."""
 
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from lgt.lattice import (
     LatticeSpec,
+    Link,
     RegisterLayout,
     StaticLink,
     spinor_components,
@@ -50,17 +53,81 @@ def test_open_1d_links():
     assert c.n_links == c.n_sites - 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 2),
-       st.sampled_from(["open", "periodic"]))
-def test_link_normalization(n, d, boundary):
-    spec = LatticeSpec(d, (n,) * d, boundary)
-    for link in spec.links():
-        head = spec.neighbor(link.site, link.direction)
-        assert head is not None
-        back = spec.normalize_link(head, -(link.direction + 1))
-        fwd = spec.normalize_link(link.site, link.direction)
-        assert back == fwd == link
+@st.composite
+def lattices(draw) -> LatticeSpec:
+    """Lattices of d = 1-3 and extents 1-4; an open one carries static links
+    on a drawn subset of its boundary (site, direction) pairs."""
+    d = draw(st.integers(1, 3))
+    extents = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    boundary = draw(st.sampled_from(["open", "periodic"]))
+    statics = []
+    if boundary == "open":
+        spec = LatticeSpec(d, extents, boundary)
+        outer = sorted({(tail, k) for site in spec.sites() for k in range(d)
+                        for tail in (spec.shift(site, k, -1), site)
+                        if not (spec.contains(tail)
+                                and spec.contains(spec.shift(tail, k)))})
+        chosen = draw(st.lists(st.sampled_from(outer), unique=True)) if outer else []
+        statics = [StaticLink(tail, k, draw(st.sampled_from([-1.0, 0.5, 2.0])))
+                   for tail, k in chosen]
+    return LatticeSpec(d, extents, boundary, tuple(statics))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices())
+def test_gauss_fluxes_meet_each_link_at_its_two_ends(spec):
+    links = spec.links()
+    ends = Counter()
+    # entry 2k is the incoming flux along k, entry 2k + 1 the outgoing one
+    fixed = {}
+    for site in spec.sites():
+        fluxes = spec.gauss_fluxes(site)
+        assert [sign for _, sign in fluxes] == [1.0, -1.0] * spec.d
+        for i, (flux, sign) in enumerate(fluxes):
+            if isinstance(flux, Link):
+                assert flux.direction == i // 2
+                ends[flux, site, sign] += 1
+            else:
+                assert type(flux) is float
+                fixed[site, i] = flux
+    # each link once at its head (+1), once at its tail (-1); on a periodic
+    # axis of extent 1 both ends are the same site
+    want = Counter()
+    for link in links:
+        want[link, spec.neighbor(link.site, link.direction), 1.0] += 1
+        want[link, link.site, -1.0] += 1
+    assert ends == want
+    assert len(fixed) == spec.n_sites * 2 * spec.d - 2 * len(links)
+    # a static link enters at its head where that is on the lattice, else
+    # it leaves its tail; every other fixed flux is 0.0
+    expected = {}
+    for sl in spec.static_links:
+        head = spec.shift(sl.site, sl.direction)
+        at = (head, 2 * sl.direction) if spec.contains(head) else (
+            sl.site, 2 * sl.direction + 1)
+        expected[at] = sl.flux
+    assert expected.keys() <= fixed.keys()
+    assert fixed == {at: expected.get(at, 0.0) for at in fixed}
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices())
+def test_plaquette_edges_are_closed_loops_of_links(spec):
+    links = set(spec.links())
+    plaquettes = spec.plaquettes()
+    assert len(plaquettes) == spec.n_plaquettes
+    for edges in plaquettes:
+        assert [dagger for _, dagger in edges] == [False, False, True, True]
+        k, j = edges[0][0].direction, edges[1][0].direction
+        assert k < j and [link.direction for link, _ in edges] == [k, j, k, j]
+        at = start = edges[0][0].site
+        for link, dagger in edges:
+            assert link in links
+            head = spec.neighbor(link.site, link.direction)
+            tail, end = (head, link.site) if dagger else (link.site, head)
+            assert tail == at
+            at = end
+        assert at == start
 
 
 @settings(max_examples=30, deadline=None)

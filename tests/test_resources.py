@@ -1,5 +1,6 @@
 """Resource accounting: per-link tables, qubit tables, CNOT formula, scaling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from lgt.resources import (
     CSV_HEADER,
     closed_form_link_counts,
     cnot_per_trotter_step,
+    enumerated_link_counts,
     link_resource_counts,
     plaquette_pauli_enumerated,
     plaquette_pauli_formula,
@@ -74,11 +76,15 @@ class TestPerLinkCounts:
         assert closed_form_link_counts(spin).plaquette == PLAQ_CLOSED[spin]
 
     def test_closed_form_matches_enumeration_small(self):
-        for spin in (0.5, 1.5, 3.5):
-            a = closed_form_link_counts(spin)
-            b = link_resource_counts(spin, "log")
-            assert (a.hopping_factor, a.e_op, a.plaquette) == \
-                (b.hopping_factor, b.e_op, b.plaquette)
+        # the plaquette is enumerated exactly up to d_S = 8; from d_S = 16 on
+        # link_resource_counts takes the closed forms, which must agree
+        for d_s in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+            spin = (d_s - 1) / 2
+            closed = closed_form_link_counts(spin)
+            enumerated = enumerated_link_counts(spin, "log")
+            assert closed == dataclasses.replace(enumerated, exact=False)
+            assert enumerated.exact == link_resource_counts(spin, "log").exact \
+                == (d_s <= 8)
 
     def test_formula_equals_enumeration(self):
         for spin in (0.5, 1.0, 1.5, 2.0):
@@ -154,14 +160,14 @@ class TestQubitTables:
 class TestScalingTable:
     def test_csv_schema(self):
         spec = LatticeSpec(1, (3,), "periodic")
-        rows = scaling_table(spec, [0.5], ["log"])
+        rows = scaling_table(spec, 0.5, "log", ModelParams(m=1.0))
         text = rows_to_csv(rows)
         assert text.splitlines()[0] == CSV_HEADER
         assert any(line.startswith("total,0.5,log,") for line in text.splitlines())
 
     def test_formula_only_for_huge_spins(self):
         spec = LatticeSpec(2, (4, 4), "periodic")
-        rows = scaling_table(spec, [63.5], ["log"])
+        rows = scaling_table(spec, 63.5, "log", ModelParams(m=1.0))
         plaq = next(r for r in rows if r.term == "plaquette")
         assert plaq.n_pauli_exact is None and plaq.n_pauli_formula > 10**11
 
