@@ -7,11 +7,11 @@ Commands::
     lgt resources <config.json>  resource tables -> CSV
     lgt qasm <config.json>       one Trotter-step circuit -> OpenQASM + counts
 
-Exit codes: 0 ok, 2 config error, 3 resource limit (``run`` only: the
-statevector holds at most ``MAX_QUBITS`` qubits). Model couplings are
-interpreted in lattice units (the Hamiltonian is built with spacing 1; the
-nominal physical spacing `model.a` is validated and written to the metadata
-as `a_nominal`).
+Exit codes: 0 ok, 2 config error (an unknown key too), 3 resource limit
+(``run`` only: the statevector holds at most ``MAX_QUBITS`` qubits). Model
+couplings are interpreted in lattice units (the Hamiltonian is built with
+spacing 1; the nominal physical spacing `model.a` is validated and written
+to the metadata as `a_nominal`).
 
 A run starts from a basis state i0 with G_x = 0 at every site (anything
 else is a config error). Every state of the run lives on the coset of i0
@@ -218,6 +218,20 @@ def _optional(cfg: dict, key: str, types, path: str, default):
     return _require(cfg, key, types, path) if key in cfg else default
 
 
+RUN_KEYS = ("scenario lattice model mapping gauge_encoding spin theta initial_state "
+            "evolution output")
+REPORT_KEYS = "scenario spins qubit_tables gauge_encoding output"
+
+
+def _known(obj: dict, keys: str, path: str) -> dict:
+    """``obj``, or a ConfigError at its first key not named in ``keys``: a
+    misspelt key must not leave its default in place."""
+    for key in obj:
+        if key not in keys.split():
+            raise ConfigError(f"{path}.{key}", f"unknown key, not one of: {keys}")
+    return obj
+
+
 def _finite(val, path: str) -> float:
     try:
         ok = type(val) in (int, float) and math.isfinite(val)
@@ -259,7 +273,8 @@ def _resource_report(cfg: dict) -> dict:
     spins = _spins(_optional(cfg, "spins", list, "$", preset["spins"]), "$.spins")
     for i, spin in enumerate(spins):
         _check_countable(spin, f"$.spins[{i}]")
-    tables = _optional(cfg, "qubit_tables", dict, "$", preset["qubit_tables"])
+    tables = _known(_optional(cfg, "qubit_tables", dict, "$", preset["qubit_tables"]),
+                    "2d 3d spins", "$.qubit_tables")
     out = {"spins": _spins(_require(tables, "spins", list, "$.qubit_tables"),
                            "$.qubit_tables.spins")}
     for key, d in (("2d", 2), ("3d", 3)):
@@ -284,7 +299,9 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     known = set(PRESETS) | {"custom"}
     if not isinstance(scenario, str) or scenario not in known:
         raise ConfigError("$.scenario", f"unknown scenario {scenario!r}")
-    prefix = _optional(cfg, "output", dict, "$", {}).get("prefix", scenario)
+    _known(cfg, REPORT_KEYS if scenario == "resource_report" else RUN_KEYS, "$")
+    output = _known(_optional(cfg, "output", dict, "$", {}), "prefix", "$.output")
+    prefix = output.get("prefix", scenario)
     # a bare file-name stem, so every output stays inside --out
     if (not isinstance(prefix, str) or prefix in ("", ".", "..") or "\0" in prefix
             or Path(prefix).name != prefix):
@@ -293,7 +310,8 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         return ScenarioConfig(scenario, _resource_report(cfg), None, None, "jw",
                               "log", 0.5, None, {}, prefix)
 
-    lat = _require(cfg, "lattice", dict, "$")
+    lat = _known(_require(cfg, "lattice", dict, "$"), "d extents boundary static_links",
+                 "$.lattice")
     d = _require(lat, "d", int, "$.lattice")
     if d not in (1, 2, 3):  # the Dirac representations of lgt.matter
         raise ConfigError("$.lattice.d", f"must be 1, 2 or 3, got {d!r}")
@@ -306,6 +324,7 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         spath = f"$.lattice.static_links[{i}]"
         if not isinstance(sl, dict):
             raise ConfigError(spath, "expected an object")
+        _known(sl, "site dir flux", spath)
         site = _require(sl, "site", list, spath)
         if len(site) != d or not all(type(c) is int for c in site):
             raise ConfigError(f"{spath}.site", f"need {d} integer coordinates")
@@ -322,7 +341,7 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("$.lattice", str(exc)) from exc
 
-    model = _require(cfg, "model", dict, "$")
+    model = _known(_require(cfg, "model", dict, "$"), "m r a e lambda_gauss", "$.model")
     _require(model, "m", (int, float), "$.model")
     c = {key: _finite(model.get(key, default), f"$.model.{key}")
          for key, default in (("m", 0), ("r", 1.0), ("a", 1.0), ("e", 1.0))}
@@ -364,10 +383,8 @@ def validate_config(cfg: dict) -> ScenarioConfig:
         raise ConfigError("$.gauge_encoding", "one of ('log', 'linear') required")
     spin = _spin(_require(cfg, "spin", (int, float), "$"), "$.spin")
 
-    evo = _optional(cfg, "evolution", dict, "$", {})
-    if "ordering" in evo:  # a removed key: an old config must not change meaning
-        raise ConfigError("$.evolution.ordering", "no longer a setting; Trotter "
-                          "plans apply the strings in canonical order")
+    evo = _known(_optional(cfg, "evolution", dict, "$", {}), "method dt t_max sample_dt",
+                 "$.evolution")
     dts = [_finite(x, "$.evolution.dt")
            for x in _optional(evo, "dt", list, "$.evolution", [0.05])]
     evolution = {
@@ -400,6 +417,8 @@ def validate_config(cfg: dict) -> ScenarioConfig:
                               f"t_max / {step:g} is over {MAX_STEPS} steps")
 
     initial = cfg.get("initial_state", "bare_vacuum")
+    if isinstance(initial, dict):
+        _known(initial, "sites link_fluxes", "$.initial_state")
     return ScenarioConfig(scenario, cfg, spec, params, mapping, encoding,
                           spin, initial, evolution, prefix)
 

@@ -4,7 +4,8 @@ Couplings are in lattice units (spacing a = 1). Conventions fixed here (and
 exercised by the counting tests):
 
 * hopping/Wilson: (1/2) sum_links psi-bar_x [i gamma^k + r] U_(x,k) psi_{x+k}
-  + h.c., with the spinor structure gamma_mix = gamma^0 (i gamma^k + r);
+  + h.c., with the spinor structure gamma_mix = gamma^0 (i gamma^k + r), each
+  term the tensor product of (gamma_mix / 2) a_i^dag a_j and the link's U;
 * mass: (m + r d) sum_sites psi-bar psi;
 * electric: (e^2/2) sum_links (Sz + theta_k)^2, static boundary links enter
   as classical constants;
@@ -57,9 +58,6 @@ def default_lambda(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianTerms:
-    layout: RegisterLayout
-    params: ModelParams
-    mapping: str
     mass: PauliOperator
     hopp_wilson: PauliOperator
     elec: PauliOperator
@@ -124,7 +122,7 @@ def build_hopp_wilson(layout: RegisterLayout, params: ModelParams,
                 i = layout.fermionic_mode(link.site, alpha)
                 j = layout.fermionic_mode(head, beta)
                 ferm = mapping.bilinear(i, j).embed(layout.n_total)
-                acc.add_product(ferm, u, scale=0.5 * gmix[alpha, beta])
+                acc.add_tensor_product([ferm.scale(0.5 * gmix[alpha, beta]), u])
     acc.hermitize()
     return acc.to_operator()
 
@@ -215,5 +213,4 @@ def assemble(layout: RegisterLayout, params: ModelParams,
     if params.lam:
         acc.add_operator(gauss, scale=params.lam)
     total = acc.to_operator()
-    return HamiltonianTerms(layout, params, mapping_name, mass, hopp, elec,
-                            plaq, gauss, g_ops, total)
+    return HamiltonianTerms(mass, hopp, elec, plaq, gauss, g_ops, total)

@@ -13,11 +13,13 @@ those lists.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from lgt.gauge import link_qubits
+from lgt.matter import clifford_rep
 
 Site = tuple[int, ...]
 
@@ -138,16 +140,7 @@ class LatticeSpec:
         return total
 
     def sites(self) -> Iterator[Site]:
-        def rec(prefix: list[int], axis: int):
-            if axis == self.d:
-                yield tuple(prefix)
-                return
-            for c in range(self.extents[axis]):
-                prefix.append(c)
-                yield from rec(prefix, axis + 1)
-                prefix.pop()
-
-        yield from rec([], 0)
+        return itertools.product(*map(range, self.extents))
 
     def links(self) -> list[Link]:
         return [link for site in self.sites() for k in range(self.d)
@@ -195,11 +188,6 @@ class LatticeSpec:
         return out
 
 
-def spinor_components(d: int) -> int:
-    """Spinor component count: 2^(d/2) for even d, 2^((d+1)/2) for odd d."""
-    return 2 ** (d // 2) if d % 2 == 0 else 2 ** ((d + 1) // 2)
-
-
 @dataclass(frozen=True)
 class RegisterLayout:
     """The qubit register of a lattice and the basis-index map; every
@@ -232,7 +220,7 @@ class RegisterLayout:
 
     @property
     def n_spinor(self) -> int:
-        return spinor_components(self.spec.d)
+        return clifford_rep(self.spec.d).n_spinor
 
     @property
     def qubits_per_link(self) -> int:

@@ -30,6 +30,7 @@ class CliffordRep:
     gammas: tuple[np.ndarray, ...]  # gamma^0 .. gamma^d
 
 
+@lru_cache(maxsize=None)
 def clifford_rep(d: int) -> CliffordRep:
     """Dirac-style representation of Cl(1, d) for d = 1, 2, 3."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,6 +50,8 @@ def clifford_rep(d: int) -> CliffordRep:
         gammas = (g0,) + spatial
     else:
         raise ValueError(f"unsupported dimension d={d}")
+    for g in gammas:  # shared by every caller of the cache
+        g.flags.writeable = False
     return CliffordRep(d, gammas[0].shape[0], gammas)
 
 

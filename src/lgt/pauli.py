@@ -22,17 +22,19 @@ complex product uses, one rounding each, so no fused multiply-add enters.
 Matrices enter only through ``decompose_matrix``.
 
 ``PauliSum`` is the one accumulator: every operator is built through it, so
-it alone merges, multiplies, hermitizes and sorts Pauli terms. Duplicate
-strings are summed in insertion order, and coefficients below ``DROP_TOL``,
-the one tolerance of the algebra, are dropped (NaN is kept, so an overflow
-stays visible). A product of factors on disjoint qubits has no duplicate
-string, so ``add_tensor_product`` lays it out in one broadcast, with no
-partial product sorted or merged. Coefficient arithmetic does not warn on
-overflow: the caller decides whether a non-finite coefficient is an error.
-A merge holds the result, one sort-key array (2 bytes per mask byte of a
-row) and index arrays of 8 bytes a row beside its input chunks, which it
-releases as their rows are written; it joins only consecutive small chunks,
-up to ``_ORDER_BLOCK`` rows, and never copies all rows into one array.
+it alone merges, hermitizes and sorts Pauli terms. Duplicate strings are
+summed in insertion order, and coefficients below ``DROP_TOL``, the one
+tolerance of the algebra, are dropped (NaN is kept, so an overflow stays
+visible). ``PauliOperator.__mul__`` multiplies operators whose supports may
+overlap. Factors on disjoint qubits (a hopping term's bilinear and U, a
+plaquette's links) give no duplicate string, so ``add_tensor_product``
+lays out their product in one broadcast, with nothing sorted or merged.
+Coefficient arithmetic does not warn on overflow: the caller decides
+whether a non-finite coefficient is an error. A merge holds the result,
+one sort-key array (2 bytes per mask byte of a row) and index arrays of 8
+bytes a row beside its input chunks, which it releases as their rows are
+written; it joins only consecutive small chunks, up to ``_ORDER_BLOCK``
+rows, and never copies all rows into one array.
 
 Every ``PauliOperator`` keeps its terms in one canonical order: by the packed
 axis word of the string, 2 bits per qubit with qubit 0 most significant and
@@ -267,27 +269,6 @@ class PauliSum:
             with _quiet():
                 coeffs = np.stack(_cmul(scale.real, scale.imag, op.re, op.im), axis=1)
         self._append(op.masks, coeffs)
-
-    def add_product(self, a: "PauliOperator", b: "PauliOperator",
-                    scale: complex = 1.0) -> None:
-        """Add scale * a * b, a-term by a-term, b-term by b-term."""
-        if not a.n_qubits == b.n_qubits == self.n:
-            raise ValueError("qubit-count mismatch in operator product")
-        w = _n_words(self.n)
-        bm, bx, bz = b.masks, b.x, b.z
-        masks = a.masks[:, None] ^ bm
-        k = (_popcount(a.x & a.z)[:, None] + _popcount(bx & bz)
-             - _popcount(masks[..., :w] & masks[..., w:])
-             + 2 * _popcount(a.z[:, None] & bx)) & 3
-        with _quiet():
-            ar, ai = a.re, a.im
-            if scale != 1:
-                scale = complex(scale)
-                ar, ai = _cmul(scale.real, scale.imag, ar, ai)
-            re, im = _cmul(*_cmul(ar[:, None], ai[:, None], b.re, b.im),
-                           _I_POWERS_RE[k], _I_POWERS_IM[k])
-        self._append(masks.reshape(-1, 2 * w),
-                     np.stack([re.ravel(), im.ravel()], axis=1))
 
     def add_tensor_product(self, factors: Iterable["PauliOperator"],
                            scale: complex = 1.0) -> None:
@@ -534,10 +515,21 @@ class PauliOperator:
         return NotImplemented
 
     def __mul__(self, other: "PauliOperator | complex") -> "PauliOperator":
+        """self * other, self's terms outer; or self scaled by a number."""
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
+        if self.n_qubits != other.n_qubits:
+            raise ValueError("qubit-count mismatch in operator product")
+        w = _n_words(self.n_qubits)
+        masks = self.masks[:, None] ^ other.masks
+        k = (_popcount(self.x & self.z)[:, None] + _popcount(other.x & other.z)
+             - _popcount(masks[..., :w] & masks[..., w:])
+             + 2 * _popcount(self.z[:, None] & other.x)) & 3
+        with _quiet():
+            re, im = _cmul(*_cmul(self.re[:, None], self.im[:, None], other.re, other.im),
+                           _I_POWERS_RE[k], _I_POWERS_IM[k])
         acc = PauliSum(self.n_qubits)
-        acc.add_product(self, other)
+        acc._append(masks.reshape(-1, 2 * w), np.stack([re.ravel(), im.ravel()], axis=1))
         return acc.to_operator()
 
     def dagger(self) -> "PauliOperator":

@@ -8,9 +8,10 @@ from a state's support that the tables of ``lgt.dynamics.ConfigKeys``
 replaced (with the charge and flux per site and link they also gave), the
 energy on an exact-evolution span, the readout by label dictionaries that
 the keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced, the merge
-of concatenated chunks that ``PauliSum``'s in-place scatter replaced, and
-the plaquette term as a chain of operator products that the tensor
-products of ``lgt.hamiltonian.build_plaquette`` replaced.
+of concatenated chunks that ``PauliSum``'s in-place scatter replaced, the
+plaquette term as a chain of operator products that the tensor products of
+``lgt.hamiltonian.build_plaquette`` replaced, and the scaled general
+product that the tensor products of ``build_hopp_wilson`` replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
@@ -42,7 +43,13 @@ from lgt.pauli import (
     PauliOperator,
     PauliString,
     PauliSum,
+    _I_POWERS_IM,
+    _I_POWERS_RE,
+    _cmul,
     _key_width,
+    _n_words,
+    _popcount,
+    _quiet,
     _sort_keys,
     index_masks,
 )
@@ -277,6 +284,30 @@ def product_reference(a: PauliOperator, b: PauliOperator) -> dict:
             key = (ta.x ^ tb.x, ta.z ^ tb.z)
             data[key] = data.get(key, 0.0) + ta.coeff * tb.coeff * (1, 1j, -1, -1j)[k]
     return {key: c for key, c in data.items() if not abs(c) < DROP_TOL}
+
+
+def add_product_reference(acc: PauliSum, a: PauliOperator, b: PauliOperator,
+                          scale: complex = 1.0) -> None:
+    """Add scale * a * b to ``acc``, a-term by a-term, b-term by b-term, the
+    scale applied to a first: the general product each hopping term was
+    added with before it became a tensor product."""
+    if not a.n_qubits == b.n_qubits == acc.n:
+        raise ValueError("qubit-count mismatch in operator product")
+    w = _n_words(acc.n)
+    bm, bx, bz = b.masks, b.x, b.z
+    masks = a.masks[:, None] ^ bm
+    k = (_popcount(a.x & a.z)[:, None] + _popcount(bx & bz)
+         - _popcount(masks[..., :w] & masks[..., w:])
+         + 2 * _popcount(a.z[:, None] & bx)) & 3
+    with _quiet():
+        ar, ai = a.re, a.im
+        if scale != 1:
+            scale = complex(scale)
+            ar, ai = _cmul(scale.real, scale.imag, ar, ai)
+        re, im = _cmul(*_cmul(ar[:, None], ai[:, None], b.re, b.im),
+                       _I_POWERS_RE[k], _I_POWERS_IM[k])
+    acc._append(masks.reshape(-1, 2 * w),
+                np.stack([re.ravel(), im.ravel()], axis=1))
 
 
 def merge_reference(n: int, chunks) -> tuple[np.ndarray, np.ndarray]:

@@ -153,6 +153,40 @@ def test_bad_evolution_is_config_error(tmp_path, capsys, monkeypatch, evolution,
     assert f"at $.evolution.{field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg, path", [
+    ("run", {"scenario": "vacuum_decay", "spinn": 1.0}, "$.spinn"),
+    ("run", {"scenario": "vacuum_decay", "lattice": {"boundry": "open"}},
+     "$.lattice.boundry"),
+    ("run", {"scenario": "string_breaking_1d", "lattice": {"static_links": [
+        {"site": [-1], "dir": 0, "flux": 1.0}, {"site": [2], "direction": 0}]}},
+     "$.lattice.static_links[1].direction"),
+    # the model typo is reported first; the evolution one is the next case
+    ("run", {"scenario": "vacuum_decay", "model": {"lamda_gauss": 0.0},
+             "evolution": {"dt": [0.1], "t_max": 0.2, "sampl_dt": 0.05}},
+     "$.model.lamda_gauss"),
+    ("run", {"scenario": "vacuum_decay",
+             "evolution": {"dt": [0.1], "t_max": 0.2, "sampl_dt": 0.05}},
+     "$.evolution.sampl_dt"),
+    ("run", {"scenario": "vacuum_decay", "output": {"prefx": "vd"}}, "$.output.prefx"),
+    ("run", {"scenario": "string_breaking_1d", "initial_state": {"link_flux": [1, 1]}},
+     "$.initial_state.link_flux"),
+    ("resources", {"scenario": "resource_report", "spin": 0.5}, "$.spin"),
+    ("resources", {"scenario": "resource_report", "qubit_tables": {"2D": [[2, 2]]}},
+     "$.qubit_tables.2D"),
+    ("resources", {"scenario": "resource_report", "output": {"prefx": "rr"}},
+     "$.output.prefx"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, monkeypatch, command, cfg, path):
+    def no_assembly(*args):
+        raise AssertionError("Hamiltonian assembled")
+
+    monkeypatch.setattr("lgt.cli.assemble", no_assembly)
+    assert main([command, str(write_config(tmp_path, cfg)), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert f"at {path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("override, path", [
     ({"model": {"m": float("nan")}}, "$.model.m"),
     ({"model": {"r": float("inf")}}, "$.model.r"),
@@ -567,8 +601,9 @@ def test_overflowing_trotter_angle_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# SHA-256 of the paper's resource tables, of Trotter-step circuits and of
-# the resource table of a lattice whose plaquettes meet a link twice
+# SHA-256 of the paper's resource tables, of Trotter-step circuits (among
+# them non-power-of-two hopping scales, d = 3 and the one-hot encoding) and
+# of the resource table of a lattice whose plaquettes meet a link twice
 @pytest.mark.parametrize("command, config, digests", [
     ("resources", "resource_report.json", {
         "resource_report_per_link.csv":
@@ -603,6 +638,23 @@ def test_overflowing_trotter_angle_exits_2(tmp_path, capsys):
                    "model": {"m": 0.4, "e": 2.0}, "spin": 0.5}, {
         "custom_resources.csv":
             "5648810a889897e17f88166d4306c8998edaae00ed30e29bcd0b4a4e6303265f"}),
+    # hopping scales 0.5 gamma_mix that are not powers of two (r = 0.7),
+    # on four spinor components (d = 3)
+    ("qasm", {"scenario": "custom",
+              "lattice": {"d": 3, "extents": [2, 2, 2], "boundary": "open"},
+              "model": {"m": 0.4, "r": 0.7, "e": 1.3}, "spin": 0.5,
+              "theta": [0.5, 0.5, 0.5]}, {
+        "custom_trotter_step.qasm":
+            "af5e12057476319d157f790148b177049fc1a6d8666e6a351f034747578a8e64",
+        "custom_gate_counts.json":
+            "fb881fd0916e31c141ef4b997f42a93a32f7ca4bca67486e20b5e3173f0ab8d7"}),
+    # the one-hot (linear) link encoding, with r = 0.37
+    ("qasm", {"scenario": "vacuum_decay", "gauge_encoding": "linear",
+              "model": {"r": 0.37}, "evolution": {"t_max": 0.3}}, {
+        "vacuum_decay_trotter_step.qasm":
+            "77eb795488dc92678895e3759786977d6c5cf4659787918c90f6df1197102025",
+        "vacuum_decay_gate_counts.json":
+            "017301f9719b142213ab130fb18bd534afd040a0a773d56b7febc47367bf5f1f"}),
 ])
 def test_outputs_match_golden_digest(tmp_path, command, config, digests):
     path = write_config(tmp_path, config) if isinstance(config, dict) else CONFIGS / config

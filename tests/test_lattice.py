@@ -13,7 +13,6 @@ from lgt.lattice import (
     Link,
     RegisterLayout,
     StaticLink,
-    spinor_components,
 )
 
 
@@ -170,9 +169,9 @@ def test_fermionic_modes_site_major():
 
 
 def test_spinor_components_rule():
-    assert spinor_components(1) == 2
-    assert spinor_components(2) == 2
-    assert spinor_components(3) == 4
+    # the component count of lgt.matter.clifford_rep
+    assert [RegisterLayout(LatticeSpec(d, (2,) * d), "log", 0.5).n_spinor
+            for d in (1, 2, 3)] == [2, 2, 4]
 
 
 def test_static_links_validation():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from lgt.pauli import (
     decompose_matrix,
 )
 from pauli_oracle import (
+    add_product_reference,
     commutator,
     is_hermitian,
     merge_reference,
@@ -354,13 +356,11 @@ def test_decompose_is_left_inverse_of_to_matrix(o):
            pauli_operators(n), st.integers(1, n).flatmap(
                lambda k: st.tuples(pauli_operators(k), st.integers(0, n - k))))),
        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
-def test_sum_add_product_matches_matrix_product(ops, scale):
+def test_scaled_product_on_a_subregister_matches_matrix_product(ops, scale):
     a, (b, offset) = ops
     b = b.embed(a.n_qubits, offset)
-    acc = PauliSum(a.n_qubits)
-    acc.add_product(a, b, scale)
     expect = scale * to_matrix(a) @ to_matrix(b)
-    assert np.allclose(to_matrix(acc.to_operator()), expect, atol=1e-10)
+    assert np.allclose(to_matrix(a.scale(scale) * b), expect, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -482,23 +482,29 @@ TENSOR_COEFFS = st.one_of(
     st.sampled_from([1e-7, -1e-7, float("nan"), float("inf"), -float("inf")]))
 
 
-@st.composite
-def tensor_factors(draw):
-    """Up to four factors on disjoint qubit ranges in a random order (ranges
-    may straddle a mask word), one of them possibly the identity string
-    alone, and a scale."""
-    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def disjoint_operators(draw, widths: list[int], coeffs) -> list[PauliOperator]:
+    """Operators of the given widths on disjoint qubit ranges of one
+    register, in range order (ranges may straddle a mask word)."""
     n = draw(st.sampled_from([sum(widths), 64, 65, 130]).filter(lambda m: m >= sum(widths)))
-    factors, start, slack = [], 0, n - sum(widths)
+    ops, start, slack = [], 0, n - sum(widths)
     for w in widths:
         gap = draw(st.integers(0, slack))
         start, slack = start + gap, slack - gap
-        terms = [PauliString.from_label(
-                     draw(st.text(alphabet="IXYZ", min_size=w, max_size=w)),
-                     complex(draw(TENSOR_COEFFS), draw(TENSOR_COEFFS)))
+        terms = [PauliString.from_label(draw(st.text(alphabet="IXYZ", min_size=w, max_size=w)),
+                                        draw(coeffs))
                  for _ in range(draw(st.integers(1, 4)))]
-        factors.append(PauliOperator.from_terms(w, terms).embed(n, start))
+        ops.append(PauliOperator.from_terms(w, terms).embed(n, start))
         start += w
+    return ops
+
+
+@st.composite
+def tensor_factors(draw):
+    """Up to four factors on disjoint qubit ranges in a random order, one
+    of them possibly the identity string alone, and a scale."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    factors = disjoint_operators(draw, widths, st.builds(complex, TENSOR_COEFFS, TENSOR_COEFFS))
+    n = factors[0].n_qubits
     if draw(st.booleans()):
         factors.append(PauliOperator.identity(n, complex(draw(TENSOR_COEFFS), 0.5)))
     scale = draw(st.sampled_from([1.0, -0.25, 1e6, complex(0.3, -2.0)]))
@@ -533,6 +539,39 @@ def test_tensor_product_edge_coefficients_match_the_chained_product():
     acc = PauliSum(n)
     acc.add_tensor_product([tiny, also_tiny], 1e6)
     assert acc.to_operator().n_terms == 3
+
+
+# coefficients with |c| >= 1e-6, and scale parts that are not powers of
+# two, so that scaling a factor first and scaling the product last round
+# differently
+PRODUCT_COEFFS = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)).filter(
+    lambda c: abs(c) >= 1e-6)
+SCALE_PARTS = st.floats(-2, 2).filter(
+    lambda v: abs(v) >= 1e-3 and abs(math.frexp(v)[0]) != 0.5)
+
+
+@st.composite
+def scaled_pairs(draw):
+    """Two operators on disjoint qubit ranges, either range first, and a
+    complex scale."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2))
+    a, b = draw(st.permutations(disjoint_operators(draw, widths, PRODUCT_COEFFS)))
+    return a, b, complex(draw(SCALE_PARTS), draw(SCALE_PARTS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_pairs())
+def test_tensor_product_with_a_scaled_factor_matches_the_scaled_product(case):
+    """A hopping term, the tensor product of the bilinear scaled first and
+    the link's U, has the masks and coefficient bits of the general product
+    with the scale on its first factor, which built it before."""
+    a, b, scale = case
+    got, want = PauliSum(a.n_qubits), PauliSum(a.n_qubits)
+    got.add_tensor_product([a.scale(scale), b])
+    add_product_reference(want, a, b, scale)
+    got, want = got.to_operator(), want.to_operator()
+    assert np.array_equal(got.masks, want.masks)
+    assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
 
 
 def test_tensor_product_rejects_shared_qubits():
