@@ -1,7 +1,9 @@
 """One first-order Trotter step as OpenQASM 2.0 text, written straight from
 an operator's mask words in canonical order (the order ``trotter_plan``
 applies them). No gate or ``PauliString`` objects are built: counts come
-from the mask words too.
+from the mask words too. The writer and the counts take the rows one
+``PauliOperator.blocks`` block at a time, so the Python masks and angles
+of one block are alive at once, not those of the whole operator.
 
 exp(-i dt c P) is the standard circuit: S^dag H on each Y and H on each X
 support qubit (ascending), a CNOT ladder onto the highest support qubit,
@@ -12,13 +14,11 @@ has no global phase.
 
 from __future__ import annotations
 
-import math
 from typing import TextIO
 
 import numpy as np
 
 from lgt.pauli import DROP_TOL, PauliOperator, _ints
-from lgt.resources import cnot_per_trotter_step
 
 
 def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
@@ -31,12 +31,14 @@ def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
     with rho_i basis-change gates (X 1, Y 2, Z 0), has o_i = rho_i + k -
     max(i, 1) layers on each side of it. So the RZ lands in layer
     T = 1 + max_i(level_i + o_i), and level_i becomes T + o_i."""
-    if (np.abs(op.im) > DROP_TOL).any():
+    if any((np.abs(b.im) > DROP_TOL).any() for b in op.blocks()):
         raise ValueError("exponentiation needs a hermitian (real) coefficient")
     dt = float(dt)  # a NumPy scalar would print as np.float64(...)
-    angles = [2.0 * (dt * c) for c in op.re.tolist()]
-    if not all(math.isfinite(a) for a, k in zip(angles, op.supports.tolist()) if k):
-        raise ValueError(f"an RZ angle of the step dt = {dt!r} is not finite")
+    # the angles as written below, checked on every string but the identity
+    with np.errstate(over="ignore", invalid="ignore"):
+        if any((~np.isfinite(2.0 * (dt * b.re)) & (b.supports > 0)).any()
+               for b in op.blocks()):
+            raise ValueError(f"an RZ angle of the step dt = {dt!r} is not finite")
     n = op.n_qubits
     h = [f"h q[{q}];\n" for q in range(n)]
     # the basis change of a qubit with rho = 1 (X) or 2 (Y), and its undoing
@@ -44,7 +46,7 @@ def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
     out_of = (None, h, [f"{h[q]}s q[{q}];\n" for q in range(n)])
     fh.write(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n')
     level = [0] * n
-    for x, z, angle in zip(_ints(op.x), _ints(op.z), angles):
+    for x, z, angle in _strings(op, dt):
         supp, rho = [], []
         mask, y = x | z, x & z
         while mask:
@@ -67,11 +69,25 @@ def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
     return max(level, default=0)
 
 
+def _strings(op: PauliOperator, dt: float):
+    """(x, z, RZ angle) of each string as Python values, one block of rows
+    converted at a time."""
+    for b in op.blocks():
+        yield from zip(_ints(b.x), _ints(b.z), [2.0 * (dt * c) for c in b.re.tolist()])
+
+
 def step_gate_counts(op: PauliOperator) -> dict[str, int]:
     """Gates of each name in ``write_trotter_step``'s circuit, names with no
-    gate left out."""
-    n_y = int(np.bitwise_count(op.x & op.z).sum())
-    counts = {"h": 2 * int(np.bitwise_count(op.x).sum()), "s": n_y, "sdg": n_y,
-              "cx": cnot_per_trotter_step(op),
-              "rz": int(np.count_nonzero(op.supports))}
+    gate left out, counted in one pass over the row blocks: 2 H per X or
+    Y letter, S and S^dag per Y letter, 2 (support - 1) CNOTs and one RZ
+    per non-identity string."""
+    n_x = n_y = n_letters = n_rz = 0
+    for b in op.blocks():
+        supports = b.supports
+        n_x += int(np.bitwise_count(b.x).sum())
+        n_y += int(np.bitwise_count(b.x & b.z).sum())
+        n_letters += int(supports.sum())
+        n_rz += int(np.count_nonzero(supports))
+    counts = {"h": 2 * n_x, "s": n_y, "sdg": n_y, "cx": 2 * (n_letters - n_rz),
+              "rz": n_rz}
     return {name: c for name, c in counts.items() if c}

@@ -424,22 +424,22 @@ def validate_config(cfg: dict) -> ScenarioConfig:
 
 
 def build_layout(sc: ScenarioConfig) -> RegisterLayout:
+    """The register layout; ConfigError at ``$.spin`` if a log-encoded link
+    is too large to build, before any matrix is allocated."""
     if sc.spec is None:
         raise ConfigError("$.scenario", f"{sc.scenario!r} is a set of tables "
                                         "for `lgt resources`, not a lattice")
-    return RegisterLayout(sc.spec, sc.encoding, sc.spin)
-
-
-def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
-    """The assembled Hamiltonian; ConfigError at ``$.spin`` if a log-encoded
-    link is too large to build, before any matrix is allocated, and at
-    ``$.model`` if a coupling sum overflows to a coefficient that is not
-    finite."""
     if sc.encoding == "log":
         try:
             check_log_link(sc.spin)
         except ValueError as exc:
             raise ConfigError("$.spin", str(exc)) from exc
+    return RegisterLayout(sc.spec, sc.encoding, sc.spin)
+
+
+def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
+    """The assembled Hamiltonian; ConfigError at ``$.model`` if a coupling
+    sum overflows to a coefficient that is not finite."""
     h = assemble(lay, sc.params, sc.mapping)
     if not np.isfinite(h.total.coeffs).all():
         raise ConfigError("$.model", "the couplings give a Hamiltonian "
@@ -570,6 +570,11 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     if lay.n_total > MAX_QUBITS:
         raise ResourceLimitError(
             f"{lay.n_total} qubits exceeds the simulable limit ({MAX_QUBITS})")
+    mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
+    params = sc.params
+    # a bad initial state is a config error before anything is assembled
+    # or any output directory is made
+    i0 = initial_index(sc.initial, lay, mapping, params)
     h = build_hamiltonian(sc, lay)
     evo = sc.evolution
     t_max = evo["t_max"]
@@ -582,9 +587,6 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         _check_step(h.total, max(evo["dt"]), "$.evolution.dt")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
-    params = sc.params
-    i0 = initial_index(sc.initial, lay, mapping, params)
     coset = Coset.reachable(h.total, i0)
     s0 = coset.basis_state(i0)
     configs = ConfigKeys(lay, mapping, params, coset)

@@ -37,6 +37,8 @@ from lgt.pauli import (
 
 def check_spin(spin: float) -> int:
     """Validate a positive half-integer spin; returns d_S."""
+    if not math.isfinite(2 * spin):  # also a finite spin past half the float range
+        raise ValueError(f"spin must be a finite half-integer, got {spin}")
     two_s = round(2 * spin)
     if abs(2 * spin - two_s) > 1e-12 or two_s < 1:
         raise ValueError(f"spin must be a positive half-integer, got {spin}")

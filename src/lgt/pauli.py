@@ -13,6 +13,9 @@ qubit q is bit q % 64 of word q // 64 (so the words' little-endian byte
 view has qubits 8b..8b+7 in byte b), and the coefficients as real and
 imaginary float parts. ``PauliString`` objects, with Python-int masks,
 exist only at ``PauliOperator.terms``, built when a caller asks for them.
+A pass that counts or writes an operator's strings (``supports``, the CNOT
+and gate counts, the QASM writer) takes the rows in ``blocks`` of
+``_ORDER_BLOCK``, so it holds one block's temporaries beside the operator.
 
 Products are exact: the phase of P(x1,z1) P(x2,z2) = i^k P(x1^x2, z1^z2)
 is the symplectic rule of Aaronson & Gottesman (quant-ph/0406196),
@@ -129,8 +132,12 @@ def _shift(masks: np.ndarray, offset: int, n_words: int) -> np.ndarray:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per mask, summed over the last (word) axis."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    """Set bits per mask, summed over the last (word) axis one word at a
+    time into int64, which holds any qubit count."""
+    count = np.bitwise_count(words[..., 0]).astype(np.int64)
+    for j in range(1, words.shape[-1]):
+        count += np.bitwise_count(words[..., j])
+    return count
 
 
 def _cmul(ar, ai, br, bi):
@@ -162,8 +169,9 @@ def _order_table() -> np.ndarray:
 
 
 _ORDER = _order_table()
-# Rows per pass of a merge: bounds the temporaries of the key lookup and
-# of the duplicate flags, and the small chunks joined into one block.
+# Rows per pass over an operator's rows: bounds the temporaries of a
+# merge's key lookup and duplicate flags, the small chunks a merge joins
+# into one block, and what a count or a written circuit holds at a time.
 _ORDER_BLOCK = 4096
 
 
@@ -467,8 +475,21 @@ class PauliOperator:
 
     @property
     def supports(self) -> np.ndarray:
-        """Number of non-identity axes of each term."""
-        return _popcount(self.x | self.z)
+        """Number of non-identity axes of each term (int64), counted one
+        row block at a time."""
+        count = np.empty(self.n_terms, dtype=np.int64)
+        for lo in range(0, self.n_terms, _ORDER_BLOCK):
+            rows = slice(lo, lo + _ORDER_BLOCK)
+            count[rows] = _popcount(self.x[rows] | self.z[rows])
+        return count
+
+    def blocks(self) -> Iterator["PauliOperator"]:
+        """The rows in consecutive blocks of ``_ORDER_BLOCK``, each an
+        operator on views of this one's arrays: a pass that counts or
+        writes the strings holds one block's temporaries at a time."""
+        for lo in range(0, self.n_terms, _ORDER_BLOCK):
+            rows = slice(lo, lo + _ORDER_BLOCK)
+            yield PauliOperator(self.n_qubits, self.masks[rows], self.coeffs[rows])
 
     def __iter__(self) -> Iterator[PauliString]:
         return iter(self.terms)

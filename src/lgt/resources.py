@@ -27,9 +27,14 @@ CLOSED_FORM_D_S = 1 << 10  # log links with larger d_S are counted by closed for
 
 
 def cnot_per_trotter_step(op: PauliOperator) -> int:
-    """2 sum_P (support(P) - 1); identity strings cost nothing."""
-    supports = op.supports
-    return 2 * int((supports[supports > 0] - 1).sum())
+    """2 sum_P (support(P) - 1); identity strings cost nothing. Counted
+    as 2 (sum of supports - non-identity strings), one row block at a
+    time."""
+    total = 0
+    for block in op.blocks():
+        supports = block.supports
+        total += int(supports.sum()) - int(np.count_nonzero(supports))
+    return 2 * total
 
 
 def plaquette_pauli_formula(n_real: int, n_imag: int, n_mixed: int) -> int:

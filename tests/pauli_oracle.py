@@ -10,8 +10,11 @@ energy on an exact-evolution span, the readout by label dictionaries that
 the keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced, the merge
 of concatenated chunks that ``PauliSum``'s in-place scatter replaced, the
 plaquette term as a chain of operator products that the tensor products of
-``lgt.hamiltonian.build_plaquette`` replaced, and the scaled general
-product that the tensor products of ``build_hopp_wilson`` replaced.
+``lgt.hamiltonian.build_plaquette`` replaced, the scaled general
+product that the tensor products of ``build_hopp_wilson`` replaced, and the
+whole-array support, CNOT and gate counts that the row-block passes of
+``PauliOperator.supports``, ``lgt.resources.cnot_per_trotter_step`` and
+``lgt.circuits.step_gate_counts`` replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
@@ -48,7 +51,6 @@ from lgt.pauli import (
     _cmul,
     _key_width,
     _n_words,
-    _popcount,
     _quiet,
     _sort_keys,
     index_masks,
@@ -286,6 +288,33 @@ def product_reference(a: PauliOperator, b: PauliOperator) -> dict:
     return {key: c for key, c in data.items() if not abs(c) < DROP_TOL}
 
 
+def popcount_reference(words: np.ndarray) -> np.ndarray:
+    """Set bits per mask, summed over the last (word) axis."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def supports_reference(op: PauliOperator) -> np.ndarray:
+    """Number of non-identity axes of each term, from the whole x | z
+    array."""
+    return popcount_reference(op.x | op.z)
+
+
+def cnot_per_trotter_step_reference(op: PauliOperator) -> int:
+    """2 sum_P (support(P) - 1); identity strings cost nothing."""
+    supports = supports_reference(op)
+    return 2 * int((supports[supports > 0] - 1).sum())
+
+
+def step_gate_counts_reference(op: PauliOperator) -> dict[str, int]:
+    """Gates of each name in the written Trotter step, names with no gate
+    left out, each count over the whole mask arrays."""
+    n_y = int(np.bitwise_count(op.x & op.z).sum())
+    counts = {"h": 2 * int(np.bitwise_count(op.x).sum()), "s": n_y, "sdg": n_y,
+              "cx": cnot_per_trotter_step_reference(op),
+              "rz": int(np.count_nonzero(supports_reference(op)))}
+    return {name: c for name, c in counts.items() if c}
+
+
 def add_product_reference(acc: PauliSum, a: PauliOperator, b: PauliOperator,
                           scale: complex = 1.0) -> None:
     """Add scale * a * b to ``acc``, a-term by a-term, b-term by b-term, the
@@ -296,9 +325,9 @@ def add_product_reference(acc: PauliSum, a: PauliOperator, b: PauliOperator,
     w = _n_words(acc.n)
     bm, bx, bz = b.masks, b.x, b.z
     masks = a.masks[:, None] ^ bm
-    k = (_popcount(a.x & a.z)[:, None] + _popcount(bx & bz)
-         - _popcount(masks[..., :w] & masks[..., w:])
-         + 2 * _popcount(a.z[:, None] & bx)) & 3
+    k = (popcount_reference(a.x & a.z)[:, None] + popcount_reference(bx & bz)
+         - popcount_reference(masks[..., :w] & masks[..., w:])
+         + 2 * popcount_reference(a.z[:, None] & bx)) & 3
     with _quiet():
         ar, ai = a.re, a.im
         if scale != 1:

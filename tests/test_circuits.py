@@ -2,6 +2,7 @@
 gate counts, depth, unitaries and the QASM reader."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from lgt.circuits import step_gate_counts, write_trotter_step
 from lgt.dynamics import StateVector, trotter_plan
 from lgt.hamiltonian import ModelParams, assemble
 from lgt.lattice import LatticeSpec, RegisterLayout
-from lgt.pauli import PauliOperator, PauliString
+from lgt.pauli import PauliOperator, PauliString, _masks, _n_words
 from circuit_oracle import (
     circuit_unitary,
     gate_counts,
@@ -21,7 +22,13 @@ from circuit_oracle import (
     schedule_depth,
     step_gates,
 )
-from pauli_oracle import apply_pauli_exp, to_matrix
+from pauli_oracle import (
+    apply_pauli_exp,
+    cnot_per_trotter_step_reference,
+    step_gate_counts_reference,
+    supports_reference,
+    to_matrix,
+)
 from lgt.resources import cnot_per_trotter_step
 
 
@@ -229,3 +236,129 @@ class TestGateValidation:
         for line in ("h q[2];", "cx q[0],q[2];"):
             with pytest.raises(ValueError, match="outside register"):
                 parse_qasm(f"qreg q[2];\n{line}")
+
+
+# -- passes over row blocks ----------------------------------------------------
+
+
+class Stop(Exception):
+    pass
+
+
+class ByteCount:
+    """A text sink that keeps only the number of characters written; with
+    ``stop_after``, it raises ``Stop`` at the write after that many."""
+
+    def __init__(self, stop_after: int | None = None):
+        self.n = self.writes = 0
+        self.stop_after = stop_after
+
+    def write(self, text: str) -> None:
+        if self.writes == self.stop_after:
+            raise Stop
+        self.writes += 1
+        self.n += len(text)
+
+
+def tiled(n: int, rows: int, strings: list[tuple[int, int]],
+          coeffs: np.ndarray | None = None) -> PauliOperator:
+    """``rows`` strings on ``n`` qubits, the (x, z) masks of ``strings``
+    repeated; coefficient 1 unless given. The rows need not be canonical
+    for the counts and the writer."""
+    xs, zs = zip(*strings)
+    reps = -(-rows // len(strings))
+    masks = np.tile(_masks(xs, zs, _n_words(n)), (reps, 1))[:rows]
+    if coeffs is None:
+        coeffs = np.stack([np.ones(rows), np.zeros(rows)], axis=1)
+    return PauliOperator(n, masks, coeffs)
+
+
+# widths around the word edges and past the 255 that uint8 counts hold;
+# row counts around one block of 4,096
+@st.composite
+def tiled_operators(draw):
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 128, 130, 300]))
+    rows = draw(st.sampled_from([0, 1, 4095, 4096, 4097]))
+    mask = st.integers(0, (1 << n) - 1)
+    strings = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6))
+    # an identity string somewhere in every tile
+    strings.insert(draw(st.integers(0, len(strings))), (0, 0))
+    return tiled(n, rows, strings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiled_operators())
+def test_block_counts_match_whole_array_references(op):
+    supports = op.supports
+    assert supports.dtype == np.int64
+    assert np.array_equal(supports, supports_reference(op))
+    assert cnot_per_trotter_step(op) == cnot_per_trotter_step_reference(op)
+    assert step_gate_counts(op) == step_gate_counts_reference(op)
+
+
+def test_130_qubit_writer_checks_every_block_before_writing():
+    # 4,097 strings: the last one, alone in its block, has the coefficient
+    # whose angle overflows (1e300 x 1e10) or an imaginary part
+    strings = [(0b1011 << 120, 0b110 << 120), (1 << 129, 1 << 129), (0, 1 | 1 << 64)]
+
+    def last_row(c: complex) -> np.ndarray:
+        coeffs = np.stack([np.ones(4097), np.zeros(4097)], axis=1)
+        coeffs[-1] = c.real, c.imag
+        return coeffs
+
+    for last, error in ((1e10, "not finite"), (1 + 1e-11j, "real")):
+        sink = ByteCount()
+        with pytest.raises(ValueError, match=error):
+            write_trotter_step(tiled(130, 4097, strings, last_row(last)), 1e300, sink)
+        assert sink.n == 0
+    # on the identity string the same coefficient writes no rotation
+    sink = ByteCount()
+    op = tiled(130, 4097, [(0, 0)] + strings, last_row(1e10))
+    assert write_trotter_step(op, 1e300, sink) > 0
+    assert sink.n > 0
+
+
+@pytest.fixture(scope="module")
+def total_3x3():
+    """The open 3x3 S=1 Hamiltonian with the Gauss penalty: 64,178 strings
+    on 42 qubits, 2.05 MB of arrays."""
+    lay = RegisterLayout(LatticeSpec(2, (3, 3), "open"), "log", 1.0)
+    op = assemble(lay, ModelParams(m=0.4, e=2.0, lam=20.0)).total
+    assert op.n_terms == 64178
+    return op
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak of ``fn()`` above its start, less the bytes of an
+    array it returns: what the pass holds beside its operator and result."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start - (out.nbytes if isinstance(out, np.ndarray) else 0)
+
+
+@pytest.mark.parametrize("count", [
+    lambda op: op.supports, cnot_per_trotter_step, step_gate_counts],
+    ids=["supports", "cnot", "gates"])
+def test_counts_hold_one_block_at_a_time(total_3x3, count):
+    # whole-array counts held 1.1 MB here
+    assert traced_peak(lambda: count(total_3x3)) <= 256 * 1024
+
+
+def test_writer_holds_one_block_at_a_time(total_3x3):
+    # A writer with every string's Python masks and angles held 7.6 MB
+    # here, all of it before the first string. Under tracemalloc the whole
+    # step takes about 20 s, so the sink stops the writer early in the
+    # third block (the header is one write, an identity string none).
+    sink = ByteCount(stop_after=2 * 4096 + 1)
+
+    def third_block():
+        with pytest.raises(Stop):
+            write_trotter_step(total_3x3, 0.05, sink)
+
+    assert traced_peak(third_block) <= 2**20
+    assert sink.n > 0

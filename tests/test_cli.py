@@ -87,6 +87,23 @@ def test_off_sector_run_exits_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("initial_state", [
+    "bare_vacum",
+    {"sites": ["o", "o"], "link_fluxes": [0, 0, 0]},
+    {"sites": ["o", "p", "o"], "link_fluxes": [0, 0, 0]}],
+    ids=["label_typo", "two_of_three_sites", "off_sector"])
+def test_bad_initial_state_exits_2_before_assembly(tmp_path, capsys, monkeypatch,
+                                                   initial_state):
+    def no_assembly(*args):
+        raise AssertionError("Hamiltonian assembled")
+
+    monkeypatch.setattr("lgt.cli.assemble", no_assembly)
+    assert run_cli(tmp_path, {"scenario": "vacuum_decay",
+                              "initial_state": initial_state}) == 2
+    assert "at $.initial_state" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def modules_after(code: str, prefix: str = "scipy") -> str:
     """The modules named ``prefix``... loaded once ``code`` has run in a
     fresh interpreter that sees only the source tree."""

@@ -66,6 +66,12 @@ class TestSpinMatrices:
         with pytest.raises(ValueError):
             check_spin(0.3)
 
+    @pytest.mark.parametrize("spin", [8.98846567431158e307, float("inf"), float("nan")])
+    def test_spin_without_a_finite_2s(self, spin):
+        # 2 S of the first, a finite float, overflows to inf
+        with pytest.raises(ValueError, match="finite"):
+            check_spin(spin)
+
 
 class TestLogEncoding:
     def test_spin1_sx_appendix_decomposition(self):
