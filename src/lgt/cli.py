@@ -7,8 +7,10 @@ Commands::
     lgt resources <config.json>  resource tables -> CSV
     lgt qasm <config.json>       one Trotter-step circuit -> OpenQASM + counts
 
-Exit codes: 0 ok, 2 config error (an unknown key too), 3 resource limit
-(``run`` only: the statevector holds at most ``MAX_QUBITS`` qubits). Model
+Exit codes: 0 ok, 2 config error (an unknown key too; for ``qasm`` also
+a Hamiltonian predicted past ``ENUMERATION_LIMIT`` strings), 3 resource
+limit (``run`` only: the statevector holds at most ``MAX_QUBITS``
+qubits). Model
 couplings are interpreted in lattice units (the Hamiltonian is built with
 spacing 1; the nominal physical spacing `model.a` is validated and written
 to the metadata as `a_nominal`).
@@ -77,8 +79,10 @@ from lgt.matter import MAPPING_NAMES, fermion_mapping
 from lgt.pauli import PauliOperator
 from lgt.resources import (
     CLOSED_FORM_D_S,
+    ENUMERATION_LIMIT,
     cnot_per_trotter_step,
     link_resource_counts,
+    predict_pauli_counts,
     rows_to_csv,
     scaling_table,
 )
@@ -382,6 +386,12 @@ def validate_config(cfg: dict) -> ScenarioConfig:
     if encoding not in ("log", "linear"):
         raise ConfigError("$.gauge_encoding", "one of ('log', 'linear') required")
     spin = _spin(_require(cfg, "spin", (int, float), "$"), "$.spin")
+    # (Sz + theta)^2 holds entries up to (S + |theta|)^2, and a log link's
+    # decomposition sums two of them
+    for t in params.theta:
+        if not math.isfinite(2 * (spin + abs(t)) * (spin + abs(t))):
+            raise ConfigError("$.theta", f"2 (S + |theta|)^2 must be finite, got "
+                                         f"theta = {t!r} at S = {spin:g}")
 
     evo = _known(_optional(cfg, "evolution", dict, "$", {}), "method dt t_max sample_dt",
                  "$.evolution")
@@ -440,11 +450,10 @@ def build_layout(sc: ScenarioConfig) -> RegisterLayout:
 def build_hamiltonian(sc: ScenarioConfig, lay: RegisterLayout) -> HamiltonianTerms:
     """The assembled Hamiltonian; ConfigError at ``$.model`` if a coupling
     sum overflows to a coefficient that is not finite."""
-    h = assemble(lay, sc.params, sc.mapping)
-    if not np.isfinite(h.total.coeffs).all():
-        raise ConfigError("$.model", "the couplings give a Hamiltonian "
-                                     "coefficient that is not finite")
-    return h
+    try:
+        return assemble(lay, sc.params, sc.mapping)
+    except OverflowError as exc:
+        raise ConfigError("$.model", str(exc)) from exc
 
 
 def _check_step(op: PauliOperator, dt: float, path: str) -> None:
@@ -683,11 +692,8 @@ def _qubit_csv(lattices, spins) -> str:
 
 
 def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
-    if sc.scenario != "resource_report" and sc.encoding == "log":
-        _check_countable(sc.spin, "$.spin")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    """Write the tables; every check, the assembly's too, runs before the
+    output directory is made."""
     if sc.scenario == "resource_report":
         tables = sc.raw["qubit_tables"]
         files = {
@@ -697,15 +703,21 @@ def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             f"{sc.output_prefix}_qubits_3d.csv":
                 _qubit_csv(tables["3d"], tables["spins"]),
         }
-        for name, text in files.items():
-            path = out / name
-            path.write_text(text)
-            written.append(path)
-        return written
-    rows = scaling_table(sc.spec, sc.spin, sc.encoding, sc.params)
-    path = out / f"{sc.output_prefix}_resources.csv"
-    path.write_text(rows_to_csv(rows))
-    written.append(path)
+    else:
+        if sc.encoding == "log":
+            _check_countable(sc.spin, "$.spin")
+        try:
+            rows = scaling_table(sc.spec, sc.spin, sc.encoding, sc.params)
+        except OverflowError as exc:  # from assemble, as in build_hamiltonian
+            raise ConfigError("$.model", str(exc)) from exc
+        files = {f"{sc.output_prefix}_resources.csv": rows_to_csv(rows)}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text)
+        written.append(path)
     return written
 
 
@@ -718,6 +730,13 @@ def run_qasm(sc: ScenarioConfig, out_dir: str | Path, dt: float | None) -> list[
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ConfigError("--dt", f"must be a finite time step > 0, got {dt!r}")
     lay = build_layout(sc)
+    if sc.encoding == "log":
+        _check_countable(sc.spin, "$.spin")
+    pred = predict_pauli_counts(sc.spec, sc.spin, sc.encoding, r=sc.params.r)
+    if not pred.assembles:
+        raise ConfigError("$.lattice", f"{pred.total:,} Pauli strings predicted at "
+                          f"S = {sc.spin:g}, over the {ENUMERATION_LIMIT:,} a "
+                          "circuit is assembled for")
     h = build_hamiltonian(sc, lay)
     step = dt if dt is not None else sc.evolution["dt"][0]
     _check_step(h.total, step, "--dt" if dt is not None else "$.evolution.dt")

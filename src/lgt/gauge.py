@@ -7,7 +7,7 @@ flux states |m>, m = S .. -S. Two encodings are provided:
   operators are embedded with an identity block on the unused states and
   Pauli-decomposed.
 * linear: one-hot on d_S qubits, |m> marks qubit m + S of the register;
-  operators are built from sigma+- pairs.
+  S+ is a sum of tensor products sigma+ (x) sigma- on neighbouring qubits.
 
 ``flux_state_index`` and ``register_flux`` convert between a flux and its
 register value; ``lgt.lattice.RegisterLayout`` states where the register
@@ -30,6 +30,7 @@ from lgt.pauli import (
     ORACLE_LIMIT,
     PauliOperator,
     PauliString,
+    PauliSum,
     _index_mask,
     decompose_matrix,
 )
@@ -132,7 +133,8 @@ def _one_hot_qubit(spin: float, m: float) -> int:
 
 
 def encode_lin(spin: float, which: str) -> PauliOperator:
-    """One-hot encoded spin operator; ``which`` is one of x, y, z, plus."""
+    """One-hot encoded Sz (``which`` "z") or S+ ("plus"): one accumulator of
+    the ladder steps amp * sigma+ (x) sigma-, each a tensor product."""
     d_s = check_spin(spin)
     n = d_s
     if which == "z":
@@ -146,21 +148,15 @@ def encode_lin(spin: float, which: str) -> PauliOperator:
             terms.append(PauliString(n, 0, 0, 0.5 * m))
             terms.append(PauliString(n, 0, 1 << q, -0.5 * m))
         return PauliOperator.from_terms(n, terms)
-    if which in ("plus", "x", "y"):
-        splus = PauliOperator.zero(n)
-        two_s = d_s - 1
-        for step in range(two_s):
+    if which == "plus":
+        acc = PauliSum(n)
+        for step in range(d_s - 1):
             m = -spin + step
             amp = math.sqrt(spin * (spin + 1) - m * (m + 1))
-            q_from = _one_hot_qubit(spin, m)
-            moved = _sigma_pm(n, q_from + 1, "+") * _sigma_pm(n, q_from, "-")
-            splus = splus + amp * moved
-        if which == "plus":
-            return splus
-        sminus = splus.dagger()
-        if which == "x":
-            return 0.5 * (splus + sminus)
-        return (-0.5j) * (splus - sminus)
+            q = _one_hot_qubit(spin, m)
+            acc.add_tensor_product([_sigma_pm(n, q + 1, "+"), _sigma_pm(n, q, "-")],
+                                   scale=amp)
+        return acc.to_operator()
     raise ValueError(f"unknown spin operator {which!r}")
 
 

@@ -29,6 +29,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from lgt.gauge import EncodedLink, qlm_link
 from lgt.lattice import Link, RegisterLayout, Site
 from lgt.matter import FermionMapping, clifford_rep, fermion_mapping, gamma_mix
@@ -131,8 +133,8 @@ def build_electric(layout: RegisterLayout, params: ModelParams) -> PauliOperator
     acc = PauliSum(layout.n_total)
     half_e2 = params.e ** 2 / 2.0
     for link, enc in _encoded_links(layout, params).items():
-        acc.add_operator(enc.e_sq.embed(layout.n_total, layout.gauge_offset(link)),
-                         scale=half_e2)
+        acc.add_operator(enc.e_sq.embed(layout.n_total, layout.gauge_offset(link))
+                         .scale(half_e2))
     for sl in layout.spec.static_links:
         acc.add_string(0, 0, half_e2 * sl.flux ** 2)
     return acc.to_operator()
@@ -184,11 +186,11 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
         acc = PauliSum(n)
         for link, sign in spec.gauss_fluxes(site):
             if isinstance(link, Link):
-                acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link)),
-                                 scale=sign * e)
+                acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link))
+                                 .scale(sign * e))
             else:
                 acc.add_string(0, 0, sign * e * link)
-        acc.add_operator(site_psidagpsi(layout, mapping, site), scale=e)
+        acc.add_operator(site_psidagpsi(layout, mapping, site).scale(e))
         acc.add_string(0, 0, -e * layout.n_spinor / 2.0)
         g_ops.append(acc.to_operator())
 
@@ -200,7 +202,8 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
 
 def assemble(layout: RegisterLayout, params: ModelParams,
              mapping_name: str = "jw") -> HamiltonianTerms:
-    """Build all Hamiltonian terms and the simplified total."""
+    """Build all Hamiltonian terms and the simplified total; OverflowError
+    if the couplings overflow to a total coefficient that is not finite."""
     mapping = fermion_mapping(mapping_name, layout.n_fermionic)
     mass = build_mass(layout, params, mapping)
     hopp = build_hopp_wilson(layout, params, mapping)
@@ -211,6 +214,9 @@ def assemble(layout: RegisterLayout, params: ModelParams,
     for op in (mass, hopp, elec, plaq):
         acc.add_operator(op)
     if params.lam:
-        acc.add_operator(gauss, scale=params.lam)
+        acc.add_operator(gauss.scale(params.lam))
     total = acc.to_operator()
+    if not np.isfinite(total.coeffs).all():
+        raise OverflowError("the couplings give a Hamiltonian coefficient that is "
+                            "not finite")
     return HamiltonianTerms(mass, hopp, elec, plaq, gauss, g_ops, total)

@@ -30,8 +30,11 @@ summed in insertion order, and coefficients below ``DROP_TOL``, the one
 tolerance of the algebra, are dropped (NaN is kept, so an overflow stays
 visible). ``PauliOperator.__mul__`` multiplies operators whose supports may
 overlap. Factors on disjoint qubits (a hopping term's bilinear and U, a
-plaquette's links) give no duplicate string, so ``add_tensor_product``
-lays out their product in one broadcast, with nothing sorted or merged.
+plaquette's links, a one-hot S+ step's sigma+ and sigma-) give no
+duplicate string, so ``add_tensor_product`` lays out their product in one
+broadcast, with nothing sorted or merged. An operator is scaled by
+``PauliOperator.scale``; only ``add_tensor_product`` takes a scale, which
+it applies to the product last.
 Coefficient arithmetic does not warn on overflow: the caller decides
 whether a non-finite coefficient is an error. A merge holds the result,
 one sort-key array (2 bytes per mask byte of a row) and index arrays of 8
@@ -234,7 +237,8 @@ class ClassifyCounts(NamedTuple):
 
 class PauliSum:
     """Accumulator of weighted Pauli strings, kept as array chunks in
-    insertion order until they are merged.
+    insertion order until they are merged. ``add_operator`` adds an
+    operator's rows as they are (scale it first with ``.scale``).
 
     ``to_operator`` sums duplicate strings in insertion order, drops
     coefficients with |c| < ``DROP_TOL`` and sorts the rest into the
@@ -268,15 +272,10 @@ class PauliSum:
     def add_string(self, x: int, z: int, c: complex) -> None:
         self.add_strings([x], [z], [c])
 
-    def add_operator(self, op: "PauliOperator", scale: complex = 1.0) -> None:
+    def add_operator(self, op: "PauliOperator") -> None:
         if op.n_qubits != self.n:
             raise ValueError("qubit-count mismatch in operator sum")
-        coeffs = op.coeffs
-        if scale != 1:
-            scale = complex(scale)
-            with _quiet():
-                coeffs = np.stack(_cmul(scale.real, scale.imag, op.re, op.im), axis=1)
-        self._append(op.masks, coeffs)
+        self._append(op.masks, op.coeffs)
 
     def add_tensor_product(self, factors: Iterable["PauliOperator"],
                            scale: complex = 1.0) -> None:
@@ -284,8 +283,8 @@ class PauliSum:
         qubits; ValueError if two supports overlap.
 
         The coefficients are those of the chained product
-        ``identity(n) * f_1 * ... * f_k`` added with ``add_operator(...,
-        scale)``, bit for bit: factor by factor in the given order (complex
+        ``identity(n) * f_1 * ... * f_k``, scaled by ``.scale(scale)`` and
+        added with ``add_operator``, bit for bit: factor by factor in the given order (complex
         products do not associate in floating point), each partial product
         merged as ``to_operator`` merges it (+ 0.0, then terms below
         ``DROP_TOL`` dropped), the scale last. Disjoint strings commute

@@ -130,6 +130,12 @@ class PauliCountPrediction:
     def total(self) -> int:
         return self.mass + self.hopping + self.electric + self.plaquette
 
+    @property
+    def assembles(self) -> bool:
+        """Few enough strings, at most ``ENUMERATION_LIMIT``, for a command
+        to assemble the Hamiltonian."""
+        return self.total <= ENUMERATION_LIMIT
+
 
 def predict_pauli_counts(spec: LatticeSpec, spin: float, encoding: str,
                          r: float = 1.0) -> PauliCountPrediction:
@@ -172,14 +178,15 @@ CSV_HEADER = ("term,S,encoding,n_pauli_exact,n_pauli_formula,n_cnot,"
 def scaling_table(spec: LatticeSpec, spin: float, encoding: str,
                   params) -> list[ResourceRow]:
     """Per-term resource rows of one (spin, encoding) pair; the exact
-    columns are filled by construction when feasible."""
+    columns are filled by construction when feasible (OverflowError
+    from ``assemble`` if the couplings overflow)."""
     from lgt.hamiltonian import assemble
 
     lay = RegisterLayout(spec, encoding, spin)
     pred = predict_pauli_counts(spec, spin, encoding, r=params.r)
     ferm, gauge = lay.n_fermionic, lay.n_gauge
     built = {}
-    if pred.total <= ENUMERATION_LIMIT and check_spin(spin) <= 1 << 6:
+    if pred.assembles and check_spin(spin) <= 1 << 6:
         h = assemble(lay, params)
         built = {"mass": h.mass, "hopping": h.hopp_wilson, "electric": h.elec,
                  "plaquette": h.plaq, "total": h.total}

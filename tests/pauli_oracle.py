@@ -11,7 +11,9 @@ the keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced, the merge
 of concatenated chunks that ``PauliSum``'s in-place scatter replaced, the
 plaquette term as a chain of operator products that the tensor products of
 ``lgt.hamiltonian.build_plaquette`` replaced, the scaled general
-product that the tensor products of ``build_hopp_wilson`` replaced, and the
+product that the tensor products of ``build_hopp_wilson`` replaced, the
+one-hot S+ as a chain of operator sums that the tensor products of
+``lgt.gauge.encode_lin`` replaced, and the
 whole-array support, CNOT and gate counts that the row-block passes of
 ``PauliOperator.supports``, ``lgt.resources.cnot_per_trotter_step`` and
 ``lgt.circuits.step_gate_counts`` replaced.
@@ -36,7 +38,7 @@ from lgt.dynamics import (
     basis_config_label,
     decode_basis,
 )
-from lgt.gauge import check_spin, encode_log, spin_matrices
+from lgt.gauge import _one_hot_qubit, _sigma_pm, check_spin, encode_log, spin_matrices
 from lgt.hamiltonian import ModelParams, _encoded_links
 from lgt.lattice import RegisterLayout
 from lgt.matter import FermionMapping
@@ -267,6 +269,22 @@ def spin_pauli_counts(spin: float, encoding: str) -> SpinPauliCounts:
     )
 
 
+def one_hot_splus_reference(spin: float) -> PauliOperator:
+    """One-hot S+ as a chain: each ladder step's sigma+ sigma- product
+    merged on its own, scaled, and added to the whole growing sum."""
+    d_s = check_spin(spin)
+    n = d_s
+    splus = PauliOperator.zero(n)
+    two_s = d_s - 1
+    for step in range(two_s):
+        m = -spin + step
+        amp = math.sqrt(spin * (spin + 1) - m * (m + 1))
+        q_from = _one_hot_qubit(spin, m)
+        moved = _sigma_pm(n, q_from + 1, "+") * _sigma_pm(n, q_from, "-")
+        splus = splus + amp * moved
+    return splus
+
+
 def _phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
     """Exponent k (mod 4) such that P(x1,z1) P(x2,z2) = i^k P(x1^x2, z1^z2)."""
     k = (x1 & z1).bit_count() + (x2 & z2).bit_count()
@@ -378,7 +396,7 @@ def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> Pa
             enc = links[link]
             op = enc.u_dag if dagger else enc.u
             prod = prod * op.embed(n, layout.gauge_offset(link))
-        acc.add_operator(prod, scale=-1.0 / (4.0 * params.e ** 2))
+        acc.add_operator(prod.scale(-1.0 / (4.0 * params.e ** 2)))
     acc.hermitize()
     return acc.to_operator()
 

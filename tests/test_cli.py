@@ -618,6 +618,66 @@ def test_overflowing_trotter_angle_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# open 2x2 S=1 lattice with a theta along x
+THETA_2X2 = {"lattice": {"d": 2, "extents": [2, 2], "boundary": "open"},
+             "model": {"m": 0.5}, "spin": 1.0}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("qasm", {"scenario": "vacuum_decay", "theta": [1e160]}),
+    # the initial fluxes equal theta, so the flux states are m = 0
+    ("run", {"scenario": "vacuum_decay", "theta": [1e160],
+             "initial_state": {"sites": ["o", "o", "o"],
+                               "link_fluxes": [1e160, 1e160, 1e160]}}),
+    ("resources", THETA_2X2 | {"theta": [1e200, 0.0]}),
+    # 2 (1 + 1e154)^2 overflows, (1 + 1e154)^2 does not
+    ("qasm", {"scenario": "vacuum_decay", "theta": [-1e154]}),
+], ids=["qasm", "run", "resources", "qasm_first_overflow"])
+def test_huge_theta_exits_2(tmp_path, capsys, command, cfg):
+    # (Sz + theta)^2 overflowed in the decomposition with NumPy warnings
+    # (errors in tests), and `lgt resources` wrote its table
+    config = write_config(tmp_path, cfg)
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "at $.theta:" in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_theta_gives_a_circuit(tmp_path):
+    config = write_config(tmp_path, {"scenario": "vacuum_decay", "theta": [1e153]})
+    assert main(["qasm", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "vacuum_decay_trotter_step.qasm").exists()
+
+
+def test_overflow_in_resource_assembly_exits_2(tmp_path, capsys):
+    # e^2/2 (S + theta)^2 = 5e199 * 1e200 overflows in the electric term,
+    # though each factor passes its own check
+    config = write_config(tmp_path, THETA_2X2 | {"model": {"m": 0.5, "e": 1e100},
+                                                 "theta": [1e100, 0.0]})
+    assert main(["resources", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "at $.model:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spin, path", [
+    # periodic 2x2 at S = 7.5 (40 qubits): 5,122,617 strings predicted
+    (7.5, "$.lattice"),
+    # d_S = 1202: past 1024 the counts are closed forms, exact for 2^k only
+    (600.5, "$.spin"),
+], ids=["over_enumeration_limit", "beyond_closed_forms"])
+def test_qasm_refuses_before_assembly(tmp_path, capsys, monkeypatch, spin, path):
+    def no_assembly(*args):
+        raise AssertionError("Hamiltonian assembled")
+
+    monkeypatch.setattr("lgt.cli.assemble", no_assembly)
+    config = write_config(tmp_path, {
+        "lattice": {"d": 2, "extents": [2, 2], "boundary": "periodic"},
+        "model": {"m": 0.5}, "spin": spin})
+    assert main(["qasm", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"at {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # SHA-256 of the paper's resource tables, of Trotter-step circuits (among
 # them non-power-of-two hopping scales, d = 3 and the one-hot encoding) and
 # of the resource table of a lattice whose plaquettes meet a link twice

@@ -1243,3 +1243,33 @@ def test_coset_walk_finds_the_whole_sector(tmp_path, cfg):
     assert np.count_nonzero(st.probabilities()) == 1 << coset.r
     assert (standard_observables(st, configs)["total_particle_number"]
             == pytest.approx(ref["total_particle_number"], abs=1e-12))
+
+
+@pytest.mark.parametrize("cfg", [
+    {"scenario": "vacuum_decay"},
+    {"scenario": "double_plaquette_2d"},
+    {"scenario": "vacuum_decay", "gauge_encoding": "linear"},
+    {"scenario": "vacuum_decay", "mapping": "bk"},
+], ids=["vacuum_decay", "double_plaquette_2d", "vacuum_decay_linear",
+        "vacuum_decay-bk"])
+def test_config_keys_walk_in_several_blocks(tmp_path, monkeypatch, cfg):
+    # the shipped cosets fit in one GAUSS_BLOCK (2^16 positions), so the
+    # walk over several blocks, the last one partial, runs only here
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    sc = validate_config(load_config(path))
+    lay = build_layout(sc)
+    mapping = fermion_mapping(sc.mapping, lay.n_fermionic)
+    h = assemble(lay, sc.params, sc.mapping)
+    coset = Coset.reachable(h.total, initial_index(sc.initial, lay, mapping,
+                                                   sc.params))
+    monkeypatch.setattr("lgt.dynamics.GAUSS_BLOCK", len(coset.index))
+    whole = ConfigKeys(lay, mapping, sc.params, coset)
+    # 100 and 1000 leave a partial last block on every 2^r positions; the
+    # one-hot coset has 512, fewer than 1000
+    assert len(coset.index) > 100
+    for block in (64, 100, 1000):
+        monkeypatch.setattr("lgt.dynamics.GAUSS_BLOCK", block)
+        got = ConfigKeys(lay, mapping, sc.params, coset)
+        for name in ("key", "index", "physical", "particles"):
+            assert np.array_equal(getattr(got, name), getattr(whole, name)), (block, name)

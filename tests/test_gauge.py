@@ -14,7 +14,7 @@ from lgt.gauge import (
     spin_matrices,
 )
 from lgt.pauli import classify
-from pauli_oracle import commutator, spin_pauli_counts, to_matrix
+from pauli_oracle import commutator, one_hot_splus_reference, spin_pauli_counts, to_matrix
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 
@@ -128,14 +128,23 @@ class TestLogEncoding:
             encode_log(5000.5, np.zeros((1, 1)))
 
 
+def one_hot_sx_sy(spin: float):
+    """One-hot Sx = (S+ + S-)/2 and Sy = -i (S+ - S-)/2 from the encoded S+."""
+    splus = encode_lin(spin, "plus")
+    sminus = splus.dagger()
+    return 0.5 * (splus + sminus), (-0.5j) * (splus - sminus)
+
+
 class TestLinearEncoding:
     @pytest.mark.parametrize("spin", SPINS)
     def test_one_hot_restriction(self, spin):
         v = encoding_isometry(spin, "linear")
         mats = spin_matrices(spin)
-        for which, m in (("x", mats.sx), ("y", mats.sy),
-                         ("z", mats.sz), ("plus", mats.splus)):
-            enc = to_matrix(encode_lin(spin, which))
+        sx, sy = one_hot_sx_sy(spin)
+        for which, enc, m in (("x", sx, mats.sx), ("y", sy, mats.sy),
+                              ("z", encode_lin(spin, "z"), mats.sz),
+                              ("plus", encode_lin(spin, "plus"), mats.splus)):
+            enc = to_matrix(enc)
             assert np.max(np.abs(v.T @ enc @ v - m)) < 1e-12, (spin, which)
 
     @pytest.mark.parametrize("spin", SPINS)
@@ -144,9 +153,26 @@ class TestLinearEncoding:
         counts = spin_pauli_counts(spin, "linear")
         assert counts.sx == counts.sy == 2 * d_s - 2 == 4 * spin
         assert counts.sz == (d_s if d_s % 2 == 0 else d_s - 1)
-        assert encode_lin(spin, "x").n_terms == counts.sx
+        sx, sy = one_hot_sx_sy(spin)
+        assert sx.n_terms == sy.n_terms == counts.sx
         assert encode_lin(spin, "z").n_terms == counts.sz
-        assert all(t.support == 2 for t in encode_lin(spin, "x").terms)
+        assert all(t.support == 2 for t in sx.terms)
+
+    def test_splus_bits_match_the_chained_sum(self):
+        # one accumulator of tensor products against the chain of merged
+        # sums: the same strings in the same order, the same coefficient bits
+        for two_s in range(1, 81):
+            spin = two_s / 2
+            got, want = encode_lin(spin, "plus"), one_hot_splus_reference(spin)
+            assert got.n_qubits == want.n_qubits == two_s + 1
+            assert np.array_equal(got.masks, want.masks), spin
+            assert np.array_equal(got.coeffs.view(np.uint64),
+                                  want.coeffs.view(np.uint64)), spin
+
+    @pytest.mark.parametrize("which", ["x", "y", "minus"])
+    def test_only_z_and_plus_are_encoded(self, which):
+        with pytest.raises(ValueError, match="unknown spin operator"):
+            encode_lin(1.0, which)
 
     def test_spin1_examples(self):
         assert spin_pauli_counts(1.0, "linear").sx == 4

@@ -459,8 +459,8 @@ def test_merge_of_long_runs_of_repeats_matches_the_reference():
 
 def assert_tensor_product_bits(factors, scale) -> None:
     """add_tensor_product appends the rows that the chained product
-    identity * f_1 * ... * f_k, added with add_operator(..., scale),
-    appends: the same masks in the same (canonical) order, and the same
+    identity * f_1 * ... * f_k, scaled by .scale(scale) and added with
+    add_operator, appends: the same masks in the same (canonical) order, and the same
     coefficient bits, NaN aside."""
     n = factors[0].n_qubits
     got = PauliSum(n)
@@ -469,7 +469,7 @@ def assert_tensor_product_bits(factors, scale) -> None:
     for f in factors:
         prod = prod * f
     want = PauliSum(n)
-    want.add_operator(prod, scale)
+    want.add_operator(prod.scale(scale))
     assert len(got._parts) == len(want._parts)
     for rows, want_rows in zip(got._parts, want._parts):
         assert_same_rows(rows, want_rows)
