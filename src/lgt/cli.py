@@ -23,11 +23,17 @@ The exact curve evolves in the G_x = 0 states of that coset, as selected
 by ``gauss_filter`` from the run's ``ConfigKeys``; the Trotter curves
 evolve the whole coset with tapered strings, so their weight may leave the
 Gauss-law sector. For each Trotter curve the metadata's ``trotter_kernel``
-records the plan's fused blocks, its passes over the state per step, the
-bytes of its fused tensors and the transposing copies of a step
-(``TrotterPlan.kernel_summary``); for the exact curve ``exact_kernel``
-records the sector's ||H||_inf, the Taylor substeps per sample and the
-actions of H (``ExactEvolver.kernel_summary``).
+records the plan's fused blocks, the passes over the state per step and
+the bytes of the term tensors of its pass-form blocks, the number of its
+matvec-form blocks and the bytes of their matrices and position tables,
+and the transposing copies of a step (``TrotterPlan.kernel_summary``);
+for the exact curve ``exact_kernel`` records the sector's ||H||_inf, the
+Taylor substeps per sample and the actions of H
+(``ExactEvolver.kernel_summary``). When the run has an exact curve,
+``trotter_error`` records for each Trotter curve the largest |Trotter -
+exact| of the Loschmidt echo and of the particle number over the sample
+times the two curves share, and the number of those times
+(``_trotter_error``); it is empty otherwise.
 
 ``ConfigKeys`` decodes the coset once, at set-up; a readout decodes
 nothing. It computes the state's probabilities once and holds the time,
@@ -104,6 +110,7 @@ MAX_STEPS = 100_000  # longest curve (time steps) a run may ask for
 # is at most sum |coeff|: past this bound a curve takes hours, and an
 # infinite sum has no step count at all; shipped configs reach 4,905.
 MAX_EXACT_NORM_T = 1e7
+SHARED_TIME_TOL = 1e-9  # a Trotter and an exact sample this close in t share a time
 
 PRESETS: dict[str, dict] = {
     "vacuum_decay": {
@@ -574,6 +581,25 @@ def _label_columns(curves, label, n_columns: int = 12
     return ranked[order], [names[i] for i in order]
 
 
+def _trotter_error(exact, rows) -> dict[str, float | int]:
+    """Max |Trotter - exact| of the Loschmidt echo and of the particle
+    number over the sample times a Trotter curve shares with the exact
+    curve (within ``SHARED_TIME_TOL``), and the number of those times; both
+    curves are readout rows (t, echo, particle number, configurations)."""
+    times = np.array([row[0] for row in exact])
+    echo = particles = 0.0
+    shared = 0
+    for t, g, n_part, _ in rows:
+        k = int(np.argmin(np.abs(times - t)))
+        if abs(times[k] - t) <= SHARED_TIME_TOL:
+            _, g_exact, n_exact, _ = exact[k]
+            echo = max(echo, abs(g - g_exact))
+            particles = max(particles, abs(n_part - n_exact))
+            shared += 1
+    return {"loschmidt": echo, "total_particle_number": particles,
+            "shared_times": shared}
+
+
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
     lay = build_layout(sc)
     if lay.n_total > MAX_QUBITS:
@@ -627,6 +653,9 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
             curves[name] = [readout(t, st) for t, st in trotter_states(s0, plan)]
             kernel[name] = plan.kernel_summary()
 
+    exact = curves.get("exact")
+    trotter_error = {name: _trotter_error(exact, rows) for name, rows in curves.items()
+                     if exact is not None and name != "exact"}
     columns, labels = _label_columns(curves.values(), configs.labels)
 
     written = []
@@ -656,6 +685,7 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "n_gauge_invariant": len(sector),
         "trotter_kernel": kernel,
         "exact_kernel": exact_kernel,
+        "trotter_error": trotter_error,
         "trotter_error_reporting": {
             "absolute": "curve differences against the exact column",
             "relative_floor": 1e-3,

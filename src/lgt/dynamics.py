@@ -24,16 +24,30 @@ here for Pauli strings. A step then makes one pass per term instead of one
 per string; the cut balances the passes of the plan's steps against the
 cost of the folds, and ``FUSE_ENTRIES`` bounds a fused term tensor.
 
-In qubit order a block's axes sit among the untouched ones, and NumPy
-would walk each pass in rows of a few amplitudes. So consecutive blocks
-form layout runs, as blocked simulators order qubits per run of gates and
-swap axes only between runs: a run holds the amplitudes in its own axis
-order, the t qubits its blocks act on first, and leaves at least
-``ROW_AXES`` qubits untouched where it can. Its passes then walk rows of
-2^(r - t) contiguous amplitudes, and a step makes one transposing copy
-into each run's order and one back to qubit order. Per amplitude a step
-does the same products and sums in the same order as in qubit order, so
-the result does not depend on the layouts. The blocks and the step's
+A block whose shifts span k >= 2 dimensions acts on each coset c + W of
+its shift span as one dense 2^k x 2^k matrix, as blocked simulators apply
+fused k-qubit gates as small dense matrices (Häner & Steiger,
+arXiv:1704.01127). Where its table of 2^r positions fits the bytes of
+``FUSE_ENTRIES`` complex entries, it takes this matvec form: one gather
+of the amplitudes into coset order, one batched matvec, (..., K, K) @
+(..., K, 1), and one scatter, with the matrices stored once per value of
+the qubits they depend on. A pass over a few thousand amplitudes costs
+NumPy's strided iterator, not arithmetic, so three calls beat 2^k passes
+there. Blocks of k <= 1, and blocks of large r, keep the pass form; each
+matvec rounds alike whatever the number of cosets, so a tapered and a
+full-register step still agree bit for bit.
+
+In qubit order a pass-form block's axes sit among the untouched ones, and
+NumPy would walk each pass in rows of a few amplitudes. So consecutive
+blocks form layout runs, as blocked simulators order qubits per run of
+gates and swap axes only between runs: a run holds the amplitudes in its
+own axis order, the t qubits its pass-form blocks act on first, and
+leaves at least ``ROW_AXES`` qubits untouched where it can. Its passes
+then walk rows of 2^(r - t) contiguous amplitudes, and a step makes one
+transposing copy into each run's order and one back to qubit order; a
+matvec-form block gathers from whatever order it finds. Per amplitude a
+step does the same products and sums in the same order as in qubit order,
+so the result does not depend on the layouts. The blocks and the step's
 views of two scratch buffers live on the plan; nothing is cached at
 module level.
 
@@ -78,10 +92,28 @@ GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
 READOUT_TOL = 1e-12  # configuration probabilities at or below this are not listed
 GAUSS_BLOCK = 1 << 16  # coset positions ConfigKeys decodes at a time
 FUSE_SPAN = 3          # a Trotter block's x-masks span at most this dimension
-FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB)
+FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB, which
+                        # also bounds a matvec-form block's position table)
 ROW_AXES = 3           # qubits a Trotter layout run leaves untouched, if it can
 TAYLOR_STEP = 2.0       # ||H tau||_inf of one exact-evolution substep at most
 TAYLOR_TERMS = 60       # Taylor terms a substep may take before evolve gives up
+
+
+def _echelon(masks) -> dict[int, int]:
+    """The GF(2) span of qubit masks in reduced row-echelon form, {pivot:
+    vector}: a vector's pivot, its lowest qubit, is set in no other vector.
+    The pivots are the lowest qubits of the span's nonzero members, so they
+    do not depend on the order of ``masks``."""
+    rows: dict[int, int] = {}
+    for x in masks:
+        for p, v in rows.items():
+            if x >> p & 1:
+                x ^= v
+        if x:
+            p = (x & -x).bit_length() - 1
+            rows = {q: v ^ x if v >> p & 1 else v for q, v in rows.items()}
+            rows[p] = x
+    return rows
 
 
 @dataclass(frozen=True)
@@ -122,15 +154,7 @@ class Coset:
         """The coset of basis index ``index`` under the span of the
         strings' x-masks: every state e^{-iHt} or a product formula reaches
         from that basis state lies in it."""
-        rows: dict[int, int] = {}  # pivot qubit -> vector
-        for x in {t.x for t in op.terms}:
-            for p, v in rows.items():
-                if x >> p & 1:
-                    x ^= v
-            if x:
-                p = (x & -x).bit_length() - 1
-                rows = {q: v ^ x if v >> p & 1 else v for q, v in rows.items()}
-                rows[p] = x
+        rows = _echelon({t.x for t in op.terms})
         bits = _index_mask(index, op.n_qubits)
         for p, v in rows.items():
             if bits >> p & 1:
@@ -294,16 +318,19 @@ class Block(NamedTuple):
     psi[. ^ w], with one term per shift w in the GF(2) span of the run's
     x-masks, in fold order (``_fold``).
 
-    The terms are laid out for the block's layout run (``TrotterPlan``):
-    ``axes`` is the run's axis order, its t touched qubits first. A term is
-    (index, D_w): in the (2,)*t + (2^(r-t),) view of the amplitudes in that
-    order, psi[index] is psi[. ^ w] (one slice per leading axis), and D_w,
-    of size 2 or 1 on each leading axis and 1 on the last, scales whole
-    contiguous rows."""
+    The block acts on the amplitudes held in its layout run's axis order
+    (``TrotterPlan``), ``axes``, in one of two forms. In the pass form
+    ``matvec`` is None and ``terms`` holds each term as (index, D_w): the
+    run's t touched qubits lead ``axes``, and in the (2,)*t + (2^(r-t),)
+    view of the amplitudes psi[index] is psi[. ^ w] (one slice per leading
+    axis), and D_w, of size 2 or 1 on each leading axis and 1 on the last,
+    scales whole contiguous rows. In the matvec form ``terms`` is empty and
+    ``matvec`` holds the tables (M, positions) of ``_matvec_table``."""
 
     strings: range  # positions in the plan's strings
     axes: tuple[int, ...]  # the qubit held by each axis of the run's layout
     terms: tuple[tuple[tuple[slice, ...], np.ndarray], ...]
+    matvec: tuple[np.ndarray, np.ndarray] | None
 
 
 def _shift(x: int, axes) -> tuple[slice, ...]:
@@ -323,17 +350,17 @@ def _fold(terms: dict[int, np.ndarray], p: PauliString, theta: float
     (cos I - F X^x) sum_w D_w X^w = sum_w cos D_w X^w
     - sum_w (F D_w[. ^ x]) X^(x ^ w). A diagonal P multiplies every D_w
     by exp(-i theta signs). New shifts follow the old ones, so the order
-    of the terms comes from the fold alone.
+    of the terms comes from the fold alone, and the shift of term a is the
+    XOR of the shifts of terms 2^j over the bits j of a.
     """
-    z_bits = [(p.z >> q) & 1 for q in range(p.n)]
-    signs = functools.reduce(np.multiply.outer, [(1.0, -1.0)] * sum(z_bits),
-                             np.ones(()))
-    signs = signs.reshape([1 + b for b in z_bits])
+    # (-1)^parity of the Z/Y axes' bits, in C order over those axes
+    signs = np.where(np.bitwise_count(np.arange(1 << p.z.bit_count())) & 1, -1.0, 1.0)
+    signs = signs.reshape([1 + ((p.z >> q) & 1) for q in range(p.n)])
     if p.x == 0:
         phase = np.exp(-1j * theta * signs)
         return {w: d * phase for w, d in terms.items()}
     flip = _shift(p.x, range(p.n))
-    f = (1j * math.sin(theta) * index_masks(p)[2]) * signs[flip]
+    f = (1j * math.sin(theta) * 1j ** ((p.x & p.z).bit_count() % 4)) * signs[flip]
     cos = math.cos(theta)
     out = {w: cos * d for w, d in terms.items()}
     for w, d in terms.items():
@@ -341,6 +368,48 @@ def _fold(terms: dict[int, np.ndarray], p: PauliString, theta: float
         v = w ^ p.x
         out[v] = out[v] - moved if v in out else -moved
     return out
+
+
+def _matvec_table(terms: dict[int, np.ndarray], axes: tuple[int, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(M, positions): the terms {w: D_w} of ``_fold`` (D_w in qubit order)
+    as one batched matvec on the amplitudes held in the axis order
+    ``axes``, axis 0 the most significant bit of a flat index.
+
+    The K shifts span W; w(a) is the shift of term a, so w(a) ^ w(b) =
+    w(a ^ b). The positions c + W, c with W's pivot qubits (``_echelon``)
+    clear, form a coset that holds position c ^ w(a) at a, and sum_w D_w
+    psi[. ^ w] maps it by the K x K matrix M_c[a, b] = D_{w(a ^ b)}(c ^
+    w(a)). M_c depends only on c's dep qubits, those outside the pivots
+    where some D_w varies, so M has shape (2^dep, 1, K, K) and broadcasts
+    over the other, free qubits. ``positions`` (2^dep, 2^free, K, 1) holds
+    the flat index of each position c ^ w(a), every index once."""
+    r = len(axes)
+    bit = np.zeros(r, dtype=np.intp)  # the flat index bit of each qubit
+    bit[list(axes)] = 1 << np.arange(r - 1, -1, -1)
+    pivot = np.zeros(r, dtype=bool)
+    pivot[list(_echelon(terms))] = True
+    vary = np.maximum.reduce([d.shape for d in terms.values()]) == 2
+    dep = vary & ~pivot
+
+    def subsets(mask: np.ndarray) -> np.ndarray:
+        """The flat index masks of all subsets of the qubits in ``mask``."""
+        bits = bit[mask]
+        return ((np.arange(1 << len(bits))[:, None] >> np.arange(len(bits))) & 1) @ bits
+
+    shift = ((np.array(list(terms))[:, None] >> np.arange(r)) & 1) @ bit
+    base = subsets(dep)
+    positions = (base[:, None, None] | subsets(~vary & ~pivot)[:, None]) ^ shift
+    # each D_w over the qubits where some D_w varies, in qubit order, and
+    # the entry there of position c ^ w(a), the free qubits' bits 0
+    stacked = np.empty((len(terms),) + tuple(1 + vary), dtype=complex)
+    for a, d in enumerate(terms.values()):
+        stacked[a] = d
+    at = base[:, None] ^ shift
+    entry = ((at[..., None] & bit[vary]) != 0) @ (1 << np.arange(vary.sum())[::-1])
+    a = np.arange(len(terms))
+    m = stacked.reshape(len(terms), -1)[a[:, None] ^ a, entry[:, :, None]]
+    return m[:, None], positions[..., None]
 
 
 def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
@@ -377,8 +446,9 @@ def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
 
 
 def _layouts(touched: list[int], r: int) -> list[tuple[tuple[int, ...], int]]:
-    """(axes, t) of each block, from the qubit masks its strings act on (X,
-    Y or Z): the axis order of its layout run and the number of qubits the
+    """(axes, t) of each block, from the qubit masks its passes act on (the
+    X, Y or Z qubits of its strings in the pass form, none in the matvec
+    form): the axis order of its layout run and the number of qubits the
     run touches. A run of consecutive blocks grows while the union of their
     masks leaves at least ``ROW_AXES`` qubits untouched, or does not grow.
     Its order puts the touched qubits first and the rest after them, each
@@ -398,17 +468,44 @@ def _layouts(touched: list[int], r: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+class _Sum(NamedTuple):
+    """A pass-form block bound to the buffers: psi[index] views of the
+    buffer holding the amplitudes, summed into ``out``, the other buffer
+    (None for a diagonal block, which scales ``psi`` in place)."""
+
+    out: np.ndarray | None
+    d: np.ndarray  # D_w of the first term
+    psi: np.ndarray  # psi[index] of the first term
+    rest: tuple[tuple[np.ndarray, np.ndarray], ...]  # (D_w, psi[index]) of the others
+
+
+class _Matvec(NamedTuple):
+    """A matvec-form block bound to the buffers: a gather from ``src``, the
+    buffer holding the amplitudes, into ``gathered``, a product into
+    ``product`` (``src``'s memory) and a scatter into ``dst`` (the memory
+    of ``gathered``), which then holds them."""
+
+    src: np.ndarray  # flat
+    positions: np.ndarray
+    gathered: np.ndarray
+    m: np.ndarray
+    product: np.ndarray
+    dst: np.ndarray  # flat
+
+
+class _Copy(NamedTuple):
+    """A transposing copy into the next layout run's axis order."""
+
+    dst: np.ndarray
+    src: np.ndarray
+
+
 class _Passes(NamedTuple):
     """A plan's step as NumPy calls bound to two scratch buffers."""
 
     axes: tuple[int, ...]  # the first run's axis order
     enter: np.ndarray  # the buffer the state is copied into, as (2,)*r
-    # per layout run: the (dst, src) of the copy into its axis order (None
-    # if the order stays), its (2,)*t + (2^(r-t),) shape, and per block
-    # (the buffer it sums into, None for a diagonal block, then D_w and
-    # psi[index] of its first term, then those of the others)
-    runs: tuple[tuple[tuple[np.ndarray, np.ndarray] | None, tuple[int, ...],
-                      list], ...]
+    ops: tuple[_Sum | _Matvec | _Copy, ...]  # in step order
     leave: np.ndarray  # the buffer the last run ends in, in qubit order
 
 
@@ -419,13 +516,18 @@ class TrotterPlan:
     gives an operator's strings in canonical order.
 
     A step applies ``blocks``: the strings cut into consecutive runs, each
-    folded into one operator of at most 2^``FUSE_SPAN`` terms and applied
-    in one pass per term. The cut depends on ``n_steps``, since a plan of
-    more steps repays more folding (``_block_starts``). Consecutive blocks
-    share a layout run (``_layouts``), which holds the amplitudes in its
-    own axis order, the qubits its blocks touch first, so that a pass
-    walks rows of at least 2^``ROW_AXES`` contiguous amplitudes where r
-    allows. The blocks, and the step's views of two scratch buffers, are
+    folded into one operator of at most 2^``FUSE_SPAN`` terms. The cut
+    depends on ``n_steps``, since a plan of more steps repays more folding
+    (``_block_starts``). A block whose shifts span k >= 2 dimensions (4 or
+    8 terms) takes the matvec form, one gather, one batched matvec and one
+    scatter, where its position table of 2^r entries fits the bytes of
+    ``FUSE_ENTRIES`` complex entries, the budget of one fused term tensor
+    (r <= 14); any other block takes the pass form, one pass per term.
+    Consecutive pass-form blocks share a layout run (``_layouts``), which
+    holds the amplitudes in its own axis order, the qubits its blocks touch
+    first, so that a pass walks rows of at least 2^``ROW_AXES`` contiguous
+    amplitudes where r allows; a matvec-form block runs in the layout it
+    finds. The blocks, and the step's views of two scratch buffers, are
     built on first use."""
 
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
@@ -442,24 +544,31 @@ class TrotterPlan:
         r = self.n_qubits
         starts = _block_starts(self.strings, self.n_steps)
         cuts = list(zip(starts, starts[1:] + [len(self.strings)]))
-        touched = []
-        for i, j in cuts:
+        fits = ((1 << r) * np.dtype(np.intp).itemsize
+                <= FUSE_ENTRIES * np.dtype(complex).itemsize)
+        matvec = [fits and len(_echelon(p.x for p in self.strings[i:j])) >= 2
+                  for i, j in cuts]
+        touched = []  # the qubits each block's passes act on
+        for (i, j), by_matvec in zip(cuts, matvec):
             mask = 0
-            for p in self.strings[i:j]:
+            for p in () if by_matvec else self.strings[i:j]:
                 mask |= p.x | p.z
             touched.append(mask)
         identity = {0: np.ones((1,) * r, dtype=complex)}
         blocks = []
-        for (i, j), (axes, t) in zip(cuts, _layouts(touched, r)):
+        for (i, j), by_matvec, (axes, t) in zip(cuts, matvec, _layouts(touched, r)):
             terms = identity
             for p in self.strings[i:j]:
                 terms = _fold(terms, p, p.coeff.real * self.dt)
+            if by_matvec:
+                blocks.append(Block(range(i, j), axes, (), _matvec_table(terms, axes)))
+                continue
             laid_out = []
             for w, d in terms.items():
                 # a NumPy scalar at r = 0; size 1 past the t touched axes
                 d = np.asarray(d).transpose(axes)
                 laid_out.append((_shift(w, axes[:t]), d.reshape(d.shape[:t] + (1,))))
-            blocks.append(Block(range(i, j), axes, tuple(laid_out)))
+            blocks.append(Block(range(i, j), axes, tuple(laid_out), None))
         return tuple(blocks)
 
     @functools.cached_property
@@ -469,40 +578,50 @@ class TrotterPlan:
         buffers = np.empty(1 << r, dtype=complex), np.empty(1 << r, dtype=complex)
         axes = self.blocks[0].axes if self.blocks else tuple(range(r))
         first, psi = axes, 0  # psi: the buffer holding the amplitudes
-        runs: list = []
+        ops: list = []
         for block in self.blocks:
-            t = len(block.terms[0][0])
-            shape = (2,) * t + (1 << r - t,)
-            if not runs or (block.axes, shape) != (axes, runs[-1][1]):
-                copy = None
-                if block.axes != axes:
-                    src = buffers[psi].reshape(full).transpose(
-                        [axes.index(q) for q in block.axes])
-                    psi ^= 1
-                    copy = buffers[psi].reshape(full), src
-                    axes = block.axes
-                runs.append((copy, shape, []))
-            view = buffers[psi].reshape(shape)
+            if block.axes != axes:
+                src = buffers[psi].reshape(full).transpose(
+                    [axes.index(q) for q in block.axes])
+                psi ^= 1
+                ops.append(_Copy(buffers[psi].reshape(full), src))
+                axes = block.axes
+            if block.matvec is not None:
+                m, positions = block.matvec
+                src, dst = buffers[psi], buffers[psi ^ 1]
+                ops.append(_Matvec(src, positions, dst.reshape(positions.shape), m,
+                                   src.reshape(positions.shape), dst))
+                psi ^= 1
+                continue
             (index, d), *rest = block.terms
+            t = len(index)
+            view = buffers[psi].reshape((2,) * t + (1 << r - t,))
             out = None
             if rest:
                 psi ^= 1
-                out = buffers[psi].reshape(shape)
-            runs[-1][2].append((out, d, view[index],
-                                tuple((d, view[i]) for i, d in rest)))
+                out = buffers[psi].reshape(view.shape)
+            ops.append(_Sum(out, d, view[index], tuple((d, view[i]) for i, d in rest)))
         leave = buffers[psi].reshape(full).transpose([axes.index(q) for q in range(r)])
-        return _Passes(first, buffers[0].reshape(full), tuple(runs), leave)
+        return _Passes(first, buffers[0].reshape(full), tuple(ops), leave)
 
     def kernel_summary(self) -> dict[str, int]:
-        """Blocks, passes over the state per step, bytes of the fused term
-        tensors, and the transposing copies a step makes: into each layout
-        run's order and back to qubit order."""
+        """What a step runs: ``blocks``, the fused blocks; of those in the
+        pass form, ``passes_per_step``, the passes over the state (one per
+        term), and ``fused_bytes``, the bytes of their term tensors; of
+        those in the matvec form, ``matvec_blocks``, their number, and
+        ``matrix_bytes`` and ``position_bytes``, the bytes of their M and
+        position tables; ``layouts_per_step``, the transposing copies of a
+        step, into each layout run's order and back to qubit order."""
+        tables = [b.matvec for b in self.blocks if b.matvec is not None]
         return {"blocks": len(self.blocks),
                 "passes_per_step": sum(len(b.terms) for b in self.blocks),
                 "fused_bytes": sum(d.nbytes for b in self.blocks
                                    for _, d in b.terms),
-                "layouts_per_step": 2 + sum(copy is not None
-                                            for copy, *_ in self._passes.runs)}
+                "matvec_blocks": len(tables),
+                "matrix_bytes": sum(m.nbytes for m, _ in tables),
+                "position_bytes": sum(pos.nbytes for _, pos in tables),
+                "layouts_per_step": 2 + sum(type(op) is _Copy
+                                            for op in self._passes.ops)}
 
 
 def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
@@ -523,26 +642,40 @@ def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
 def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
     """One step of the plan on the state's amplitudes, in place. A copy
     moves them into a scratch buffer in the first layout run's order. A
-    diagonal block multiplies them there; any other block makes one pass
-    per term into the other buffer, which then holds them, with the state's
-    own array as the product scratch. Between runs a transposing copy moves
+    diagonal block multiplies them there. A block in the matvec form
+    gathers them into the other buffer, multiplies each coset's vector by
+    its matrix back into the first, and scatters the products into the
+    other buffer, which then holds them. Any other block makes one pass per
+    term into the other buffer, which then holds them, with the state's own
+    array as the product scratch. Between runs a transposing copy moves
     them into the other buffer in the next run's order, and after the last
-    run a copy moves them back into the state in qubit order."""
+    run a copy moves them back into the state in qubit order.
+
+    The matvec is NumPy's (..., K, K) @ (..., K, 1), one K x K product per
+    coset, so each amplitude's rounding depends on M_c and its coset's
+    vector only, not on the number of cosets: the tapered and the
+    full-register step agree bit for bit."""
     if state.coset != plan.coset:
         raise ValueError("state and plan on different cosets")
     state.amps = np.ascontiguousarray(state.amps, dtype=complex)
     passes = plan._passes
     home = state.amps.reshape((2,) * plan.n_qubits)
     np.copyto(passes.enter, home.transpose(passes.axes))
-    for copy, shape, blocks in passes.runs:
-        if copy:
-            np.copyto(*copy)
-        tmp = state.amps.reshape(shape)
-        for out, d, psi, rest in blocks:
+    for op in passes.ops:
+        kind = type(op)
+        if kind is _Matvec:
+            op.src.take(op.positions, out=op.gathered, mode="clip")  # all in range
+            np.matmul(op.m, op.gathered, out=op.product)
+            op.dst[op.positions] = op.product
+        elif kind is _Copy:
+            np.copyto(op.dst, op.src)
+        else:
+            out, d, psi, rest = op
             if out is None:
                 psi *= d
                 continue
             np.multiply(d, psi, out=out)
+            tmp = state.amps.reshape(out.shape)
             for d, psi in rest:
                 np.multiply(d, psi, out=tmp)
                 out += tmp

@@ -2,7 +2,8 @@
 systems), the Pauli-string counts of the encoded spin operators, the
 per-string Pauli-exponential kernel that the fused Trotter blocks of
 ``lgt.dynamics`` are checked against, the fused kernel in qubit order that
-its layout runs replaced, the per-flip-group action of H that the gather
+its layout runs replaced (with each matvec-form block's tables built one
+coset at a time), the per-flip-group action of H that the gather
 table of ``lgt.dynamics.OperatorAction`` replaced, the observables decoded
 from a state's support that the tables of ``lgt.dynamics.ConfigKeys``
 replaced (with the charge and flux per site and link they also gave), the
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from lgt.dynamics import (
+    FUSE_ENTRIES,
     LEAK_TOL,
     READOUT_TOL,
     StateVector,
@@ -51,6 +53,7 @@ from lgt.pauli import (
     _I_POWERS_IM,
     _I_POWERS_RE,
     _cmul,
+    _index_mask,
     _key_width,
     _n_words,
     _quiet,
@@ -108,11 +111,31 @@ def trotter_step_reference(state, plan):
     return state
 
 
+def matvec_reference(terms: dict, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, positions) of a block's terms {w: D_w} on the (2,)*r view in
+    qubit order, one row per coset c + W of the span W of the shifts, c the
+    member with W's pivot qubits clear (the lowest qubits of W's nonzero
+    members): ``positions[c, a]`` is the flat index of c ^ w_a, w_a the
+    shift of term a, and ``M[c, a, b]`` is D_{w_a ^ w_b} there."""
+    shifts = list(terms)
+    masks = [_index_mask(w, r) for w in shifts]
+    pivots = _index_mask(sum({w & -w for w in shifts}), r)
+    dense = {w: np.broadcast_to(d, (2,) * r).reshape(-1) for w, d in terms.items()}
+    cosets = [c for c in range(1 << r) if not c & pivots]
+    positions = np.array([[c ^ m for m in masks] for c in cosets])
+    m = np.array([[[dense[wa ^ wb][c ^ ma] for wb in shifts]
+                   for wa, ma in zip(shifts, masks)] for c in cosets])
+    return m, positions
+
+
 def position_blocks(plan) -> list[tuple]:
-    """The terms of each block of a Trotter plan on the (2,)*r view in
-    qubit order: (index, D_w) with psi[index] = psi[. ^ w], D_w broadcast
-    against it."""
+    """Each block of a Trotter plan on the (2,)*r view in qubit order: a
+    span of at least 4 shifts whose position table of 2^r intp entries
+    fits ``FUSE_ENTRIES`` complex entries is ("matvec", M, positions) of
+    ``matvec_reference``; any other block is ("passes", terms), a term
+    (index, D_w) with psi[index] = psi[. ^ w], D_w broadcast against it."""
     r = plan.n_qubits
+    fits = (1 << r) * np.dtype(np.intp).itemsize <= FUSE_ENTRIES * np.dtype(complex).itemsize
     starts = _block_starts(plan.strings, plan.n_steps)
     identity = {0: np.ones((1,) * r, dtype=complex)}
     blocks = []
@@ -120,22 +143,34 @@ def position_blocks(plan) -> list[tuple]:
         terms = identity
         for p in plan.strings[i:j]:
             terms = _fold(terms, p, p.coeff.real * plan.dt)
-        blocks.append(tuple((_shift(w, range(r)), d) for w, d in terms.items()))
+        if fits and len(terms) >= 4:
+            blocks.append(("matvec", *matvec_reference(terms, r)))
+        else:
+            blocks.append(("passes", tuple((_shift(w, range(r)), d)
+                                           for w, d in terms.items())))
     return blocks
 
 
 def fused_step_reference(state, plan):
     """One step of a Trotter plan by the fused kernel in qubit order, with
-    no layout runs: a diagonal block multiplies the amplitudes, any other
-    block makes one pass per term into a second buffer, and the two
-    buffers swap roles."""
+    no layout runs: a diagonal block multiplies the amplitudes; a block of
+    the matvec form gathers each coset's amplitudes, multiplies them by
+    its matrix, (C, K, K) @ (C, K, 1), and scatters the products into a
+    second buffer; any other block makes one pass per term into a second
+    buffer; the two buffers then swap roles."""
     if state.coset != plan.coset:
         raise ValueError("state and plan on different cosets")
     state.amps = np.ascontiguousarray(state.amps, dtype=complex)
     psi = home = state.amps.reshape((2,) * plan.n_qubits)
     out, tmp = np.empty_like(psi), np.empty_like(psi)
-    for terms in position_blocks(plan):
-        (index, d), *rest = terms
+    for form, *block in position_blocks(plan):
+        if form == "matvec":
+            m, positions = block
+            product = m @ psi.reshape(-1)[positions][..., None]
+            out.reshape(-1)[positions] = product[..., 0]
+            psi, out = out, psi
+            continue
+        (index, d), *rest = block[0]
         if not rest:
             psi *= d
             continue

@@ -392,6 +392,35 @@ def test_meta_records_trotter_kernel(tmp_path):
     # a plan of more steps fuses more: fewer passes over the state per step
     short, long = (meta["trotter_kernel"][f"trotter_dt{dt}"] for dt in ("0.1", "0.01"))
     assert long["passes_per_step"] < short["passes_per_step"]
+    assert meta["trotter_error"] == {}  # no exact curve to compare with
+
+
+def test_meta_records_trotter_error(tmp_path):
+    # dt = 0.03 meets the exact samples (every 0.1) only at t = 0 and 0.3
+    cfg = {"scenario": "vacuum_decay", "output": {"prefix": "vd"},
+           "evolution": {"method": "both", "dt": [0.1, 0.03], "t_max": 0.3,
+                         "sample_dt": 0.1}}
+    assert run_cli(tmp_path, cfg) == 0
+    meta = json.loads((tmp_path / "out" / "vd_meta.json").read_text())
+    curves = {}
+    for path in (tmp_path / "out").glob("*.csv"):
+        with open(path, newline="") as fh:
+            curves[path.stem.removeprefix("vd_")] = {
+                round(float(r["t"]), 9): (float(r["loschmidt"]),
+                                          float(r["total_particle_number"]))
+                for r in csv.DictReader(fh)}
+    exact = curves.pop("exact")
+    assert meta["trotter_error"].keys() == curves.keys() == {"trotter_dt0.1",
+                                                             "trotter_dt0.03"}
+    for name, rows in curves.items():
+        shared = [(rows[t], exact[t]) for t in rows if t in exact]
+        error = meta["trotter_error"][name]
+        assert error["shared_times"] == len(shared) == (4 if name == "trotter_dt0.1" else 2)
+        for i, key in enumerate(("loschmidt", "total_particle_number")):
+            # the CSV holds 12 significant digits
+            assert error[key] == pytest.approx(
+                max(abs(a[i] - b[i]) for a, b in shared), abs=1e-11)
+        assert error["loschmidt"] > 0
 
 
 def test_meta_records_exact_kernel(tmp_path):
@@ -406,7 +435,7 @@ def test_meta_records_exact_kernel(tmp_path):
     assert kernel["substeps_per_sample"] == 1
     # three samples, each a Taylor series of several terms
     assert 3 * 5 <= kernel["matvecs"] <= 3 * 30
-    assert meta["trotter_kernel"] == {}
+    assert meta["trotter_kernel"] == meta["trotter_error"] == {}
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")

@@ -470,7 +470,8 @@ def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
     plan = trotter_plan(op, dt, n_steps)
     plan = dataclasses.replace(plan, strings=tuple(plan.strings[i] for i in order))
     # every string lands in exactly one block, in order, and a block has
-    # one term per shift in the span of its x-masks
+    # one term per shift in the span of its x-masks; on n <= 8 qubits every
+    # span of 4 or 8 shifts takes the matvec form, and only those
     assert [i for b in plan.blocks for i in b.strings] == list(range(len(plan.strings)))
     for block in plan.blocks:
         span = {0}
@@ -478,7 +479,9 @@ def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
             x = plan.strings[i].x
             if x not in span:
                 span |= {w ^ x for w in span}
-        assert len(block.terms) == len(span) <= 1 << FUSE_SPAN
+        assert (block.matvec is not None) == (len(span) >= 4)
+        terms = len(block.terms) if block.matvec is None else block.matvec[0].shape[-1]
+        assert terms == len(span) <= 1 << FUSE_SPAN
     st0 = random_state(np.random.default_rng(seed), plan.n_qubits)
     fused, ref = st0.copy(), st0.copy()
     for _ in range(2):
@@ -518,11 +521,21 @@ def test_layout_runs_match_position_kernel(system, n_steps, dt, seed):
     r = plan.n_qubits
     changes = 0
     for prev, block in zip((None,) + plan.blocks, plan.blocks):
+        assert sorted(block.axes) == list(range(r))
+        changes += prev is not None and prev.axes != block.axes
+        if block.matvec is not None:
+            # a matvec block runs in the layout it finds, and its positions
+            # hold every amplitude once
+            assert prev is None or block.axes == prev.axes
+            m, positions = block.matvec
+            k = m.shape[-1]
+            assert m.shape == (len(positions), 1, k, k) and positions.shape[2:] == (k, 1)
+            assert np.array_equal(np.sort(positions, axis=None), np.arange(1 << r))
+            continue
         # the run's touched qubits lead its axis order, it leaves ROW_AXES
         # qubits untouched unless one block alone touches more, and every
         # tensor is constant along the contiguous rows
         t = len(block.terms[0][0])
-        assert sorted(block.axes) == list(range(r))
         touched = 0
         for i in block.strings:
             touched |= plan.strings[i].x | plan.strings[i].z
@@ -530,7 +543,6 @@ def test_layout_runs_match_position_kernel(system, n_steps, dt, seed):
         assert t <= max(r - ROW_AXES, touched.bit_count())
         for index, d in block.terms:
             assert len(index) == t and d.ndim == t + 1 and d.shape[t] == 1
-        changes += prev is not None and prev.axes != block.axes
     assert plan.kernel_summary()["layouts_per_step"] == 2 + changes
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << r) + 1j * rng.normal(size=1 << r)
@@ -548,13 +560,15 @@ def chain(sites: int, spin: float) -> dict:
             "spin": spin, "theta": [0.5 if spin == 0.5 else 0.0]}
 
 
-@pytest.mark.parametrize("cfg", [{"scenario": "vacuum_decay"},
-                                 {"scenario": "string_breaking_1d"},
-                                 {"scenario": "double_plaquette_2d"},
-                                 chain(8, 0.5)],
-                         ids=["vacuum_decay", "string_breaking_1d",
-                              "double_plaquette_2d", "chain8_half"])
-def test_layout_runs_match_position_kernel_on_presets(tmp_path, cfg):
+@pytest.mark.parametrize("cfg, runs, matvecs", [
+    pytest.param({"scenario": "vacuum_decay"}, False, True, id="vacuum_decay"),
+    pytest.param({"scenario": "string_breaking_1d"}, False, True, id="string_breaking_1d"),
+    pytest.param({"scenario": "double_plaquette_2d"}, True, True, id="double_plaquette_2d"),
+    pytest.param(chain(8, 0.5), True, False, id="chain8_half")])
+def test_layout_runs_match_position_kernel_on_presets(tmp_path, cfg, runs, matvecs):
+    # runs: the step moves between several layout runs; matvecs: some
+    # blocks take the matvec form (the 1D presets' blocks of 8 shifts all
+    # do, so their one pass-form block needs no layout run of its own)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     sc = validate_config(load_config(path))
@@ -564,7 +578,9 @@ def test_layout_runs_match_position_kernel_on_presets(tmp_path, cfg):
         sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic), sc.params))
     dt = min(sc.evolution["dt"])
     plan = trotter_plan(h.total, dt, round(sc.evolution["t_max"] / dt), coset=coset)
-    assert 2 < plan.kernel_summary()["layouts_per_step"] < len(plan.blocks)
+    summary = plan.kernel_summary()
+    assert (2 < summary["layouts_per_step"] < len(plan.blocks)) == runs
+    assert (summary["matvec_blocks"] > 0) == matvecs
     rng = np.random.default_rng(47)
     amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
     laid_out, reference = StateVector(amps.copy(), coset), StateVector(amps, coset)
@@ -586,16 +602,23 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
         sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic), sc.params))
     plan = trotter_plan(h.total, 0.05, 100, coset=coset)
     assert plan.n_qubits == 16
+    # 2^16 positions are past the table budget: blocks of 4 or 8 shifts
+    # stay in the pass form
     assert plan.kernel_summary() == {"blocks": 58, "passes_per_step": 126,
-                                     "fused_bytes": 8_579_920,
+                                     "fused_bytes": 8_579_920, "matvec_blocks": 0,
+                                     "matrix_bytes": 0, "position_bytes": 0,
                                      "layouts_per_step": 37}
+    assert max(len(block.terms) for block in plan.blocks) >= 4
     for block in plan.blocks:
         if len(block.strings) > 1:
             assert max(d.size for _, d in block.terms) <= FUSE_ENTRIES
-    # without the bound the same plan holds almost three times as much
+    # without the bound the same plan holds almost three times as much; the
+    # table budget goes with it, and the matrices of the blocks that take
+    # the matvec form hold as many entries as their term tensors did
     monkeypatch.setattr(lgt.dynamics, "FUSE_ENTRIES", 1 << 30)
     unbounded = trotter_plan(h.total, 0.05, 100, coset=coset).kernel_summary()
-    assert unbounded["fused_bytes"] == 23_944_704
+    assert unbounded["matvec_blocks"] == 12
+    assert unbounded["fused_bytes"] + unbounded["matrix_bytes"] == 23_944_704
 
 
 class TestObservables:
@@ -1112,6 +1135,53 @@ def test_tapered_fused_blocks_match_full_register(system, n_steps, dt, seed):
     for _ in range(2):
         trotter_step(on_coset, tapered)
         trotter_step(everywhere, full)
+    if coset.r:
+        assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
+    else:  # a length-1 product rounds without the vector loop's fused multiply-add
+        assert np.allclose(everywhere.amps[coset.index], on_coset.amps,
+                           rtol=8 * len(full.strings) * np.finfo(float).eps, atol=0)
+
+
+@st.composite
+def few_generator_systems(draw):
+    """(hermitian operator on 2 to 8 qubits, a permutation of its strings, a
+    basis index i0). The x-masks are sums of at most 3 generators, so runs
+    of strings span 4 or 8 shifts and take the matvec form."""
+    n = draw(st.integers(2, 8))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=2, max_size=3))
+    strings = []
+    for _ in range(draw(st.integers(8, 40))):
+        x = 0
+        for g in gens:
+            if draw(st.booleans()):
+                x ^= g
+        strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
+                                   draw(st.floats(-2.0, 2.0))))
+    op = PauliOperator.from_terms(n, strings)
+    return (op, draw(st.permutations(range(op.n_terms))),
+            draw(st.integers(0, (1 << n) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_generator_systems(), st.sampled_from([3, 200]), st.floats(1e-3, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_matvec_blocks_match_oracles(system, n_steps, dt, seed):
+    # the per-string product formula to round-off; the tapered and the
+    # full-register step bit for bit, since each coset's matvec rounds alike
+    op, order, i0 = system
+    coset = Coset.reachable(op, i0)
+    full, tapered = (dataclasses.replace(plan, strings=tuple(plan.strings[i] for i in order))
+                     for plan in (trotter_plan(op, dt, n_steps),
+                                  trotter_plan(op, dt, n_steps, coset=coset)))
+    amps = random_state(np.random.default_rng(seed), coset.r).amps
+    on_coset, reference = StateVector(amps.copy(), coset), StateVector(amps.copy(), coset)
+    everywhere = StateVector(np.zeros(1 << op.n_qubits, dtype=complex))
+    everywhere.amps[coset.index] = amps
+    for _ in range(2):
+        trotter_step(on_coset, tapered)
+        trotter_step(everywhere, full)
+        trotter_step_reference(reference, tapered)
+    assert np.max(np.abs(on_coset.amps - reference.amps)) <= 1e-12
     if coset.r:
         assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
     else:  # a length-1 product rounds without the vector loop's fused multiply-add
