@@ -29,11 +29,11 @@ matvec-form blocks and the bytes of their matrices and position tables,
 and the transposing copies of a step (``TrotterPlan.kernel_summary``);
 for the exact curve ``exact_kernel`` records the sector's ||H||_inf, the
 Taylor substeps per sample and the actions of H
-(``ExactEvolver.kernel_summary``). When the run has an exact curve,
-``trotter_error`` records for each Trotter curve the largest |Trotter -
-exact| of the Loschmidt echo and of the particle number over the sample
-times the two curves share, and the number of those times
-(``_trotter_error``); it is empty otherwise.
+(``ExactEvolver.kernel_summary``). ``trotter_error`` is the run's one
+record of the Trotter error: when the run has an exact curve, it holds for
+each Trotter curve the largest |Trotter - exact| of the Loschmidt echo and
+of the particle number over the sample times the two curves share, and the
+number of those times (``_trotter_error``); it is empty otherwise.
 
 ``ConfigKeys`` decodes the coset once, at set-up; a readout decodes
 nothing. It computes the state's probabilities once and holds the time,
@@ -686,10 +686,6 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         "trotter_kernel": kernel,
         "exact_kernel": exact_kernel,
         "trotter_error": trotter_error,
-        "trotter_error_reporting": {
-            "absolute": "curve differences against the exact column",
-            "relative_floor": 1e-3,
-        },
     }
     meta_path = out / f"{sc.output_prefix}_meta.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

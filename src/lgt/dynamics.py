@@ -47,9 +47,10 @@ then walk rows of 2^(r - t) contiguous amplitudes, and a step makes one
 transposing copy into each run's order and one back to qubit order; a
 matvec-form block gathers from whatever order it finds. Per amplitude a
 step does the same products and sums in the same order as in qubit order,
-so the result does not depend on the layouts. The blocks and the step's
-views of two scratch buffers live on the plan; nothing is cached at
-module level.
+so the result does not depend on the layouts. One loop on the plan cuts,
+folds and lays out each block and binds it to views of two scratch
+buffers; the step is the resulting list of NumPy calls, kept on the plan,
+and nothing is cached at module level.
 
 ``decode_basis`` is the one map from basis indices to fermion occupations
 and link fluxes. ``ConfigKeys`` is the one walk over a coset: it decodes
@@ -313,26 +314,6 @@ class OperatorAction:
 # -- Trotter -------------------------------------------------------------
 
 
-class Block(NamedTuple):
-    """A run of plan strings applied as one operator, psi <- sum_w D_w
-    psi[. ^ w], with one term per shift w in the GF(2) span of the run's
-    x-masks, in fold order (``_fold``).
-
-    The block acts on the amplitudes held in its layout run's axis order
-    (``TrotterPlan``), ``axes``, in one of two forms. In the pass form
-    ``matvec`` is None and ``terms`` holds each term as (index, D_w): the
-    run's t touched qubits lead ``axes``, and in the (2,)*t + (2^(r-t),)
-    view of the amplitudes psi[index] is psi[. ^ w] (one slice per leading
-    axis), and D_w, of size 2 or 1 on each leading axis and 1 on the last,
-    scales whole contiguous rows. In the matvec form ``terms`` is empty and
-    ``matvec`` holds the tables (M, positions) of ``_matvec_table``."""
-
-    strings: range  # positions in the plan's strings
-    axes: tuple[int, ...]  # the qubit held by each axis of the run's layout
-    terms: tuple[tuple[tuple[slice, ...], np.ndarray], ...]
-    matvec: tuple[np.ndarray, np.ndarray] | None
-
-
 def _shift(x: int, axes) -> tuple[slice, ...]:
     """Index of psi[. ^ x] over axes holding the qubits ``axes``: the X/Y
     axes reversed."""
@@ -500,7 +481,7 @@ class _Copy(NamedTuple):
     src: np.ndarray
 
 
-class _Passes(NamedTuple):
+class _Step(NamedTuple):
     """A plan's step as NumPy calls bound to two scratch buffers."""
 
     axes: tuple[int, ...]  # the first run's axis order
@@ -515,20 +496,21 @@ class TrotterPlan:
     on the positions of ``coset`` (r = ``n_qubits`` qubits); ``trotter_plan``
     gives an operator's strings in canonical order.
 
-    A step applies ``blocks``: the strings cut into consecutive runs, each
-    folded into one operator of at most 2^``FUSE_SPAN`` terms. The cut
-    depends on ``n_steps``, since a plan of more steps repays more folding
-    (``_block_starts``). A block whose shifts span k >= 2 dimensions (4 or
-    8 terms) takes the matvec form, one gather, one batched matvec and one
-    scatter, where its position table of 2^r entries fits the bytes of
-    ``FUSE_ENTRIES`` complex entries, the budget of one fused term tensor
-    (r <= 14); any other block takes the pass form, one pass per term.
-    Consecutive pass-form blocks share a layout run (``_layouts``), which
-    holds the amplitudes in its own axis order, the qubits its blocks touch
-    first, so that a pass walks rows of at least 2^``ROW_AXES`` contiguous
-    amplitudes where r allows; a matvec-form block runs in the layout it
-    finds. The blocks, and the step's views of two scratch buffers, are
-    built on first use."""
+    A step is one list of NumPy calls on two scratch buffers, built on
+    first use by one loop over the blocks: the strings cut into consecutive
+    runs (``_block_starts``), each folded into one operator of at most
+    2^``FUSE_SPAN`` terms (``_fold``). The cut depends on ``n_steps``,
+    since a plan of more steps repays more folding. A block whose shifts
+    span k >= 2 dimensions (4 or 8 terms) takes the matvec form, one
+    gather, one batched matvec and one scatter (``_matvec_table``), where
+    its position table of 2^r entries fits the bytes of ``FUSE_ENTRIES``
+    complex entries, the budget of one fused term tensor (r <= 14); any
+    other block takes the pass form, one pass per term. Consecutive
+    pass-form blocks share a layout run (``_layouts``), which holds the
+    amplitudes in its own axis order, the qubits its blocks touch first, so
+    that a pass walks rows of at least 2^``ROW_AXES`` contiguous amplitudes
+    where r allows; a transposing copy enters each run, and a matvec-form
+    block runs in the layout it finds."""
 
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
     dt: float
@@ -540,88 +522,75 @@ class TrotterPlan:
         return self.coset.r
 
     @functools.cached_property
-    def blocks(self) -> tuple[Block, ...]:
-        r = self.n_qubits
-        starts = _block_starts(self.strings, self.n_steps)
-        cuts = list(zip(starts, starts[1:] + [len(self.strings)]))
-        fits = ((1 << r) * np.dtype(np.intp).itemsize
-                <= FUSE_ENTRIES * np.dtype(complex).itemsize)
-        matvec = [fits and len(_echelon(p.x for p in self.strings[i:j])) >= 2
-                  for i, j in cuts]
-        touched = []  # the qubits each block's passes act on
-        for (i, j), by_matvec in zip(cuts, matvec):
-            mask = 0
-            for p in () if by_matvec else self.strings[i:j]:
-                mask |= p.x | p.z
-            touched.append(mask)
-        identity = {0: np.ones((1,) * r, dtype=complex)}
-        blocks = []
-        for (i, j), by_matvec, (axes, t) in zip(cuts, matvec, _layouts(touched, r)):
-            terms = identity
-            for p in self.strings[i:j]:
-                terms = _fold(terms, p, p.coeff.real * self.dt)
-            if by_matvec:
-                blocks.append(Block(range(i, j), axes, (), _matvec_table(terms, axes)))
-                continue
-            laid_out = []
-            for w, d in terms.items():
-                # a NumPy scalar at r = 0; size 1 past the t touched axes
-                d = np.asarray(d).transpose(axes)
-                laid_out.append((_shift(w, axes[:t]), d.reshape(d.shape[:t] + (1,))))
-            blocks.append(Block(range(i, j), axes, tuple(laid_out), None))
-        return tuple(blocks)
-
-    @functools.cached_property
-    def _passes(self) -> _Passes:
+    def _step(self) -> _Step:
         r = self.n_qubits
         full = (2,) * r
+        starts = _block_starts(self.strings, self.n_steps)
+        ends = starts[1:] + [len(self.strings)]
+        runs = [self.strings[i:j] for i, j in zip(starts, ends)]
+        fits = ((1 << r) * np.dtype(np.intp).itemsize
+                <= FUSE_ENTRIES * np.dtype(complex).itemsize)
+        matvec = [fits and len(_echelon(p.x for p in run)) >= 2 for run in runs]
+        touched = [0 if by_matvec else  # the qubits the block's passes act on
+                   functools.reduce(int.__or__, (p.x | p.z for p in run))
+                   for run, by_matvec in zip(runs, matvec)]
+        layouts = _layouts(touched, r)
         buffers = np.empty(1 << r, dtype=complex), np.empty(1 << r, dtype=complex)
-        axes = self.blocks[0].axes if self.blocks else tuple(range(r))
+        axes = layouts[0][0] if layouts else tuple(range(r))
         first, psi = axes, 0  # psi: the buffer holding the amplitudes
         ops: list = []
-        for block in self.blocks:
-            if block.axes != axes:
+        for run, by_matvec, (run_axes, t) in zip(runs, matvec, layouts):
+            if run_axes != axes:
                 src = buffers[psi].reshape(full).transpose(
-                    [axes.index(q) for q in block.axes])
+                    [axes.index(q) for q in run_axes])
                 psi ^= 1
                 ops.append(_Copy(buffers[psi].reshape(full), src))
-                axes = block.axes
-            if block.matvec is not None:
-                m, positions = block.matvec
+                axes = run_axes
+            terms = {0: np.ones((1,) * r, dtype=complex)}
+            for p in run:
+                terms = _fold(terms, p, p.coeff.real * self.dt)
+            if by_matvec:
+                m, positions = _matvec_table(terms, axes)
                 src, dst = buffers[psi], buffers[psi ^ 1]
                 ops.append(_Matvec(src, positions, dst.reshape(positions.shape), m,
                                    src.reshape(positions.shape), dst))
                 psi ^= 1
                 continue
-            (index, d), *rest = block.terms
-            t = len(index)
             view = buffers[psi].reshape((2,) * t + (1 << r - t,))
+            laid_out = []
+            for w, d in terms.items():
+                # a NumPy scalar at r = 0; size 1 past the t touched axes
+                d = np.asarray(d).transpose(axes)
+                laid_out.append((d.reshape(d.shape[:t] + (1,)), view[_shift(w, axes[:t])]))
+            (d, first_view), *rest = laid_out
             out = None
             if rest:
                 psi ^= 1
                 out = buffers[psi].reshape(view.shape)
-            ops.append(_Sum(out, d, view[index], tuple((d, view[i]) for i, d in rest)))
+            ops.append(_Sum(out, d, first_view, tuple(rest)))
         leave = buffers[psi].reshape(full).transpose([axes.index(q) for q in range(r)])
-        return _Passes(first, buffers[0].reshape(full), tuple(ops), leave)
+        return _Step(first, buffers[0].reshape(full), tuple(ops), leave)
 
     def kernel_summary(self) -> dict[str, int]:
-        """What a step runs: ``blocks``, the fused blocks; of those in the
-        pass form, ``passes_per_step``, the passes over the state (one per
-        term), and ``fused_bytes``, the bytes of their term tensors; of
-        those in the matvec form, ``matvec_blocks``, their number, and
-        ``matrix_bytes`` and ``position_bytes``, the bytes of their M and
-        position tables; ``layouts_per_step``, the transposing copies of a
-        step, into each layout run's order and back to qubit order."""
-        tables = [b.matvec for b in self.blocks if b.matvec is not None]
-        return {"blocks": len(self.blocks),
-                "passes_per_step": sum(len(b.terms) for b in self.blocks),
-                "fused_bytes": sum(d.nbytes for b in self.blocks
-                                   for _, d in b.terms),
-                "matvec_blocks": len(tables),
-                "matrix_bytes": sum(m.nbytes for m, _ in tables),
-                "position_bytes": sum(pos.nbytes for _, pos in tables),
-                "layouts_per_step": 2 + sum(type(op) is _Copy
-                                            for op in self._passes.ops)}
+        """What a step runs, read from its ops: ``blocks``, the fused
+        blocks; of those in the pass form, ``passes_per_step``, the passes
+        over the state (one per term), and ``fused_bytes``, the bytes of
+        their term tensors; of those in the matvec form, ``matvec_blocks``,
+        their number, and ``matrix_bytes`` and ``position_bytes``, the bytes
+        of their M and position tables; ``layouts_per_step``, the
+        transposing copies of a step, into each layout run's order and back
+        to qubit order."""
+        ops = self._step.ops
+        sums = [op for op in ops if type(op) is _Sum]
+        matvecs = [op for op in ops if type(op) is _Matvec]
+        return {"blocks": len(sums) + len(matvecs),
+                "passes_per_step": sum(1 + len(op.rest) for op in sums),
+                "fused_bytes": sum(d.nbytes for op in sums
+                                   for d in (op.d, *(d for d, _ in op.rest))),
+                "matvec_blocks": len(matvecs),
+                "matrix_bytes": sum(op.m.nbytes for op in matvecs),
+                "position_bytes": sum(op.positions.nbytes for op in matvecs),
+                "layouts_per_step": 2 + len(ops) - len(sums) - len(matvecs)}
 
 
 def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
@@ -640,14 +609,15 @@ def trotter_plan(op: PauliOperator, dt: float, n_steps: int,
 
 
 def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
-    """One step of the plan on the state's amplitudes, in place. A copy
-    moves them into a scratch buffer in the first layout run's order. A
-    diagonal block multiplies them there. A block in the matvec form
-    gathers them into the other buffer, multiplies each coset's vector by
-    its matrix back into the first, and scatters the products into the
-    other buffer, which then holds them. Any other block makes one pass per
-    term into the other buffer, which then holds them, with the state's own
-    array as the product scratch. Between runs a transposing copy moves
+    """One step of the plan on the state's amplitudes, in place, by the
+    plan's list of bound NumPy calls. A copy moves them into a scratch
+    buffer in the first layout run's order. A diagonal block multiplies
+    them there. A block in the matvec form gathers them into the other
+    buffer, multiplies each coset's vector by its matrix back into the
+    first, and scatters the products into the other buffer, which then
+    holds them. Any other block makes one pass per term into the other
+    buffer, which then holds them, with the state's own array as the
+    product scratch. Between runs a transposing copy moves
     them into the other buffer in the next run's order, and after the last
     run a copy moves them back into the state in qubit order.
 
@@ -658,10 +628,10 @@ def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
     if state.coset != plan.coset:
         raise ValueError("state and plan on different cosets")
     state.amps = np.ascontiguousarray(state.amps, dtype=complex)
-    passes = plan._passes
+    step = plan._step
     home = state.amps.reshape((2,) * plan.n_qubits)
-    np.copyto(passes.enter, home.transpose(passes.axes))
-    for op in passes.ops:
+    np.copyto(step.enter, home.transpose(step.axes))
+    for op in step.ops:
         kind = type(op)
         if kind is _Matvec:
             op.src.take(op.positions, out=op.gathered, mode="clip")  # all in range
@@ -679,7 +649,7 @@ def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
             for d, psi in rest:
                 np.multiply(d, psi, out=tmp)
                 out += tmp
-    np.copyto(home, passes.leave)
+    np.copyto(home, step.leave)
     return state
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lgt.circuits import step_gate_counts
 from lgt.gauge import (
     check_spin,
     is_perfectly_representable,
@@ -27,14 +28,9 @@ CLOSED_FORM_D_S = 1 << 10  # log links with larger d_S are counted by closed for
 
 
 def cnot_per_trotter_step(op: PauliOperator) -> int:
-    """2 sum_P (support(P) - 1); identity strings cost nothing. Counted
-    as 2 (sum of supports - non-identity strings), one row block at a
-    time."""
-    total = 0
-    for block in op.blocks():
-        supports = block.supports
-        total += int(supports.sum()) - int(np.count_nonzero(supports))
-    return 2 * total
+    """The CNOTs of one Trotter step's circuit, 2 sum_P (support(P) - 1),
+    as ``lgt.circuits.step_gate_counts`` counts them."""
+    return step_gate_counts(op).get("cx", 0)
 
 
 def plaquette_pauli_formula(n_real: int, n_imag: int, n_mixed: int) -> int:

@@ -16,8 +16,8 @@ product that the tensor products of ``build_hopp_wilson`` replaced, the
 one-hot S+ as a chain of operator sums that the tensor products of
 ``lgt.gauge.encode_lin`` replaced, and the
 whole-array support, CNOT and gate counts that the row-block passes of
-``PauliOperator.supports``, ``lgt.resources.cnot_per_trotter_step`` and
-``lgt.circuits.step_gate_counts`` replaced.
+``PauliOperator.supports`` and ``lgt.circuits.step_gate_counts`` (which
+``lgt.resources.cnot_per_trotter_step`` reads) replaced.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """

@@ -31,6 +31,11 @@ from lgt.dynamics import (
     ExactEvolver,
     OperatorAction,
     StateVector,
+    _block_starts,
+    _Copy,
+    _layouts,
+    _Matvec,
+    _Sum,
     basis_config_label,
     config_probabilities,
     decode_basis,
@@ -443,6 +448,27 @@ class TestTrotter:
 # -- fused Trotter blocks against the per-string oracle -----------------------
 
 
+def block_cuts(plan) -> list[tuple[int, int]]:
+    """(first, end) in the plan's strings of each of its blocks."""
+    starts = _block_starts(plan.strings, plan.n_steps)
+    return list(zip(starts, starts[1:] + [len(plan.strings)]))
+
+
+def block_ops(plan) -> list:
+    """The bound op of each block of the plan's step, in step order (every
+    op but the layout copies)."""
+    return [op for op in plan._step.ops if type(op) is not _Copy]
+
+
+def pass_terms(op: _Sum) -> tuple:
+    """(D_w, psi[. ^ w] view) of each term of a pass-form block's op."""
+    return ((op.d, op.psi), *op.rest)
+
+
+def n_terms(op) -> int:
+    return op.m.shape[-1] if type(op) is _Matvec else len(pass_terms(op))
+
+
 @st.composite
 def ordered_hamiltonians(draw):
     """(random hermitian operator on 2, 5 or 8 qubits, a permutation of its
@@ -472,16 +498,23 @@ def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
     # every string lands in exactly one block, in order, and a block has
     # one term per shift in the span of its x-masks; on n <= 8 qubits every
     # span of 4 or 8 shifts takes the matvec form, and only those
-    assert [i for b in plan.blocks for i in b.strings] == list(range(len(plan.strings)))
-    for block in plan.blocks:
+    cuts = block_cuts(plan)
+    assert [k for i, j in cuts for k in range(i, j)] == list(range(len(plan.strings)))
+    ops = block_ops(plan)
+    assert len(ops) == len(cuts)
+    for (i, j), op in zip(cuts, ops):
         span = {0}
-        for i in block.strings:
-            x = plan.strings[i].x
-            if x not in span:
-                span |= {w ^ x for w in span}
-        assert (block.matvec is not None) == (len(span) >= 4)
-        terms = len(block.terms) if block.matvec is None else block.matvec[0].shape[-1]
-        assert terms == len(span) <= 1 << FUSE_SPAN
+        for p in plan.strings[i:j]:
+            if p.x not in span:
+                span |= {w ^ p.x for w in span}
+        assert (type(op) is _Matvec) == (len(span) >= 4)
+        assert n_terms(op) == len(span) <= 1 << FUSE_SPAN
+    # the summary counts what the oracle's blocks hold
+    oracle = pauli_oracle.position_blocks(plan)
+    summary = plan.kernel_summary()
+    assert ((summary["blocks"], summary["passes_per_step"], summary["matvec_blocks"])
+            == (len(oracle), sum(len(b[1]) for b in oracle if b[0] == "passes"),
+                sum(b[0] == "matvec" for b in oracle)))
     st0 = random_state(np.random.default_rng(seed), plan.n_qubits)
     fused, ref = st0.copy(), st0.copy()
     for _ in range(2):
@@ -510,40 +543,61 @@ def ordered_coset_systems(draw):
             draw(st.integers(0, (1 << n) - 1)))
 
 
+# a pass-form block on 5 of 6 qubits, a run of its own, then a matvec
+# block, which keeps that run's layout with no copy before it; random draws
+# seldom mix the two forms across layout runs
+MIXED_FORMS = PauliOperator.from_terms(6, [
+    PauliString.from_label(label, c)
+    for label, c in (("YIXYYX", -0.1), ("ZIYYZY", 0.2), ("ZZXXYZ", -0.5),
+                     ("ZZYYZY", 1.2), ("ZZZZIZ", -0.4))])
+
+
 @settings(max_examples=200, deadline=None)
 @given(ordered_coset_systems(), st.sampled_from([1, 3, 200]),
        st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+@example((MIXED_FORMS, range(5), 0), 200, 0.5, 0)
 def test_layout_runs_match_position_kernel(system, n_steps, dt, seed):
     op, order, i0 = system
     coset = Coset.reachable(op, i0)
     plan = trotter_plan(op, dt, n_steps, coset=coset)
     plan = dataclasses.replace(plan, strings=tuple(plan.strings[i] for i in order))
     r = plan.n_qubits
-    changes = 0
-    for prev, block in zip((None,) + plan.blocks, plan.blocks):
-        assert sorted(block.axes) == list(range(r))
-        changes += prev is not None and prev.axes != block.axes
-        if block.matvec is not None:
+    ops = block_ops(plan)
+    touched = []  # the qubits each block's passes act on
+    for (i, j), op in zip(block_cuts(plan), ops):
+        mask = 0
+        for p in plan.strings[i:j] if type(op) is _Sum else ():
+            mask |= p.x | p.z
+        touched.append(mask)
+    layouts = _layouts(touched, r)
+    # the step copies into each new layout before its block, and nowhere else
+    kinds, prev = [], None
+    for (axes, _), op in zip(layouts, ops):
+        kinds += [_Copy] * (prev is not None and prev != axes) + [type(op)]
+        prev = axes
+    assert [type(op) for op in plan._step.ops] == kinds
+    assert plan.kernel_summary()["layouts_per_step"] == 2 + kinds.count(_Copy)
+    prev = None
+    for (axes, t), op, mask in zip(layouts, ops, touched):
+        assert sorted(axes) == list(range(r))
+        if type(op) is _Matvec:
             # a matvec block runs in the layout it finds, and its positions
             # hold every amplitude once
-            assert prev is None or block.axes == prev.axes
-            m, positions = block.matvec
-            k = m.shape[-1]
-            assert m.shape == (len(positions), 1, k, k) and positions.shape[2:] == (k, 1)
-            assert np.array_equal(np.sort(positions, axis=None), np.arange(1 << r))
-            continue
-        # the run's touched qubits lead its axis order, it leaves ROW_AXES
-        # qubits untouched unless one block alone touches more, and every
-        # tensor is constant along the contiguous rows
-        t = len(block.terms[0][0])
-        touched = 0
-        for i in block.strings:
-            touched |= plan.strings[i].x | plan.strings[i].z
-        assert all(q in block.axes[:t] for q in range(r) if touched >> q & 1)
-        assert t <= max(r - ROW_AXES, touched.bit_count())
-        for index, d in block.terms:
-            assert len(index) == t and d.ndim == t + 1 and d.shape[t] == 1
-    assert plan.kernel_summary()["layouts_per_step"] == 2 + changes
+            assert prev is None or axes == prev
+            k = op.m.shape[-1]
+            assert op.m.shape == (len(op.positions), 1, k, k)
+            assert op.positions.shape[2:] == (k, 1)
+            assert np.array_equal(np.sort(op.positions, axis=None), np.arange(1 << r))
+        else:
+            # the run's touched qubits lead its axis order, it leaves
+            # ROW_AXES qubits untouched unless one block alone touches more,
+            # and every tensor is constant along the contiguous rows
+            assert all(q in axes[:t] for q in range(r) if mask >> q & 1)
+            assert t <= max(r - ROW_AXES, mask.bit_count())
+            for d, psi in pass_terms(op):
+                assert psi.shape == (2,) * t + (1 << r - t,)
+                assert d.ndim == t + 1 and d.shape[t] == 1
+        prev = axes
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << r) + 1j * rng.normal(size=1 << r)
     laid_out, reference = StateVector(amps.copy(), coset), StateVector(amps, coset)
@@ -579,7 +633,7 @@ def test_layout_runs_match_position_kernel_on_presets(tmp_path, cfg, runs, matve
     dt = min(sc.evolution["dt"])
     plan = trotter_plan(h.total, dt, round(sc.evolution["t_max"] / dt), coset=coset)
     summary = plan.kernel_summary()
-    assert (2 < summary["layouts_per_step"] < len(plan.blocks)) == runs
+    assert (2 < summary["layouts_per_step"] < summary["blocks"]) == runs
     assert (summary["matvec_blocks"] > 0) == matvecs
     rng = np.random.default_rng(47)
     amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
@@ -608,10 +662,10 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
                                      "fused_bytes": 8_579_920, "matvec_blocks": 0,
                                      "matrix_bytes": 0, "position_bytes": 0,
                                      "layouts_per_step": 37}
-    assert max(len(block.terms) for block in plan.blocks) >= 4
-    for block in plan.blocks:
-        if len(block.strings) > 1:
-            assert max(d.size for _, d in block.terms) <= FUSE_ENTRIES
+    assert max(n_terms(op) for op in block_ops(plan)) >= 4
+    for (i, j), op in zip(block_cuts(plan), block_ops(plan)):
+        if j - i > 1:
+            assert max(d.size for d, _ in pass_terms(op)) <= FUSE_ENTRIES
     # without the bound the same plan holds almost three times as much; the
     # table budget goes with it, and the matrices of the blocks that take
     # the matvec form hold as many entries as their term tensors did
@@ -1126,7 +1180,7 @@ def test_tapered_fused_blocks_match_full_register(system, n_steps, dt, seed):
     coset = Coset.reachable(op, i0)
     full = trotter_plan(op, dt, n_steps)
     tapered = trotter_plan(op, dt, n_steps, coset=coset)
-    assert ([b.strings for b in tapered.blocks] == [b.strings for b in full.blocks])
+    assert block_cuts(tapered) == block_cuts(full)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
     on_coset = StateVector(amps.copy(), coset)
@@ -1195,7 +1249,7 @@ def test_span_bound_cuts_a_long_run():
     strings = [PauliString(4, 1 << (i % 4), 0, 0.1 * (i + 1)) for i in range(40)]
     op = PauliOperator.from_terms(4, strings)
     plan = trotter_plan(op, 0.1, 200)
-    assert max(len(b.terms) for b in plan.blocks) <= 1 << FUSE_SPAN
+    assert max(n_terms(op) for op in block_ops(plan)) <= 1 << FUSE_SPAN
 
 
 @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
