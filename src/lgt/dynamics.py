@@ -431,12 +431,15 @@ def _layouts(touched: list[int], r: int) -> list[tuple[tuple[int, ...], int]]:
     X, Y or Z qubits of its strings in the pass form, none in the matvec
     form): the axis order of its layout run and the number of qubits the
     run touches. A run of consecutive blocks grows while the union of their
-    masks leaves at least ``ROW_AXES`` qubits untouched, or does not grow.
-    Its order puts the touched qubits first and the rest after them, each
-    group in the previous run's order (qubit order before the first run)."""
+    masks leaves at least ``ROW_AXES`` qubits untouched, or does not grow;
+    a run that a block touching no qubit opens after another run takes no
+    block that touches one, so that block runs in the layout it finds. Its
+    order puts the touched qubits first and the rest after them, each group
+    in the previous run's order (qubit order before the first run)."""
     runs: list[list[int]] = []  # [blocks, union of their masks]
     for mask in touched:
-        if runs and (runs[-1][1] | mask).bit_count() <= r - ROW_AXES:
+        if (runs and (runs[-1][1] | mask).bit_count() <= r - ROW_AXES
+                and (not mask or runs[-1][1] or len(runs) == 1)):
             runs[-1][0] += 1
             runs[-1][1] |= mask
         else:
