@@ -647,8 +647,10 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         del ev  # its gather table is not needed by the Trotter curves
     kernel: dict[str, dict[str, int]] = {}
     if evo["method"] in ("trotter", "both"):
+        tapered = trotter_plan(h.total, 0.0, 0, coset)  # the strings, tapered once
         for dt in evo["dt"]:
-            plan = trotter_plan(h.total, dt, _n_steps(t_max, dt), coset)
+            # a new plan per dt builds and keeps its own step
+            plan = replace(tapered, dt=dt, n_steps=_n_steps(t_max, dt))
             name = f"trotter_dt{dt:g}"
             curves[name] = [readout(t, st) for t, st in trotter_states(s0, plan)]
             kernel[name] = plan.kernel_summary()

@@ -29,13 +29,17 @@ its shift span as one dense 2^k x 2^k matrix, as blocked simulators apply
 fused k-qubit gates as small dense matrices (Häner & Steiger,
 arXiv:1704.01127). Where its table of 2^r positions fits the bytes of
 ``FUSE_ENTRIES`` complex entries, it takes this matvec form: one gather
-of the amplitudes into coset order, one batched matvec, (..., K, K) @
-(..., K, 1), and one scatter, with the matrices stored once per value of
-the qubits they depend on. A pass over a few thousand amplitudes costs
-NumPy's strided iterator, not arithmetic, so three calls beat 2^k passes
-there. Blocks of k <= 1, and blocks of large r, keep the pass form; each
-matvec rounds alike whatever the number of cosets, so a tapered and a
-full-register step still agree bit for bit.
+of the amplitudes into coset order and one batched matvec, (..., K, K) @
+(..., K, 1), with the matrices stored once per value of the qubits they
+depend on and built straight from the strings, one update per string.
+Consecutive blocks of this form merge up to 16 shifts, where a batched
+matvec still costs about what one of 4 shifts does, and a chain of them
+gathers each block's input straight from the previous block's products,
+so only its last block scatters into state order. A pass over a few
+thousand amplitudes costs NumPy's strided iterator, not arithmetic, so a
+few calls beat 2^k passes there. Blocks of k <= 1, and blocks of large
+r, keep the pass form; each matvec rounds alike whatever the number of
+cosets, so a tapered and a full-register step still agree bit for bit.
 
 In qubit order a pass-form block's axes sit among the untouched ones, and
 NumPy would walk each pass in rows of a few amplitudes. So consecutive
@@ -93,8 +97,10 @@ GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
 READOUT_TOL = 1e-12  # configuration probabilities at or below this are not listed
 GAUSS_BLOCK = 1 << 16  # coset positions ConfigKeys decodes at a time
 FUSE_SPAN = 3          # a Trotter block's x-masks span at most this dimension
+                       # (one more once consecutive matvec-form blocks merge)
 FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB, which
-                        # also bounds a matvec-form block's position table)
+                        # also bounds a matvec-form block's position table and
+                        # a merged block's matrices)
 ROW_AXES = 3           # qubits a Trotter layout run leaves untouched, if it can
 TAYLOR_STEP = 2.0       # ||H tau||_inf of one exact-evolution substep at most
 TAYLOR_TERMS = 60       # Taylor terms a substep may take before evolve gives up
@@ -351,79 +357,211 @@ def _fold(terms: dict[int, np.ndarray], p: PauliString, theta: float
     return out
 
 
-def _matvec_table(terms: dict[int, np.ndarray], axes: tuple[int, ...]
+def _span(run) -> list[int]:
+    """The shifts w(a) of a run's terms in ``_fold``'s order: a string whose
+    x-mask is new appends w ^ x for every shift w so far, so w(a) ^ w(b) =
+    w(a ^ b)."""
+    shifts = [0]
+    for p in run:
+        if p.x not in shifts:
+            shifts += [w ^ p.x for w in shifts]
+    return shifts
+
+
+def _subsets(mask: int) -> np.ndarray:
+    """The qubit masks of all subsets of the qubits in ``mask``; bit i of a
+    subset's number selects the i-th lowest qubit."""
+    qubits = [q for q in range(mask.bit_length()) if mask >> q & 1]
+    return ((np.arange(1 << len(qubits))[:, None] >> np.arange(len(qubits))) & 1
+            ) @ (np.int64(1) << np.array(qubits, dtype=np.int64))
+
+
+class _Stack(NamedTuple):
+    """A run's product formula as one K x K matrix per coset of its shift
+    span W: ``m[i, a, b]`` maps the amplitude at c ^ w(b) into c ^ w(a),
+    where c = ``reps[i]`` has W's pivot qubits (``_echelon``) clear. A
+    matrix depends only on c's dep qubits, the Z/Y qubits of the run
+    outside the pivots, so ``reps`` holds their subsets."""
+
+    m: np.ndarray | None  # (2^dep, K, K); None in a bare frame (``_frame``)
+    shifts: list[int]  # w(a), in fold order
+    rows: dict[int, int]  # W in reduced row-echelon form
+    reps: np.ndarray  # (2^dep,) qubit masks
+    dep: int  # qubit mask
+
+
+def _frame(run) -> _Stack:
+    """A run's shifts, span and coset representatives, with no matrices."""
+    shifts = _span(run)
+    rows = _echelon(shifts)
+    dep = functools.reduce(int.__or__, (p.z for p in run)) & ~sum(1 << q for q in rows)
+    return _Stack(None, shifts, rows, _subsets(dep), dep)
+
+
+def _stack(run, dt: float) -> _Stack:
+    """The run's matrices built one string at a time: exp(-i theta P) =
+    cos(theta) I - i sin(theta) P, and P moves c ^ w(a ^ s) to c ^ w(a),
+    w(s) = x, times i^|Y| (-1)^parity(z & (c ^ w(a ^ s))), so each string
+    updates the rows as M <- cos M - g M[:, a ^ s], the rows a ^ s a view
+    with the axes of s's bits reversed. Every factor of g is +-1 or +-i
+    times sin(theta), so each entry rounds alike on any register."""
+    frame = _frame(run)
+    shifts, reps = frame.shifts, frame.reps
+    size, k = len(shifts), len(frame.rows)
+    index = [shifts.index(p.x) for p in run]  # s, w(s) = x
+    perm = np.arange(size) ^ np.array(index)[:, None]  # (L, K): a ^ s
+    z = np.array([p.z for p in run], dtype=np.int64)[:, None, None]
+    odd = np.bitwise_count(z & (reps[:, None] ^ np.array(shifts)[perm][:, None])) & 1
+    coef = [1j * math.sin(p.coeff.real * dt) * 1j ** ((p.x & p.z).bit_count() % 4)
+            for p in run]
+    g = (np.where(odd, -1.0, 1.0) * np.array(coef)[:, None, None]).reshape(
+        (len(run), len(reps)) + (2,) * k + (1,))  # bit k - 1 of a on the first axis
+    m = np.zeros((len(reps), size, size), dtype=complex)
+    m[:, np.arange(size), np.arange(size)] = 1.0
+    moved = np.empty_like(m)
+    view, moved_view = (a.reshape(g.shape[1:-1] + (size,)) for a in (m, moved))
+    for p, s, g_p in zip(run, index, g):
+        np.multiply(g_p, view[(slice(None),) + _shift(s, range(k - 1, -1, -1))],
+                    out=moved_view)
+        m *= math.cos(p.coeff.real * dt)
+        m -= moved
+    return frame._replace(m=m)
+
+
+def _embed(part: _Stack, whole: _Stack) -> np.ndarray:
+    """The matrices of ``part``, whose shift span lies in ``whole``'s, on
+    ``whole``'s cosets: position c ^ w(a) lies in part's coset c' +
+    w'(a'), c' with part's pivot qubits clear, and entry (a, b) is part's
+    (a', b') there where c ^ w(b) lies in the same coset, 0 elsewhere."""
+    y = whole.reps[:, None] ^ np.array(whole.shifts, dtype=np.int64)  # (C, K)
+    rep = y.copy()
+    for q, v in part.rows.items():
+        rep ^= (y >> q & 1) * v
+    index = np.zeros(max(part.shifts) + 1, dtype=np.intp)
+    index[part.shifts] = np.arange(len(part.shifts))
+    a = index[y ^ rep]
+    c = np.zeros_like(rep)
+    for i, q in enumerate(q for q in range(part.dep.bit_length()) if part.dep >> q & 1):
+        c |= (rep >> q & 1) << i
+    k = len(part.shifts)
+    entry = ((c * k + a) * k)[:, :, None] + a[:, None, :]
+    return np.where(rep[:, :, None] == rep[:, None, :], part.m.reshape(-1)[entry], 0.0)
+
+
+def _matvec_table(run, dt: float, axes: tuple[int, ...]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(M, positions): the terms {w: D_w} of ``_fold`` (D_w in qubit order)
-    as one batched matvec on the amplitudes held in the axis order
-    ``axes``, axis 0 the most significant bit of a flat index.
+    """(M, positions): a run of strings as one batched matvec on the
+    amplitudes held in the axis order ``axes``, axis 0 the most
+    significant bit of a flat index.
 
-    The K shifts span W; w(a) is the shift of term a, so w(a) ^ w(b) =
-    w(a ^ b). The positions c + W, c with W's pivot qubits (``_echelon``)
-    clear, form a coset that holds position c ^ w(a) at a, and sum_w D_w
-    psi[. ^ w] maps it by the K x K matrix M_c[a, b] = D_{w(a ^ b)}(c ^
-    w(a)). M_c depends only on c's dep qubits, those outside the pivots
-    where some D_w varies, so M has shape (2^dep, 1, K, K) and broadcasts
-    over the other, free qubits. ``positions`` (2^dep, 2^free, K, 1) holds
-    the flat index of each position c ^ w(a), every index once."""
+    The run's K shifts span W, and the coset c + W, c with W's pivot
+    qubits clear, holds position c ^ w(a) at a. Its matrices come from
+    ``_stack`` in pieces of at most 2^``FUSE_SPAN`` shifts, each piece's
+    embedded (``_embed``) and multiplied onto the earlier ones', one K x K
+    product per coset. M has shape (2^dep, 1, K, K) and broadcasts over
+    the free qubits, those neither pivots nor dep; ``positions`` (2^dep,
+    2^free, K, 1) holds the flat index of each position c ^ w(a), every
+    index once."""
     r = len(axes)
-    bit = np.zeros(r, dtype=np.intp)  # the flat index bit of each qubit
+    pieces, span = [[]], {0}
+    for p in run:
+        if p.x not in span and len(span) == 1 << FUSE_SPAN:
+            pieces.append([])
+            span = {0}
+        span |= {w ^ p.x for w in span}
+        pieces[-1].append(p)
+    whole = _frame(run)
+    first, *rest = (_stack(piece, dt) for piece in pieces)
+    m = _embed(first, whole) if rest else first.m  # one piece: the same frame
+    for part in rest:
+        m = _embed(part, whole) @ m
+    bit = np.zeros(r, dtype=np.int64)  # the flat index bit of each qubit
     bit[list(axes)] = 1 << np.arange(r - 1, -1, -1)
-    pivot = np.zeros(r, dtype=bool)
-    pivot[list(_echelon(terms))] = True
-    vary = np.maximum.reduce([d.shape for d in terms.values()]) == 2
-    dep = vary & ~pivot
 
-    def subsets(mask: np.ndarray) -> np.ndarray:
-        """The flat index masks of all subsets of the qubits in ``mask``."""
-        bits = bit[mask]
-        return ((np.arange(1 << len(bits))[:, None] >> np.arange(len(bits))) & 1) @ bits
+    def flat(masks: np.ndarray) -> np.ndarray:
+        return ((masks[..., None] >> np.arange(r)) & 1) @ bit
 
-    shift = ((np.array(list(terms))[:, None] >> np.arange(r)) & 1) @ bit
-    base = subsets(dep)
-    positions = (base[:, None, None] | subsets(~vary & ~pivot)[:, None]) ^ shift
-    # each D_w over the qubits where some D_w varies, in qubit order, and
-    # the entry there of position c ^ w(a), the free qubits' bits 0
-    stacked = np.empty((len(terms),) + tuple(1 + vary), dtype=complex)
-    for a, d in enumerate(terms.values()):
-        stacked[a] = d
-    at = base[:, None] ^ shift
-    entry = ((at[..., None] & bit[vary]) != 0) @ (1 << np.arange(vary.sum())[::-1])
-    a = np.arange(len(terms))
-    m = stacked.reshape(len(terms), -1)[a[:, None] ^ a, entry[:, :, None]]
-    return m[:, None], positions[..., None]
+    free = _subsets((1 << r) - 1 & ~whole.dep & ~sum(1 << q for q in whole.rows))
+    positions = ((flat(whole.reps)[:, None, None] | flat(free)[:, None])
+                 ^ flat(np.array(whole.shifts, dtype=np.int64)))
+    return m[:, None], positions[..., None].astype(np.intp, copy=False)
+
+
+def _matvec_fits(r: int) -> bool:
+    """Whether a matvec-form block's table of 2^r positions fits the bytes
+    of ``FUSE_ENTRIES`` complex entries (r <= 14)."""
+    return (1 << r) * np.dtype(np.intp).itemsize <= FUSE_ENTRIES * np.dtype(complex).itemsize
 
 
 def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
-    """Where the blocks of a plan start: the cut of the string order into
-    runs that minimises sum 2^k (n_steps + L), the passes over the state in
-    n_steps steps plus the folds that build the run, for a run of L strings
-    whose x-masks span dimension k <= ``FUSE_SPAN``. The strings of a run
-    of two or more act on at most log2(``FUSE_ENTRIES``) Z/Y axes together,
-    so none of its term tensors exceeds that many entries; a lone string's
-    tensor has the size of its own Z/Y support."""
+    """Where the blocks of a plan start. First the cut of the string order
+    into runs that minimises sum 2^k (n_steps + L), the passes over the
+    state in n_steps steps plus the folds that build the run, for a run of
+    L strings whose x-masks span dimension k <= ``FUSE_SPAN``. The strings
+    of a run of two or more act on at most log2(``FUSE_ENTRIES``) Z/Y axes
+    together, so none of its term tensors exceeds that many entries; a
+    lone string's tensor has the size of its own Z/Y support. Then, where
+    the matvec form fits (``_matvec_fits``), consecutive runs of k >= 2
+    merge while the merged span has at most 2^(``FUSE_SPAN`` + 1) = 16
+    shifts and its matrices, 2^dep of K x K, at most ``FUSE_ENTRIES``
+    entries: a batched matvec costs about the same up to K = 16. The dep
+    qubits are counted as on the tapered register, so a plan on the full
+    register cuts as its tapered plan does (its own matrices may then be
+    larger)."""
     max_axes = FUSE_ENTRIES.bit_length() - 1
+    xs = [p.x for p in strings]
+    zs = [p.z for p in strings]
     cost = [0] * (len(strings) + 1)
     start = [0] * (len(strings) + 1)
     for j in range(1, len(strings) + 1):
-        span, z_axes = {0}, 0
+        span, size, z_axes, wide = {0}, 1, 0, False
+        best, steps = None, n_steps + j
         for i in range(j - 1, -1, -1):
-            p = strings[i]
-            if p.x not in span:
-                if len(span) == 1 << FUSE_SPAN:
+            x = xs[i]
+            if x not in span:
+                if size == 1 << FUSE_SPAN:
                     break
-                span |= {w ^ p.x for w in span}
-            z_axes |= p.z
-            if i < j - 1 and z_axes.bit_count() > max_axes:
+                span |= {w ^ x for w in span}
+                size *= 2
+            if zs[i] & ~z_axes:
+                z_axes |= zs[i]
+                wide = z_axes.bit_count() > max_axes
+            if wide and i < j - 1:
                 break
-            c = cost[i] + len(span) * (n_steps + j - i)
-            if i == j - 1 or c < cost[j]:
-                cost[j], start[j] = c, i
+            c = cost[i] + size * (steps - i)
+            if best is None or c < best:
+                best, start[j] = c, i
+        cost[j] = best
     starts = []
     j = len(strings)
     while j:
         j = start[j]
         starts.append(j)
-    return starts[::-1]
+    starts.reverse()
+    if not strings or not _matvec_fits(strings[0].n):
+        return starts
+    # each string's Z/Y qubits as a tapered plan has them: its parities
+    # with the echelon basis of the span V of all the x-masks, at V's
+    # pivots, so that a plan on the full register merges as its tapered
+    # plan does (on the tapered register V is the whole register)
+    basis = _echelon(xs)
+    parity = np.bitwise_count(np.array(zs, dtype=np.int64)[:, None]
+                              & np.array(list(basis.values()), dtype=np.int64)) & 1
+    tapered_zs = (parity @ (np.int64(1) << np.array(list(basis), dtype=np.int64))).tolist()
+    merged, last = [], None  # last: (echelon rows, Z/Y qubits) of a k >= 2 block
+    for i, j in zip(starts, starts[1:] + [len(strings)]):
+        rows = _echelon(xs[i:j])
+        z = functools.reduce(int.__or__, tapered_zs[i:j])
+        if len(rows) >= 2 and last is not None:
+            both = _echelon(list(last[0].values()) + list(rows.values()))
+            dep = (last[1] | z) & ~sum(1 << q for q in both)
+            if (len(both) <= FUSE_SPAN + 1
+                    and 1 << dep.bit_count() + 2 * len(both) <= FUSE_ENTRIES):
+                last = both, last[1] | z
+                continue
+        merged.append(i)
+        last = (rows, z) if len(rows) >= 2 else None
+    return merged
 
 
 def _layouts(touched: list[int], r: int) -> list[tuple[tuple[int, ...], int]]:
@@ -464,17 +602,21 @@ class _Sum(NamedTuple):
 
 
 class _Matvec(NamedTuple):
-    """A matvec-form block bound to the buffers: a gather from ``src``, the
-    buffer holding the amplitudes, into ``gathered``, a product into
-    ``product`` (``src``'s memory) and a scatter into ``dst`` (the memory
-    of ``gathered``), which then holds them."""
+    """A matvec-form block bound to the buffers: a gather through ``table``
+    from ``src``, the buffer holding the amplitudes or the previous block's
+    products, into ``gathered``, and a product into ``product`` (``src``'s
+    memory). The last block of a chain of consecutive matvec blocks then
+    scatters the products to their ``positions`` in ``dst`` (the memory of
+    ``gathered``), which then holds the amplitudes; inside a chain ``dst``
+    is None and the next block gathers from the products."""
 
     src: np.ndarray  # flat
-    positions: np.ndarray
+    table: np.ndarray  # positions, or inv(previous positions)[positions]
     gathered: np.ndarray
     m: np.ndarray
     product: np.ndarray
-    dst: np.ndarray  # flat
+    dst: np.ndarray | None  # flat
+    positions: np.ndarray | None  # where dst takes the products
 
 
 class _Copy(NamedTuple):
@@ -501,19 +643,21 @@ class TrotterPlan:
 
     A step is one list of NumPy calls on two scratch buffers, built on
     first use by one loop over the blocks: the strings cut into consecutive
-    runs (``_block_starts``), each folded into one operator of at most
-    2^``FUSE_SPAN`` terms (``_fold``). The cut depends on ``n_steps``,
-    since a plan of more steps repays more folding. A block whose shifts
-    span k >= 2 dimensions (4 or 8 terms) takes the matvec form, one
-    gather, one batched matvec and one scatter (``_matvec_table``), where
-    its position table of 2^r entries fits the bytes of ``FUSE_ENTRIES``
-    complex entries, the budget of one fused term tensor (r <= 14); any
-    other block takes the pass form, one pass per term. Consecutive
-    pass-form blocks share a layout run (``_layouts``), which holds the
-    amplitudes in its own axis order, the qubits its blocks touch first, so
-    that a pass walks rows of at least 2^``ROW_AXES`` contiguous amplitudes
-    where r allows; a transposing copy enters each run, and a matvec-form
-    block runs in the layout it finds."""
+    runs (``_block_starts``). The cut depends on ``n_steps``, since a plan
+    of more steps repays more folding. A block whose shifts span k >= 2
+    dimensions takes the matvec form where its position table of 2^r
+    entries fits the bytes of ``FUSE_ENTRIES`` complex entries, the budget
+    of one fused term tensor (r <= 14): one gather and one batched matvec
+    (``_matvec_table``) of 4 to 16 terms, a block merged from consecutive
+    ones holding at most ``FUSE_ENTRIES`` matrix entries, and one scatter
+    after the last block of each chain of them. Any other block is folded
+    into one operator of at most 2^``FUSE_SPAN`` terms (``_fold``) and
+    takes the pass form, one pass per term. Consecutive pass-form blocks
+    share a layout run (``_layouts``), which holds the amplitudes in its
+    own axis order, the qubits its blocks touch first, so that a pass
+    walks rows of at least 2^``ROW_AXES`` contiguous amplitudes where r
+    allows; a transposing copy enters each run, and a matvec-form block
+    runs in the layout it finds."""
 
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
     dt: float
@@ -531,8 +675,7 @@ class TrotterPlan:
         starts = _block_starts(self.strings, self.n_steps)
         ends = starts[1:] + [len(self.strings)]
         runs = [self.strings[i:j] for i, j in zip(starts, ends)]
-        fits = ((1 << r) * np.dtype(np.intp).itemsize
-                <= FUSE_ENTRIES * np.dtype(complex).itemsize)
+        fits = _matvec_fits(r)
         matvec = [fits and len(_echelon(p.x for p in run)) >= 2 for run in runs]
         touched = [0 if by_matvec else  # the qubits the block's passes act on
                    functools.reduce(int.__or__, (p.x | p.z for p in run))
@@ -549,16 +692,24 @@ class TrotterPlan:
                 psi ^= 1
                 ops.append(_Copy(buffers[psi].reshape(full), src))
                 axes = run_axes
+            if by_matvec:
+                m, positions = _matvec_table(run, self.dt, axes)
+                table = positions
+                if ops and type(ops[-1]) is _Matvec:
+                    # gather straight from the previous block's products
+                    inv = np.empty(1 << r, dtype=np.intp)
+                    inv[ops[-1].positions.reshape(-1)] = np.arange(1 << r)
+                    table = inv[positions]
+                    ops[-1] = ops[-1]._replace(dst=None, positions=None)
+                    psi ^= 1  # its products stay in its product buffer
+                src, dst = buffers[psi], buffers[psi ^ 1]
+                ops.append(_Matvec(src, table, dst.reshape(positions.shape), m,
+                                   src.reshape(positions.shape), dst, positions))
+                psi ^= 1
+                continue
             terms = {0: np.ones((1,) * r, dtype=complex)}
             for p in run:
                 terms = _fold(terms, p, p.coeff.real * self.dt)
-            if by_matvec:
-                m, positions = _matvec_table(terms, axes)
-                src, dst = buffers[psi], buffers[psi ^ 1]
-                ops.append(_Matvec(src, positions, dst.reshape(positions.shape), m,
-                                   src.reshape(positions.shape), dst))
-                psi ^= 1
-                continue
             view = buffers[psi].reshape((2,) * t + (1 << r - t,))
             laid_out = []
             for w, d in terms.items():
@@ -578,11 +729,12 @@ class TrotterPlan:
         """What a step runs, read from its ops: ``blocks``, the fused
         blocks; of those in the pass form, ``passes_per_step``, the passes
         over the state (one per term), and ``fused_bytes``, the bytes of
-        their term tensors; of those in the matvec form, ``matvec_blocks``,
-        their number, and ``matrix_bytes`` and ``position_bytes``, the bytes
-        of their M and position tables; ``layouts_per_step``, the
-        transposing copies of a step, into each layout run's order and back
-        to qubit order."""
+        their term tensors; of those in the matvec form (4 to 16 terms),
+        ``matvec_blocks``, their number, ``matrix_bytes``, the bytes of
+        their M, and ``position_bytes``, those of their gather tables and
+        of the scatter positions of each chain's last block;
+        ``layouts_per_step``, the transposing copies of a step, into each
+        layout run's order and back to qubit order."""
         ops = self._step.ops
         sums = [op for op in ops if type(op) is _Sum]
         matvecs = [op for op in ops if type(op) is _Matvec]
@@ -592,7 +744,9 @@ class TrotterPlan:
                                    for d in (op.d, *(d for d, _ in op.rest))),
                 "matvec_blocks": len(matvecs),
                 "matrix_bytes": sum(op.m.nbytes for op in matvecs),
-                "position_bytes": sum(op.positions.nbytes for op in matvecs),
+                "position_bytes": sum(op.table.nbytes + (0 if op.positions is None
+                                                         else op.positions.nbytes)
+                                      for op in matvecs),
                 "layouts_per_step": 2 + len(ops) - len(sums) - len(matvecs)}
 
 
@@ -615,12 +769,14 @@ def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
     """One step of the plan on the state's amplitudes, in place, by the
     plan's list of bound NumPy calls. A copy moves them into a scratch
     buffer in the first layout run's order. A diagonal block multiplies
-    them there. A block in the matvec form gathers them into the other
-    buffer, multiplies each coset's vector by its matrix back into the
-    first, and scatters the products into the other buffer, which then
-    holds them. Any other block makes one pass per term into the other
-    buffer, which then holds them, with the state's own array as the
-    product scratch. Between runs a transposing copy moves
+    them there. A block in the matvec form, of 4 to 16 terms, gathers them
+    into the other buffer and multiplies each coset's vector by its matrix
+    back into the first; the next block of a chain of such blocks gathers
+    straight from those products, and the chain's last block scatters its
+    products into the other buffer, which then holds the amplitudes. Any
+    other block, of at most 2^``FUSE_SPAN`` terms, makes one pass per term
+    into the other buffer, which then holds them, with the state's own
+    array as the product scratch. Between runs a transposing copy moves
     them into the other buffer in the next run's order, and after the last
     run a copy moves them back into the state in qubit order.
 
@@ -637,9 +793,10 @@ def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
     for op in step.ops:
         kind = type(op)
         if kind is _Matvec:
-            op.src.take(op.positions, out=op.gathered, mode="clip")  # all in range
+            op.src.take(op.table, out=op.gathered, mode="clip")  # all in range
             np.matmul(op.m, op.gathered, out=op.product)
-            op.dst[op.positions] = op.product
+            if op.dst is not None:
+                op.dst[op.positions] = op.product
         elif kind is _Copy:
             np.copyto(op.dst, op.src)
         else:

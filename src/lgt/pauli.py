@@ -475,11 +475,15 @@ class PauliOperator:
     @property
     def supports(self) -> np.ndarray:
         """Number of non-identity axes of each term (int64), counted one
-        row block at a time."""
+        row block at a time from one copy of its masks as (2W, rows) words,
+        so that each NumPy loop runs along contiguous rows rather than
+        across the W words of one."""
         count = np.empty(self.n_terms, dtype=np.int64)
-        for lo in range(0, self.n_terms, _ORDER_BLOCK):
-            rows = slice(lo, lo + _ORDER_BLOCK)
-            count[rows] = _popcount(self.x[rows] | self.z[rows])
+        for lo, b in zip(range(0, self.n_terms, _ORDER_BLOCK), self.blocks()):
+            words = b.masks.T.copy()
+            w = len(words) // 2
+            support = np.bitwise_or(words[:w], words[w:], out=words[:w])
+            count[lo:lo + b.n_terms] = _popcount(support.T)
         return count
 
     def blocks(self) -> Iterator["PauliOperator"]:

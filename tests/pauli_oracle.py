@@ -2,9 +2,11 @@
 systems), the Pauli-string counts of the encoded spin operators, the
 per-string Pauli-exponential kernel that the fused Trotter blocks of
 ``lgt.dynamics`` are checked against, the fused kernel in qubit order that
-its layout runs replaced (with each matvec-form block's tables built one
-coset at a time), the per-flip-group action of H that the gather
-table of ``lgt.dynamics.OperatorAction`` replaced, the observables decoded
+its layout runs and matvec chains replaced, a matvec-form block's
+matrices built one coset at a time from the folded terms (the path that
+the direct build of ``lgt.dynamics._matvec_table`` replaced), the
+per-flip-group action of H that the gather table of
+``lgt.dynamics.OperatorAction`` replaced, the observables decoded
 from a state's support that the tables of ``lgt.dynamics.ConfigKeys``
 replaced (with the charge and flux per site and link they also gave), the
 energy on an exact-evolution span, the readout by label dictionaries that
@@ -36,6 +38,7 @@ from lgt.dynamics import (
     StateVector,
     _block_starts,
     _fold,
+    _matvec_table,
     _shift,
     basis_config_label,
     decode_basis,
@@ -131,9 +134,11 @@ def matvec_reference(terms: dict, r: int) -> tuple[np.ndarray, np.ndarray]:
 def position_blocks(plan) -> list[tuple]:
     """Each block of a Trotter plan on the (2,)*r view in qubit order: a
     span of at least 4 shifts whose position table of 2^r intp entries
-    fits ``FUSE_ENTRIES`` complex entries is ("matvec", M, positions) of
-    ``matvec_reference``; any other block is ("passes", terms), a term
-    (index, D_w) with psi[index] = psi[. ^ w], D_w broadcast against it."""
+    fits ``FUSE_ENTRIES`` complex entries is ("matvec", M, positions),
+    the package's matrices (``lgt.dynamics._matvec_table``, checked
+    against ``matvec_reference``) with their positions in qubit order; any
+    other block is ("passes", terms), a term (index, D_w) with psi[index]
+    = psi[. ^ w], D_w broadcast against it."""
     r = plan.n_qubits
     fits = (1 << r) * np.dtype(np.intp).itemsize <= FUSE_ENTRIES * np.dtype(complex).itemsize
     starts = _block_starts(plan.strings, plan.n_steps)
@@ -144,7 +149,8 @@ def position_blocks(plan) -> list[tuple]:
         for p in plan.strings[i:j]:
             terms = _fold(terms, p, p.coeff.real * plan.dt)
         if fits and len(terms) >= 4:
-            blocks.append(("matvec", *matvec_reference(terms, r)))
+            blocks.append(("matvec", *_matvec_table(plan.strings[i:j], plan.dt,
+                                                    tuple(range(r)))))
         else:
             blocks.append(("passes", tuple((_shift(w, range(r)), d)
                                            for w, d in terms.items())))
@@ -155,9 +161,9 @@ def fused_step_reference(state, plan):
     """One step of a Trotter plan by the fused kernel in qubit order, with
     no layout runs: a diagonal block multiplies the amplitudes; a block of
     the matvec form gathers each coset's amplitudes, multiplies them by
-    its matrix, (C, K, K) @ (C, K, 1), and scatters the products into a
-    second buffer; any other block makes one pass per term into a second
-    buffer; the two buffers then swap roles."""
+    its matrix, (C, 1, K, K) @ (C, F, K, 1), and scatters the products
+    into a second buffer, block by block; any other block makes one pass
+    per term into a second buffer; the two buffers then swap roles."""
     if state.coset != plan.coset:
         raise ValueError("state and plan on different cosets")
     state.amps = np.ascontiguousarray(state.amps, dtype=complex)
@@ -166,8 +172,8 @@ def fused_step_reference(state, plan):
     for form, *block in position_blocks(plan):
         if form == "matvec":
             m, positions = block
-            product = m @ psi.reshape(-1)[positions][..., None]
-            out.reshape(-1)[positions] = product[..., 0]
+            product = m @ psi.reshape(-1)[positions]
+            out.reshape(-1)[positions] = product
             psi, out = out, psi
             continue
         (index, d), *rest = block[0]

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -33,8 +33,11 @@ from lgt.dynamics import (
     StateVector,
     _block_starts,
     _Copy,
+    _echelon,
+    _fold,
     _layouts,
     _Matvec,
+    _matvec_table,
     _Sum,
     basis_config_label,
     config_probabilities,
@@ -469,6 +472,17 @@ def n_terms(op) -> int:
     return op.m.shape[-1] if type(op) is _Matvec else len(pass_terms(op))
 
 
+def assert_block_bounds(op) -> None:
+    """A pass-form block has at most 2^FUSE_SPAN terms; a matvec-form block,
+    merged from consecutive ones, at most 16, and (on registers of at most
+    8 qubits, where even an unmerged block's matrices fit) at most
+    FUSE_ENTRIES matrix entries."""
+    if type(op) is _Matvec:
+        assert n_terms(op) <= 2 << FUSE_SPAN and op.m.size <= FUSE_ENTRIES
+    else:
+        assert n_terms(op) <= 1 << FUSE_SPAN
+
+
 @st.composite
 def ordered_hamiltonians(draw):
     """(random hermitian operator on 2, 5 or 8 qubits, a permutation of its
@@ -497,7 +511,7 @@ def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
     plan = dataclasses.replace(plan, strings=tuple(plan.strings[i] for i in order))
     # every string lands in exactly one block, in order, and a block has
     # one term per shift in the span of its x-masks; on n <= 8 qubits every
-    # span of 4 or 8 shifts takes the matvec form, and only those
+    # span of 4 to 16 shifts takes the matvec form, and only those
     cuts = block_cuts(plan)
     assert [k for i, j in cuts for k in range(i, j)] == list(range(len(plan.strings)))
     ops = block_ops(plan)
@@ -508,7 +522,8 @@ def test_fused_step_matches_per_string_oracle(system, n_steps, dt, seed):
             if p.x not in span:
                 span |= {w ^ p.x for w in span}
         assert (type(op) is _Matvec) == (len(span) >= 4)
-        assert n_terms(op) == len(span) <= 1 << FUSE_SPAN
+        assert n_terms(op) == len(span)
+        assert_block_bounds(op)
     # the summary counts what the oracle's blocks hold
     oracle = pauli_oracle.position_blocks(plan)
     summary = plan.kernel_summary()
@@ -581,13 +596,17 @@ def test_layout_runs_match_position_kernel(system, n_steps, dt, seed):
     for (axes, t), op, mask in zip(layouts, ops, touched):
         assert sorted(axes) == list(range(r))
         if type(op) is _Matvec:
-            # a matvec block runs in the layout it finds, and its positions
-            # hold every amplitude once
+            # a matvec block runs in the layout it finds; its gather table,
+            # into the amplitudes or the previous block's products, and the
+            # positions the last block of a chain scatters to hold every
+            # amplitude once
             assert prev is None or axes == prev
             k = op.m.shape[-1]
-            assert op.m.shape == (len(op.positions), 1, k, k)
-            assert op.positions.shape[2:] == (k, 1)
-            assert np.array_equal(np.sort(op.positions, axis=None), np.arange(1 << r))
+            assert op.m.shape == (len(op.table), 1, k, k)
+            assert op.table.shape[2:] == (k, 1)
+            assert np.array_equal(np.sort(op.table, axis=None), np.arange(1 << r))
+            if op.positions is not None:
+                assert np.array_equal(np.sort(op.positions, axis=None), np.arange(1 << r))
         else:
             # the run's touched qubits lead its axis order, it leaves
             # ROW_AXES qubits untouched unless one block alone touches more,
@@ -666,13 +685,14 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
     for (i, j), op in zip(block_cuts(plan), block_ops(plan)):
         if j - i > 1:
             assert max(d.size for d, _ in pass_terms(op)) <= FUSE_ENTRIES
-    # without the bound the same plan holds almost three times as much; the
-    # table budget goes with it, and the matrices of the blocks that take
-    # the matvec form hold as many entries as their term tensors did
+    # without the bound the same plan holds about four times as much; the
+    # table budget goes with it, and the 12 blocks that take the matvec form
+    # merge into 6, five of them of 16 shifts, whose matrices hold about
+    # twice the entries of the term tensors they replace
     monkeypatch.setattr(lgt.dynamics, "FUSE_ENTRIES", 1 << 30)
     unbounded = trotter_plan(h.total, 0.05, 100, coset=coset).kernel_summary()
-    assert unbounded["matvec_blocks"] == 12
-    assert unbounded["fused_bytes"] + unbounded["matrix_bytes"] == 23_944_704
+    assert unbounded["matvec_blocks"] == 6
+    assert unbounded["fused_bytes"] + unbounded["matrix_bytes"] == 33_723_904
 
 
 class TestObservables:
@@ -1196,29 +1216,57 @@ def test_tapered_fused_blocks_match_full_register(system, n_steps, dt, seed):
                            rtol=8 * len(full.strings) * np.finfo(float).eps, atol=0)
 
 
+def drawing_order(op: PauliOperator, strings) -> list[int]:
+    """The positions in ``op``'s canonical order of the drawn strings that
+    ``op`` kept, in the order they were drawn."""
+    index = {(t.x, t.z): i for i, t in enumerate(op.terms)}
+    return list(dict.fromkeys(index[p.x, p.z] for p in strings if (p.x, p.z) in index))
+
+
+def pair_runs(n: int, gens, tails) -> list[PauliString]:
+    """Strings on n qubits in runs over neighbouring generators a, b: each
+    run has x-masks a, b and then its tail of (x-mask, z-mask, coeff)."""
+    return [PauliString(n, x, z, c) for (a, b), tail in zip(zip(gens, gens[1:]), tails)
+            for x, z, c in [(a, 0, 0.3), (b, 1, -0.7)] + tail]
+
+
+# four generators in three runs: in drawing order all 22 strings fuse into
+# one matvec block of 16 shifts
+FOUR_GENERATOR_RUNS = pair_runs(5, [1, 2, 4, 8], [
+    [(1, 3, 0.5), (0, 7, 1.1), (3, 12, -0.4), (2, 5, 0.9), (3, 30, 0.2), (1, 17, -1.3)],
+    [(6, 9, 0.6), (2, 0, 1.7), (4, 21, -0.8), (0, 2, 0.4), (6, 6, 1.2), (4, 19, 0.7)],
+    [(12, 11, -0.5), (8, 4, 0.8), (0, 9, 1.4), (4, 28, -1.1), (12, 1, 0.3)]])
+
+
 @st.composite
 def few_generator_systems(draw):
-    """(hermitian operator on 2 to 8 qubits, a permutation of its strings, a
-    basis index i0). The x-masks are sums of at most 3 generators, so runs
-    of strings span 4 or 8 shifts and take the matvec form."""
+    """(hermitian operator on 2 to 8 qubits, an order of its strings, a
+    basis index i0). The x-masks are sums of 2 to 4 independent
+    generators, drawn in runs over neighbouring pairs of them
+    (``pair_runs``); in drawing order consecutive runs fuse into blocks of
+    4, 8 or 16 shifts that take the matvec form, and a random permutation
+    of the strings mixes the runs."""
     n = draw(st.integers(2, 8))
-    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=2, max_size=3))
-    strings = []
-    for _ in range(draw(st.integers(8, 40))):
-        x = 0
-        for g in gens:
-            if draw(st.booleans()):
-                x ^= g
-        strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
-                                   draw(st.floats(-2.0, 2.0))))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=2, max_size=min(4, n)))
+    assume(len(_echelon(gens)) == len(gens))
+    coeffs = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    tails = [draw(st.lists(st.tuples(st.sampled_from([0, a, b, a ^ b]),
+                                     st.integers(0, (1 << n) - 1), coeffs),
+                           min_size=2, max_size=12))
+             for a, b in zip(gens, gens[1:])]
+    strings = pair_runs(n, gens, tails)
     op = PauliOperator.from_terms(n, strings)
-    return (op, draw(st.permutations(range(op.n_terms))),
-            draw(st.integers(0, (1 << n) - 1)))
+    order = draw(st.one_of(st.just(drawing_order(op, strings)),
+                           st.permutations(range(op.n_terms))))
+    return op, order, draw(st.integers(0, (1 << n) - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(few_generator_systems(), st.sampled_from([3, 200]), st.floats(1e-3, 1.0),
        st.integers(0, 2**32 - 1))
+@example((PauliOperator.from_terms(5, FOUR_GENERATOR_RUNS),
+          drawing_order(PauliOperator.from_terms(5, FOUR_GENERATOR_RUNS), FOUR_GENERATOR_RUNS),
+          0), 200, 0.05, 0)
 def test_matvec_blocks_match_oracles(system, n_steps, dt, seed):
     # the per-string product formula to round-off; the tapered and the
     # full-register step bit for bit, since each coset's matvec rounds alike
@@ -1227,6 +1275,7 @@ def test_matvec_blocks_match_oracles(system, n_steps, dt, seed):
     full, tapered = (dataclasses.replace(plan, strings=tuple(plan.strings[i] for i in order))
                      for plan in (trotter_plan(op, dt, n_steps),
                                   trotter_plan(op, dt, n_steps, coset=coset)))
+    assert block_cuts(tapered) == block_cuts(full)
     amps = random_state(np.random.default_rng(seed), coset.r).amps
     on_coset, reference = StateVector(amps.copy(), coset), StateVector(amps.copy(), coset)
     everywhere = StateVector(np.zeros(1 << op.n_qubits, dtype=complex))
@@ -1243,13 +1292,51 @@ def test_matvec_blocks_match_oracles(system, n_steps, dt, seed):
                            rtol=8 * len(full.strings) * np.finfo(float).eps, atol=0)
 
 
+@st.composite
+def spanning_runs(draw):
+    """(a run of strings on r = k to 8 qubits whose x-masks span k = 2, 3 or
+    4 dimensions, r, dt): each of k independent generators is some string's
+    x-mask, and the others' x-masks are sums of them."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    r = draw(st.integers(k, 8))
+    gens = draw(st.lists(st.integers(1, (1 << r) - 1), min_size=k, max_size=k))
+    assume(len(_echelon(gens)) == k)
+    xs = gens + [draw(st.sampled_from([x for x in range(1 << r)
+                                        if len(_echelon(gens + [x])) == k]))
+                 for _ in range(draw(st.integers(0, 20)))]
+    run = [PauliString(r, x, draw(st.integers(0, (1 << r) - 1)), draw(st.floats(-2.0, 2.0)))
+           for x in draw(st.permutations(xs))]
+    return run, r, draw(st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_runs())
+def test_direct_matrices_match_folded_oracle(system):
+    # the matrices built string by string (and, past 2^FUSE_SPAN shifts, as
+    # products of embedded pieces) against those read from the folded terms
+    run, r, dt = system
+    m, positions = _matvec_table(run, dt, tuple(range(r)))
+    terms = {0: np.ones((1,) * r, dtype=complex)}
+    for p in run:
+        terms = _fold(terms, p, p.coeff.real * dt)
+    ref_m, ref_positions = pauli_oracle.matvec_reference(terms, r)
+    assert m.shape[-1] == len(terms) and m.size <= FUSE_ENTRIES
+    # the oracle numbers each coset by its first position, c ^ w(0) = c
+    row = np.empty(1 << r, dtype=np.intp)
+    row[ref_positions[:, 0]] = np.arange(len(ref_positions))
+    rows = row[positions[:, :, 0, 0]]
+    assert np.array_equal(positions[..., 0], ref_positions[rows])
+    assert np.max(np.abs(m - ref_m[rows])) <= 1e-12
+
+
 def test_span_bound_cuts_a_long_run():
     # x-masks cycling through four generators: every run of more than three
     # strings spans four dimensions, so only the bound keeps runs short
     strings = [PauliString(4, 1 << (i % 4), 0, 0.1 * (i + 1)) for i in range(40)]
     op = PauliOperator.from_terms(4, strings)
     plan = trotter_plan(op, 0.1, 200)
-    assert max(n_terms(op) for op in block_ops(plan)) <= 1 << FUSE_SPAN
+    for op in block_ops(plan):
+        assert_block_bounds(op)
 
 
 @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
@@ -1268,6 +1355,30 @@ def test_tapered_preset_steps_bit_identical(name, mapping_name):
     *_, (_, on_coset) = trotter_states(coset.basis_state(i0), tapered)
     assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
     assert np.count_nonzero(on_coset.amps) == np.count_nonzero(everywhere.amps) > 1
+
+
+@pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d"])
+def test_tapered_merged_blocks_bit_identical(name):
+    # the plans of the preset's smallest dt, cut for all its steps, hold
+    # merged blocks of 16 shifts; the merge counts a block's dep qubits as
+    # the tapered plan has them, so the full register cuts alike
+    sc = validate_config(PRESETS[name] | {"scenario": name})
+    lay = build_layout(sc)
+    h = assemble(lay, sc.params, sc.mapping)
+    i0 = initial_index(sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic),
+                       sc.params)
+    coset = Coset.reachable(h.total, i0)
+    dt = min(sc.evolution["dt"])
+    n_steps = round(sc.evolution["t_max"] / dt)
+    full = trotter_plan(h.total, dt, n_steps)
+    tapered = trotter_plan(h.total, dt, n_steps, coset=coset)
+    assert block_cuts(full) == block_cuts(tapered)
+    assert max(n_terms(op) for op in block_ops(tapered)) == 16
+    everywhere, on_coset = Coset.full(lay.n_total).basis_state(i0), coset.basis_state(i0)
+    for _ in range(3):
+        trotter_step(everywhere, full)
+        trotter_step(on_coset, tapered)
+    assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
 
 
 @settings(max_examples=200, deadline=None)
