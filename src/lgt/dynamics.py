@@ -97,7 +97,7 @@ GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
 READOUT_TOL = 1e-12  # configuration probabilities at or below this are not listed
 GAUSS_BLOCK = 1 << 16  # coset positions ConfigKeys decodes at a time
 FUSE_SPAN = 3          # a Trotter block's x-masks span at most this dimension
-                       # (one more once consecutive matvec-form blocks merge)
+                       # as cut (merged matvec-form blocks: 16 shifts at most)
 FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB, which
                         # also bounds a matvec-form block's position table and
                         # a merged block's matrices)
@@ -502,9 +502,10 @@ def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
     together, so none of its term tensors exceeds that many entries; a
     lone string's tensor has the size of its own Z/Y support. Then, where
     the matvec form fits (``_matvec_fits``), consecutive runs of k >= 2
-    merge while the merged span has at most 2^(``FUSE_SPAN`` + 1) = 16
-    shifts and its matrices, 2^dep of K x K, at most ``FUSE_ENTRIES``
-    entries: a batched matvec costs about the same up to K = 16. The dep
+    merge while the merged span has at most 16 shifts and its matrices,
+    2^dep of K x K, at most ``FUSE_ENTRIES`` entries: a batched K x K
+    matvec over 2^11 amplitudes costs about the same for K = 8 and 16
+    and a third more for K = 32. The dep
     qubits are counted as on the tapered register, so a plan on the full
     register cuts as its tapered plan does (its own matrices may then be
     larger)."""
@@ -555,7 +556,7 @@ def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
         if len(rows) >= 2 and last is not None:
             both = _echelon(list(last[0].values()) + list(rows.values()))
             dep = (last[1] | z) & ~sum(1 << q for q in both)
-            if (len(both) <= FUSE_SPAN + 1
+            if (1 << len(both) <= 16
                     and 1 << dep.bit_count() + 2 * len(both) <= FUSE_ENTRIES):
                 last = both, last[1] | z
                 continue

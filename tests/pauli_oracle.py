@@ -135,8 +135,10 @@ def position_blocks(plan) -> list[tuple]:
     """Each block of a Trotter plan on the (2,)*r view in qubit order: a
     span of at least 4 shifts whose position table of 2^r intp entries
     fits ``FUSE_ENTRIES`` complex entries is ("matvec", M, positions),
-    the package's matrices (``lgt.dynamics._matvec_table``, checked
-    against ``matvec_reference``) with their positions in qubit order; any
+    the package's matrices (``lgt.dynamics._matvec_table``; the tests
+    check them on their own against ``matvec_reference`` of the folded
+    terms, so that this oracle checks layouts and chains bit for bit) with
+    their positions in qubit order; any
     other block is ("passes", terms), a term (index, D_w) with psi[index]
     = psi[. ^ w], D_w broadcast against it."""
     r = plan.n_qubits

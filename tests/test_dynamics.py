@@ -478,9 +478,35 @@ def assert_block_bounds(op) -> None:
     8 qubits, where even an unmerged block's matrices fit) at most
     FUSE_ENTRIES matrix entries."""
     if type(op) is _Matvec:
-        assert n_terms(op) <= 2 << FUSE_SPAN and op.m.size <= FUSE_ENTRIES
+        assert n_terms(op) <= 16 and op.m.size <= FUSE_ENTRIES
     else:
         assert n_terms(op) <= 1 << FUSE_SPAN
+
+
+def assert_matvec_matches_folded(run, dt: float, r: int, m, positions) -> None:
+    """A matvec block's matrices and positions in qubit order, those of a
+    run of strings on r qubits, against ``pauli_oracle.matvec_reference``
+    of the run's ``_fold``ed terms: the same positions coset by coset, and
+    M within 1e-12 on every coset, free qubits included."""
+    terms = {0: np.ones((1,) * r, dtype=complex)}
+    for p in run:
+        terms = _fold(terms, p, p.coeff.real * dt)
+    ref_m, ref_positions = pauli_oracle.matvec_reference(terms, r)
+    assert m.shape[-1] == len(terms)
+    # the oracle numbers each coset by its first position, c ^ w(0) = c
+    row = np.empty(1 << r, dtype=np.intp)
+    row[ref_positions[:, 0]] = np.arange(len(ref_positions))
+    rows = row[positions[:, :, 0, 0]]
+    assert np.array_equal(positions[..., 0], ref_positions[rows])
+    assert np.max(np.abs(m - ref_m[rows])) <= 1e-12
+
+
+def assert_matrices_match_folded(plan) -> None:
+    """Every matvec block of ``pauli_oracle.position_blocks``, whose matrices
+    are the package's, against the folded oracle."""
+    for (i, j), (form, *block) in zip(block_cuts(plan), pauli_oracle.position_blocks(plan)):
+        if form == "matvec":
+            assert_matvec_matches_folded(plan.strings[i:j], plan.dt, plan.n_qubits, *block)
 
 
 @st.composite
@@ -617,6 +643,9 @@ def test_layout_runs_match_position_kernel(system, n_steps, dt, seed):
                 assert psi.shape == (2,) * t + (1 << r - t,)
                 assert d.ndim == t + 1 and d.shape[t] == 1
         prev = axes
+    # the reference takes the package's matrices, so that it checks the
+    # layouts and chains bit for bit; the matrices are checked on their own
+    assert_matrices_match_folded(plan)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << r) + 1j * rng.normal(size=1 << r)
     laid_out, reference = StateVector(amps.copy(), coset), StateVector(amps, coset)
@@ -654,13 +683,20 @@ def test_layout_runs_match_position_kernel_on_presets(tmp_path, cfg, runs, matve
     summary = plan.kernel_summary()
     assert (2 < summary["layouts_per_step"] < summary["blocks"]) == runs
     assert (summary["matvec_blocks"] > 0) == matvecs
+    # the matrices of the merged blocks against the folded oracle, the
+    # layouts and chains bit for bit against the fused reference, and the
+    # step to round-off against the per-string product
+    assert_matrices_match_folded(plan)
     rng = np.random.default_rng(47)
     amps = rng.normal(size=1 << coset.r) + 1j * rng.normal(size=1 << coset.r)
     laid_out, reference = StateVector(amps.copy(), coset), StateVector(amps, coset)
+    per_string = reference.copy()
     for _ in range(3):
         trotter_step(laid_out, plan)
         fused_step_reference(reference, plan)
+        trotter_step_reference(per_string, plan)
     assert np.array_equal(laid_out.amps, reference.amps)
+    assert np.max(np.abs(laid_out.amps - per_string.amps)) <= 1e-12
 
 
 def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
@@ -1239,7 +1275,28 @@ FOUR_GENERATOR_RUNS = pair_runs(5, [1, 2, 4, 8], [
 
 
 @st.composite
-def few_generator_systems(draw):
+def generator_sums(draw):
+    """(hermitian operator on 2 to 8 qubits, a permutation of its strings, a
+    basis index i0). The x-masks are sums of 2 to 4 generators, which need
+    not be independent, so runs of strings span 4 to 16 shifts and take
+    the matvec form."""
+    n = draw(st.integers(2, 8))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=2, max_size=4))
+    strings = []
+    for _ in range(draw(st.integers(8, 40))):
+        x = 0
+        for g in gens:
+            if draw(st.booleans()):
+                x ^= g
+        strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
+                                   draw(st.floats(-2.0, 2.0))))
+    op = PauliOperator.from_terms(n, strings)
+    return (op, draw(st.permutations(range(op.n_terms))),
+            draw(st.integers(0, (1 << n) - 1)))
+
+
+@st.composite
+def generator_pair_runs(draw):
     """(hermitian operator on 2 to 8 qubits, an order of its strings, a
     basis index i0). The x-masks are sums of 2 to 4 independent
     generators, drawn in runs over neighbouring pairs of them
@@ -1259,6 +1316,13 @@ def few_generator_systems(draw):
     order = draw(st.one_of(st.just(drawing_order(op, strings)),
                            st.permutations(range(op.n_terms))))
     return op, order, draw(st.integers(0, (1 << n) - 1))
+
+
+def few_generator_systems():
+    """Either draw: any sums of a few generators (``generator_sums``), or
+    runs over pairs of them (``generator_pair_runs``), which reach merged
+    blocks of 16 shifts far more often."""
+    return st.one_of(generator_sums(), generator_pair_runs())
 
 
 @settings(max_examples=200, deadline=None)
@@ -1316,17 +1380,8 @@ def test_direct_matrices_match_folded_oracle(system):
     # products of embedded pieces) against those read from the folded terms
     run, r, dt = system
     m, positions = _matvec_table(run, dt, tuple(range(r)))
-    terms = {0: np.ones((1,) * r, dtype=complex)}
-    for p in run:
-        terms = _fold(terms, p, p.coeff.real * dt)
-    ref_m, ref_positions = pauli_oracle.matvec_reference(terms, r)
-    assert m.shape[-1] == len(terms) and m.size <= FUSE_ENTRIES
-    # the oracle numbers each coset by its first position, c ^ w(0) = c
-    row = np.empty(1 << r, dtype=np.intp)
-    row[ref_positions[:, 0]] = np.arange(len(ref_positions))
-    rows = row[positions[:, :, 0, 0]]
-    assert np.array_equal(positions[..., 0], ref_positions[rows])
-    assert np.max(np.abs(m - ref_m[rows])) <= 1e-12
+    assert m.size <= FUSE_ENTRIES
+    assert_matvec_matches_folded(run, dt, r, m, positions)
 
 
 def test_span_bound_cuts_a_long_run():
