@@ -376,114 +376,61 @@ def _subsets(mask: int) -> np.ndarray:
             ) @ (np.int64(1) << np.array(qubits, dtype=np.int64))
 
 
-class _Stack(NamedTuple):
-    """A run's product formula as one K x K matrix per coset of its shift
-    span W: ``m[i, a, b]`` maps the amplitude at c ^ w(b) into c ^ w(a),
-    where c = ``reps[i]`` has W's pivot qubits (``_echelon``) clear. A
-    matrix depends only on c's dep qubits, the Z/Y qubits of the run
-    outside the pivots, so ``reps`` holds their subsets."""
-
-    m: np.ndarray | None  # (2^dep, K, K); None in a bare frame (``_frame``)
-    shifts: list[int]  # w(a), in fold order
-    rows: dict[int, int]  # W in reduced row-echelon form
-    reps: np.ndarray  # (2^dep,) qubit masks
-    dep: int  # qubit mask
-
-
-def _frame(run) -> _Stack:
-    """A run's shifts, span and coset representatives, with no matrices."""
-    shifts = _span(run)
-    rows = _echelon(shifts)
-    dep = functools.reduce(int.__or__, (p.z for p in run)) & ~sum(1 << q for q in rows)
-    return _Stack(None, shifts, rows, _subsets(dep), dep)
-
-
-def _stack(run, dt: float) -> _Stack:
-    """The run's matrices built one string at a time: exp(-i theta P) =
-    cos(theta) I - i sin(theta) P, and P moves c ^ w(a ^ s) to c ^ w(a),
-    w(s) = x, times i^|Y| (-1)^parity(z & (c ^ w(a ^ s))), so each string
-    updates the rows as M <- cos M - g M[:, a ^ s], the rows a ^ s a view
-    with the axes of s's bits reversed. Every factor of g is +-1 or +-i
-    times sin(theta), so each entry rounds alike on any register."""
-    frame = _frame(run)
-    shifts, reps = frame.shifts, frame.reps
-    size, k = len(shifts), len(frame.rows)
-    index = [shifts.index(p.x) for p in run]  # s, w(s) = x
-    perm = np.arange(size) ^ np.array(index)[:, None]  # (L, K): a ^ s
-    z = np.array([p.z for p in run], dtype=np.int64)[:, None, None]
-    odd = np.bitwise_count(z & (reps[:, None] ^ np.array(shifts)[perm][:, None])) & 1
-    coef = [1j * math.sin(p.coeff.real * dt) * 1j ** ((p.x & p.z).bit_count() % 4)
-            for p in run]
-    g = (np.where(odd, -1.0, 1.0) * np.array(coef)[:, None, None]).reshape(
-        (len(run), len(reps)) + (2,) * k + (1,))  # bit k - 1 of a on the first axis
-    m = np.zeros((len(reps), size, size), dtype=complex)
-    m[:, np.arange(size), np.arange(size)] = 1.0
-    moved = np.empty_like(m)
-    view, moved_view = (a.reshape(g.shape[1:-1] + (size,)) for a in (m, moved))
-    for p, s, g_p in zip(run, index, g):
-        np.multiply(g_p, view[(slice(None),) + _shift(s, range(k - 1, -1, -1))],
-                    out=moved_view)
-        m *= math.cos(p.coeff.real * dt)
-        m -= moved
-    return frame._replace(m=m)
-
-
-def _embed(part: _Stack, whole: _Stack) -> np.ndarray:
-    """The matrices of ``part``, whose shift span lies in ``whole``'s, on
-    ``whole``'s cosets: position c ^ w(a) lies in part's coset c' +
-    w'(a'), c' with part's pivot qubits clear, and entry (a, b) is part's
-    (a', b') there where c ^ w(b) lies in the same coset, 0 elsewhere."""
-    y = whole.reps[:, None] ^ np.array(whole.shifts, dtype=np.int64)  # (C, K)
-    rep = y.copy()
-    for q, v in part.rows.items():
-        rep ^= (y >> q & 1) * v
-    index = np.zeros(max(part.shifts) + 1, dtype=np.intp)
-    index[part.shifts] = np.arange(len(part.shifts))
-    a = index[y ^ rep]
-    c = np.zeros_like(rep)
-    for i, q in enumerate(q for q in range(part.dep.bit_length()) if part.dep >> q & 1):
-        c |= (rep >> q & 1) << i
-    k = len(part.shifts)
-    entry = ((c * k + a) * k)[:, :, None] + a[:, None, :]
-    return np.where(rep[:, :, None] == rep[:, None, :], part.m.reshape(-1)[entry], 0.0)
-
-
 def _matvec_table(run, dt: float, axes: tuple[int, ...]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(M, positions): a run of strings as one batched matvec on the
     amplitudes held in the axis order ``axes``, axis 0 the most
     significant bit of a flat index.
 
-    The run's K shifts span W, and the coset c + W, c with W's pivot
-    qubits clear, holds position c ^ w(a) at a. Its matrices come from
-    ``_stack`` in pieces of at most 2^``FUSE_SPAN`` shifts, each piece's
-    embedded (``_embed``) and multiplied onto the earlier ones', one K x K
-    product per coset. M has shape (2^dep, 1, K, K) and broadcasts over
-    the free qubits, those neither pivots nor dep; ``positions`` (2^dep,
-    2^free, K, 1) holds the flat index of each position c ^ w(a), every
-    index once."""
+    The run's K shifts w(a) (``_span``) span W, and the coset c + W, c
+    with W's pivot qubits (``_echelon``) clear, holds position c ^ w(a) at
+    a. M[c, a, b] maps the amplitude at c ^ w(b) into c ^ w(a); it depends
+    only on c's dep qubits, the Z/Y qubits of the run outside the pivots,
+    so M has shape (2^dep, 1, K, K) and broadcasts over the free qubits,
+    those neither pivots nor dep. M is built in one pass over the strings,
+    whatever K: exp(-i theta P) = cos(theta) I - i sin(theta) P, and P
+    moves c ^ w(a ^ s) to c ^ w(a), w(s) = x, times i^|Y|
+    (-1)^parity(z & (c ^ w(a ^ s))), so each string updates M <- cos M -
+    g M[:, a ^ s], the rows a ^ s a view with the axes of s's bits
+    reversed. The parity is parity(z & c) ^ parity(z & w(a ^ s)), from a
+    (strings, cosets) and a (strings, K) table, and each string's g is
+    i sin(theta) i^|Y| or its negation by it, so each entry rounds alike
+    on any register. ``positions`` (2^dep, 2^free, K, 1) holds the flat
+    index of each position c ^ w(a), every index once."""
     r = len(axes)
-    pieces, span = [[]], {0}
-    for p in run:
-        if p.x not in span and len(span) == 1 << FUSE_SPAN:
-            pieces.append([])
-            span = {0}
-        span |= {w ^ p.x for w in span}
-        pieces[-1].append(p)
-    whole = _frame(run)
-    first, *rest = (_stack(piece, dt) for piece in pieces)
-    m = _embed(first, whole) if rest else first.m  # one piece: the same frame
-    for part in rest:
-        m = _embed(part, whole) @ m
+    shifts = _span(run)
+    rows = _echelon(shifts)
+    pivots = sum(1 << q for q in rows)
+    dep = functools.reduce(int.__or__, (p.z for p in run)) & ~pivots
+    reps, w = _subsets(dep), np.array(shifts, dtype=np.int64)  # c, w(a)
     bit = np.zeros(r, dtype=np.int64)  # the flat index bit of each qubit
     bit[list(axes)] = 1 << np.arange(r - 1, -1, -1)
 
     def flat(masks: np.ndarray) -> np.ndarray:
         return ((masks[..., None] >> np.arange(r)) & 1) @ bit
 
-    free = _subsets((1 << r) - 1 & ~whole.dep & ~sum(1 << q for q in whole.rows))
-    positions = ((flat(whole.reps)[:, None, None] | flat(free)[:, None])
-                 ^ flat(np.array(whole.shifts, dtype=np.int64)))
+    free = _subsets((1 << r) - 1 & ~dep & ~pivots)
+    positions = (flat(reps)[:, None, None] | flat(free)[:, None]) ^ flat(w)
+    size, k = len(shifts), len(rows)
+    index = [shifts.index(p.x) for p in run]  # s, w(s) = x
+    z = np.array([p.z for p in run], dtype=np.int64)[:, None]
+    moved_w = w[np.arange(size) ^ np.array(index)[:, None]]  # (L, K): w(a ^ s)
+    # (L, C, K): parity(z & (c ^ w(a ^ s))), 1 where g is negated
+    odd = (np.bitwise_count(z & reps)[:, :, None]
+           ^ np.bitwise_count(z & moved_w)[:, None]) & 1
+    shape = (len(reps),) + (2,) * k  # bit k - 1 of a on the first axis
+    m = np.zeros((len(reps), size, size), dtype=complex)
+    m[:, np.arange(size), np.arange(size)] = 1.0
+    moved = np.empty_like(m)
+    view, moved_view = (a.reshape(shape + (size,)) for a in (m, moved))
+    for p, s, odd_p in zip(run, index, odd):
+        theta = p.coeff.real * dt
+        coef = 1j * math.sin(theta) * 1j ** ((p.x & p.z).bit_count() % 4)
+        g = np.where(odd_p, -coef, coef).reshape(shape + (1,))
+        np.multiply(g, view[(slice(None),) + _shift(s, range(k - 1, -1, -1))],
+                    out=moved_view)
+        m *= math.cos(theta)
+        m -= moved
     return m[:, None], positions[..., None].astype(np.intp, copy=False)
 
 

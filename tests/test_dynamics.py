@@ -15,6 +15,7 @@ import lgt.dynamics
 from lgt.cli import (
     PRESETS,
     _label_columns,
+    _n_steps,
     _write_curve,
     build_layout,
     initial_index,
@@ -1376,8 +1377,8 @@ def spanning_runs(draw):
 @settings(max_examples=200, deadline=None)
 @given(spanning_runs())
 def test_direct_matrices_match_folded_oracle(system):
-    # the matrices built string by string (and, past 2^FUSE_SPAN shifts, as
-    # products of embedded pieces) against those read from the folded terms
+    # the matrices built string by string in one pass, up to 16 shifts,
+    # against those read from the folded terms
     run, r, dt = system
     m, positions = _matvec_table(run, dt, tuple(range(r)))
     assert m.size <= FUSE_ENTRIES
@@ -1434,6 +1435,30 @@ def test_tapered_merged_blocks_bit_identical(name):
         trotter_step(everywhere, full)
         trotter_step(on_coset, tapered)
     assert np.array_equal(everywhere.amps[coset.index], on_coset.amps)
+
+
+@pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d",
+                                  "double_plaquette_2d"])
+def test_preset_plan_builds_stay_small(name):
+    # each plan a run builds, on its coset: past what the step keeps (its
+    # matrices, tables and term tensors), the build holds under 1 MB
+    sc = validate_config(PRESETS[name] | {"scenario": name})
+    lay = build_layout(sc)
+    h = assemble(lay, sc.params, sc.mapping)
+    i0 = initial_index(sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic),
+                       sc.params)
+    tapered = trotter_plan(h.total, 0.0, 0, Coset.reachable(h.total, i0))
+    for dt in sc.evolution["dt"]:
+        plan = dataclasses.replace(tapered, dt=dt,
+                                   n_steps=_n_steps(sc.evolution["t_max"], dt))
+        tracemalloc.start()
+        try:
+            step = plan._step
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(type(op) is _Matvec for op in step.ops)
+        assert peak - kept < 2**20, (dt, peak - kept)
 
 
 @settings(max_examples=200, deadline=None)
