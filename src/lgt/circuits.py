@@ -36,7 +36,7 @@ def write_trotter_step(op: PauliOperator, dt: float, fh: TextIO) -> int:
     dt = float(dt)  # a NumPy scalar would print as np.float64(...)
     # the angles as written below, checked on every string but the identity
     with np.errstate(over="ignore", invalid="ignore"):
-        if any((~np.isfinite(2.0 * (dt * b.re)) & (b.supports > 0)).any()
+        if any((~np.isfinite(2.0 * (dt * b.re)) & b.masks.any(axis=1)).any()
                for b in op.blocks()):
             raise ValueError(f"an RZ angle of the step dt = {dt!r} is not finite")
     n = op.n_qubits

@@ -17,12 +17,12 @@ In the (2,)*r view of the amplitudes qubit q is axis q, and a string acts
 with no index arrays: its X/Y axes become reversed slices (views) and its
 Z/Y parity a broadcast tensor of 2^|Z/Y axes| entries. The product formula
 has one exponential per string, but a Trotter plan cuts its strings into
-runs whose x-masks span at most 2^``FUSE_SPAN`` shifts w and folds each run
-into one operator, psi <- sum_w D_w psi[. ^ w], the fusion of runs of gates
-used by blocked statevector simulators (Doi & Horii, arXiv:2102.02957),
-here for Pauli strings. A step then makes one pass per term instead of one
-per string; the cut balances the passes of the plan's steps against the
-cost of the folds, and ``FUSE_ENTRIES`` bounds a fused term tensor.
+runs and folds each run into one operator, psi <- sum_w D_w psi[. ^ w]
+over the shifts w its x-masks span: the fusion of runs of gates used by
+blocked statevector simulators (Doi & Horii, arXiv:2102.02957), here for
+Pauli strings. A step then makes one pass per term, not per string. One
+cut (``_block_starts``) prices each run by the form it takes, and
+``FUSE_ENTRIES`` bounds a fused term tensor.
 
 A block whose shifts span k >= 2 dimensions acts on each coset c + W of
 its shift span as one dense 2^k x 2^k matrix, as blocked simulators apply
@@ -32,14 +32,17 @@ arXiv:1704.01127). Where its table of 2^r positions fits the bytes of
 of the amplitudes into coset order and one batched matvec, (..., K, K) @
 (..., K, 1), with the matrices stored once per value of the qubits they
 depend on and built straight from the strings, one update per string.
-Consecutive blocks of this form merge up to 16 shifts, where a batched
-matvec still costs about what one of 4 shifts does, and a chain of them
-gathers each block's input straight from the previous block's products,
-so only its last block scatters into state order. A pass over a few
-thousand amplitudes costs NumPy's strided iterator, not arithmetic, so a
-few calls beat 2^k passes there. Blocks of k <= 1, and blocks of large
-r, keep the pass form; each matvec rounds alike whatever the number of
-cosets, so a tapered and a full-register step still agree bit for bit.
+Such a block spans up to 16 shifts, where a batched matvec costs about
+what one of 4 shifts does, and holds at most ``FUSE_ENTRIES`` matrix
+entries; a chain of them gathers each block's input from the previous
+block's products, so only its last block scatters into state order. A
+pass over a few thousand amplitudes costs NumPy's strided iterator, not
+arithmetic, so a few calls beat 2^k passes there. Blocks of k <= 1, and
+blocks of large r, keep the pass form. Each matvec rounds alike whatever
+the number of cosets, so a tapered and a full-register step agree bit for
+bit where both registers fit the tables (n <= 14) or the cut takes no
+block of k >= 2; where only the coset fits (13 of ``double_plaquette_2d``'s
+19 qubits, in a plan cut for 20 steps) they agree to round-off.
 
 In qubit order a pass-form block's axes sit among the untouched ones, and
 NumPy would walk each pass in rows of a few amplitudes. So consecutive
@@ -96,11 +99,11 @@ LEAK_TOL = 1e-12     # allowed |<out|H|in>| per unit of sum |coeff| across a spa
 GAUSS_TOL = 1e-9     # |G_x| / e below this counts as G_x = 0
 READOUT_TOL = 1e-12  # configuration probabilities at or below this are not listed
 GAUSS_BLOCK = 1 << 16  # coset positions ConfigKeys decodes at a time
-FUSE_SPAN = 3          # a Trotter block's x-masks span at most this dimension
-                       # as cut (merged matvec-form blocks: 16 shifts at most)
+FUSE_SPAN = 3          # a pass-form Trotter block's x-masks span at most this
+                       # dimension; 2^FUSE_SPAN passes price a matvec-form block
 FUSE_ENTRIES = 1 << 13  # entries of one fused term tensor at most (128 KB, which
                         # also bounds a matvec-form block's position table and
-                        # a merged block's matrices)
+                        # its matrices)
 ROW_AXES = 3           # qubits a Trotter layout run leaves untouched, if it can
 TAYLOR_STEP = 2.0       # ||H tau||_inf of one exact-evolution substep at most
 TAYLOR_TERMS = 60       # Taylor terms a substep may take before evolve gives up
@@ -441,43 +444,65 @@ def _matvec_fits(r: int) -> bool:
 
 
 def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
-    """Where the blocks of a plan start. First the cut of the string order
-    into runs that minimises sum 2^k (n_steps + L), the passes over the
-    state in n_steps steps plus the folds that build the run, for a run of
-    L strings whose x-masks span dimension k <= ``FUSE_SPAN``. The strings
-    of a run of two or more act on at most log2(``FUSE_ENTRIES``) Z/Y axes
-    together, so none of its term tensors exceeds that many entries; a
-    lone string's tensor has the size of its own Z/Y support. Then, where
-    the matvec form fits (``_matvec_fits``), consecutive runs of k >= 2
-    merge while the merged span has at most 16 shifts and its matrices,
-    2^dep of K x K, at most ``FUSE_ENTRIES`` entries: a batched K x K
-    matvec over 2^11 amplitudes costs about the same for K = 8 and 16
-    and a third more for K = 32. The dep
-    qubits are counted as on the tapered register, so a plan on the full
-    register cuts as its tapered plan does (its own matrices may then be
-    larger)."""
+    """Where the blocks of a plan start: the cut of the strings into runs
+    that minimises sum c (n_steps + L), the work of n_steps steps and of
+    building each run of L strings, priced by the form the run takes. A
+    run whose x-masks span k >= 2 dimensions takes the matvec form where
+    ``_matvec_fits``: c = 2^``FUSE_SPAN``, as a batched matvec of 4 to 16
+    shifts costs about a few passes; it spans at most 16 shifts, and its
+    matrices, 2^dep of K x K, hold at most ``FUSE_ENTRIES`` entries. Any
+    other run takes the pass form: c = 2^k, k <= ``FUSE_SPAN``. A run of
+    two or more strings acts on at most log2(``FUSE_ENTRIES``) Z/Y axes, so
+    none of its term tensors exceeds that many entries. Neither limit
+    shrinks as a run grows (a new shift adds one pivot, so dep + 2k
+    grows), so the scan of the runs that end at a string stops at the
+    first that breaks one. The dep qubits are counted as on the tapered
+    register, so a plan on the full register cuts as its tapered plan
+    does (its own matrices may then be larger)."""
     max_axes = FUSE_ENTRIES.bit_length() - 1
-    xs = [p.x for p in strings]
-    zs = [p.z for p in strings]
+    n = strings[0].n if strings else 0
+    xs, zs = [p.x for p in strings], [p.z for p in strings]
+    fits = bool(strings) and _matvec_fits(n)
+    if fits:
+        # each string's Z/Y qubits as a tapered plan has them, kept above its
+        # own: its parities with the echelon basis of the span V of all the
+        # x-masks, at V's pivots (on the tapered register V is all of it)
+        basis = _echelon(xs)
+        parity = np.bitwise_count(np.array(zs, dtype=np.int64)[:, None]
+                                  & np.array(list(basis.values()), dtype=np.int64)) & 1
+        deps = parity @ (np.int64(1) << np.array(list(basis), dtype=np.int64))
+        zs = [z | d << n for z, d in zip(zs, deps.tolist())]
+    own = (1 << n) - 1
+    strings_xz = list(zip(xs, zs))
     cost = [0] * (len(strings) + 1)
     start = [0] * (len(strings) + 1)
     for j in range(1, len(strings) + 1):
-        span, size, z_axes, wide = {0}, 1, 0, False
-        best, steps = None, n_steps + j
-        for i in range(j - 1, -1, -1):
-            x = xs[i]
-            if x not in span:
-                if size == 1 << FUSE_SPAN:
+        x, axes = strings_xz[j - 1]
+        span, size, pivots = {0, x}, 1 + (x != 0), x & -x
+        price, steps, outside = size, n_steps + j, ~axes
+        best, start[j] = cost[j - 1] + price * (n_steps + 1), j - 1
+        if (axes & own).bit_count() > max_axes:  # no run of two or more
+            cost[j] = best
+            continue
+        for i in range(j - 2, -1, -1):
+            x, z = strings_xz[i]
+            if x not in span or z & outside:
+                if x not in span:
+                    if size == (16 if fits else 1 << FUSE_SPAN):
+                        break
+                    span |= {w ^ x for w in span}
+                    size *= 2
+                    pivots = sum({w & -w for w in span})
+                axes |= z
+                outside = ~axes
+                matvec = fits and size >= 4
+                price = 1 << FUSE_SPAN if matvec else size
+                if (axes & own).bit_count() > max_axes or matvec and (
+                        (axes >> n & ~pivots).bit_count() + 2 * size.bit_length() - 2
+                        > max_axes):
                     break
-                span |= {w ^ x for w in span}
-                size *= 2
-            if zs[i] & ~z_axes:
-                z_axes |= zs[i]
-                wide = z_axes.bit_count() > max_axes
-            if wide and i < j - 1:
-                break
-            c = cost[i] + size * (steps - i)
-            if best is None or c < best:
+            c = cost[i] + price * (steps - i)
+            if c < best:
                 best, start[j] = c, i
         cost[j] = best
     starts = []
@@ -486,30 +511,7 @@ def _block_starts(strings: tuple[PauliString, ...], n_steps: int) -> list[int]:
         j = start[j]
         starts.append(j)
     starts.reverse()
-    if not strings or not _matvec_fits(strings[0].n):
-        return starts
-    # each string's Z/Y qubits as a tapered plan has them: its parities
-    # with the echelon basis of the span V of all the x-masks, at V's
-    # pivots, so that a plan on the full register merges as its tapered
-    # plan does (on the tapered register V is the whole register)
-    basis = _echelon(xs)
-    parity = np.bitwise_count(np.array(zs, dtype=np.int64)[:, None]
-                              & np.array(list(basis.values()), dtype=np.int64)) & 1
-    tapered_zs = (parity @ (np.int64(1) << np.array(list(basis), dtype=np.int64))).tolist()
-    merged, last = [], None  # last: (echelon rows, Z/Y qubits) of a k >= 2 block
-    for i, j in zip(starts, starts[1:] + [len(strings)]):
-        rows = _echelon(xs[i:j])
-        z = functools.reduce(int.__or__, tapered_zs[i:j])
-        if len(rows) >= 2 and last is not None:
-            both = _echelon(list(last[0].values()) + list(rows.values()))
-            dep = (last[1] | z) & ~sum(1 << q for q in both)
-            if (1 << len(both) <= 16
-                    and 1 << dep.bit_count() + 2 * len(both) <= FUSE_ENTRIES):
-                last = both, last[1] | z
-                continue
-        merged.append(i)
-        last = (rows, z) if len(rows) >= 2 else None
-    return merged
+    return starts
 
 
 def _layouts(touched: list[int], r: int) -> list[tuple[tuple[int, ...], int]]:
@@ -596,16 +598,15 @@ class TrotterPlan:
     dimensions takes the matvec form where its position table of 2^r
     entries fits the bytes of ``FUSE_ENTRIES`` complex entries, the budget
     of one fused term tensor (r <= 14): one gather and one batched matvec
-    (``_matvec_table``) of 4 to 16 terms, a block merged from consecutive
-    ones holding at most ``FUSE_ENTRIES`` matrix entries, and one scatter
-    after the last block of each chain of them. Any other block is folded
-    into one operator of at most 2^``FUSE_SPAN`` terms (``_fold``) and
-    takes the pass form, one pass per term. Consecutive pass-form blocks
-    share a layout run (``_layouts``), which holds the amplitudes in its
-    own axis order, the qubits its blocks touch first, so that a pass
-    walks rows of at least 2^``ROW_AXES`` contiguous amplitudes where r
-    allows; a transposing copy enters each run, and a matvec-form block
-    runs in the layout it finds."""
+    (``_matvec_table``) of 4 to 16 terms, whose matrices hold at most
+    ``FUSE_ENTRIES`` entries, and one scatter after the last block of each
+    chain of them. Any other block is folded into one operator of at most
+    2^``FUSE_SPAN`` terms (``_fold``) and takes the pass form, one pass per
+    term. Consecutive pass-form blocks share a layout run (``_layouts``),
+    which holds the amplitudes in its own axis order, the qubits its blocks
+    touch first, so that a pass walks rows of at least 2^``ROW_AXES``
+    contiguous amplitudes where r allows; a transposing copy enters each
+    run, and a matvec-form block runs in the layout it finds."""
 
     strings: tuple[PauliString, ...]  # real coefficients; angle = coeff * dt
     dt: float
@@ -731,7 +732,8 @@ def trotter_step(state: StateVector, plan: TrotterPlan) -> StateVector:
     The matvec is NumPy's (..., K, K) @ (..., K, 1), one K x K product per
     coset, so each amplitude's rounding depends on M_c and its coset's
     vector only, not on the number of cosets: the tapered and the
-    full-register step agree bit for bit."""
+    full-register step agree bit for bit where both take the same forms,
+    which the module docstring states, and to round-off elsewhere."""
     if state.coset != plan.coset:
         raise ValueError("state and plan on different cosets")
     state.amps = np.ascontiguousarray(state.amps, dtype=complex)

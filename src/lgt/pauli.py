@@ -13,8 +13,8 @@ qubit q is bit q % 64 of word q // 64 (so the words' little-endian byte
 view has qubits 8b..8b+7 in byte b), and the coefficients as real and
 imaginary float parts. ``PauliString`` objects, with Python-int masks,
 exist only at ``PauliOperator.terms``, built when a caller asks for them.
-A pass that counts or writes an operator's strings (``supports``, the CNOT
-and gate counts, the QASM writer) takes the rows in ``blocks`` of
+A pass that counts or writes an operator's strings (the CNOT and gate
+counts, the QASM writer) takes the rows in ``blocks`` of
 ``_ORDER_BLOCK``, so it holds one block's temporaries beside the operator.
 
 Products are exact: the phase of P(x1,z1) P(x2,z2) = i^k P(x1^x2, z1^z2)
@@ -471,20 +471,6 @@ class PauliOperator:
     @property
     def n_terms(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def supports(self) -> np.ndarray:
-        """Number of non-identity axes of each term (int64), counted one
-        row block at a time from one copy of its masks as (2W, rows) words,
-        so that each NumPy loop runs along contiguous rows rather than
-        across the W words of one."""
-        count = np.empty(self.n_terms, dtype=np.int64)
-        for lo, b in zip(range(0, self.n_terms, _ORDER_BLOCK), self.blocks()):
-            words = b.masks.T.copy()
-            w = len(words) // 2
-            support = np.bitwise_or(words[:w], words[w:], out=words[:w])
-            count[lo:lo + b.n_terms] = _popcount(support.T)
-        return count
 
     def blocks(self) -> Iterator["PauliOperator"]:
         """The rows in consecutive blocks of ``_ORDER_BLOCK``, each an

@@ -4,7 +4,9 @@ per-string Pauli-exponential kernel that the fused Trotter blocks of
 ``lgt.dynamics`` are checked against, the fused kernel in qubit order that
 its layout runs and matvec chains replaced, a matvec-form block's
 matrices built one coset at a time from the folded terms (the path that
-the direct build of ``lgt.dynamics._matvec_table`` replaced), the
+the direct build of ``lgt.dynamics._matvec_table`` replaced), the cost
+of every cut of a few strings, which ``lgt.dynamics._block_starts`` must
+minimise, the
 per-flip-group action of H that the gather table of
 ``lgt.dynamics.OperatorAction`` replaced, the observables decoded
 from a state's support that the tables of ``lgt.dynamics.ConfigKeys``
@@ -17,9 +19,9 @@ plaquette term as a chain of operator products that the tensor products of
 product that the tensor products of ``build_hopp_wilson`` replaced, the
 one-hot S+ as a chain of operator sums that the tensor products of
 ``lgt.gauge.encode_lin`` replaced, and the
-whole-array support, CNOT and gate counts that the row-block passes of
-``PauliOperator.supports`` and ``lgt.circuits.step_gate_counts`` (which
-``lgt.resources.cnot_per_trotter_step`` reads) replaced.
+whole-array CNOT and gate counts that the row-block pass of
+``lgt.circuits.step_gate_counts`` (which ``lgt.resources.cnot_per_trotter_step``
+reads) replaced, with the support count of each string that the tests read.
 
 Basis indices follow the map stated in ``lgt.lattice.RegisterLayout``.
 """
@@ -33,8 +35,10 @@ import numpy as np
 
 from lgt.dynamics import (
     FUSE_ENTRIES,
+    FUSE_SPAN,
     LEAK_TOL,
     READOUT_TOL,
+    Coset,
     StateVector,
     _block_starts,
     _fold,
@@ -157,6 +161,57 @@ def position_blocks(plan) -> list[tuple]:
             blocks.append(("passes", tuple((_shift(w, range(r)), d)
                                            for w, d in terms.items())))
     return blocks
+
+
+def block_starts_reference(strings, n_steps: int, entries: int = FUSE_ENTRIES
+                           ) -> dict[tuple[int, ...], int]:
+    """Every cut of at most 10 strings into runs that the cut's rules allow,
+    with its cost sum c (n_steps + L) over its runs of L strings: {block
+    starts: cost}, found by trying all 2^(L - 1) cuts.
+
+    A run's x-masks span K shifts W. Where K >= 4 and a table of 2^n intp
+    positions fits ``entries`` complex entries, the run takes the matvec
+    form: c = 2^FUSE_SPAN, K <= 16, and 2^dep K^2 <= ``entries``, where
+    dep counts the Z/Y qubits of the run's strings tapered onto the coset
+    of the span of all the x-masks, outside the pivots (the lowest qubits
+    of the nonzero members) of W tapered alike. Any other run takes the
+    pass form: c = K <= 2^FUSE_SPAN. The strings of a run of two or more
+    act on at most log2(``entries``) Z/Y qubits together."""
+    assert len(strings) <= 10
+    if not strings:
+        return {(): 0}
+    n = strings[0].n
+    fits = (1 << n) * np.dtype(np.intp).itemsize <= entries * np.dtype(complex).itemsize
+    coset = Coset.reachable(PauliOperator.from_terms(
+        n, [PauliString(n, p.x, 0, 1.0) for p in strings]), 0)
+    tapered = [coset.taper(p) for p in strings]
+
+    def span(run) -> set[int]:
+        shifts = {0}
+        for p in run:
+            shifts |= {w ^ p.x for w in shifts}
+        return shifts
+
+    @functools.cache
+    def price(i: int, j: int) -> int | None:
+        size = len(span(strings[i:j]))
+        z = functools.reduce(int.__or__, (p.z for p in strings[i:j]))
+        if j - i > 1 and 1 << z.bit_count() > entries:
+            return None
+        if fits and size >= 4:
+            pivots = sum({w & -w for w in span(tapered[i:j])})
+            dep = functools.reduce(int.__or__, (p.z for p in tapered[i:j])) & ~pivots
+            matrices = (1 << dep.bit_count()) * size * size
+            return 1 << FUSE_SPAN if size <= 16 and matrices <= entries else None
+        return size if size <= 1 << FUSE_SPAN else None
+
+    costs = {}
+    for cuts in range(1 << len(strings) - 1):
+        starts = (0,) + tuple(i for i in range(1, len(strings)) if cuts >> i - 1 & 1)
+        prices = [(price(i, j), j - i) for i, j in zip(starts, starts[1:] + (len(strings),))]
+        if all(c is not None for c, _ in prices):
+            costs[starts] = sum(c * (n_steps + length) for c, length in prices)
+    return costs
 
 
 def fused_step_reference(state, plan):

@@ -26,7 +26,6 @@ from pauli_oracle import (
     apply_pauli_exp,
     cnot_per_trotter_step_reference,
     step_gate_counts_reference,
-    supports_reference,
     to_matrix,
 )
 from lgt.resources import cnot_per_trotter_step
@@ -289,9 +288,6 @@ def tiled_operators(draw):
 @settings(max_examples=150, deadline=None)
 @given(tiled_operators())
 def test_block_counts_match_whole_array_references(op):
-    supports = op.supports
-    assert supports.dtype == np.int64
-    assert np.array_equal(supports, supports_reference(op))
     assert cnot_per_trotter_step(op) == cnot_per_trotter_step_reference(op)
     assert step_gate_counts(op) == step_gate_counts_reference(op)
 
@@ -341,9 +337,8 @@ def traced_peak(fn) -> int:
     return peak - start - (out.nbytes if isinstance(out, np.ndarray) else 0)
 
 
-@pytest.mark.parametrize("count", [
-    lambda op: op.supports, cnot_per_trotter_step, step_gate_counts],
-    ids=["supports", "cnot", "gates"])
+@pytest.mark.parametrize("count", [cnot_per_trotter_step, step_gate_counts],
+                         ids=["cnot", "gates"])
 def test_counts_hold_one_block_at_a_time(total_3x3, count):
     # whole-array counts held 1.1 MB here
     assert traced_peak(lambda: count(total_3x3)) <= 256 * 1024

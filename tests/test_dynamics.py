@@ -474,10 +474,8 @@ def n_terms(op) -> int:
 
 
 def assert_block_bounds(op) -> None:
-    """A pass-form block has at most 2^FUSE_SPAN terms; a matvec-form block,
-    merged from consecutive ones, at most 16, and (on registers of at most
-    8 qubits, where even an unmerged block's matrices fit) at most
-    FUSE_ENTRIES matrix entries."""
+    """A pass-form block has at most 2^FUSE_SPAN terms; a matvec-form block
+    at most 16, and its matrices at most FUSE_ENTRIES entries."""
     if type(op) is _Matvec:
         assert n_terms(op) <= 16 and op.m.size <= FUSE_ENTRIES
     else:
@@ -684,7 +682,7 @@ def test_layout_runs_match_position_kernel_on_presets(tmp_path, cfg, runs, matve
     summary = plan.kernel_summary()
     assert (2 < summary["layouts_per_step"] < summary["blocks"]) == runs
     assert (summary["matvec_blocks"] > 0) == matvecs
-    # the matrices of the merged blocks against the folded oracle, the
+    # the matrices of the matvec blocks against the folded oracle, the
     # layouts and chains bit for bit against the fused reference, and the
     # step to round-off against the per-string product
     assert_matrices_match_folded(plan)
@@ -722,14 +720,14 @@ def test_fused_tensors_stay_within_budget(tmp_path, monkeypatch):
     for (i, j), op in zip(block_cuts(plan), block_ops(plan)):
         if j - i > 1:
             assert max(d.size for d, _ in pass_terms(op)) <= FUSE_ENTRIES
-    # without the bound the same plan holds about four times as much; the
-    # table budget goes with it, and the 12 blocks that take the matvec form
-    # merge into 6, five of them of 16 shifts, whose matrices hold about
-    # twice the entries of the term tensors they replace
+    # without the bound the same plan holds about six times as much: the
+    # table budget goes with it, and the cut takes 6 runs of 16 shifts in
+    # the matvec form, whose matrices, 2^dep of 16 x 16 with dep up to 12
+    # qubits, hold 33 times the entries of the term tensors left
     monkeypatch.setattr(lgt.dynamics, "FUSE_ENTRIES", 1 << 30)
     unbounded = trotter_plan(h.total, 0.05, 100, coset=coset).kernel_summary()
     assert unbounded["matvec_blocks"] == 6
-    assert unbounded["fused_bytes"] + unbounded["matrix_bytes"] == 33_723_904
+    assert unbounded["fused_bytes"] + unbounded["matrix_bytes"] == 54_173_696
 
 
 class TestObservables:
@@ -1321,8 +1319,8 @@ def generator_pair_runs(draw):
 
 def few_generator_systems():
     """Either draw: any sums of a few generators (``generator_sums``), or
-    runs over pairs of them (``generator_pair_runs``), which reach merged
-    blocks of 16 shifts far more often."""
+    runs over pairs of them (``generator_pair_runs``), which reach blocks
+    of 16 shifts far more often."""
     return st.one_of(generator_sums(), generator_pair_runs())
 
 
@@ -1395,6 +1393,54 @@ def test_span_bound_cuts_a_long_run():
         assert_block_bounds(op)
 
 
+@st.composite
+def short_plans(draw):
+    """(at most 10 strings on n = 1 to 8 qubits, in drawn order, tapered
+    onto the coset of their x-masks or not, n_steps, a FUSE_ENTRIES
+    budget). The x-masks are sums of up to 6 generators, so runs span up
+    to 64 shifts; under the small budgets a table fits only for n <= 5, 6
+    or 8, and the Z/Y and matrix-entry rules bind."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+    strings = []
+    for _ in range(draw(st.integers(0, 10))):
+        x = 0
+        for g in gens:
+            if draw(st.booleans()):
+                x ^= g
+        strings.append(PauliString(n, x, draw(st.integers(0, (1 << n) - 1)),
+                                   draw(st.floats(-2.0, 2.0))))
+    if strings and draw(st.booleans()):
+        coset = Coset.reachable(PauliOperator.from_terms(
+            n, [PauliString(n, p.x, 0, 1.0) for p in strings]), 0)
+        strings = [coset.taper(p) for p in strings]
+    return (tuple(strings), draw(st.sampled_from([1, 3, 20, 200])),
+            draw(st.sampled_from([1 << 4, 1 << 5, 1 << 7, FUSE_ENTRIES])))
+
+
+# eight strings spanning 16 shifts: one matvec block, unless its matrices
+# may hold only 32 entries, where the first string's two dep qubits make
+# 2^2 x 4 x 4 of them, so it stands alone
+ENTRIES_BIND = tuple(PauliString(4, x, z, c) for x, z, c in (
+    (1, 0b1100, 0.3), (2, 0, -0.7), (3, 0, 0.5), (1, 0, 1.1), (2, 0, 0.4),
+    (3, 0, -0.9), (4, 0, 0.2), (8, 0, 0.6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_plans())
+@example((ENTRIES_BIND, 200, FUSE_ENTRIES))
+@example((ENTRIES_BIND, 200, 1 << 5))
+def test_block_starts_cut_is_the_cheapest_allowed(plan):
+    # the DP's cut is one the rules allow, and none costs less
+    strings, n_steps, entries = plan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lgt.dynamics, "FUSE_ENTRIES", entries)
+        starts = tuple(_block_starts(strings, n_steps))
+    costs = pauli_oracle.block_starts_reference(strings, n_steps, entries)
+    assert starts in costs
+    assert costs[starts] == min(costs.values())
+
+
 @pytest.mark.parametrize("mapping_name", ["jw", "parity", "bk"])
 @pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d",
                                   "double_plaquette_2d"])
@@ -1416,8 +1462,8 @@ def test_tapered_preset_steps_bit_identical(name, mapping_name):
 @pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d"])
 def test_tapered_merged_blocks_bit_identical(name):
     # the plans of the preset's smallest dt, cut for all its steps, hold
-    # merged blocks of 16 shifts; the merge counts a block's dep qubits as
-    # the tapered plan has them, so the full register cuts alike
+    # blocks of 16 shifts; the cut counts a block's dep qubits as the
+    # tapered plan has them, so the full register cuts alike
     sc = validate_config(PRESETS[name] | {"scenario": name})
     lay = build_layout(sc)
     h = assemble(lay, sc.params, sc.mapping)
@@ -1459,6 +1505,60 @@ def test_preset_plan_builds_stay_small(name):
             tracemalloc.stop()
         assert any(type(op) is _Matvec for op in step.ops)
         assert peak - kept < 2**20, (dt, peak - kept)
+
+
+@pytest.mark.parametrize("name", ["vacuum_decay", "string_breaking_1d",
+                                  "double_plaquette_2d"])
+def test_preset_matvec_blocks_stay_within_budget(name, monkeypatch):
+    # each plan a run builds, on its coset: every matvec block's matrices
+    # hold at most FUSE_ENTRIES entries, and each build of them holds at
+    # most 512 KiB past what it keeps
+    sc = validate_config(PRESETS[name] | {"scenario": name})
+    lay = build_layout(sc)
+    h = assemble(lay, sc.params, sc.mapping)
+    i0 = initial_index(sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic),
+                       sc.params)
+    tapered = trotter_plan(h.total, 0.0, 0, Coset.reachable(h.total, i0))
+    transients = []
+
+    def traced_build(*args):
+        tracemalloc.reset_peak()
+        table = _matvec_table(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+        transients.append(peak - kept)
+        return table
+
+    monkeypatch.setattr(lgt.dynamics, "_matvec_table", traced_build)
+    for dt in sc.evolution["dt"]:
+        plan = dataclasses.replace(tapered, dt=dt,
+                                   n_steps=_n_steps(sc.evolution["t_max"], dt))
+        tracemalloc.start()
+        try:
+            step = plan._step
+        finally:
+            tracemalloc.stop()
+        matrices = [op.m.size for op in step.ops if type(op) is _Matvec]
+        assert matrices and max(matrices) <= FUSE_ENTRIES, (dt, matrices)
+    assert len(transients) > 0 and max(transients) <= 512 * 1024, transients
+
+
+def test_double_plaquette_registers_agree_to_round_off():
+    # only the 13-qubit coset fits the matvec tables, so a plan cut for 20
+    # steps takes the matvec form there and the pass form on the 19-qubit
+    # register: the two agree to round-off, not bit for bit
+    sc = validate_config(PRESETS["double_plaquette_2d"] | {"scenario": "double_plaquette_2d"})
+    lay = build_layout(sc)
+    h = assemble(lay, sc.params, sc.mapping)
+    i0 = initial_index(sc.initial, lay, fermion_mapping(sc.mapping, lay.n_fermionic),
+                       sc.params)
+    coset = Coset.reachable(h.total, i0)
+    dt = sc.evolution["dt"][0]
+    full, tapered = trotter_plan(h.total, dt, 20), trotter_plan(h.total, dt, 20, coset=coset)
+    assert tapered.kernel_summary()["matvec_blocks"] > 0
+    assert full.kernel_summary()["matvec_blocks"] == 0
+    *_, (_, everywhere) = trotter_states(Coset.full(lay.n_total).basis_state(i0), full)
+    *_, (_, on_coset) = trotter_states(coset.basis_state(i0), tapered)
+    assert np.max(np.abs(everywhere.amps[coset.index] - on_coset.amps)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)

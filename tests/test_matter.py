@@ -10,7 +10,7 @@ from lgt.matter import (
     gamma_mix,
 )
 from lgt.pauli import PauliOperator
-from pauli_oracle import to_matrix
+from pauli_oracle import supports_reference, to_matrix
 
 ETA = {1: np.diag([1.0, -1.0]),
        2: np.diag([1.0, -1.0, -1.0]),
@@ -38,7 +38,7 @@ def anticommutator_violations(mapping: FermionMapping) -> list[str]:
 
 def max_bilinear_support(mapping: FermionMapping) -> int:
     """Worst-case Pauli support over all hopping bilinears a_i^dag a_j."""
-    return max(int(mapping.bilinear(i, j).supports.max())
+    return max(int(supports_reference(mapping.bilinear(i, j)).max())
                for i in range(mapping.n_modes) for j in range(mapping.n_modes)
                if i != j)
 

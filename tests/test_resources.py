@@ -22,11 +22,11 @@ from lgt.resources import (
     rows_to_csv,
     scaling_table,
 )
-from pauli_oracle import spin_pauli_counts
+from pauli_oracle import spin_pauli_counts, supports_reference
 
 
 def support_histogram(op: PauliOperator) -> dict[int, int]:
-    values, counts = np.unique(op.supports, return_counts=True)
+    values, counts = np.unique(supports_reference(op), return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 
 
