@@ -141,31 +141,57 @@ def build_electric(layout: RegisterLayout, params: ModelParams) -> PauliOperator
 
 
 def build_plaquette(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
-    """-(1/4 e^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.), each loop added as
-    one tensor product over the link registers it meets (every edge is
+    """-(1/4 e^2) sum_plaq (U1 U2 U3^dag U4^dag + h.c.) (every edge is
     dynamical, as a static link has only one end on the lattice).
 
-    The four edges sit on four distinct registers except on a periodic axis
-    of extent 1, where the loop meets a link twice: that link's edges are
-    multiplied in loop order, and the tensor product runs over the distinct
-    links in order of first appearance."""
+    Plaquettes of one shape share one hermitian loop operator: built once
+    by ``_loop_operator`` on a local register of the loop's distinct links,
+    then added to each plaquette by ``PauliOperator.place``, which moves
+    each local link register to that link's offset. A shape is the loop's
+    edges as (local link, direction, dagger); on an open lattice all
+    plaquettes of a plane share one. The sum equals, bit for bit, that of
+    the loops' tensor products on the full register hermitized together:
+    doubling is exact, so 0 + sum_p 2 Re_p = 2 (0 + sum_p Re_p)."""
     spec = layout.spec
     if spec.d < 2:
         return PauliOperator.zero(layout.n_total)
     links = _encoded_links(layout, params)
     n = layout.n_total
     acc = PauliSum(n)
-    scale = -1.0 / (4.0 * params.e ** 2)
+    loops: dict[tuple, PauliOperator] = {}
     for edges in spec.plaquettes():
-        per_link: dict[Link, list[PauliOperator]] = {}
-        for link, dagger in edges:
-            enc = links[link]
-            per_link.setdefault(link, []).append(enc.u_dag if dagger else enc.u)
-        factors = [functools.reduce(operator.mul, ops).embed(n, layout.gauge_offset(link))
-                   for link, ops in per_link.items()]
-        acc.add_tensor_product(factors, scale=scale)
-    acc.hermitize()
+        distinct = sorted({link for link, _ in edges}, key=layout.link_index)
+        shape = tuple((distinct.index(link), link.direction, dagger) for link, dagger in edges)
+        if shape not in loops:
+            loops[shape] = _loop_operator(edges, distinct, links, layout.qubits_per_link,
+                                          params)
+        acc.add_operator(loops[shape].place(n, [layout.gauge_offset(link)
+                                                for link in distinct]))
     return acc.to_operator()
+
+
+def _loop_operator(edges, distinct: list[Link], links: dict[Link, EncodedLink],
+                   width: int, params: ModelParams) -> PauliOperator:
+    """One plaquette's -(1/4 e^2)(U1 U2 U3^dag U4^dag + h.c.), hermitized
+    with nothing dropped, on a register of its ``distinct`` links side by
+    side, ``width`` qubits each.
+
+    The loop is one tensor product over its links. The four edges sit on
+    four distinct links except on a periodic axis of extent 1, where the
+    loop meets a link twice: that link's edges are multiplied in loop
+    order, and the tensor product runs over the distinct links in order of
+    first appearance."""
+    per_link: dict[Link, list[PauliOperator]] = {}
+    for link, dagger in edges:
+        enc = links[link]
+        per_link.setdefault(link, []).append(enc.u_dag if dagger else enc.u)
+    n = len(distinct) * width
+    acc = PauliSum(n)
+    acc.add_tensor_product([functools.reduce(operator.mul, ops)
+                            .embed(n, distinct.index(link) * width)
+                            for link, ops in per_link.items()],
+                           scale=-1.0 / (4.0 * params.e ** 2))
+    return acc.hermitize()
 
 
 def build_gauss(layout: RegisterLayout, params: ModelParams,

@@ -36,11 +36,23 @@ broadcast, with nothing sorted or merged. An operator is scaled by
 ``PauliOperator.scale``; only ``add_tensor_product`` takes a scale, which
 it applies to the product last.
 Coefficient arithmetic does not warn on overflow: the caller decides
-whether a non-finite coefficient is an error. A merge holds the result,
-one sort-key array (2 bytes per mask byte of a row) and index arrays of 8
-bytes a row beside its input chunks, which it releases as their rows are
-written; it joins only consecutive small chunks, up to ``_ORDER_BLOCK``
-rows, and never copies all rows into one array.
+whether a non-finite coefficient is an error.
+
+A merge sorts by keys: one sort key per row (2 bytes per mask byte), one
+stable sort, index arrays of 8 bytes a row. It holds those and the result
+beside its input chunks, which it releases as their rows are written; it
+joins only consecutive small chunks, up to ``_ORDER_BLOCK`` rows, and
+never copies all rows into one array. Where one canonical chunk (an
+operator added whole, or the rows of an earlier merge) holds most rows of
+a large merge, such as the plaquette term among the Hamiltonian's terms,
+only the other chunks are keyed and sorted: each of their strings is
+found in that run by a binary search over a few keyed rows, and the run's
+rows are moved into the result around the strings it lacks. Either way
+every string's contributions are summed in insertion order, so the two
+paths give the same bits. ``PauliOperator.place`` moves an operator's
+qubit registers to other offsets of a larger register, so one operator
+built on a small register (a plaquette loop) serves every place it
+occurs.
 
 Every ``PauliOperator`` keeps its terms in one canonical order: by the packed
 axis word of the string, 2 bits per qubit with qubit 0 most significant and
@@ -50,7 +62,7 @@ the axis codes I < X < Y < Z. This is the lexicographic order of the labels.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,21 +129,28 @@ def _ints(words: np.ndarray) -> list[int]:
             for i in range(0, len(raw), step)]
 
 
-def _shift(masks: np.ndarray, offset: int, n_words: int) -> np.ndarray:
-    """x and z words moved up by ``offset`` qubits, on ``n_words`` words each."""
-    width = masks.shape[1] // 2
-    if offset == 0 and width == n_words:
-        return masks
-    q, r = divmod(offset, 64)
-    out = np.zeros((len(masks), 2 * n_words), dtype=np.uint64)
-    for half in (0, 1):
-        src, dst = half * width, half * n_words
-        for j in range(width):
-            if j + q < n_words:
-                out[:, dst + j + q] |= masks[:, src + j] << np.uint64(r)
-            if r and j + q + 1 < n_words:
-                out[:, dst + j + q + 1] |= masks[:, src + j] >> np.uint64(64 - r)
-    return out
+def _place(masks: np.ndarray, width: int, offsets: Sequence[int],
+           n_words: int) -> np.ndarray:
+    """x and z words on ``n_words`` words each, with register i (qubits
+    i width .. (i + 1) width - 1) moved to start at qubit ``offsets[i]``.
+    A register moves one source word's piece at a time, each piece split
+    over two words where it straddles a word boundary of the destination."""
+    words = masks.reshape(len(masks), 2, masks.shape[1] // 2)
+    out = np.zeros((len(masks), 2, n_words), dtype=np.uint64)
+    for i, offset in enumerate(offsets):
+        lo, end = i * width, (i + 1) * width
+        while lo < end:
+            j, r = divmod(lo, 64)
+            hi = min(64 * (j + 1), end)
+            piece = words[:, :, j] >> r if r else words[:, :, j]
+            if hi < 64 * (j + 1):  # the word's later qubits are the next register's
+                piece = piece & ((1 << (hi - lo)) - 1)
+            q, s = divmod(offset + lo - i * width, 64)
+            out[:, :, q] |= piece << s if s else piece
+            if s + hi - lo > 64:
+                out[:, :, q + 1] |= piece >> (64 - s)
+            lo = hi
+    return out.reshape(len(masks), 2 * n_words)
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -196,8 +215,97 @@ def _sort_keys(masks: np.ndarray, out: np.ndarray) -> None:
         z = block[:, w:]
         zb = z.astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
         xzb = (block[:, :w] ^ z).astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
-        idx = zb.astype(np.intp) << 8 | xzb
+        idx = zb.astype(np.intp)
+        idx <<= 8
+        idx |= xzb
         np.take(_ORDER, idx, out=out[lo:lo + _ORDER_BLOCK], mode="clip")
+
+
+def _items(masks: np.ndarray) -> np.ndarray:
+    """The rows of a mask array as one opaque item each: NumPy moves such
+    items several times faster than rows of words. A view where ``masks``
+    is contiguous."""
+    return np.ascontiguousarray(masks).view(f"V{masks.itemsize * masks.shape[1]}").ravel()
+
+
+def _keys(masks: np.ndarray, n: int) -> np.ndarray:
+    """The sort key of each row (see ``_sort_keys``) as one byte string."""
+    keys = np.empty((len(masks), _key_width(n)), dtype=">u2")
+    _sort_keys(masks, keys)
+    return keys.view(f"S{2 * keys.shape[1]}").ravel()
+
+
+def _group(blocks: list, n: int) -> tuple[np.ndarray, int]:
+    """The group of each row of ``blocks``, rows taken in insertion order
+    and groups numbered by string in canonical order, and the number of
+    groups: one stable sort of the rows' keys."""
+    rows = sum(len(c) for _, c in blocks)
+    keys = np.empty((rows, _key_width(n)), dtype=">u2")
+    lo = 0
+    for masks, _ in blocks:
+        _sort_keys(masks, keys[lo:lo + len(masks)])
+        lo += len(masks)
+    keys = keys.view(f"S{2 * keys.shape[1]}").ravel()
+    # the group sums do not depend on the order of equal keys; a
+    # stable sort is the one that runs along the presorted chunks
+    order = np.argsort(keys, kind="stable")
+    # a row opens a group where its key differs from the previous one
+    first = np.empty(rows, dtype=bool)
+    first[0] = True
+    for lo in range(1, rows, _ORDER_BLOCK):
+        run = keys[order[lo - 1:lo + _ORDER_BLOCK]]
+        np.not_equal(run[1:], run[:-1], out=first[lo:lo + len(run) - 1])
+    del keys
+    group = first.cumsum(dtype=np.intp)
+    group -= 1
+    del first
+    where = np.empty_like(order)
+    where[order] = group
+    return where, int(group[-1]) + 1
+
+
+def _scatter(blocks: list, where: np.ndarray, masks: np.ndarray,
+             sums: np.ndarray) -> None:
+    """Write each row of ``blocks`` to result row ``where`` and add its
+    coefficient to that row's complex sum, row by row in order (so 0.0 +
+    each row in turn: a -0.0 part becomes 0.0); each entry of ``blocks``
+    is cleared once written."""
+    lo = 0
+    with _quiet():
+        for i, (block, coeffs) in enumerate(blocks):
+            blocks[i] = None
+            at = where[lo:lo + len(coeffs)]
+            lo += len(coeffs)
+            masks[at] = block
+            np.add.at(sums, at, np.ascontiguousarray(coeffs).view(complex).ravel())
+
+
+def _find(run: np.ndarray, masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``masks`` (distinct strings, canonical order), the first
+    row of ``run`` (canonical, each string once) that is not before it,
+    and whether that row is the string itself.
+
+    Only a fence row of ``run`` per string is keyed: ``np.searchsorted``
+    of the fences gives each string a window between two fences, and a
+    binary search on the window's masks, keying the rows it visits,
+    finishes the place."""
+    keys = _keys(masks, n)
+    fences = np.arange(0, len(run), max(1, len(run) // len(masks)))
+    j = np.searchsorted(_keys(run[fences], n), keys)
+    # the place is in (fence j - 1, fence j], or [0, fence 0] for j = 0
+    lo = np.where(j > 0, fences[j - 1] + 1, 0)
+    hi = np.append(fences, len(run))[j]
+    while True:
+        live = np.flatnonzero(lo < hi)
+        if not len(live):
+            break
+        mid = (lo[live] + hi[live]) // 2
+        below = _keys(run[mid], n) < keys[live]
+        lo[live[below]] = mid[below] + 1
+        hi[live[~below]] = mid[~below]
+    found = lo < len(run)
+    found[found] = (run[lo[found]] == masks[found]).all(axis=1)
+    return lo, found
 
 
 def _blocks(parts: list, real: bool):
@@ -243,17 +351,31 @@ class PauliSum:
     ``to_operator`` sums duplicate strings in insertion order, drops
     coefficients with |c| < ``DROP_TOL`` and sorts the rest into the
     canonical order of ``PauliOperator``; a NaN coefficient is kept, so an
-    overflow stays visible. Beside the chunks and the result, a merge
-    holds one sort-key array and index arrays of 8 bytes a row: the
-    chunks are scattered into the result one by one and released.
+    overflow stays visible.
+
+    The accumulator holds the merged rows so far (canonical), the chunks
+    added since, and the place among them of the largest chunk that
+    ``add_operator`` added, whose rows are canonical too. A merge of more
+    than ``_ORDER_BLOCK`` rows in which one canonical chunk (that one, or
+    the merged rows) holds more rows than all others together merges into
+    that run (``_merge_into_run``): only the other chunks are keyed and
+    sorted, and the run's rows are moved, not keyed. Every other merge
+    keys and sorts all rows (``_merge_sorted``). Either way, beside the
+    chunks and the result, a merge holds sort keys and index arrays of 8
+    bytes for the rows it sorts, and temporaries of ``_ORDER_BLOCK`` rows
+    for those it moves; the chunks are scattered into the result one by
+    one and released.
     """
 
     def __init__(self, n: int):
         self.n = n
         # (masks, coeffs) rows as in ``PauliOperator``: the merged rows so
-        # far, then the chunks added since
-        self._merged = self._no_rows()
+        # far (None before a merge), then the chunks added since, with the
+        # index in ``_parts`` of the largest chunk added by ``add_operator``
+        # and its row count
+        self._merged: tuple[np.ndarray, np.ndarray] | None = None
         self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self._run, self._run_rows = None, 0
 
     def _no_rows(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((0, 2 * _n_words(self.n)), np.uint64), np.zeros((0, 2))
@@ -264,7 +386,11 @@ class PauliSum:
 
     def add_strings(self, xs: Iterable[int], zs: Iterable[int],
                     coeffs: Iterable[complex]) -> None:
-        """Add strings given as Python-int masks and coefficients."""
+        """Add strings given as Python-int masks and coefficients;
+        ValueError if a mask sets a qubit outside the register."""
+        xs, zs = list(xs), list(zs)
+        if any(m >> self.n for m in (*xs, *zs)):
+            raise ValueError(f"a mask sets a qubit outside the {self.n}-qubit register")
         cs = [complex(c) for c in coeffs]
         self._append(_masks(xs, zs, _n_words(self.n)),
                      np.array([(c.real, c.imag) for c in cs], dtype=float).reshape(-1, 2))
@@ -275,6 +401,9 @@ class PauliSum:
     def add_operator(self, op: "PauliOperator") -> None:
         if op.n_qubits != self.n:
             raise ValueError("qubit-count mismatch in operator sum")
+        rows = len(op.coeffs)
+        if rows > self._run_rows:
+            self._run, self._run_rows = len(self._parts), rows
         self._append(op.masks, op.coeffs)
 
     def add_tensor_product(self, factors: Iterable["PauliOperator"],
@@ -332,62 +461,103 @@ class PauliSum:
         """Collapse the chunks into one: a row per distinct string, in
         canonical order, with its contributions summed in insertion order
         starting from 0.0 (nothing dropped yet). With ``real``, rows whose
-        real part is 0 are left out first (see ``hermitize``).
-
-        The chunks are taken in blocks of up to ``_ORDER_BLOCK`` rows
-        (consecutive small chunks joined), so every pass below runs per
-        block. One sort of the rows' keys gives each row its group, and the
-        blocks are scattered into the result one by one, each released
-        once written."""
+        real part is 0 are left out first (see ``hermitize``), and the
+        merge sorts all rows."""
         if not self._parts:
-            return self._merged
-        parts = [self._merged, *self._parts] if len(self._merged[1]) else self._parts
-        # from here on ``parts``, then ``blocks``, hold the only references
-        # to the chunks
-        self._merged, self._parts = self._no_rows(), []
-        blocks = [b for b in _blocks(parts, real) if len(b[1])]
-        if not blocks:
-            return self._merged
-        rows = sum(len(c) for _, c in blocks)
-        keys = np.empty((rows, _key_width(self.n)), dtype=">u2")
-        lo = 0
-        for masks, _ in blocks:
-            _sort_keys(masks, keys[lo:lo + len(masks)])
-            lo += len(masks)
-        keys = keys.view(f"S{2 * keys.shape[1]}").ravel()
-        # the group sums do not depend on the order of equal keys; a
-        # stable sort is the one that runs along the presorted chunks
-        order = np.argsort(keys, kind="stable")
-        # a row opens a group where its key differs from the previous one
-        first = np.ones(rows, dtype=bool)
-        for lo in range(1, rows, _ORDER_BLOCK):
-            run = keys[order[lo - 1:lo + _ORDER_BLOCK]]
-            np.not_equal(run[1:], run[:-1], out=first[lo:lo + len(run) - 1])
-        del keys
-        group = first.cumsum(dtype=np.intp)
-        group -= 1
-        del first
-        # the group of each row in insertion order
-        where = np.empty_like(order)
-        where[order] = group
-        n_groups = int(group[-1]) + 1
-        del order, group
-        masks = np.empty((n_groups, 2 * _n_words(self.n)), dtype=np.uint64)
-        sums = np.zeros(n_groups, dtype=complex)
-        lo = 0
-        with _quiet():
-            for i, (block, coeffs) in enumerate(blocks):
-                blocks[i] = None
-                at = where[lo:lo + len(coeffs)]
-                lo += len(coeffs)
-                masks[at] = block
-                # as 0.0 + each row in turn: a -0.0 part becomes 0.0
-                np.add.at(sums, at, np.ascontiguousarray(coeffs).view(complex).ravel())
-        self._merged = (masks, sums.view(float).reshape(-1, 2))
+            return self._merged or self._no_rows()
+        parts, run, run_rows = self._parts, self._run, self._run_rows
+        if self._merged is not None and len(self._merged[1]):
+            # the merged rows are canonical too
+            parts = [self._merged, *parts]
+            run = 0 if run_rows <= len(parts[0][1]) else run + 1
+            run_rows = len(parts[run][1])
+        # from here on ``parts``, then the blocks taken from it, hold the
+        # only references to the chunks
+        self._merged, self._parts, self._run, self._run_rows = None, [], None, 0
+        if not real and 2 * run_rows > _ORDER_BLOCK:
+            rows = sum(len(c) for _, c in parts)
+            if rows > _ORDER_BLOCK and 2 * run_rows > rows:
+                self._merged = self._merge_into_run(parts, run)
+                return self._merged
+        self._merged = self._merge_sorted(parts, real)
         return self._merged
 
-    def hermitize(self) -> None:
-        """Replace the accumulated T by T + T^dag (keeps 2 Re of coefficients).
+    def _merge_sorted(self, parts: list, real: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The merge of ``parts`` by one sort of all rows' keys.
+
+        The chunks are taken in blocks of up to ``_ORDER_BLOCK`` rows
+        (consecutive small chunks joined), so every pass runs per block.
+        The sort gives each row its group, and the blocks are scattered
+        into the result one by one, each released once written."""
+        blocks = [b for b in _blocks(parts, real) if len(b[1])]
+        if not blocks:
+            return self._no_rows()
+        where, n_groups = _group(blocks, self.n)
+        masks = np.empty((n_groups, 2 * _n_words(self.n)), dtype=np.uint64)
+        sums = np.zeros(n_groups, dtype=complex)
+        _scatter(blocks, where, masks, sums)
+        return masks, sums.view(float).reshape(-1, 2)
+
+    def _merge_into_run(self, parts: list, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The merge of ``parts`` whose chunk ``i`` is a canonical run
+        holding most of the rows.
+
+        The other chunks, before and after the run, are grouped as
+        ``_merge_sorted`` groups them, and ``_find`` places each of their
+        strings in the run. The result is the run with the strings it
+        lacks inserted at their places. The sums follow insertion order:
+        the rows before the run are added, then the run's rows (moved in
+        blocks of ``_ORDER_BLOCK``), then the rows after it."""
+        run_masks, run_coeffs = parts[i]
+        head = list(_blocks(parts[:i], False)) if i else []
+        tail = list(_blocks(parts[i + 1:], False)) if i + 1 < len(parts) else []
+        parts.clear()
+        n_head = sum(len(c) for _, c in head)
+        blocks = head + tail
+        if blocks:
+            where, n_groups = _group(blocks, self.n)
+            strings = np.empty((n_groups, run_masks.shape[1]), dtype=np.uint64)
+            lo = 0
+            for masks, _ in blocks:
+                strings[where[lo:lo + len(masks)]] = masks
+                lo += len(masks)
+            pos, found = _find(run_masks, strings, self.n)
+            del strings
+            # a string the run lacks goes before the run row at its place,
+            # after the strings the run lacks at earlier or equal places
+            new = pos[~found]
+            at = np.empty(n_groups, dtype=np.intp)
+            at[~found] = new + np.arange(len(new))
+            at[found] = pos[found] + np.searchsorted(new, pos[found], side="right")
+            where = at[where]
+        else:
+            at = where = np.zeros(0, dtype=np.intp)
+            found = np.zeros(0, dtype=bool)
+        n_run = len(run_coeffs)
+        masks = np.empty((n_run + len(found) - int(found.sum()), run_masks.shape[1]),
+                         dtype=np.uint64)
+        sums = np.zeros(len(masks), dtype=complex)
+        # the run's rows fill, in order, the result rows no lacking string takes
+        is_run = np.ones(len(masks), dtype=bool)
+        is_run[at[~found]] = False
+        del blocks, at, found
+        _scatter(head, where[:n_head], masks, sums)
+        r, rows = 0, _items(masks)
+        with _quiet():
+            for lo in range(0, len(masks), _ORDER_BLOCK):
+                take = is_run[lo:lo + _ORDER_BLOCK]
+                k = r + int(np.count_nonzero(take))
+                rows[lo:lo + _ORDER_BLOCK][take] = _items(run_masks[r:k])
+                block = sums[lo:lo + _ORDER_BLOCK]
+                block[take] += np.ascontiguousarray(run_coeffs[r:k]).view(complex).ravel()
+                r = k
+        _scatter(tail, where[n_head:], masks, sums)
+        return masks, sums.view(float).reshape(-1, 2)
+
+    def hermitize(self) -> "PauliOperator":
+        """Replace the accumulated T by T + T^dag (keeps 2 Re of coefficients)
+        and return it as an operator, with nothing below ``DROP_TOL``
+        dropped yet (``to_operator`` drops it).
 
         The merge leaves out rows with a zero real part, which changes no
         bit: a sum starting from 0.0 is never -0.0, so adding +-0.0 leaves
@@ -401,11 +571,13 @@ class PauliSum:
         with _quiet():
             np.multiply(coeffs[:, 0], 2, out=doubled[:, 0])
         self._merged = (masks, doubled)
+        return PauliOperator(self.n, masks, doubled)
 
     def to_operator(self) -> "PauliOperator":
         masks, coeffs = self._merge()
-        keep = ~(np.hypot(coeffs[:, 0], coeffs[:, 1]) < DROP_TOL)
-        if not keep.all():
+        drop = np.hypot(coeffs[:, 0], coeffs[:, 1]) < DROP_TOL  # keeps NaN
+        if drop.any():
+            keep = ~drop
             masks, coeffs = masks[keep], coeffs[keep]
         return PauliOperator(self.n, masks, coeffs)
 
@@ -487,10 +659,14 @@ class PauliOperator:
         return self.n_terms
 
     def coefficient(self, label_or_string: "str | PauliString") -> complex:
+        """The coefficient of one string, 0.0 if absent; ValueError for a
+        label or string on another qubit count."""
         if isinstance(label_or_string, str):
             probe = PauliString.from_label(label_or_string)
         else:
             probe = label_or_string
+        if probe.n != self.n_qubits:
+            raise ValueError(f"{probe.n}-qubit string in {self.n_qubits}-qubit operator")
         row = _masks([probe.x], [probe.z], _n_words(self.n_qubits))
         hit = np.flatnonzero((self.masks == row).all(axis=1))
         return complex(*self.coeffs[hit[0]]) if len(hit) else 0.0
@@ -548,9 +724,23 @@ class PauliOperator:
 
     def embed(self, n_total: int, offset: int = 0) -> "PauliOperator":
         """View this operator on a larger register, shifted by ``offset``."""
-        if offset < 0 or offset + self.n_qubits > n_total:
+        return self.place(n_total, [offset])
+
+    def place(self, n_total: int, offsets: Sequence[int]) -> "PauliOperator":
+        """View this operator on an ``n_total``-qubit register, its qubits
+        cut into ``len(offsets)`` consecutive registers of equal width and
+        register i moved to start at qubit ``offsets[i]``. The registers
+        must ascend without overlap, so every string keeps its place in the
+        canonical order; ValueError otherwise. The coefficients are
+        shared, not copied."""
+        width, rest = divmod(self.n_qubits, len(offsets))
+        if (rest or offsets[0] < 0 or offsets[-1] + width > n_total
+                or any(b - a < width for a, b in zip(offsets, offsets[1:]))):
             raise ValueError("embedding range out of register")
-        return PauliOperator(n_total, _shift(self.masks, offset, _n_words(n_total)),
+        n_words = _n_words(n_total)
+        if list(offsets) == [0] and n_words == self.masks.shape[1] // 2:
+            return PauliOperator(n_total, self.masks, self.coeffs)
+        return PauliOperator(n_total, _place(self.masks, width, offsets, n_words),
                              self.coeffs)
 
 

@@ -13,7 +13,9 @@ from a state's support that the tables of ``lgt.dynamics.ConfigKeys``
 replaced (with the charge and flux per site and link they also gave), the
 energy on an exact-evolution span, the readout by label dictionaries that
 the keyed readout of ``lgt.dynamics`` and ``lgt.cli`` replaced, the merge
-of concatenated chunks that ``PauliSum``'s in-place scatter replaced, the
+of concatenated chunks that ``PauliSum``'s in-place scatter replaced (and
+that its merge into a run must match), the register moves of
+``PauliOperator.place`` on Python ints, the
 plaquette term as a chain of operator products that the tensor products of
 ``lgt.hamiltonian.build_plaquette`` replaced, the scaled general
 product that the tensor products of ``build_hopp_wilson`` replaced, the
@@ -61,7 +63,9 @@ from lgt.pauli import (
     _I_POWERS_RE,
     _cmul,
     _index_mask,
+    _ints,
     _key_width,
+    _masks,
     _n_words,
     _quiet,
     _sort_keys,
@@ -478,9 +482,24 @@ def merge_reference(n: int, chunks) -> tuple[np.ndarray, np.ndarray]:
     return masks[first], sums
 
 
+def place_reference(op: PauliOperator, n: int, offsets) -> PauliOperator:
+    """``op.place(n, offsets)`` with each register's bits moved as Python
+    ints, the coefficients as they are."""
+    width = op.n_qubits // len(offsets)
+
+    def moved(mask: int) -> int:
+        return sum((mask >> (i * width) & (1 << width) - 1) << offset
+                   for i, offset in enumerate(offsets))
+
+    return PauliOperator(n, _masks([moved(x) for x in _ints(op.x)],
+                                   [moved(z) for z in _ints(op.z)], _n_words(n)),
+                         op.coeffs)
+
+
 def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
     """The plaquette term as the chained product identity * U1 * U2 * U3^dag
-    * U4^dag per plaquette, each partial product merged and sorted."""
+    * U4^dag per plaquette, each partial product merged and sorted, each U
+    placed by ``place_reference``."""
     spec = layout.spec
     if spec.d < 2:
         return PauliOperator.zero(layout.n_total)
@@ -493,7 +512,7 @@ def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> Pa
         for link, dagger in edges:
             enc = links[link]
             op = enc.u_dag if dagger else enc.u
-            prod = prod * op.embed(n, layout.gauge_offset(link))
+            prod = prod * place_reference(op, n, [layout.gauge_offset(link)])
         acc.add_operator(prod.scale(-1.0 / (4.0 * params.e ** 2)))
     acc.hermitize()
     return acc.to_operator()

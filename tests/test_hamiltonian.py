@@ -2,12 +2,15 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from lgt.hamiltonian import (
     ModelParams,
+    _encoded_links,
+    _loop_operator,
     assemble,
     build_electric,
     build_hopp_wilson,
@@ -16,7 +19,8 @@ from lgt.hamiltonian import (
 )
 from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
-from lgt.pauli import classify
+from lgt.pauli import PauliSum, classify
+from lgt.resources import link_resource_counts
 from pauli_oracle import build_plaquette_reference, is_hermitian, to_matrix
 
 
@@ -146,6 +150,43 @@ class TestPlaquette:
         assert np.array_equal(got.masks, want.masks)
         assert np.abs(got.coeffs - want.coeffs).max() <= 2e-16
 
+    # one-hot S = 1 links take 3 qubits, so on these lattices the loops
+    # placed on register 13 (qubits 63-65) straddle a mask word
+    @pytest.mark.parametrize("extents, boundary", [((3, 4), "open"), ((3, 4), "periodic"),
+                                                   ((4, 3), "periodic")])
+    def test_one_hot_loops_match_chained_products_bit_for_bit(self, extents, boundary):
+        lay = RegisterLayout(LatticeSpec(2, extents, boundary), "linear", 1.0)
+        assert lay.gauge_offset(lay.links[13]) == 63
+        params = ModelParams(m=0.4, e=1.7, theta=(0.3, -0.2))
+        got, want = build_plaquette(lay, params), build_plaquette_reference(lay, params)
+        assert got.n_terms > 0
+        assert np.array_equal(got.masks, want.masks)
+        assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+    def test_one_shape_builds_one_loop(self):
+        # every plaquette of an open lattice has one shape: one tensor
+        # product for the 16 plaquettes of the 5x5 lattice
+        lay = RegisterLayout(LatticeSpec(2, (5, 5), "open"), "log", 1.0)
+        with mock.patch.object(PauliSum, "add_tensor_product", autospec=True,
+                               side_effect=PauliSum.add_tensor_product) as product:
+            op = build_plaquette(lay, ModelParams(m=0.4, e=2.0))
+        assert product.call_count == 1
+        assert op.n_terms == 249577
+
+    @pytest.mark.parametrize("spin, encoding", [(0.5, "log"), (1.0, "log"), (1.5, "log"),
+                                                (0.5, "linear"), (1.0, "linear"),
+                                                (1.5, "linear"), (2.0, "linear")])
+    def test_loop_holds_the_enumerated_string_count(self, spin, encoding):
+        counts = link_resource_counts(spin, encoding)
+        assert counts.exact  # plaquette_pauli_enumerated counted it
+        lay = RegisterLayout(LatticeSpec(2, (2, 2), "open"), encoding, spin)
+        params = ModelParams(m=0.4, e=2.0)
+        (edges,) = lay.spec.plaquettes()
+        distinct = sorted({link for link, _ in edges}, key=lay.link_index)
+        loop = _loop_operator(edges, distinct, _encoded_links(lay, params),
+                              lay.qubits_per_link, params)
+        assert loop.n_terms == counts.plaquette
+
 
 def test_assembly_memory_stays_near_its_result():
     """The merges hold little beyond what they return: the tracemalloc peak
@@ -162,6 +203,24 @@ def test_assembly_memory_stays_near_its_result():
     ops = (h.mass, h.hopp_wilson, h.elec, h.plaq, h.gauss, *h.gauss_ops, h.total)
     held = sum(op.masks.nbytes + op.coeffs.nbytes for op in ops)
     assert peak <= 1.6 * held
+
+
+def test_assembly_memory_stays_near_its_result_on_three_mask_words():
+    """On the open 5x5 S=1 lattice (130 qubits) the tracemalloc peak of
+    ``assemble`` stays within 1.1x the string arrays of the operators it
+    returns: the placed plaquette loops and the merge into the plaquette
+    run add little."""
+    lay = RegisterLayout(LatticeSpec(2, (5, 5), "open"), "log", 1.0)
+    tracemalloc.start()
+    try:
+        h = assemble(lay, ModelParams(m=0.4, e=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (h.plaq.n_terms, h.n_terms) == (249577, 254747)
+    ops = (h.mass, h.hopp_wilson, h.elec, h.plaq, h.gauss, *h.gauss_ops, h.total)
+    held = sum(op.masks.nbytes + op.coeffs.nbytes for op in ops)
+    assert peak <= 1.1 * held
 
 
 class TestGauss:

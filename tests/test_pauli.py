@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgt import pauli
 from lgt.cli import build_layout, load_config, validate_config
 from lgt.hamiltonian import assemble
 from lgt.pauli import (
@@ -25,6 +27,7 @@ from pauli_oracle import (
     commutator,
     is_hermitian,
     merge_reference,
+    place_reference,
     product_reference,
     string_action,
     to_matrix,
@@ -455,6 +458,158 @@ def test_merge_of_long_runs_of_repeats_matches_the_reference():
         want = merge_reference(n, chunks)
         got = acc.to_operator()
         assert_same_rows((got.masks, got.coeffs), want)
+
+
+def merges_into_run():
+    """Spy on ``PauliSum._merge_into_run``, which still runs."""
+    return mock.patch.object(PauliSum, "_merge_into_run", autospec=True,
+                             side_effect=PauliSum._merge_into_run)
+
+
+@st.composite
+def run_merges(draw):
+    """A qubit count, then chunks in insertion order: canonical operators
+    before and after one canonical run that holds more rows than they do
+    together, all on strings of one pool (so a string repeats across the
+    chunks on both sides and in the run), with +-0.0, inf and NaN parts;
+    then chunks added after that first merge, which its result outweighs."""
+    n = draw(st.sampled_from([1, 64, 65, 130]))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.tuples(mask, mask), min_size=3, max_size=12, unique=True))
+
+    def operator(min_size, max_size=None):
+        strings = draw(st.lists(st.sampled_from(pool), min_size=min_size,
+                                max_size=max_size, unique=True))
+        # the canonical order of the strings, then any coefficients
+        masks = PauliOperator.from_terms(
+            n, [PauliString(n, x, z, 1.0) for x, z in strings]).masks
+        parts = draw(st.lists(st.tuples(MERGE_PARTS, MERGE_PARTS),
+                              min_size=len(masks), max_size=len(masks)))
+        return PauliOperator(n, masks, np.array(parts, dtype=float).reshape(-1, 2))
+
+    run = operator(3)
+    # before, after, later; before and after hold fewer rows than the run
+    sides, budget = ([], [], []), run.n_terms - 1
+    for k in range(draw(st.integers(1, 6))):
+        side = draw(st.sampled_from([0, 1] if k == 0 else [0, 1, 2]))
+        if side < 2 and not budget:
+            continue
+        op = operator(1, budget if side < 2 else None)
+        sides[side].append(op)
+        if side < 2:
+            budget -= op.n_terms
+    return n, sides[0], run, sides[1], sides[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_merges())
+def test_merge_into_a_run_matches_the_concatenated_reference(case):
+    """With ``_ORDER_BLOCK`` = 2 a merge of more than two rows into a run
+    takes the run path; it and a later merge into its result match
+    ``merge_reference`` bit for bit."""
+    n, before, run, after, later = case
+    acc = PauliSum(n)
+    for op in before + [run] + after:
+        acc.add_operator(op)
+    with mock.patch.object(pauli, "_ORDER_BLOCK", 2), merges_into_run() as into_run:
+        got = acc._merge()
+        assert into_run.call_count == 1
+        want = merge_reference(n, [(op.masks, op.coeffs) for op in before + [run] + after])
+        assert_same_rows(got, want)
+        for op in later:
+            acc.add_operator(op)
+        if later:
+            want = merge_reference(n, [want] + [(op.masks, op.coeffs) for op in later])
+        assert_same_rows(acc._merge(), want)
+
+
+def test_merge_into_a_large_run_matches_the_reference():
+    # a 20,000-row run on three mask words, chunks of repeats on both
+    # sides, some strings of the run and some new: the fences are tens of
+    # rows apart, and the run moves in several blocks of rows
+    rng = np.random.default_rng(44)
+    n = 130
+    strings = {(int(x), int(z)) for x, z in zip(rng.integers(0, 1 << 62, 20000),
+                                                 rng.integers(0, 1 << 62, 20000))}
+    run = PauliOperator.from_terms(
+        n, [PauliString(n, x << 66, z << 67, complex(*rng.normal(size=2)))
+            for x, z in strings])
+    acc, chunks = PauliSum(n), []
+    for i, size in enumerate((600, 1, 400)):
+        if i == 1:
+            acc.add_operator(run)
+            chunks.append((run.masks, run.coeffs))
+        # strings of the run, and every third one with qubit 0 set: new
+        picks = rng.integers(0, 300, size) * (run.n_terms // 300)
+        xs = [int(x) << 64 | (k % 3 == 0) for k, x in enumerate(run.x[picks, 1])]
+        zs = [int(z) << 64 for z in run.z[picks, 1]]
+        acc.add_strings(xs, zs, rng.normal(size=size) + 1j * rng.normal(size=size))
+        chunks.append(acc._parts[-1])
+    want = merge_reference(n, chunks)
+    with merges_into_run() as into_run:
+        got = acc._merge()
+    assert into_run.call_count == 1
+    assert_same_rows(got, want)
+
+
+def test_add_strings_rejects_masks_outside_the_register():
+    acc = PauliSum(3)
+    for x, z in ((1 << 5, 0), (0, 1 << 3), (-1, 0)):
+        with pytest.raises(ValueError, match="outside the 3-qubit register"):
+            acc.add_string(x, z, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        PauliOperator.from_terms(3, [PauliString(3, 1 << 5, 0, 1.0)])
+    acc.add_string(0b100, 0b101, 1.0)
+    assert [t.label for t in acc.to_operator().terms] == ["ZIY"]
+
+
+def test_coefficient_rejects_another_qubit_count():
+    o = op("XY", 0.5)
+    assert o.coefficient("XY") == 0.5 and o.coefficient("ZZ") == 0.0
+    for probe in ("XYI", "X", PauliString(3, 1, 2, 1.0)):
+        with pytest.raises(ValueError, match="2-qubit operator"):
+            o.coefficient(probe)
+
+
+def test_place_moves_each_register_across_mask_words():
+    o = PauliOperator.from_terms(6, [PauliString.from_label("XYZYXZ", 0.5),
+                                     PauliString.from_label("IZIIYI", -1.0)])
+    got = o.place(130, [62, 70, 127])
+    want = PauliOperator.from_terms(130, [
+        PauliString.from_label(
+            "I" * 62 + a + "I" * 6 + b + "I" * 55 + c + "I", coeff)
+        for (a, b, c), coeff in ((("XY", "ZY", "XZ"), 0.5), (("IZ", "II", "YI"), -1.0))])
+    assert np.array_equal(got.masks, want.masks)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.shares_memory(got.coeffs, o.coeffs)
+    for offsets in ([0, 1, 4], [-1, 4, 8], [0, 4, 129], [0, 2, 4, 6]):
+        with pytest.raises(ValueError, match="out of register"):
+            o.place(130, offsets)
+
+
+@st.composite
+def placements(draw):
+    """An operator on 1-3 registers of 1-70 qubits each, and a register of
+    up to 280 qubits with each register placed after a gap of 0-70."""
+    width, k = draw(st.integers(1, 70)), draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(0, 70), min_size=k + 1, max_size=k + 1))
+    offsets = [sum(gaps[:i + 1]) + i * width for i in range(k)]
+    mask = st.integers(0, (1 << k * width) - 1)
+    strings = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6))
+    o = PauliOperator.from_terms(k * width, [PauliString(k * width, x, z, 1.0 + i)
+                                             for i, (x, z) in enumerate(strings)])
+    return o, offsets[-1] + width + gaps[-1], offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(placements())
+def test_place_matches_python_int_moves_and_keeps_the_order(case):
+    o, n, offsets = case
+    got, want = o.place(n, offsets), place_reference(o, n, offsets)
+    assert np.array_equal(got.masks, want.masks)
+    assert np.shares_memory(got.coeffs, o.coeffs)
+    # the placed strings are still in canonical order
+    assert np.array_equal(PauliOperator.from_terms(n, got.terms).masks, got.masks)
 
 
 def assert_tensor_product_bits(factors, scale) -> None:
