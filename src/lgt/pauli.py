@@ -474,7 +474,7 @@ class PauliSum:
         # from here on ``parts``, then the blocks taken from it, hold the
         # only references to the chunks
         self._merged, self._parts, self._run, self._run_rows = None, [], None, 0
-        if not real and 2 * run_rows > _ORDER_BLOCK:
+        if not real and len(parts) > 1 and 2 * run_rows > _ORDER_BLOCK:
             rows = sum(len(c) for _, c in parts)
             if rows > _ORDER_BLOCK and 2 * run_rows > rows:
                 self._merged = self._merge_into_run(parts, run)
@@ -500,7 +500,7 @@ class PauliSum:
 
     def _merge_into_run(self, parts: list, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The merge of ``parts`` whose chunk ``i`` is a canonical run
-        holding most of the rows.
+        holding most of the rows, beside at least one other chunk.
 
         The other chunks, before and after the run, are grouped as
         ``_merge_sorted`` groups them, and ``_find`` places each of their
@@ -514,25 +514,21 @@ class PauliSum:
         parts.clear()
         n_head = sum(len(c) for _, c in head)
         blocks = head + tail
-        if blocks:
-            where, n_groups = _group(blocks, self.n)
-            strings = np.empty((n_groups, run_masks.shape[1]), dtype=np.uint64)
-            lo = 0
-            for masks, _ in blocks:
-                strings[where[lo:lo + len(masks)]] = masks
-                lo += len(masks)
-            pos, found = _find(run_masks, strings, self.n)
-            del strings
-            # a string the run lacks goes before the run row at its place,
-            # after the strings the run lacks at earlier or equal places
-            new = pos[~found]
-            at = np.empty(n_groups, dtype=np.intp)
-            at[~found] = new + np.arange(len(new))
-            at[found] = pos[found] + np.searchsorted(new, pos[found], side="right")
-            where = at[where]
-        else:
-            at = where = np.zeros(0, dtype=np.intp)
-            found = np.zeros(0, dtype=bool)
+        where, n_groups = _group(blocks, self.n)
+        strings = np.empty((n_groups, run_masks.shape[1]), dtype=np.uint64)
+        lo = 0
+        for masks, _ in blocks:
+            strings[where[lo:lo + len(masks)]] = masks
+            lo += len(masks)
+        pos, found = _find(run_masks, strings, self.n)
+        del strings
+        # a string the run lacks goes before the run row at its place,
+        # after the strings the run lacks at earlier or equal places
+        new = pos[~found]
+        at = np.empty(n_groups, dtype=np.intp)
+        at[~found] = new + np.arange(len(new))
+        at[found] = pos[found] + np.searchsorted(new, pos[found], side="right")
+        where = at[where]
         n_run = len(run_coeffs)
         masks = np.empty((n_run + len(found) - int(found.sum()), run_masks.shape[1]),
                          dtype=np.uint64)

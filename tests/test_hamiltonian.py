@@ -188,20 +188,26 @@ class TestPlaquette:
         assert loop.n_terms == counts.plaquette
 
 
-def test_assembly_memory_stays_near_its_result():
-    """The merges hold little beyond what they return: the tracemalloc peak
-    of ``assemble`` on an open 3x3 S=1 lattice stays within 1.6x the
-    string arrays of the operators it returns."""
-    lay = RegisterLayout(LatticeSpec(2, (3, 3), "open"), "log", 1.0)
+def assembly_peak(extents):
+    """``assemble`` on an open S=1 lattice: the terms, the tracemalloc peak
+    and the bytes of the string arrays of the operators it returns."""
+    lay = RegisterLayout(LatticeSpec(2, extents, "open"), "log", 1.0)
     tracemalloc.start()
     try:
         h = assemble(lay, ModelParams(m=0.4, e=2.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.plaq.n_terms == 62417
     ops = (h.mass, h.hopp_wilson, h.elec, h.plaq, h.gauss, *h.gauss_ops, h.total)
-    held = sum(op.masks.nbytes + op.coeffs.nbytes for op in ops)
+    return h, peak, sum(op.masks.nbytes + op.coeffs.nbytes for op in ops)
+
+
+def test_assembly_memory_stays_near_its_result():
+    """The merges hold little beyond what they return: the tracemalloc peak
+    of ``assemble`` on an open 3x3 S=1 lattice stays within 1.6x the
+    string arrays of the operators it returns."""
+    h, peak, held = assembly_peak((3, 3))
+    assert h.plaq.n_terms == 62417
     assert peak <= 1.6 * held
 
 
@@ -210,16 +216,8 @@ def test_assembly_memory_stays_near_its_result_on_three_mask_words():
     ``assemble`` stays within 1.1x the string arrays of the operators it
     returns: the placed plaquette loops and the merge into the plaquette
     run add little."""
-    lay = RegisterLayout(LatticeSpec(2, (5, 5), "open"), "log", 1.0)
-    tracemalloc.start()
-    try:
-        h = assemble(lay, ModelParams(m=0.4, e=2.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    h, peak, held = assembly_peak((5, 5))
     assert (h.plaq.n_terms, h.n_terms) == (249577, 254747)
-    ops = (h.mass, h.hopp_wilson, h.elec, h.plaq, h.gauss, *h.gauss_ops, h.total)
-    held = sum(op.masks.nbytes + op.coeffs.nbytes for op in ops)
     assert peak <= 1.1 * held
 
 
