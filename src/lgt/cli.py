@@ -735,7 +735,7 @@ def run_resources(sc: ScenarioConfig, out_dir: str | Path) -> list[Path]:
         if sc.encoding == "log":
             _check_countable(sc.spin, "$.spin")
         try:
-            rows = scaling_table(sc.spec, sc.spin, sc.encoding, sc.params)
+            rows = scaling_table(sc.spec, sc.spin, sc.encoding, sc.params, sc.mapping)
         except OverflowError as exc:  # from assemble, as in build_hamiltonian
             raise ConfigError("$.model", str(exc)) from exc
         files = {f"{sc.output_prefix}_resources.csv": rows_to_csv(rows)}

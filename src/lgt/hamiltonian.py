@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lgt.gauge import EncodedLink, qlm_link
-from lgt.lattice import Link, RegisterLayout, Site
+from lgt.lattice import Link, RegisterLayout
 from lgt.matter import FermionMapping, clifford_rep, fermion_mapping, gamma_mix
 from lgt.pauli import PauliOperator, PauliSum
 
@@ -80,61 +80,67 @@ def _encoded_links(layout: RegisterLayout, params: ModelParams) -> dict[Link, En
     }
 
 
-def site_psidagpsi(layout: RegisterLayout, mapping: FermionMapping,
-                   site: Site) -> PauliOperator:
-    """Total occupation of a site's spinor components: the sum of the
-    mapped number operators, so it reads the same under every mapping."""
-    n = layout.n_total
-    acc = PauliSum(n)
-    for alpha in range(layout.n_spinor):
-        acc.add_operator(mapping.number(layout.fermionic_mode(site, alpha)).embed(n))
-    return acc.to_operator()
-
-
 def build_mass(layout: RegisterLayout, params: ModelParams,
                mapping: FermionMapping) -> PauliOperator:
-    rep = clifford_rep(layout.spec.d)
-    coeff = params.m + params.r * layout.spec.d
+    """(m + r d) sum_x psi-bar psi: the bilinears of every (site, alpha,
+    beta) with gamma^0_(alpha beta) != 0, site-major, built in one pass."""
+    g0 = clifford_rep(layout.spec.d).gammas[0]
+    ns = layout.n_spinor
+    site, alpha, beta = np.nonzero(np.broadcast_to(g0 != 0, (layout.spec.n_sites, ns, ns)))
+    c = (params.m + params.r * layout.spec.d) * g0[alpha, beta]
+    masks, coeffs = mapping.bilinears(site * ns + alpha, site * ns + beta, c, layout.n_total)
     acc = PauliSum(layout.n_total)
-    g0 = rep.gammas[0]
-    for site in layout.spec.sites():
-        for alpha in range(layout.n_spinor):
-            for beta in range(layout.n_spinor):
-                if g0[alpha, beta] == 0:
-                    continue
-                i = layout.fermionic_mode(site, alpha)
-                j = layout.fermionic_mode(site, beta)
-                acc.add_operator(mapping.bilinear(i, j, coeff * g0[alpha, beta])
-                                 .embed(layout.n_total))
+    acc.add_rows(masks.reshape(-1, masks.shape[-1]), coeffs.reshape(-1, 2))
     return acc.to_operator()
 
 
 def build_hopp_wilson(layout: RegisterLayout, params: ModelParams,
                       mapping: FermionMapping) -> PauliOperator:
-    rep = clifford_rep(layout.spec.d)
-    acc = PauliSum(layout.n_total)
-    for link, enc in _encoded_links(layout, params).items():
-        head = layout.spec.neighbor(link.site, link.direction)
-        gmix = gamma_mix(rep, link.direction + 1, params.r)
-        u = enc.u.embed(layout.n_total, layout.gauge_offset(link))
-        for alpha in range(layout.n_spinor):
-            for beta in range(layout.n_spinor):
-                if gmix[alpha, beta] == 0:
-                    continue
-                i = layout.fermionic_mode(link.site, alpha)
-                j = layout.fermionic_mode(head, beta)
-                ferm = mapping.bilinear(i, j).embed(layout.n_total)
-                acc.add_tensor_product([ferm.scale(0.5 * gmix[alpha, beta]), u])
+    """The tensor products of (gamma_mix / 2) a_i^dag a_j and the link's
+    U for every (link, alpha, beta) with gamma_mix != 0, link-major, in
+    one batch (U does not depend on theta), hermitized."""
+    spec, n, ns = layout.spec, layout.n_total, layout.n_spinor
+    k, tail, head = np.array([(link.direction, spec.site_index(link.site),
+                               spec.site_index(spec.neighbor(link.site, link.direction)))
+                              for link in layout.links], dtype=np.intp).reshape(-1, 3).T
+    gmix = np.stack([gamma_mix(clifford_rep(spec.d), kk + 1, params.r) for kk in range(spec.d)])
+    li, alpha, beta = np.nonzero(gmix[k] != 0)
+    ferm = mapping.bilinears(tail[li] * ns + alpha, head[li] * ns + beta,
+                             0.5 * gmix[k[li], alpha, beta], n)
+    u = qlm_link(layout.spin, layout.encoding).u
+    placed = u.placements(n, [[layout.gauge_offset(link)] for link in layout.links])[li]
+    acc = PauliSum(n)
+    u_coeffs = np.broadcast_to(u.coeffs, (len(li), *u.coeffs.shape))
+    acc.add_tensor_products([ferm, (placed, u_coeffs)])
     acc.hermitize()
     return acc.to_operator()
+
+
+def _link_rows(layout: RegisterLayout, links: dict[Link, EncodedLink],
+               operator) -> tuple[list, list, dict[Link, tuple[int, int]]]:
+    """Each link's ``operator(EncodedLink)`` placed at its register, one
+    placement per theta: mask and coefficient chunks, and each link's
+    first row and row count in them."""
+    at, masks, coeffs = {}, [], []
+    for enc in dict.fromkeys(links.values()):
+        op = operator(enc)
+        own = [link for link, other in links.items() if other is enc]
+        placed = op.placements(layout.n_total, [[layout.gauge_offset(link)] for link in own])
+        lo, r = sum(map(len, coeffs)), op.n_terms
+        at.update((link, (lo + p * r, r)) for p, link in enumerate(own))
+        masks.append(placed.reshape(-1, placed.shape[-1]))
+        coeffs.append(np.tile(op.coeffs, (len(own), 1)))
+    return masks, coeffs, at
 
 
 def build_electric(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
     acc = PauliSum(layout.n_total)
     half_e2 = params.e ** 2 / 2.0
-    for link, enc in _encoded_links(layout, params).items():
-        acc.add_operator(enc.e_sq.embed(layout.n_total, layout.gauge_offset(link))
-                         .scale(half_e2))
+    masks, coeffs, at = _link_rows(layout, _encoded_links(layout, params),
+                                   lambda enc: enc.e_sq.scale(half_e2))
+    if at:
+        take = [row for link in layout.links for row in range(at[link][0], sum(at[link]))]
+        acc.add_rows(np.concatenate(masks)[take], np.concatenate(coeffs)[take])
     for sl in layout.spec.static_links:
         acc.add_string(0, 0, half_e2 * sl.flux ** 2)
     return acc.to_operator()
@@ -201,28 +207,51 @@ def build_gauss(layout: RegisterLayout, params: ModelParams,
 
     The charge is built from the mapping's number operators a^dag a, so
     G_x vanishes on the same physical states under jw, parity and bk.
-    """
-    spec = layout.spec
-    links = _encoded_links(layout, params)
-    n = layout.n_total
-    e = params.e
-
-    g_ops = []
-    for site in spec.sites():
-        acc = PauliSum(n)
+    Each site's rows are taken, in the order of its terms, from one table
+    (each link's e E, each mode's -e Z_D/2, the identity); one grouped merge
+    gives every G_x, one more every G_x^2 from its rows' products."""
+    spec, n, e, ns = layout.spec, layout.n_total, params.e, layout.n_spinor
+    masks, coeffs, at = _link_rows(layout, _encoded_links(layout, params),
+                                   lambda enc: enc.e_op.scale(e))
+    modes = np.arange(layout.n_fermionic)
+    number = mapping.bilinears(modes, modes, np.full(len(modes), e), n)
+    z0 = sum(map(len, coeffs))
+    one = z0 + len(modes)
+    masks += [number[0][:, 1], np.zeros_like(number[0][:1, 1])]
+    coeffs += [number[1][:, 1], np.array([[1.0, 0.0]])]
+    # each row a table row times a real factor: +-1, or the identity's value
+    take, factor, owner = [], [], []
+    for x, site in enumerate(spec.sites()):
+        size = len(take)
         for link, sign in spec.gauss_fluxes(site):
             if isinstance(link, Link):
-                acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link))
-                                 .scale(sign * e))
+                lo, r = at[link]
+                take += range(lo, lo + r)
+                factor += [sign] * r
             else:
-                acc.add_string(0, 0, sign * e * link)
-        acc.add_operator(site_psidagpsi(layout, mapping, site).scale(e))
-        acc.add_string(0, 0, -e * layout.n_spinor / 2.0)
-        g_ops.append(acc.to_operator())
-
+                take.append(one)
+                factor.append(sign * e * link)
+        # psidag psi, merged (n_spinor/2 on the identity), scaled by e
+        take += [one, *range(z0 + x * ns, z0 + (x + 1) * ns), one]
+        factor += [ns / 2.0 * e, *[1.0] * ns, -e * ns / 2.0]
+        owner += [x] * (len(take) - size)
+    acc = PauliSum(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc.add_rows(np.concatenate(masks)[take],
+                     np.concatenate(coeffs)[take] * np.array(factor)[:, None])
+    g_ops = acc.to_operators(owner, spec.n_sites)
+    # G_x^2: the products of each G_x's rows, first factor outer
+    sizes = np.array([g.n_terms for g in g_ops])
+    own = np.repeat(np.arange(spec.n_sites), sizes ** 2)
+    t = np.arange(len(own)) - (np.cumsum(sizes ** 2) - sizes ** 2)[own]
+    start, r = (np.cumsum(sizes) - sizes)[own], sizes[own]
+    a, b = start + t // r, start + t % r
+    g_masks = np.concatenate([g.masks for g in g_ops])
+    g_coeffs = np.concatenate([g.coeffs for g in g_ops])
+    acc.add_products(g_masks[a], g_coeffs[a], g_masks[b], g_coeffs[b])
     total = PauliSum(n)
-    for g in g_ops:
-        total.add_operator(g * g)
+    for sq in acc.to_operators(own, spec.n_sites):
+        total.add_operator(sq)
     return tuple(g_ops), total.to_operator()
 
 

@@ -18,7 +18,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from lgt.pauli import PauliOperator, PauliString, _index_mask
+from lgt.pauli import (
+    _I_POWERS_IM,
+    _I_POWERS_RE,
+    PauliOperator,
+    PauliSum,
+    _cmul,
+    _index_mask,
+    _masks,
+    _n_words,
+    _popcount,
+    _quiet,
+)
 
 MAPPING_NAMES = ("jw", "parity", "bk")
 
@@ -106,38 +117,51 @@ class FermionMapping:
     occ: tuple[int, ...]       # qubit mask whose parity is n_j
     prefix: tuple[int, ...]    # qubit mask whose parity is sum_{k<j} n_k
 
-    # The ladder and number operators are cached per mapping (mappings are
-    # themselves cached by ``fermion_mapping``); operators are immutable.
     @lru_cache(maxsize=None)
-    def raising(self, j: int) -> PauliOperator:
-        """The encoded creation operator a_j^dag (two Pauli strings)."""
-        self._check_mode(j)
-        n = self.n_modes
-        xf = PauliOperator.from_terms(n, [PauliString(n, self.flip[j], 0, 0.5)])
-        # (I + Z_D) Z_S = Z_S + Z_(D xor S): Z strings multiply without phase
-        zs = PauliOperator.from_terms(n, [
-            PauliString(n, 0, self.prefix[j], 1.0),
-            PauliString(n, 0, self.occ[j] ^ self.prefix[j], 1.0)])
-        return xf * zs
+    def _words(self, n_words: int) -> np.ndarray:
+        """(N, 3, n_words) words: each mode's F, then the Z masks S and
+        S ^ D of a_j^dag = X_F (I + Z_D)/2 Z_S (D = occ, S = prefix)."""
+        zs = [p ^ o for p, o in zip(self.prefix, self.occ)]
+        words = np.hstack([_masks(self.flip, self.prefix, n_words), _masks(zs, zs, n_words)])
+        words.flags.writeable = False
+        return words.reshape(self.n_modes, 4, n_words)[:, :3]
 
-    def lowering(self, j: int) -> PauliOperator:
-        return self.raising(j).dagger()
-
-    @lru_cache(maxsize=None)
-    def number(self, j: int) -> PauliOperator:
-        """a_j^dag a_j = (I - Z_occ)/2."""
-        self._check_mode(j)
-        n = self.n_modes
-        return PauliOperator.from_terms(n, [
-            PauliString(n, 0, 0, 0.5),
-            PauliString(n, 0, self.occ[j], -0.5),
-        ])
+    def bilinears(self, i, j, c, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """c_k a_(i_k)^dag a_(j_k) for each k, on an n-qubit register that
+        starts with the modes: masks (K, 4, 2W), coefficients (K, 4, 2);
+        ValueError for a mode out of range. a_j^dag = 1/2 sum_(Z in S,
+        S ^ D) i^(-|F & Z|) P(F, Z), so a_i^dag a_j (i != j) is 1/4 i^m
+        P(F_i ^ F_j, Z_a ^ Z_b), m the phases of the ladder strings and of
+        their product (``PauliSum.add_products``); (I - Z_D)/2 for i = j
+        fills two rows, the others are 0. c scales as ``PauliOperator.scale``."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        if ((i < 0) | (i >= self.n_modes) | (j < 0) | (j >= self.n_modes)).any():
+            raise ValueError(f"mode out of range for N={self.n_modes}")
+        w = _n_words(n)
+        (fi, *za), (fj, *zb) = (np.moveaxis(self._words(w)[m], 1, 0) for m in (i, j))
+        za, zb = np.stack(za, axis=1), np.stack(zb, axis=1)
+        x, z = (fi ^ fj)[:, None, None], za[:, :, None] ^ zb[:, None]
+        m = (2 * _popcount(za & fj[:, None])[:, :, None] + 2 * _popcount(zb & fj[:, None])[:, None]
+             - _popcount(x & z)) & 3
+        masks = np.concatenate([np.broadcast_to(x, z.shape), z], axis=-1).reshape(-1, 4, 2 * w)
+        re, im = 0.25 * _I_POWERS_RE[m].reshape(-1, 4), 0.25 * _I_POWERS_IM[m].reshape(-1, 4)
+        same = i == j
+        masks[same] = 0
+        masks[same, 1, w:] = (za[:, 0] ^ za[:, 1])[same]
+        re[same], im[same] = (0.5, -0.5, 0.0, 0.0), 0.0
+        c = np.asarray(c, dtype=complex)[:, None]
+        with _quiet():
+            re, im = _cmul(re, im, c.real, c.imag)
+        re[same, 2:] = im[same, 2:] = 0.0
+        return masks, np.stack([re, im], axis=-1)
 
     def bilinear(self, i: int, j: int, c: complex = 1.0) -> PauliOperator:
-        """c . a_i^dag a_j as a Pauli operator."""
-        if i == j:
-            return c * self.number(i)
-        return c * (self.raising(i) * self.lowering(j))
+        """c . a_i^dag a_j as a Pauli operator: the one-pair case of
+        ``bilinears``."""
+        masks, coeffs = self.bilinears([i], [j], [c], self.n_modes)
+        acc = PauliSum(self.n_modes)
+        acc.add_rows(masks[0], coeffs[0])
+        return acc.to_operator()
 
     def encode_occupations(self, occupations) -> int:
         """Basis index of an occupation pattern on the mode register alone
@@ -147,10 +171,6 @@ class FermionMapping:
             if occ:
                 bits ^= self.flip[j]
         return _index_mask(bits, self.n_modes)
-
-    def _check_mode(self, j: int) -> None:
-        if not 0 <= j < self.n_modes:
-            raise ValueError(f"mode {j} out of range for N={self.n_modes}")
 
 
 @lru_cache(maxsize=None)

@@ -28,15 +28,22 @@ Matrices enter only through ``decompose_matrix``.
 it alone merges, hermitizes and sorts Pauli terms. Duplicate strings are
 summed in insertion order, and coefficients below ``DROP_TOL``, the one
 tolerance of the algebra, are dropped (NaN is kept, so an overflow stays
-visible). ``PauliOperator.__mul__`` multiplies operators whose supports may
-overlap. Factors on disjoint qubits (a hopping term's bilinear and U, a
-plaquette's links, a one-hot S+ step's sigma+ and sigma-) give no
-duplicate string, so ``add_tensor_product`` lays out their product in one
-broadcast, with nothing sorted or merged. An operator is scaled by
-``PauliOperator.scale``; only ``add_tensor_product`` takes a scale, which
-it applies to the product last.
-Coefficient arithmetic does not warn on overflow: the caller decides
-whether a non-finite coefficient is an error.
+visible). Each product, placement and merge takes a whole batch in one
+array pass, and its single form is the batch of one:
+``add_products`` multiplies rows whose supports may overlap (``__mul__``
+is the outer product of two operators' rows); ``add_tensor_products``
+lays out products of factors on disjoint qubits (a hopping term's
+bilinear and U, a plaquette's links, a one-hot S+ step's sigma+ and
+sigma-), which give no duplicate string, with nothing sorted or merged
+(``add_tensor_product`` is one product); ``placements`` moves an
+operator's qubit registers to many offsets of a larger register (``place``
+one, so one plaquette loop serves every place it occurs); and
+``to_operators`` merges the rows of many operators in one sort by
+(operator, string), each operator's sums in its own insertion order. An
+operator is scaled by ``PauliOperator.scale``; only the tensor products
+take a scale, applied to the product last. Coefficient arithmetic does not
+warn on overflow: the caller decides whether a non-finite coefficient is
+an error.
 
 A merge sorts by keys: one sort key per row (2 bytes per mask byte), one
 stable sort, index arrays of 8 bytes a row. It holds those and the result
@@ -49,10 +56,7 @@ only the other chunks are keyed and sorted: each of their strings is
 found in that run by a binary search over a few keyed rows, and the run's
 rows are moved into the result around the strings it lacks. Either way
 every string's contributions are summed in insertion order, so the two
-paths give the same bits. ``PauliOperator.place`` moves an operator's
-qubit registers to other offsets of a larger register, so one operator
-built on a small register (a plaquette loop) serves every place it
-occurs.
+paths give the same bits.
 
 Every ``PauliOperator`` keeps its terms in one canonical order: by the packed
 axis word of the string, 2 bits per qubit with qubit 0 most significant and
@@ -129,15 +133,19 @@ def _ints(words: np.ndarray) -> list[int]:
             for i in range(0, len(raw), step)]
 
 
-def _place(masks: np.ndarray, width: int, offsets: Sequence[int],
+def _place(masks: np.ndarray, width: int, offsets: list[list[int]],
            n_words: int) -> np.ndarray:
-    """x and z words on ``n_words`` words each, with register i (qubits
-    i width .. (i + 1) width - 1) moved to start at qubit ``offsets[i]``.
+    """(K, N, 2 ``n_words``) x and z words, copy k with register i (qubits
+    i width .. (i + 1) width - 1) moved to start at qubit ``offsets[k][i]``.
     A register moves one source word's piece at a time, each piece split
-    over two words where it straddles a word boundary of the destination."""
+    over two words where it straddles a word boundary of the destination;
+    consecutive copies whose piece lands in one word move together."""
+    k = len(offsets)
+    if all(row == [0] for row in offsets) and 2 * n_words == masks.shape[1]:
+        return np.broadcast_to(masks, (k, *masks.shape))
     words = masks.reshape(len(masks), 2, masks.shape[1] // 2)
-    out = np.zeros((len(masks), 2, n_words), dtype=np.uint64)
-    for i, offset in enumerate(offsets):
+    out = np.zeros((k, len(masks), 2, n_words), dtype=np.uint64)
+    for i in range(len(offsets[0])):
         lo, end = i * width, (i + 1) * width
         while lo < end:
             j, r = divmod(lo, 64)
@@ -145,12 +153,21 @@ def _place(masks: np.ndarray, width: int, offsets: Sequence[int],
             piece = words[:, :, j] >> r if r else words[:, :, j]
             if hi < 64 * (j + 1):  # the word's later qubits are the next register's
                 piece = piece & ((1 << (hi - lo)) - 1)
-            q, s = divmod(offset + lo - i * width, 64)
-            out[:, :, q] |= piece << s if s else piece
-            if s + hi - lo > 64:
-                out[:, :, q + 1] |= piece >> (64 - s)
+            dest = [divmod(row[i] + lo - i * width, 64) for row in offsets]
+            a = 0
+            while a < k:  # the copies from a to b write to word q
+                q, b = dest[a][0], a + 1
+                while b < k and dest[b][0] == q:
+                    b += 1
+                s = [d[1] for d in dest[a:b]]
+                spill = max(s) + hi - lo > 64
+                s = s[0] if len(set(s)) == 1 else np.array(s, np.uint64)[:, None, None]
+                out[a:b, :, :, q] |= piece << s
+                if spill:  # two shifts: one by 64 is undefined
+                    out[a:b, :, :, q + 1] |= (piece >> 1) >> (63 - s)
+                a = b
             lo = hi
-    return out.reshape(len(masks), 2 * n_words)
+    return out.reshape(k, len(masks), 2 * n_words)
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -235,15 +252,19 @@ def _keys(masks: np.ndarray, n: int) -> np.ndarray:
     return keys.view(f"S{2 * keys.shape[1]}").ravel()
 
 
-def _group(blocks: list, n: int) -> tuple[np.ndarray, int]:
+def _group(blocks: list, n: int, owner: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """The group of each row of ``blocks``, rows taken in insertion order
     and groups numbered by string in canonical order, and the number of
-    groups: one stable sort of the rows' keys."""
+    groups: one stable sort of the rows' keys. With ``owner`` (an operator
+    index per row) the keys lead with it: a group per (owner, string)."""
     rows = sum(len(c) for _, c in blocks)
-    keys = np.empty((rows, _key_width(n)), dtype=">u2")
+    lead = 0 if owner is None else 2
+    keys = np.empty((rows, lead + _key_width(n)), dtype=">u2")
+    if lead:
+        keys[:, :lead] = owner.astype(">u4").view(">u2").reshape(-1, lead)
     lo = 0
     for masks, _ in blocks:
-        _sort_keys(masks, keys[lo:lo + len(masks)])
+        _sort_keys(masks, keys[lo:lo + len(masks), lead:])
         lo += len(masks)
     keys = keys.view(f"S{2 * keys.shape[1]}").ravel()
     # the group sums do not depend on the order of equal keys; a
@@ -321,7 +342,8 @@ def _blocks(parts: list, real: bool):
             run, size = [], 0
         run.append(part)
         size += len(part[1])
-    yield _joined(run, real)
+    if run:
+        yield _joined(run, real)
 
 
 def _joined(chunks: list, real: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +402,9 @@ class PauliSum:
     def _no_rows(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((0, 2 * _n_words(self.n)), np.uint64), np.zeros((0, 2))
 
-    def _append(self, masks: np.ndarray, coeffs: np.ndarray) -> None:
+    def add_rows(self, masks: np.ndarray, coeffs: np.ndarray) -> None:
+        """Add rows as ``PauliOperator`` holds them: masks (N, 2W) words on
+        this register and coefficients (N, 2)."""
         if len(coeffs):
             self._parts.append((masks, coeffs))
 
@@ -392,8 +416,8 @@ class PauliSum:
         if any(m >> self.n for m in (*xs, *zs)):
             raise ValueError(f"a mask sets a qubit outside the {self.n}-qubit register")
         cs = [complex(c) for c in coeffs]
-        self._append(_masks(xs, zs, _n_words(self.n)),
-                     np.array([(c.real, c.imag) for c in cs], dtype=float).reshape(-1, 2))
+        self.add_rows(_masks(xs, zs, _n_words(self.n)),
+                      np.array([(c.real, c.imag) for c in cs], dtype=float).reshape(-1, 2))
 
     def add_string(self, x: int, z: int, c: complex) -> None:
         self.add_strings([x], [z], [c])
@@ -404,58 +428,93 @@ class PauliSum:
         rows = len(op.coeffs)
         if rows > self._run_rows:
             self._run, self._run_rows = len(self._parts), rows
-        self._append(op.masks, op.coeffs)
+        self.add_rows(op.masks, op.coeffs)
+
+    def add_products(self, a_masks: np.ndarray, a_coeffs: np.ndarray,
+                     b_masks: np.ndarray, b_coeffs: np.ndarray) -> None:
+        """Add the products P_a P_b of the rows of mask (..., 2W) and
+        coefficient (..., 2) arrays, broadcast against each other, in the
+        broadcast's order; ``PauliOperator.__mul__`` is an outer product."""
+        w = _n_words(self.n)
+        masks = a_masks ^ b_masks
+        k = (_popcount(a_masks[..., :w] & a_masks[..., w:])
+             + _popcount(b_masks[..., :w] & b_masks[..., w:])
+             - _popcount(masks[..., :w] & masks[..., w:])
+             + 2 * _popcount(a_masks[..., w:] & b_masks[..., :w])) & 3
+        with _quiet():
+            re, im = _cmul(*_cmul(a_coeffs[..., 0], a_coeffs[..., 1],
+                                  b_coeffs[..., 0], b_coeffs[..., 1]),
+                           _I_POWERS_RE[k], _I_POWERS_IM[k])
+        self.add_rows(masks.reshape(-1, 2 * w), np.stack([re.ravel(), im.ravel()], axis=1))
 
     def add_tensor_product(self, factors: Iterable["PauliOperator"],
                            scale: complex = 1.0) -> None:
-        """Add scale * f_1 f_2 ... f_k for factors on pairwise disjoint
-        qubits; ValueError if two supports overlap.
+        """Add scale * f_1 f_2 ... f_k, the one-product case of
+        ``add_tensor_products``."""
+        factors = list(factors)
+        if any(f.n_qubits != self.n for f in factors):
+            raise ValueError("qubit-count mismatch in tensor product")
+        self.add_tensor_products([(f.masks[None], f.coeffs[None]) for f in factors], scale)
+
+    def add_tensor_products(self, factors: Sequence[tuple[np.ndarray, np.ndarray]],
+                            scale: complex = 1.0) -> None:
+        """Add scale * f_1[p] ... f_k[p] for each product p in turn, factor
+        i as masks (P, r_i, 2W) and coefficients (P, r_i, 2); ValueError if
+        two factors of a product share a qubit.
 
         The coefficients are those of the chained product
         ``identity(n) * f_1 * ... * f_k``, scaled by ``.scale(scale)`` and
-        added with ``add_operator``, bit for bit: factor by factor in the given order (complex
-        products do not associate in floating point), each partial product
-        merged as ``to_operator`` merges it (+ 0.0, then terms below
-        ``DROP_TOL`` dropped), the scale last. Disjoint strings commute
-        with phase i^0 and never coincide, so no partial product is sorted
-        or merged. The rows are laid out factor-major, the factors ordered
-        by their lowest support qubit and each in its own canonical order,
-        which is canonical order when the supports are non-interleaved
-        qubit ranges, such as link registers."""
-        factors = list(factors)
-        used, lowest = 0, []
-        for f in factors:
-            if f.n_qubits != self.n:
+        added with ``add_operator``, bit for bit: factor by factor in the
+        given order (complex products do not associate in floating point),
+        each partial product merged as ``to_operator`` merges it (+ 0.0,
+        then terms below ``DROP_TOL`` dropped), the scale last. Disjoint
+        strings commute with phase i^0 and never coincide, so no partial
+        product is sorted or merged. A product's rows are laid out
+        factor-major, the factors ordered by their lowest support qubit
+        (over all products), which is canonical order when the factors
+        are canonical on non-interleaved qubit ranges, such as link
+        registers."""
+        w = _n_words(self.n)
+        n_products = len(factors[0][0])
+        used, lowest = np.zeros((n_products, w), dtype=np.uint64), []
+        for masks, _ in factors:
+            if masks.shape[-1] != 2 * w:
                 raise ValueError("qubit-count mismatch in tensor product")
-            supp, = _ints(np.bitwise_or.reduce(f.x | f.z, axis=0, keepdims=True))
-            if used & supp:
+            supp = np.bitwise_or.reduce(masks[..., :w] | masks[..., w:], axis=1)
+            if (used & supp).any():
                 raise ValueError("tensor product factors share a qubit")
             used |= supp
-            # lowest support qubit + 1; 0 for an identity factor, whose one
-            # row goes anywhere
+            # lowest support qubit + 1 over all products; 0 for an identity
+            # factor, whose one row goes anywhere
+            supp, = _ints(np.bitwise_or.reduce(supp, axis=0, keepdims=True))
             lowest.append((supp & -supp).bit_length())
-        # coefficients as a tensor with one axis per factor, in factor order
-        re, im = np.ones(()), np.zeros(())
-        keep = np.ones((), dtype=bool)
+        # coefficients as a tensor with an axis for the product, then one
+        # per factor in factor order
+        re, im = np.ones(n_products), np.zeros(n_products)
+        keep = np.ones(n_products, dtype=bool)
         with _quiet():
-            for f in factors:
-                re, im = _cmul(*_cmul(re[..., None], im[..., None], f.re, f.im), 1.0, 0.0)
+            for i, (_, coeffs) in enumerate(factors):
+                shape = (n_products,) + (1,) * i + (coeffs.shape[1],)
+                re, im = _cmul(*_cmul(re[..., None], im[..., None], coeffs[..., 0].reshape(shape),
+                                      coeffs[..., 1].reshape(shape)), 1.0, 0.0)
                 re, im = re + 0.0, im + 0.0
                 keep = keep[..., None] & ~(np.hypot(re, im) < DROP_TOL)
             scale = complex(scale)
             if scale != 1:
                 re, im = _cmul(scale.real, scale.imag, re, im)
         layout = sorted(range(len(factors)), key=lowest.__getitem__)
-        w = _n_words(self.n)
-        masks = np.zeros((1, 2 * w), dtype=np.uint64)
+        masks = np.zeros((n_products, 1, 2 * w), dtype=np.uint64)
         for i in layout:
-            masks = (masks[:, None] | factors[i].masks).reshape(-1, 2 * w)
-        coeffs = np.stack([re.transpose(layout).ravel(), im.transpose(layout).ravel()],
-                          axis=1)
-        keep = keep.transpose(layout).ravel()
+            f = factors[i][0]
+            masks = (masks[:, :, None] | f[:, None]).reshape(
+                n_products, masks.shape[1] * f.shape[1], 2 * w)
+        axes = (0, *(1 + i for i in layout))
+        coeffs = np.stack([re.transpose(axes).ravel(), im.transpose(axes).ravel()], axis=1)
+        keep = keep.transpose(axes).ravel()
+        masks = masks.reshape(-1, 2 * w)
         if not keep.all():
             masks, coeffs = masks[keep], coeffs[keep]
-        self._append(masks, coeffs)
+        self.add_rows(masks, coeffs)
 
     def _merge(self, real: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Collapse the chunks into one: a row per distinct string, in
@@ -479,11 +538,12 @@ class PauliSum:
             if rows > _ORDER_BLOCK and 2 * run_rows > rows:
                 self._merged = self._merge_into_run(parts, run)
                 return self._merged
-        self._merged = self._merge_sorted(parts, real)
+        self._merged = self._merge_sorted(parts, real)[:2]
         return self._merged
 
-    def _merge_sorted(self, parts: list, real: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The merge of ``parts`` by one sort of all rows' keys.
+    def _merge_sorted(self, parts: list, real: bool, owner: np.ndarray | None = None):
+        """The merge of ``parts`` by one sort of all rows' keys (by owner
+        first with ``owner``, see ``_group``), and each row's group.
 
         The chunks are taken in blocks of up to ``_ORDER_BLOCK`` rows
         (consecutive small chunks joined), so every pass runs per block.
@@ -491,12 +551,12 @@ class PauliSum:
         into the result one by one, each released once written."""
         blocks = [b for b in _blocks(parts, real) if len(b[1])]
         if not blocks:
-            return self._no_rows()
-        where, n_groups = _group(blocks, self.n)
+            return *self._no_rows(), np.zeros(0, np.intp)
+        where, n_groups = _group(blocks, self.n, owner)
         masks = np.empty((n_groups, 2 * _n_words(self.n)), dtype=np.uint64)
         sums = np.zeros(n_groups, dtype=complex)
         _scatter(blocks, where, masks, sums)
-        return masks, sums.view(float).reshape(-1, 2)
+        return masks, sums.view(float).reshape(-1, 2), where
 
     def _merge_into_run(self, parts: list, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The merge of ``parts`` whose chunk ``i`` is a canonical run
@@ -576,6 +636,23 @@ class PauliSum:
             keep = ~drop
             masks, coeffs = masks[keep], coeffs[keep]
         return PauliOperator(self.n, masks, coeffs)
+
+    def to_operators(self, owner, count: int) -> list["PauliOperator"]:
+        """``count`` operators, operator g what ``to_operator`` gives for
+        the rows r with ``owner[r]`` = g alone (nothing merged before),
+        from one sort by (owner, string); empties the accumulator."""
+        if self._merged is not None:
+            raise ValueError("to_operators takes rows that were never merged")
+        owner = np.asarray(owner, dtype=np.intp)
+        parts, self._parts, self._run, self._run_rows = self._parts, [], None, 0
+        masks, coeffs, where = self._merge_sorted(parts, False, owner)
+        row_owner = np.empty(len(masks), dtype=np.intp)
+        row_owner[where] = owner
+        keep = ~(np.hypot(coeffs[:, 0], coeffs[:, 1]) < DROP_TOL)
+        bounds = np.searchsorted(row_owner[keep], np.arange(count + 1))
+        masks, coeffs = masks[keep], coeffs[keep]
+        return [PauliOperator(self.n, masks[a:b], coeffs[a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class PauliOperator:
@@ -702,16 +779,8 @@ class PauliOperator:
             return self.scale(other)
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit-count mismatch in operator product")
-        w = _n_words(self.n_qubits)
-        masks = self.masks[:, None] ^ other.masks
-        k = (_popcount(self.x & self.z)[:, None] + _popcount(other.x & other.z)
-             - _popcount(masks[..., :w] & masks[..., w:])
-             + 2 * _popcount(self.z[:, None] & other.x)) & 3
-        with _quiet():
-            re, im = _cmul(*_cmul(self.re[:, None], self.im[:, None], other.re, other.im),
-                           _I_POWERS_RE[k], _I_POWERS_IM[k])
         acc = PauliSum(self.n_qubits)
-        acc._append(masks.reshape(-1, 2 * w), np.stack([re.ravel(), im.ravel()], axis=1))
+        acc.add_products(self.masks[:, None], self.coeffs[:, None], other.masks, other.coeffs)
         return acc.to_operator()
 
     def dagger(self) -> "PauliOperator":
@@ -728,16 +797,21 @@ class PauliOperator:
         register i moved to start at qubit ``offsets[i]``. The registers
         must ascend without overlap, so every string keeps its place in the
         canonical order; ValueError otherwise. The coefficients are
-        shared, not copied."""
-        width, rest = divmod(self.n_qubits, len(offsets))
-        if (rest or offsets[0] < 0 or offsets[-1] + width > n_total
-                or any(b - a < width for a, b in zip(offsets, offsets[1:]))):
+        shared, not copied. The one-copy case of ``placements``."""
+        return PauliOperator(n_total, self.placements(n_total, [offsets])[0], self.coeffs)
+
+    def placements(self, n_total: int, offsets: Sequence[Sequence[int]]) -> np.ndarray:
+        """The masks of ``place(n_total, o)`` for each o of ``offsets`` as one
+        (copies, rows, 2W) array; ValueError as ``place``."""
+        offsets = [list(map(int, row)) for row in offsets]
+        if not offsets:
+            return np.zeros((0, *self.masks.shape[:1], 2 * _n_words(n_total)), np.uint64)
+        width, rest = divmod(self.n_qubits, len(offsets[0]))
+        if rest or any(row[0] < 0 or row[-1] + width > n_total
+                       or any(b - a < width for a, b in zip(row, row[1:]))
+                       for row in offsets):
             raise ValueError("embedding range out of register")
-        n_words = _n_words(n_total)
-        if list(offsets) == [0] and n_words == self.masks.shape[1] // 2:
-            return PauliOperator(n_total, self.masks, self.coeffs)
-        return PauliOperator(n_total, _place(self.masks, width, offsets, n_words),
-                             self.coeffs)
+        return _place(self.masks, width, offsets, _n_words(n_total))
 
 
 _CONJUGATE = np.array([1.0, -1.0])

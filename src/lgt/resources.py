@@ -172,10 +172,11 @@ CSV_HEADER = ("term,S,encoding,n_pauli_exact,n_pauli_formula,n_cnot,"
 
 
 def scaling_table(spec: LatticeSpec, spin: float, encoding: str,
-                  params) -> list[ResourceRow]:
+                  params, mapping: str = "jw") -> list[ResourceRow]:
     """Per-term resource rows of one (spin, encoding) pair; the exact
-    columns are filled by construction when feasible (OverflowError
-    from ``assemble`` if the couplings overflow)."""
+    columns are filled by construction under the fermion ``mapping`` when
+    feasible (OverflowError from ``assemble`` if the couplings
+    overflow)."""
     from lgt.hamiltonian import assemble
 
     lay = RegisterLayout(spec, encoding, spin)
@@ -183,7 +184,7 @@ def scaling_table(spec: LatticeSpec, spin: float, encoding: str,
     ferm, gauge = lay.n_fermionic, lay.n_gauge
     built = {}
     if pred.assembles and check_spin(spin) <= 1 << 6:
-        h = assemble(lay, params)
+        h = assemble(lay, params, mapping)
         built = {"mass": h.mass, "hopping": h.hopp_wilson, "electric": h.elec,
                  "plaquette": h.plaq, "total": h.total}
     rows = []

@@ -20,7 +20,10 @@ plaquette term as a chain of operator products that the tensor products of
 ``lgt.hamiltonian.build_plaquette`` replaced, the scaled general
 product that the tensor products of ``build_hopp_wilson`` replaced, the
 one-hot S+ as a chain of operator sums that the tensor products of
-``lgt.gauge.encode_lin`` replaced, and the
+``lgt.gauge.encode_lin`` replaced, the mass, hopping, electric and
+Gauss terms built term by term (each bilinear the product of the ladder
+operators, each merge per site) that the batched builds of
+``lgt.hamiltonian`` replaced, and the
 whole-array CNOT and gate counts that the row-block pass of
 ``lgt.circuits.step_gate_counts`` (which ``lgt.resources.cnot_per_trotter_step``
 reads) replaced, with the support count of each string that the tests read.
@@ -50,9 +53,14 @@ from lgt.dynamics import (
     decode_basis,
 )
 from lgt.gauge import _one_hot_qubit, _sigma_pm, check_spin, encode_log, spin_matrices
-from lgt.hamiltonian import ModelParams, _encoded_links
-from lgt.lattice import RegisterLayout
-from lgt.matter import FermionMapping
+from lgt.hamiltonian import (
+    HamiltonianTerms,
+    ModelParams,
+    _encoded_links,
+    build_plaquette,
+)
+from lgt.lattice import Link, RegisterLayout
+from lgt.matter import FermionMapping, clifford_rep, fermion_mapping, gamma_mix
 from lgt.pauli import (
     DROP_TOL,
     ORACLE_LIMIT,
@@ -455,8 +463,8 @@ def add_product_reference(acc: PauliSum, a: PauliOperator, b: PauliOperator,
             ar, ai = _cmul(scale.real, scale.imag, ar, ai)
         re, im = _cmul(*_cmul(ar[:, None], ai[:, None], b.re, b.im),
                        _I_POWERS_RE[k], _I_POWERS_IM[k])
-    acc._append(masks.reshape(-1, 2 * w),
-                np.stack([re.ravel(), im.ravel()], axis=1))
+    acc.add_rows(masks.reshape(-1, 2 * w),
+                 np.stack([re.ravel(), im.ravel()], axis=1))
 
 
 def merge_reference(n: int, chunks) -> tuple[np.ndarray, np.ndarray]:
@@ -516,6 +524,152 @@ def build_plaquette_reference(layout: RegisterLayout, params: ModelParams) -> Pa
         acc.add_operator(prod.scale(-1.0 / (4.0 * params.e ** 2)))
     acc.hermitize()
     return acc.to_operator()
+
+
+# -- the Hamiltonian terms built term by term -------------------------------
+
+
+def raising_reference(mapping: FermionMapping, j: int) -> PauliOperator:
+    """The encoded creation operator a_j^dag = X_F (I + Z_D)/2 Z_S as the
+    product of its X and Z parts (two Pauli strings)."""
+    if not 0 <= j < mapping.n_modes:
+        raise ValueError(f"mode {j} out of range for N={mapping.n_modes}")
+    n = mapping.n_modes
+    xf = PauliOperator.from_terms(n, [PauliString(n, mapping.flip[j], 0, 0.5)])
+    # (I + Z_D) Z_S = Z_S + Z_(D xor S): Z strings multiply without phase
+    zs = PauliOperator.from_terms(n, [
+        PauliString(n, 0, mapping.prefix[j], 1.0),
+        PauliString(n, 0, mapping.occ[j] ^ mapping.prefix[j], 1.0)])
+    return xf * zs
+
+
+def lowering_reference(mapping: FermionMapping, j: int) -> PauliOperator:
+    return raising_reference(mapping, j).dagger()
+
+
+def number_reference(mapping: FermionMapping, j: int) -> PauliOperator:
+    """a_j^dag a_j = (I - Z_occ)/2."""
+    n = mapping.n_modes
+    return PauliOperator.from_terms(n, [PauliString(n, 0, 0, 0.5),
+                                        PauliString(n, 0, mapping.occ[j], -0.5)])
+
+
+def bilinear_reference(mapping: FermionMapping, i: int, j: int,
+                       c: complex = 1.0) -> PauliOperator:
+    """c . a_i^dag a_j as the scaled product of the ladder operators, or
+    of the number operator for i = j: the form every bilinear took before
+    ``FermionMapping.bilinears`` built them from the masks."""
+    if i == j:
+        return c * number_reference(mapping, i)
+    return c * (raising_reference(mapping, i) * lowering_reference(mapping, j))
+
+
+def build_mass_reference(layout: RegisterLayout, params: ModelParams,
+                         mapping: FermionMapping) -> PauliOperator:
+    """The mass term, one bilinear operator added per (site, alpha, beta)."""
+    rep = clifford_rep(layout.spec.d)
+    coeff = params.m + params.r * layout.spec.d
+    acc = PauliSum(layout.n_total)
+    g0 = rep.gammas[0]
+    for site in layout.spec.sites():
+        for alpha in range(layout.n_spinor):
+            for beta in range(layout.n_spinor):
+                if g0[alpha, beta] == 0:
+                    continue
+                i = layout.fermionic_mode(site, alpha)
+                j = layout.fermionic_mode(site, beta)
+                acc.add_operator(bilinear_reference(mapping, i, j, coeff * g0[alpha, beta])
+                                 .embed(layout.n_total))
+    return acc.to_operator()
+
+
+def build_hopp_wilson_reference(layout: RegisterLayout, params: ModelParams,
+                                mapping: FermionMapping) -> PauliOperator:
+    """The hopping term, one tensor product of a scaled bilinear and the
+    link's embedded U per (link, alpha, beta), hermitized together."""
+    rep = clifford_rep(layout.spec.d)
+    acc = PauliSum(layout.n_total)
+    for link, enc in _encoded_links(layout, params).items():
+        head = layout.spec.neighbor(link.site, link.direction)
+        gmix = gamma_mix(rep, link.direction + 1, params.r)
+        u = enc.u.embed(layout.n_total, layout.gauge_offset(link))
+        for alpha in range(layout.n_spinor):
+            for beta in range(layout.n_spinor):
+                if gmix[alpha, beta] == 0:
+                    continue
+                i = layout.fermionic_mode(link.site, alpha)
+                j = layout.fermionic_mode(head, beta)
+                ferm = bilinear_reference(mapping, i, j).embed(layout.n_total)
+                acc.add_tensor_product([ferm.scale(0.5 * gmix[alpha, beta]), u])
+    acc.hermitize()
+    return acc.to_operator()
+
+
+def build_electric_reference(layout: RegisterLayout, params: ModelParams) -> PauliOperator:
+    """The electric term, each link's embedded, scaled E^2 added in turn."""
+    acc = PauliSum(layout.n_total)
+    half_e2 = params.e ** 2 / 2.0
+    for link, enc in _encoded_links(layout, params).items():
+        acc.add_operator(enc.e_sq.embed(layout.n_total, layout.gauge_offset(link))
+                         .scale(half_e2))
+    for sl in layout.spec.static_links:
+        acc.add_string(0, 0, half_e2 * sl.flux ** 2)
+    return acc.to_operator()
+
+
+def site_psidagpsi_reference(layout: RegisterLayout, mapping: FermionMapping,
+                             site) -> PauliOperator:
+    """Total occupation of a site's spinor components, merged."""
+    n = layout.n_total
+    acc = PauliSum(n)
+    for alpha in range(layout.n_spinor):
+        acc.add_operator(number_reference(mapping, layout.fermionic_mode(site, alpha))
+                         .embed(n))
+    return acc.to_operator()
+
+
+def build_gauss_reference(layout: RegisterLayout, params: ModelParams,
+                          mapping: FermionMapping):
+    """G_x merged site by site, and sum_x G_x^2 from each G_x * G_x."""
+    spec = layout.spec
+    links = _encoded_links(layout, params)
+    n = layout.n_total
+    e = params.e
+    g_ops = []
+    for site in spec.sites():
+        acc = PauliSum(n)
+        for link, sign in spec.gauss_fluxes(site):
+            if isinstance(link, Link):
+                acc.add_operator(links[link].e_op.embed(n, layout.gauge_offset(link))
+                                 .scale(sign * e))
+            else:
+                acc.add_string(0, 0, sign * e * link)
+        acc.add_operator(site_psidagpsi_reference(layout, mapping, site).scale(e))
+        acc.add_string(0, 0, -e * layout.n_spinor / 2.0)
+        g_ops.append(acc.to_operator())
+    total = PauliSum(n)
+    for g in g_ops:
+        total.add_operator(g * g)
+    return tuple(g_ops), total.to_operator()
+
+
+def assemble_reference(layout: RegisterLayout, params: ModelParams,
+                       mapping_name: str = "jw") -> HamiltonianTerms:
+    """``assemble`` with the mass, hopping, electric and Gauss terms built
+    term by term as above (the plaquettes as ``build_plaquette`` builds
+    them)."""
+    mapping = fermion_mapping(mapping_name, layout.n_fermionic)
+    mass = build_mass_reference(layout, params, mapping)
+    hopp = build_hopp_wilson_reference(layout, params, mapping)
+    elec = build_electric_reference(layout, params)
+    plaq = build_plaquette(layout, params)
+    g_ops, gauss = build_gauss_reference(layout, params, mapping)
+    acc = PauliSum(layout.n_total)
+    for op in (mass, hopp, elec, plaq):
+        acc.add_operator(op)
+    if params.lam:
+        acc.add_operator(gauss.scale(params.lam))
+    return HamiltonianTerms(mass, hopp, elec, plaq, gauss, g_ops, acc.to_operator())
 
 
 # -- readout by decoding the support, and the energy on an exact span -------

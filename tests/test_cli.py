@@ -678,6 +678,20 @@ def test_largest_theta_gives_a_circuit(tmp_path):
     assert (tmp_path / "out" / "vacuum_decay_trotter_step.qasm").exists()
 
 
+@pytest.mark.parametrize("mapping, cnots", [("jw", 3302), ("parity", 3242), ("bk", 3482)])
+def test_resource_table_counts_the_cnots_of_the_configured_mapping(tmp_path, mapping,
+                                                                  cnots):
+    """The total row of ``lgt resources`` counts the CNOTs of the circuit
+    that ``lgt qasm`` writes for the same config, under every mapping."""
+    config = write_config(tmp_path, {"scenario": "vacuum_decay", "mapping": mapping})
+    assert main(["resources", str(config), "--out", str(tmp_path / "res")]) == 0
+    assert main(["qasm", str(config), "--out", str(tmp_path / "qasm")]) == 0
+    with open(tmp_path / "res" / "vacuum_decay_resources.csv") as f:
+        total, = [r for r in csv.DictReader(f) if r["term"] == "total"]
+    gates = json.loads((tmp_path / "qasm" / "vacuum_decay_gate_counts.json").read_text())
+    assert int(total["n_cnot"]) == gates["cnot_count"] == cnots
+
+
 def test_overflow_in_resource_assembly_exits_2(tmp_path, capsys):
     # e^2/2 (S + theta)^2 = 5e199 * 1e200 overflows in the electric term,
     # though each factor passes its own check

@@ -21,7 +21,12 @@ from lgt.lattice import LatticeSpec, RegisterLayout, StaticLink
 from lgt.matter import fermion_mapping
 from lgt.pauli import PauliSum, classify
 from lgt.resources import link_resource_counts
-from pauli_oracle import build_plaquette_reference, is_hermitian, to_matrix
+from pauli_oracle import (
+    assemble_reference,
+    build_plaquette_reference,
+    is_hermitian,
+    to_matrix,
+)
 
 
 def cnot_count(op):
@@ -304,3 +309,72 @@ class TestInvariants:
         assert np.allclose(m, m.conj().T)
         evals = np.linalg.eigvalsh(m)
         assert np.all(np.abs(evals.imag) < 1e-12)
+
+
+def assert_same_operator(got, want):
+    assert got.n_qubits == want.n_qubits
+    assert np.array_equal(got.masks, want.masks)
+    assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+
+# lattices for the batched builds: open with static charges, periodic, a
+# periodic axis of extent 1 (a link from a site to itself, so a bilinear
+# a_i^dag a_i and a link met twice by a plaquette), d = 1..3; r != 1
+# (r = 2 scales the diagonal hopping bilinears by exactly 1), theta != 0,
+# and e = sqrt(2), where E^2 is scaled by exactly 1
+BATCH_LATTICES = {
+    "1d_open_static": (LatticeSpec(1, (3,), "open", (StaticLink((-1,), 0, 1.0),
+                                                     StaticLink((2,), 0, -1.0))),
+                       ModelParams(m=0.45, r=0.7, e=1.3, theta=(0.3,), lam=2.0)),
+    "1d_periodic": (LatticeSpec(1, (4,), "periodic"),
+                    ModelParams(m=0.5, r=2.0, e=math.sqrt(2), lam=10.0)),
+    "1d_periodic_extent_1": (LatticeSpec(1, (1,), "periodic"),
+                             ModelParams(m=0.3, r=0.7, e=1.3, theta=(-0.4,), lam=1.0)),
+    "2d_open": (LatticeSpec(2, (2, 2), "open"),
+                ModelParams(m=0.4, r=2.0, e=2.0, theta=(0.5, 0.5), lam=20.0)),
+    "2d_periodic": (LatticeSpec(2, (3, 2), "periodic"),
+                    ModelParams(m=0.45, r=0.7, e=1.3, theta=(0.3, -0.15))),
+    "2d_periodic_extent_1": (LatticeSpec(2, (2, 1), "periodic"),
+                             ModelParams(m=0.45, r=0.7, e=1.3, theta=(0.3, -0.15), lam=2.0)),
+    "3d_open": (LatticeSpec(3, (2, 2, 1), "open"),
+                ModelParams(m=0.45, r=0.7, e=1.3, theta=(0.3, -0.15, 0.1), lam=2.0)),
+    "3d_periodic": (LatticeSpec(3, (2, 1, 2), "periodic"),
+                    ModelParams(m=0.45, r=1.0, e=1.3, theta=(0.3, 0.0, 0.1), lam=2.0)),
+}
+
+
+@pytest.mark.parametrize("mapping", ["jw", "parity", "bk"])
+@pytest.mark.parametrize("lattice", list(BATCH_LATTICES))
+def test_batched_terms_match_the_term_by_term_builds_bit_for_bit(lattice, mapping):
+    """Every field of ``assemble`` (masks and coefficient bits, each G_x
+    too) equals that of the builds that added one operator per site, link
+    and spinor pair and merged each G_x on its own."""
+    spec, params = BATCH_LATTICES[lattice]
+    for spin in (0.5, 1.0, 1.5):
+        for encoding in ("log", "linear"):
+            lay = RegisterLayout(spec, encoding, spin)
+            got, want = assemble(lay, params, mapping), assemble_reference(lay, params, mapping)
+            assert got.hopp_wilson.n_terms > 0 and len(got.gauss_ops) == spec.n_sites
+            for field in ("mass", "hopp_wilson", "elec", "plaq", "gauss", "total"):
+                assert_same_operator(getattr(got, field), getattr(want, field))
+            for g, g_want in zip(got.gauss_ops, want.gauss_ops, strict=True):
+                assert_same_operator(g, g_want)
+
+
+def test_assembly_merges_do_not_grow_with_the_lattice():
+    """``assemble`` runs as many merges (``PauliSum._merge`` and grouped
+    ``to_operators`` calls) on the open 5x5 S=1 lattice as on the 3x3 one:
+    no term merges once per site or link (the 5x5 lattice took 243 merges
+    when they did)."""
+    counts = []
+    for extents in ((3, 3), (5, 5)):
+        lay = RegisterLayout(LatticeSpec(2, extents, "open"), "log", 1.0)
+        params = ModelParams(m=0.4, e=2.0)
+        assemble(lay, params)  # the link operators and mappings are cached
+        with mock.patch.object(PauliSum, "_merge", autospec=True,
+                               side_effect=PauliSum._merge) as merge, \
+                mock.patch.object(PauliSum, "to_operators", autospec=True,
+                                  side_effect=PauliSum.to_operators) as grouped:
+            assemble(lay, params)
+        counts.append((merge.call_count, grouped.call_count))
+    assert counts[0] == counts[1] and sum(counts[0]) < 20

@@ -9,8 +9,14 @@ from lgt.matter import (
     fermion_mapping,
     gamma_mix,
 )
-from lgt.pauli import PauliOperator
-from pauli_oracle import supports_reference, to_matrix
+from lgt.pauli import PauliOperator, PauliSum
+from pauli_oracle import (
+    bilinear_reference,
+    lowering_reference,
+    raising_reference,
+    supports_reference,
+    to_matrix,
+)
 
 ETA = {1: np.diag([1.0, -1.0]),
        2: np.diag([1.0, -1.0, -1.0]),
@@ -21,8 +27,8 @@ def anticommutator_violations(mapping: FermionMapping) -> list[str]:
     """The relations {a_i, a_j^dag} = delta_ij and {a_i, a_j} = 0 that
     fail as Pauli operators."""
     n = mapping.n_modes
-    lowers = [mapping.lowering(j) for j in range(n)]
-    raises = [mapping.raising(j) for j in range(n)]
+    lowers = [lowering_reference(mapping, j) for j in range(n)]
+    raises = [raising_reference(mapping, j) for j in range(n)]
     violations = []
     for i in range(n):
         for j in range(n):
@@ -107,7 +113,7 @@ def encoded_permutation(mapping):
 class TestMappings:
     def test_jw_number_operator(self):
         m = fermion_mapping("jw", 2)
-        got = {t.label: t.coeff for t in m.number(0).terms}
+        got = {t.label: t.coeff for t in m.bilinear(0, 0).terms}
         assert got == {"II": 0.5, "ZI": -0.5}
 
     def test_jw_standard_hopping(self):
@@ -129,7 +135,7 @@ class TestMappings:
         m = fermion_mapping(name, n)
         perm = encoded_permutation(m)
         for j, ref in enumerate(dense_ladders(n)):
-            enc = to_matrix(m.lowering(j))
+            enc = to_matrix(lowering_reference(m, j))
             assert np.max(np.abs(enc - perm @ ref @ perm.T)) < 1e-12
 
     def test_bk_bilinear_against_oracle_16(self):
@@ -164,9 +170,47 @@ class TestMappings:
 
     def test_mode_out_of_range(self):
         m = fermion_mapping("jw", 3)
-        with pytest.raises(ValueError):
-            m.raising(3)
+        for i, j in ((3, 0), (0, 3), (-1, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                m.bilinear(i, j)
+        with pytest.raises(ValueError, match="out of range"):
+            raising_reference(m, 3)
 
     def test_unknown_mapping(self):
         with pytest.raises(ValueError):
             fermion_mapping("ternary", 4)
+
+
+@pytest.mark.parametrize("name", ["jw", "parity", "bk"])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
+def test_bilinears_match_the_ladder_products_bit_for_bit(name, n):
+    """Every a_i^dag a_j built from the masks has the strings and
+    coefficient bits of the product of the ladder operators (of the
+    number operator for i = j)."""
+    m = fermion_mapping(name, n)
+    for i in range(n):
+        for j in range(n):
+            got, want = m.bilinear(i, j), bilinear_reference(m, i, j)
+            assert np.array_equal(got.masks, want.masks)
+            assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["jw", "parity", "bk"])
+def test_bilinears_scale_each_pair_on_a_wider_register(name):
+    """One ``bilinears`` call over many pairs, each with its own scale, on
+    a register of three mask words: each pair's rows merge to the scaled
+    reference bilinear placed on that register."""
+    m = fermion_mapping(name, 70)
+    rng = np.random.default_rng(7)
+    i, j = rng.integers(0, 70, 40), rng.integers(0, 70, 40)
+    i[:5] = j[:5]
+    c = rng.normal(size=40) + 1j * rng.normal(size=40)
+    c[5] = 1.0
+    masks, coeffs = m.bilinears(i, j, c, 130)
+    assert masks.shape == (40, 4, 6) and coeffs.shape == (40, 4, 2)
+    for k in range(40):
+        acc = PauliSum(130)
+        acc.add_rows(masks[k], coeffs[k])
+        got, want = acc.to_operator(), bilinear_reference(m, i[k], j[k], c[k]).embed(130)
+        assert np.array_equal(got.masks, want.masks)
+        assert np.array_equal(got.coeffs, want.coeffs)

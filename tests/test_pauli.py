@@ -188,6 +188,82 @@ class TestCanonicalOrder:
         assert (total.n_terms, h.hexdigest()[:16]) == (n_terms, digest)
 
 
+# configs of the golden digests above, by id
+GOLDEN_CONFIGS = {
+    "vacuum_decay": "vacuum_decay.json",
+    "double_plaquette_2d": "double_plaquette_2d.json",
+    "string_breaking_1d_light": "string_breaking_1d_light.json",
+    "custom_3x3_open_s1": {"lattice": {"d": 2, "extents": [3, 3], "boundary": "open"},
+                           "model": {"m": 0.4, "e": 2.0}, "spin": 1.0},
+    "custom_21_chain_s2": {"lattice": {"d": 1, "extents": [21], "boundary": "open"},
+                           "model": {"m": 0.4, "e": 2.0}, "spin": 2.0},
+    "custom_222_periodic_s05": {"lattice": {"d": 3, "extents": [2, 2, 2],
+                                            "boundary": "periodic"},
+                                "model": {"m": 0.4, "e": 2.0}, "spin": 0.5},
+}
+GOLDEN_FIELDS = ("total", "mass", "hopp_wilson", "gauss")
+
+
+def golden_digest(op) -> tuple[int, str]:
+    """The term count and the SHA-256 prefix of an operator's terms (masks
+    and coefficient bits in canonical order)."""
+    h = hashlib.sha256()
+    for t in op.terms:
+        c = t.coeff
+        h.update(f"{t.x:x},{t.z:x},{c.real.hex()},{c.imag.hex()};".encode())
+    return op.n_terms, h.hexdigest()[:16]
+
+
+# the term counts of GOLDEN_FIELDS, and their digests under each mapping,
+# recorded before the mass, hopping and Gauss terms were built in batches
+@pytest.mark.parametrize("config, counts, digests", [
+    ("vacuum_decay", (466, 6, 384, 76), {
+        "jw": ("58570ba8613a226e", "980518f212914a49", "b7410ed5ad192d12", "f6db6db13c090ebd"),
+        "parity": ("6373810a92964af6", "900eed80a7c73f7f", "112d9cf7671a5795",
+                   "fdcfebc7bc75b557"),
+        "bk": ("c9e463bd93064c70", "8f0debe06cb99e45", "a92d6d0c664a1d3e", "176adfc43485f4ff")}),
+    ("double_plaquette_2d", (192, 12, 112, 59), {
+        "jw": ("59949a792fee4bb9", "d4e29d50366c455e", "1567747ef9d570c8", "8dd1d9e50d4c5182"),
+        "parity": ("4ed44ab218bb91f7", "646b767f4fa5aef4", "30adf1efe2fff41a",
+                   "b0162d3be77c5129"),
+        "bk": ("4ce40947c33f72cf", "b32e2269851e82a3", "359a25f0fd7bef90", "11659e4f6e14d25a")}),
+    ("string_breaking_1d_light", (305, 6, 256, 47), {
+        "jw": ("f7cf78e5521daef5", "9a19ffc444c442f3", "f3a359a15b42fcd5", "4632e53a3e91f005"),
+        "parity": ("d4bd7ee83fd9036e", "ebb73163521d380a", "3303cbd36a5b7881",
+                   "0436faf343967fad"),
+        "bk": ("e57b345fedcb1a62", "29faa3aacbaeec67", "9596ef65831b7611", "eca39d961638b00d")}),
+    ("custom_3x3_open_s1", (64178, 18, 1536, 400), {
+        "jw": ("ad478c34b4243755", "4ea98b2227602601", "ecb90df3aa644945", "9ed46abc117d6acb"),
+        "parity": ("bcf73c31d1e5b216", "65726314c036b644", "4f0c1ce18b56fd98",
+                   "4d097d0717405036"),
+        "bk": ("31a5bb194a56fc8b", "3c609d005cfc87b2", "4023f6ea6b246a10", "937684746243c8e3")}),
+    ("custom_21_chain_s2", (8095, 42, 6400, 1657), {
+        "jw": ("73c0d0a697312278", "144cdaf26ebf7ba9", "5ed15e6878bf48c7", "830a04398361379b"),
+        "parity": ("88ba1b64be7846c9", "4cf70677d2dafb6d", "1a2b9e0912f537ac",
+                   "c472fb5dc6fbfeb2"),
+        "bk": ("1cc7d5dc50d61850", "56161011f692cf02", "20340d6b8c52d48e", "190ee69f454ef4e2")}),
+    ("custom_222_periodic_s05", (1341, 32, 768, 349), {
+        "jw": ("f20c17207074af5f", "4b6404b81ebc87dc", "c570abb2fdf7806d", "2d5aa8cb7a8ad254"),
+        "parity": ("9a77f5be6f5ad3a4", "94e44d627b232671", "2b771ecb60cf02ae",
+                   "17eefd98c2fb87d0"),
+        "bk": ("da275cbadd9309e8", "7c625b9340f8fa4a", "176df83357e356e3", "070c9e273fd53a22")}),
+], ids=list(GOLDEN_CONFIGS))
+def test_assembled_fields_match_golden_digests_under_every_mapping(tmp_path, config,
+                                                                   counts, digests):
+    config = GOLDEN_CONFIGS[config]
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = CONFIGS / config
+    sc = validate_config(load_config(path))
+    layout = build_layout(sc)
+    for mapping, want in digests.items():
+        terms = assemble(layout, sc.params, mapping)
+        got = [golden_digest(getattr(terms, field)) for field in GOLDEN_FIELDS]
+        assert got == list(zip(counts, want)), mapping
+
+
 class TestMatrixOracle:
     def test_diag_z(self):
         assert np.array_equal(to_matrix(op("Z")), np.diag([1, -1]).astype(complex))
@@ -552,6 +628,54 @@ def test_merge_into_a_large_run_matches_the_reference():
     assert_same_rows(got, want)
 
 
+@st.composite
+def grouped_rows(draw):
+    """A qubit count, an operator count, and rows in no particular order,
+    each tagged with its operator, all on strings of one pool (so a
+    string repeats within an operator and across operators), with +-0.0,
+    inf and NaN parts, possibly in several chunks."""
+    n = draw(st.sampled_from([1, 8, 64, 65, 130]))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=8))
+    count = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(st.integers(0, count - 1), st.sampled_from(pool),
+                                   MERGE_PARTS, MERGE_PARTS), max_size=40))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    return n, count, rows, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_rows())
+def test_grouped_merge_matches_the_reference_for_each_operator(case):
+    """``to_operators`` gives each operator the rows that
+    ``merge_reference`` gives its rows on their own, less those below
+    ``DROP_TOL``: the grouped merge keeps every operator's sums in its own
+    insertion order."""
+    n, count, rows, cuts = case
+    acc = PauliSum(n)
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        acc.add_strings([x for _, (x, _), _, _ in rows[lo:hi]],
+                        [z for _, (_, z), _, _ in rows[lo:hi]],
+                        [complex(re, im) for _, _, re, im in rows[lo:hi]])
+    got = acc.to_operators([g for g, *_ in rows], count)
+    assert len(got) == count and not acc._parts
+    acc.add_string(0, 0, 1.0)
+    acc.to_operator()
+    with pytest.raises(ValueError, match="never merged"):
+        acc.to_operators([], count)
+    for g, op in enumerate(got):
+        own = PauliSum(n)
+        own.add_strings([x for h, (x, _), _, _ in rows if h == g],
+                        [z for h, (_, z), _, _ in rows if h == g],
+                        [complex(re, im) for h, _, re, im in rows if h == g])
+        if own._parts:
+            masks, coeffs = merge_reference(n, own._parts)
+            keep = ~(np.hypot(coeffs[:, 0], coeffs[:, 1]) < DROP_TOL)
+            assert_same_rows((op.masks, op.coeffs), (masks[keep], coeffs[keep]))
+        else:
+            assert op.n_terms == 0
+
+
 def test_add_strings_rejects_masks_outside_the_register():
     acc = PauliSum(3)
     for x, z in ((1 << 5, 0), (0, 1 << 3), (-1, 0)):
@@ -610,6 +734,21 @@ def test_place_matches_python_int_moves_and_keeps_the_order(case):
     assert np.shares_memory(got.coeffs, o.coeffs)
     # the placed strings are still in canonical order
     assert np.array_equal(PauliOperator.from_terms(n, got.terms).masks, got.masks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(placements(), st.lists(st.integers(-70, 70), min_size=1, max_size=5))
+def test_placements_match_each_place(case, shifts):
+    """One ``placements`` call over several copies, in any order and
+    landing in the same or other mask words, gives each copy's ``place``
+    masks."""
+    o, n, offsets = case
+    rows = [[q + s for q in offsets] for s in shifts
+            if offsets[0] + s >= 0 and offsets[-1] + s + o.n_qubits // len(offsets) <= n]
+    got = o.placements(n, rows)
+    assert got.shape == (len(rows), o.n_terms, 2 * ((n + 63) // 64 or 1))
+    for copy, row in zip(got, rows):
+        assert np.array_equal(copy, place_reference(o, n, row).masks)
 
 
 def assert_tensor_product_bits(factors, scale) -> None:
@@ -727,6 +866,37 @@ def test_tensor_product_with_a_scaled_factor_matches_the_scaled_product(case):
     got, want = got.to_operator(), want.to_operator()
     assert np.array_equal(got.masks, want.masks)
     assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+
+@st.composite
+def tensor_batches(draw):
+    """Up to four products of the same factors' strings, each with its own
+    coefficients, and a scale."""
+    factors, scale = draw(tensor_factors())
+    batch = [factors]
+    for _ in range(draw(st.integers(0, 3))):
+        batch.append([PauliOperator(f.n_qubits, f.masks, np.array(draw(st.lists(
+            st.tuples(TENSOR_COEFFS, TENSOR_COEFFS), min_size=f.n_terms,
+            max_size=f.n_terms)), dtype=float).reshape(-1, 2)) for f in factors])
+    return batch, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_batches())
+def test_batched_tensor_products_append_each_product_in_order(case):
+    """``add_tensor_products`` appends, in order, the rows that
+    ``add_tensor_product`` appends for each product."""
+    batch, scale = case
+    n = batch[0][0].n_qubits
+    got, want = PauliSum(n), PauliSum(n)
+    got.add_tensor_products([(np.stack([f[i].masks for f in batch]),
+                              np.stack([f[i].coeffs for f in batch]))
+                             for i in range(len(batch[0]))], scale)
+    for factors in batch:
+        want.add_tensor_product(factors, scale)
+    assert_same_rows(*[(np.concatenate([m for m, _ in acc._parts] or [np.zeros((0, 2))]),
+                        np.concatenate([c for _, c in acc._parts] or [np.zeros((0, 2))]))
+                       for acc in (got, want)])
 
 
 def test_tensor_product_rejects_shared_qubits():
