@@ -107,7 +107,7 @@ def build_hopp_wilson(layout: RegisterLayout, params: ModelParams,
     li, alpha, beta = np.nonzero(gmix[k] != 0)
     ferm = mapping.bilinears(tail[li] * ns + alpha, head[li] * ns + beta,
                              0.5 * gmix[k[li], alpha, beta], n)
-    u = qlm_link(layout.spin, layout.encoding).u
+    u = qlm_link(layout.spin, layout.encoding, params.theta_along(0)).u  # one cache entry
     placed = u.placements(n, [[layout.gauge_offset(link)] for link in layout.links])[li]
     acc = PauliSum(n)
     u_coeffs = np.broadcast_to(u.coeffs, (len(li), *u.coeffs.shape))
